@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .semigroup import ModelParams, propagator_entries_for
+from .semigroup import ModelParams, exponential_step, propagator_entries_for
 from .spectral import StateZ, eigenvalue
 
 __all__ = [
@@ -368,23 +368,18 @@ def gamma_norm_estimate(
 def integrate_linear(z0: StateZ, u: ControlSignal, p: ModelParams) -> np.ndarray:
     """March the unperturbed controlled system over the control grid.
 
-    Exponential-trapezoid stepping: propagate by the exact mode blocks,
-    integrate the forcing by the trapezoid rule within each step.  Returns
-    the (n_nodes, 2, n_modes) array of states.
+    Exponential-trapezoid stepping (`exponential_step`) with the control as
+    the only source.  Returns the (n_nodes, 2, n_modes) array of states.
     """
     if z0.n_modes != p.n_modes:
         raise ValueError(f"state has {z0.n_modes} modes, params expect {p.n_modes}")
     h = u.step
-    e00, e01, e10, e11 = propagator_entries_for(np.array([h]), p.lam, p.c, p.d)
-    e00, e01, e10, e11 = e00[0], e01[0], e10[0], e11[0]
+    step = exponential_step(h, p.lam, p.c, p.d)
+    half_h = 0.5 * h
     left, right = u.node_values()
     out = np.empty((u.n_nodes, 2, p.n_modes))
     out[0] = z0.to_pair()
     for i in range(1, u.n_nodes):
-        w, y = out[i - 1]
-        # g = (0, u); half-step source at both ends of the interval.
-        y_in = y + 0.5 * h * right[i - 1]
-        out[i, 0] = e00 * w + e01 * y_in
-        out[i, 1] = e10 * w + e11 * y_in
-        out[i, 1] += 0.5 * h * left[i]
+        step(out[i - 1], right[i - 1], out[i])
+        out[i, 1] += half_h * left[i]
     return out

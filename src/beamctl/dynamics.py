@@ -3,11 +3,15 @@
 The trajectory lives on one uniform grid covering [-r, T].  Stepping is an
 exponential integrator: the stiff linear part is propagated by the exact
 per-mode blocks, the sources (control, load, cable force, nonlinear term)
-are integrated by the trapezoid rule within each step, with the implicit
-right endpoint resolved by a short inner fixed point.  Summed over steps
-the scheme reproduces the global trapezoid convolution of the sources
-exactly, which is what ties the integrator to the discrete Gramian of the
-control module.
+are integrated by the trapezoid rule within each step.  The step is
+explicit and still takes the trapezoid rule's right endpoint exactly: the
+sources enter only the velocity equation and read the new node only
+through its position (the cable force clips it; the catalog terms read the
+time, the control and delayed nodes), and the exact propagation fixes that
+position before the source is evaluated.  One source evaluation per node
+thus closes the step.  Summed over steps the scheme reproduces the global
+trapezoid convolution of the sources exactly, which is what ties the
+integrator to the discrete Gramian of the control module.
 
 The nonlocal initial condition prescribes the history only implicitly
 (through segments of the solution at the positive lag times), so the whole
@@ -26,8 +30,8 @@ import numpy as np
 from .catalogs import Forcing, ImpulseEvent, Nonlinearity
 from .control import ControlSignal
 from .errors import ConfigError, NumericalError
-from .semigroup import ModelParams, propagator_entries_for
-from .spectral import SpatialGrid, StateZ, eigenvalues, pair_norm
+from .semigroup import ModelParams, exponential_step
+from .spectral import SpatialGrid, StateZ, eigenvalues, energy_norms, pair_norm
 
 __all__ = [
     "Segment",
@@ -36,6 +40,7 @@ __all__ = [
     "IntegrationResult",
     "history_segment",
     "source_term",
+    "node_sources",
     "nonlocal_combination",
     "segment_at",
     "integrate_mild",
@@ -109,11 +114,7 @@ class Segment:
     def sup_norm(self) -> float:
         """Max energy norm over nodes, including the left limits at jumps."""
         lam = eigenvalues(self.n_modes)
-        norms = np.sqrt(
-            np.sum(lam[None, :] * self.values[:, 0, :] ** 2, axis=1)
-            + np.sum(self.values[:, 1, :] ** 2, axis=1)
-        )
-        best = float(norms.max())
+        best = float(energy_norms(self.values, lam).max())
         for v in self.left_values.values():
             best = max(best, pair_norm(v, lam))
         return best
@@ -189,11 +190,7 @@ class Trajectory:
 
     def sup_norm(self) -> float:
         lam = eigenvalues(self.n_modes)
-        norms = np.sqrt(
-            np.sum(lam[None, :] * self.values[:, 0, :] ** 2, axis=1)
-            + np.sum(self.values[:, 1, :] ** 2, axis=1)
-        )
-        best = float(norms.max())
+        best = float(energy_norms(self.values, lam).max())
         for v in self.left_values.values():
             best = max(best, pair_norm(v, lam))
         return best
@@ -202,12 +199,7 @@ class Trajectory:
         """Max energy norm of the nodewise difference (canonical values)."""
         if other.values.shape != self.values.shape:
             raise ValueError("trajectories live on different grids")
-        lam = eigenvalues(self.n_modes)
-        d = self.values - other.values
-        norms = np.sqrt(
-            np.sum(lam[None, :] * d[:, 0, :] ** 2, axis=1) + np.sum(d[:, 1, :] ** 2, axis=1)
-        )
-        return float(norms.max())
+        return float(energy_norms(self.values - other.values, eigenvalues(self.n_modes)).max())
 
 
 @dataclass(frozen=True)
@@ -355,40 +347,30 @@ def history_segment(
 
 
 class _SegmentView:
-    """Duck-typed segment over the trajectory buffer during a sweep.
+    """Duck-typed delay segment ending at one node of a trajectory buffer.
 
     Exposes the `value`/`span`/`state` interface of `Segment` without
-    copying the window; the node currently being solved can be overridden
-    with the inner-iteration state.
+    copying the window; `node` moves along as a sweep advances.
     """
 
-    __slots__ = ("_values", "_marks", "_node", "_span", "_step", "_current")
+    __slots__ = ("_values", "_marks", "_step", "span", "node")
 
-    def __init__(self, values, marks, node, span, step, current):
+    def __init__(self, values, marks, span, step):
         self._values = values
         self._marks = marks
-        self._node = node
-        self._span = span
         self._step = step
-        self._current = current
-
-    @property
-    def span(self):
-        return self._span
+        self.span = span
+        self.node = 0
 
     def value(self, theta):
         pos = theta / self._step
         rel = int(round(pos))
-        j = self._node + rel
         if abs(pos - rel) < _NODE_SNAP:
-            if j == self._node:
-                return self._current
-            return self._values[j]
-        lo = self._node + int(np.floor(pos))
+            return self._values[self.node + rel]
+        lo = self.node + int(np.floor(pos))
         a = pos - np.floor(pos)
-        hi_val = self._current if lo + 1 == self._node else self._values[lo + 1]
-        hi_val = self._marks.get(lo + 1, hi_val)
-        return (1.0 - a) * self._values[lo] + a * hi_val
+        upper = self._marks.get(lo + 1, self._values[lo + 1])
+        return (1.0 - a) * self._values[lo] + a * upper
 
     def state(self, theta):
         return StateZ.from_pair(self.value(theta))
@@ -415,6 +397,26 @@ def source_term(t: float, seg, u_val: np.ndarray | None, spec: ProblemSpec) -> S
     basis = spec.grid.basis(spec.params.n_modes)
     row = _source_row(t, seg, seg.value(0.0)[0], u_val, spec, basis, spec.grid.weight)
     return StateZ(np.zeros_like(row), row)
+
+
+def node_sources(spec: ProblemSpec, values: np.ndarray, marks: dict):
+    """Per-node evaluator of the velocity source p(t) - k*w+ + f (no control channel).
+
+    `values` is a trajectory buffer on the grid of `spec` (history nodes
+    first, t = 0 at node r/h) and `marks` its left limits.  The returned
+    `row(node, t, u_val)` reads the position `values[node, 0]` and, through
+    the delay segment ending at `node`, earlier nodes; it never reads the
+    velocity at `node`, and it sees later writes to the buffer.
+    """
+    seg = _SegmentView(values, marks, spec.params.r, spec.h)
+    basis = spec.grid.basis(spec.params.n_modes)
+    quad_w = spec.grid.weight
+
+    def row(node: int, t: float, u_val: np.ndarray | None) -> np.ndarray:
+        seg.node = node
+        return _source_row(t, seg, values[node, 0], u_val, spec, basis, quad_w)
+
+    return row
 
 
 def nonlocal_combination(segments, spec: ProblemSpec) -> Segment:
@@ -485,14 +487,13 @@ def _control_nodes(u: ControlSignal | None, spec: ProblemSpec):
         return zeros, zeros, frozenset()
     if abs(u.t0) > 1e-12 or abs(u.t1 - spec.params.T) > 1e-9:
         raise ValueError(f"control covers [{u.t0}, {u.t1}], expected [0, {spec.params.T}]")
-    if u.n_nodes == n:
-        left, right = u.node_values()
-        return left, right, frozenset(u.left_values)
-    # Grid mismatch: resample the right-continuous interpolant. Jump marks
-    # survive only when the grids coincide.
-    ts = spec.params.T / spec.n_steps * np.arange(n)
-    vals = np.stack([u.value(t) for t in ts])
-    return vals, vals, frozenset()
+    if u.n_nodes != n:
+        raise ValueError(
+            f"control has {u.n_nodes} nodes, the trajectory grid has {n}; "
+            "controls must live on the trajectory grid"
+        )
+    left, right = u.node_values()
+    return left, right, frozenset(u.left_values)
 
 
 def _resample_history(spec: ProblemSpec):
@@ -516,58 +517,36 @@ def _resample_history(spec: ProblemSpec):
     return values, marks, n_r
 
 
-def _sweep(spec: ProblemSpec, u_left, u_right, u_marks, hist_values, hist_marks, n_r):
-    p = spec.params
-    h = spec.h
-    n_total = n_r + spec.n_steps + 1
-    e00, e01, e10, e11 = propagator_entries_for(np.array([h]), p.lam, p.c, p.d)
-    e00, e01, e10, e11 = e00[0], e01[0], e10[0], e11[0]
-    basis = spec.grid.basis(p.n_modes)
-    quad_w = spec.grid.weight
+def _sweep(spec: ProblemSpec, step, u_left, u_right, u_marks, hist_values, hist_marks, n_r):
+    """One explicit exponential-trapezoid pass over [0, T] from the given history.
 
-    values = np.empty((n_total, 2, p.n_modes))
+    Each step propagates the previous node with the left half of the
+    trapezoid source (`step`), evaluates the source once at the new node
+    from the propagated position, and adds the right half.  A second
+    evaluation happens only where the right limit of the source differs
+    from its left limit: after an impulse jump and where the control jumps.
+    """
+    h = spec.h
+    half_h = 0.5 * h
+    values = np.empty((n_r + spec.n_steps + 1, 2, spec.params.n_modes))
     values[: n_r + 1] = hist_values
     marks = dict(hist_marks)
+    source = node_sources(spec, values, marks)
     impulse_nodes = {n_r + int(round(ev.time / h)): ev for ev in spec.impulses}
 
-    def rhs(t, node, current, u_val):
-        seg = _SegmentView(values, marks, node, p.r, h, current)
-        return u_val + _source_row(t, seg, current[0], u_val, spec, basis, quad_w)
-
-    g_prev = rhs(0.0, n_r, values[n_r], u_right[0])
-    half_h = 0.5 * h
+    g = u_right[0] + source(n_r, 0.0, u_right[0])
     for j in range(1, spec.n_steps + 1):
         i = n_r + j
         t = j * h
-        w0, y0 = values[i - 1]
-        y_in = y0 + half_h * g_prev
-        base_w = e00 * w0 + e01 * y_in
-        base_y = e10 * w0 + e11 * y_in
-        # Implicit trapezoid endpoint: only the velocity row moves, and the
-        # contraction factor is h/2 times the state-Lipschitz bound of the
-        # sources, so a couple of passes reach roundoff.
-        current = np.vstack([base_w, base_y])
-        row = rhs(t, i, current, u_left[j])
-        for _ in range(8):
-            y_new = base_y + half_h * row
-            delta = float(np.max(np.abs(y_new - current[1])))
-            current = np.vstack([base_w, y_new])
-            scale = max(1.0, float(np.max(np.abs(y_new))))
-            if delta <= 1e-13 * scale:
-                break
-            row = rhs(t, i, current, u_left[j])
+        step(values[i - 1], g, values[i])
+        g = u_left[j] + source(i, t, u_left[j])
+        values[i, 1] += half_h * g
         ev = impulse_nodes.get(i)
         if ev is not None:
-            marks[i] = current
-            jumped = current.copy()
-            jumped[1] = jumped[1] + ev.map.velocity_jump(t, current, u_right[j])
-            values[i] = jumped
-            g_prev = rhs(t, i, jumped, u_right[j])
-        else:
-            values[i] = current
-            # `row` was evaluated at the converged state with the left
-            # control value; recompute only when the control jumps here.
-            g_prev = rhs(t, i, current, u_right[j]) if j in u_marks else row
+            marks[i] = values[i].copy()
+            values[i, 1] += ev.map.velocity_jump(t, marks[i], u_right[j])
+        if ev is not None or j in u_marks:
+            g = u_right[j] + source(i, t, u_right[j])
     return values, marks
 
 
@@ -605,49 +584,52 @@ def integrate_mild(spec: ProblemSpec, u: ControlSignal | None = None) -> Integra
     nonlocal combination of its own lagged segments.  That implicit
     coupling is resolved by Picard iteration over candidate histories,
     starting from the history with the nonlocal term dropped, until the
-    history-consistency residual falls below `picard_tol`.
+    history-consistency residual falls below `picard_tol`.  The iteration
+    stops with NumericalError when a sweep leaves the finite range or the
+    successive sweep differences grow three times in a row.
     """
     if spec.u_dependent and u is None:
         raise ValueError("problem has control-dependent catalog entries but no control")
     u_left, u_right, u_marks = _control_nodes(u, spec)
     rho_values, rho_marks, n_r = _resample_history(spec)
+    p = spec.params
+    lam = p.lam
+    step = exponential_step(spec.h, lam, p.c, p.d)
 
     hist_values, hist_marks = rho_values, rho_marks
     prev_values = None
     sup_diffs: list[float] = []
-    lam = spec.params.lam
-    last_values = None
-    last_marks = None
-    residual = np.inf
-    iterations = 0
+    grow_streak = 0
+    residual, ratio = np.inf, np.nan
     for iteration in range(1, spec.picard_max_iter + 1):
-        iterations = iteration
-        values, marks = _sweep(spec, u_left, u_right, u_marks, hist_values, hist_marks, n_r)
-        if prev_values is not None:
-            d = values - prev_values
-            sup_diffs.append(
-                float(
-                    np.sqrt(
-                        np.sum(lam[None, :] * d[:, 0, :] ** 2, axis=1)
-                        + np.sum(d[:, 1, :] ** 2, axis=1)
-                    ).max()
-                )
+        # Overflow surfaces as a non-finite norm, reported below as one error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, marks = _sweep(
+                spec, step, u_left, u_right, u_marks, hist_values, hist_marks, n_r
             )
+            finite = np.isfinite(energy_norms(values, lam))
+        if not finite.all():
+            t_bad = (int(np.argmin(finite)) - n_r) * spec.h
+            raise NumericalError(
+                f"state is not finite at t = {t_bad:.6g} (history sweep {iteration})"
+            )
+        if prev_values is not None:
+            d = float(energy_norms(values - prev_values, lam).max())
+            ratio = d / sup_diffs[-1] if sup_diffs and sup_diffs[-1] > 0 else np.nan
+            sup_diffs.append(d)
         if spec.q == 0:
             residual = 0.0
-            last_values, last_marks = values, marks
             break
         gvals, gmarks = _nonlocal_on_history(values, marks, spec, n_r)
-        res_arr = values[: n_r + 1] + gvals - rho_values
-        residual = float(
-            np.sqrt(
-                np.sum(lam[None, :] * res_arr[:, 0, :] ** 2, axis=1)
-                + np.sum(res_arr[:, 1, :] ** 2, axis=1)
-            ).max()
-        )
-        last_values, last_marks = values, marks
+        residual = float(energy_norms(values[: n_r + 1] + gvals - rho_values, lam).max())
         if residual <= spec.picard_tol:
             break
+        grow_streak = grow_streak + 1 if np.isfinite(ratio) and ratio > 1.0 else 0
+        if grow_streak >= 3:
+            raise NumericalError(
+                f"history iteration diverging: sweep-difference ratio {ratio:.3f} > 1 "
+                f"for three consecutive sweeps (sweep {iteration}, residual {residual:.3e})"
+            )
         hist_values = rho_values - gvals
         hist_marks = {}
         for i in sorted(set(rho_marks) | set(gmarks)):
@@ -656,13 +638,10 @@ def integrate_mild(spec: ProblemSpec, u: ControlSignal | None = None) -> Integra
             hist_marks[i] = rho_side - g_side
         prev_values = values
     else:
-        ratio = np.nan
-        if len(sup_diffs) >= 2 and sup_diffs[-2] > 0:
-            ratio = sup_diffs[-1] / sup_diffs[-2]
         raise NumericalError(
             f"history iteration did not reach tol={spec.picard_tol} in "
             f"{spec.picard_max_iter} sweeps (residual {residual:.3e}, "
             f"last contraction ratio {ratio:.3f})"
         )
-    traj = Trajectory(spec.h, n_r, last_values, last_marks)
-    return IntegrationResult(traj, iterations, residual, tuple(sup_diffs))
+    traj = Trajectory(spec.h, n_r, values, marks)
+    return IntegrationResult(traj, iteration, residual, tuple(sup_diffs))

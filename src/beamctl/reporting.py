@@ -13,7 +13,7 @@ import numpy as np
 
 from .control import ControlSignal
 from .dynamics import Trajectory
-from .spectral import eigenvalues, reconstruct
+from .spectral import eigenvalues, energy_norms, reconstruct
 
 __all__ = [
     "fmt",
@@ -46,8 +46,7 @@ def trajectory_header(n_modes: int) -> list[str]:
 
 
 def _state_row(t: float, pair: np.ndarray, lam: np.ndarray) -> list[float]:
-    norm = float(np.sqrt(np.sum(lam * pair[0] ** 2) + np.sum(pair[1] ** 2)))
-    return [t, *pair[0].tolist(), *pair[1].tolist(), norm]
+    return [t, *pair[0].tolist(), *pair[1].tolist(), float(energy_norms(pair, lam))]
 
 
 def trajectory_rows(traj: Trajectory):

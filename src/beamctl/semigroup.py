@@ -22,6 +22,7 @@ __all__ = [
     "expm2",
     "propagator_entries",
     "propagator_entries_for",
+    "exponential_step",
     "semigroup_blocks",
     "adjoint_blocks",
     "apply_semigroup",
@@ -151,6 +152,28 @@ def propagator_entries_for(ts: np.ndarray, lam: np.ndarray, c: float, d: float):
     e10 = scale * (-d * lam[None, :] * c1)
     e11 = scale * (c0 - half_c * c1)
     return e00, e01, e10, e11
+
+
+def exponential_step(h: float, lam: np.ndarray, c: float, d: float):
+    """Kernel of the exponential-trapezoid scheme for sources in the velocity row.
+
+    Returns `step(prev, g, out)`, which writes E(h) (w, y + h/2 g) into the
+    (2, N) pair `out` for the pair `prev` = (w, y): the exact propagation of
+    the state and of the left half of the trapezoid source.  The caller
+    closes the step by adding h/2 times the source at the new node to
+    `out[1]`; summed over steps this is the trapezoid convolution of the
+    source against the propagator.
+    """
+    e00, e01, e10, e11 = (e[0] for e in propagator_entries_for(np.array([h]), lam, c, d))
+    half_h = 0.5 * h
+
+    def step(prev: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
+        w = prev[0]
+        y_in = prev[1] + half_h * g
+        out[0] = e00 * w + e01 * y_in
+        out[1] = e10 * w + e11 * y_in
+
+    return step
 
 
 def propagator_entries(ts: np.ndarray, p: ModelParams):

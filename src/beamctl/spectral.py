@@ -25,6 +25,7 @@ __all__ = [
     "positive_part",
     "norm_half",
     "norm_z",
+    "energy_norms",
     "pair_norm",
     "zero_state",
 ]
@@ -128,9 +129,20 @@ def norm_half(w: np.ndarray) -> float:
     return float(np.sqrt(np.sum(eigenvalues(w.shape[-1]) * w**2)))
 
 
+def energy_norms(values: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Energy norms of a stack of (2, N) coefficient pairs, shape (..., 2, N) -> (...).
+
+    The position row is weighted by lambda_n; every norm in the package goes
+    through this one expression, so equal inputs give bitwise equal norms.
+    """
+    return np.sqrt(
+        np.sum(lam * values[..., 0, :] ** 2, axis=-1) + np.sum(values[..., 1, :] ** 2, axis=-1)
+    )
+
+
 def pair_norm(pair: np.ndarray, lam: np.ndarray) -> float:
     """Energy norm of a (2, N) coefficient pair: position weighted by lambda_n."""
-    return float(np.sqrt(np.sum(lam * pair[0] ** 2) + np.sum(pair[1] ** 2)))
+    return float(energy_norms(pair, lam))
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,8 @@ from .dynamics import (
     IntegrationResult,
     ProblemSpec,
     Trajectory,
-    _SegmentView,
-    _source_row,
     integrate_mild,
+    node_sources,
 )
 from .errors import ConfigError, NumericalError
 from .semigroup import (
@@ -39,7 +38,7 @@ from .semigroup import (
     propagator_entries_for,
     weighted_block_norms,
 )
-from .spectral import StateZ, pair_norm
+from .spectral import StateZ, energy_norms, pair_norm
 
 __all__ = [
     "ContractionReport",
@@ -256,19 +255,8 @@ def approx_experiment(
         d_delay = max(
             pair_norm(switched.values[i] - traj.values[i], lam) for i in delay_nodes
         )
-        d_overlap = float(
-            np.sqrt(
-                np.sum(
-                    lam[None, :]
-                    * (switched.values[: switch_node + 1, 0, :] - traj.values[: switch_node + 1, 0, :]) ** 2,
-                    axis=1,
-                )
-                + np.sum(
-                    (switched.values[: switch_node + 1, 1, :] - traj.values[: switch_node + 1, 1, :]) ** 2,
-                    axis=1,
-                )
-            ).max()
-        )
+        overlap = switched.values[: switch_node + 1] - traj.values[: switch_node + 1]
+        d_overlap = float(energy_norms(overlap, lam).max())
         rows.append(PullbackRow(sigma, float(terminal_error), bound, float(d_delay), d_overlap))
     return PullbackResult(tuple(rows), M_est)
 
@@ -276,38 +264,24 @@ def approx_experiment(
 def _trap_convolution_of_sources(traj: Trajectory, spec: ProblemSpec) -> np.ndarray:
     """Trapezoid value of the propagated perturbation integral over [0, T].
 
-    Matches the integrator's stepping exactly: nodal trapezoid weights,
-    with impulse nodes contributing their left and right evaluations at
-    half weight each.
+    Matches the integrator's stepping exactly: nodal trapezoid weights with
+    one source evaluation per node.  Impulse nodes need no second one, since
+    the source reads the position, which does not jump.
     """
     p = spec.params
     h = spec.h
     n_r = traj.n_history
-    lam = p.lam
-    basis = spec.grid.basis(p.n_modes)
-    quad_w = spec.grid.weight
     ts = h * np.arange(spec.n_steps + 1)
-    e00, e01, e10, e11 = propagator_entries_for(p.T - ts, lam, p.c, p.d)
-
-    def row_at(node: int, t: float, current: np.ndarray) -> np.ndarray:
-        seg = _SegmentView(traj.values, traj.left_values, node, p.r, h, current)
-        return _source_row(t, seg, current[0], None, spec, basis, quad_w)
+    e00, e01, e10, e11 = propagator_entries_for(p.T - ts, p.lam, p.c, p.d)
+    source = node_sources(spec, traj.values, traj.left_values)
 
     acc_w = np.zeros(p.n_modes)
     acc_y = np.zeros(p.n_modes)
     for j in range(spec.n_steps + 1):
-        node = n_r + j
-        t = ts[j]
+        row = source(n_r + j, ts[j], None)
         wt = h if 0 < j < spec.n_steps else 0.5 * h
-        if node in traj.left_values and 0 < j < spec.n_steps:
-            row_left = row_at(node, t, traj.left_values[node])
-            row_right = row_at(node, t, traj.values[node])
-            acc_w += 0.5 * h * e01[j] * (row_left + row_right)
-            acc_y += 0.5 * h * e11[j] * (row_left + row_right)
-        else:
-            row = row_at(node, t, traj.values[node])
-            acc_w += wt * e01[j] * row
-            acc_y += wt * e11[j] * row
+        acc_w += wt * e01[j] * row
+        acc_y += wt * e11[j] * row
     return np.vstack([acc_w, acc_y])
 
 

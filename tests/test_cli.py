@@ -153,6 +153,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical:")
 
+    def test_non_finite_state_exits_3_without_csv(self, tmp_path, capsys):
+        # A velocity kick of 1e300 overflows the energy norm right at the jump.
+        cfg = write_config(
+            tmp_path,
+            {
+                "model": {"c": 1.0, "d": 1.0, "k": 1.0, "n_modes": 4, "T": 1.0, "r": 0.25},
+                "grids": {"h": 0.002, "G": 65},
+                "impulses": [
+                    {"time": 0.5, "catalog": "velocity_kick", "params": {"amp": 1.0e300}}
+                ],
+                "history": {"catalog": "modal_constant", "params": {"w": [0.4], "y": [0.2]}},
+            },
+        )
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:")
+        assert "t = 0.5 " in err
+        assert not list(out.glob("*.csv"))
+
     def test_simulate_emits_double_rows_at_impulse(self, tmp_path):
         rc = main(
             ["simulate", "--config", str(CONFIGS / "simulate_demo.yaml"), "--out", str(tmp_path)]

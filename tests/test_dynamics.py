@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beamctl import dynamics
 from beamctl.catalogs import ImpulseEvent, make_forcing, make_impulse_map, make_nonlinearity
 from beamctl.control import ControlSignal
 from beamctl.dynamics import (
@@ -12,11 +13,11 @@ from beamctl.dynamics import (
     segment_at,
     source_term,
 )
-from beamctl.errors import ConfigError
+from beamctl.errors import ConfigError, NumericalError
 from beamctl.semigroup import ModelParams, apply_semigroup
 from beamctl.spectral import SpatialGrid, StateZ, eigenvalues, norm_z, pair_norm, project
 
-from oracles import method_of_steps_rk4
+from oracles import implicit_trapezoid_sweep, method_of_steps_rk4
 
 
 def tiny_cable(n_modes=4, T=1.0, r=0.25):
@@ -326,6 +327,134 @@ class TestIntegrateMild:
         upto = t1.node_index(t_prime)
         assert np.array_equal(t1.values[: upto + 1], t2.values[: upto + 1])
         assert not np.array_equal(t1.values, t2.values)
+
+
+def _kick(kind, amp=0.3):
+    params = {"coeffs": [0.0, 0.25]} if kind == "constant_kick" else {"amp": amp}
+    return make_impulse_map(kind, 4, params)
+
+
+def _marked_control(rng, n_steps, marks=(40, 130)):
+    values = rng.normal(size=(n_steps + 1, 4))
+    return ControlSignal(0.0, 1.0, values, {i: rng.normal(size=4) for i in marks})
+
+
+# Each case: (problem keyword arguments, whether the run takes a control with
+# left-limit marks).  Together they cover every forcing, nonlinearity and
+# impulse catalog entry.
+SWEEP_CASES = {
+    "harmonic+delayed_saturation+saturating_kick": (
+        dict(
+            forcing=make_forcing("harmonic", 4, {"coeffs": [2 ** -0.5], "omega": 3.0}),
+            nonlinearity=make_nonlinearity("delayed_saturation", 4, {"amp": 0.2}),
+            impulses=(ImpulseEvent(0.5, _kick("saturating_kick")),),
+        ),
+        False,
+    ),
+    "bounded_wave+constant_kick": (
+        dict(
+            nonlinearity=make_nonlinearity("bounded_wave", 4, {"amp": 0.5, "omega": 2.0}),
+            impulses=(ImpulseEvent(0.4, _kick("constant_kick")),),
+        ),
+        False,
+    ),
+    "velocity_kick+marked_control": (
+        dict(impulses=(ImpulseEvent(0.3, _kick("velocity_kick")),)),
+        True,
+    ),
+    "control_saturation+control_kick+marked_control": (
+        dict(
+            nonlinearity=make_nonlinearity("control_saturation", 4, {"amp": 0.3}),
+            impulses=(
+                ImpulseEvent(0.2, _kick("control_kick", 0.1)),
+                ImpulseEvent(0.65, _kick("control_kick", -0.2)),
+            ),
+        ),
+        True,
+    ),
+}
+
+
+class TestExplicitSweep:
+    """The explicit sweep against the implicit-endpoint sweep it replaced."""
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_matches_implicit_sweep_bitwise(self, case, grid129, rng, monkeypatch):
+        kwargs, marked = SWEEP_CASES[case]
+        p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
+        spec = ProblemSpec(
+            params=p,
+            grid=grid129,
+            n_steps=200,
+            lags=(0.1, 0.2),
+            gammas=(0.1, 0.05),
+            history=constant_segment(p, w=[0.4, 0.15], y=[0.0, 0.1]),
+            **kwargs,
+        )
+        u = _marked_control(rng, spec.n_steps) if marked else None
+        explicit = integrate_mild(spec, u)
+        monkeypatch.setattr(
+            dynamics, "_sweep", lambda spec, step, *rest: implicit_trapezoid_sweep(spec, *rest)
+        )
+        implicit = integrate_mild(spec, u)
+        a, b = explicit.trajectory, implicit.trajectory
+        assert explicit.picard_iterations == implicit.picard_iterations >= 2
+        assert np.array_equal(a.values, b.values)
+        assert sorted(a.left_values) == sorted(b.left_values)
+        assert a.left_values, "the case exercises no jump marks"
+        for i in a.left_values:
+            assert np.array_equal(a.left_values[i], b.left_values[i])
+        assert explicit.picard_sup_diffs == implicit.picard_sup_diffs
+        assert explicit.history_residual == implicit.history_residual
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("amps", [(1e300,), (1e308, 1e308)])
+    def test_non_finite_state_raises_naming_time(self, grid129, amps):
+        # 1e300 overflows only the energy norm; a second 1e308 kick
+        # overflows the state itself.  Either way: one error, no warning.
+        p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
+        kicks = tuple(
+            ImpulseEvent(t, _kick("velocity_kick", a)) for t, a in zip((0.5, 0.6), amps)
+        )
+        spec = ProblemSpec(
+            params=p,
+            grid=grid129,
+            n_steps=200,
+            impulses=kicks,
+            history=constant_segment(p, w=[0.4], y=[0.2]),
+        )
+        with pytest.raises(NumericalError, match=r"not finite at t = 0\.5 "):
+            integrate_mild(spec)
+
+    def test_diverging_history_stops_early(self, grid129, monkeypatch):
+        p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
+        spec = ProblemSpec(
+            params=p,
+            grid=grid129,
+            n_steps=200,
+            lags=(0.1,),
+            gammas=(1.5,),
+            history=constant_segment(p, w=[0.4], y=[0.2]),
+        )
+        sweeps = []
+        real_sweep = dynamics._sweep
+
+        def counted(*args):
+            sweeps.append(1)
+            return real_sweep(*args)
+
+        monkeypatch.setattr(dynamics, "_sweep", counted)
+        with pytest.raises(NumericalError, match="diverging"):
+            integrate_mild(spec)
+        # Three growing ratios need four differences, i.e. five sweeps.
+        assert len(sweeps) == 5 < spec.picard_max_iter
+
+    def test_control_on_other_grid_rejected(self, grid129, rng):
+        p = tiny_cable()
+        spec = ProblemSpec(params=p, grid=grid129, n_steps=200)
+        coarse = _marked_control(rng, 100, marks=(40,))
+        with pytest.raises(ValueError, match="trajectory grid"):
+            integrate_mild(spec, coarse)
 
 
 class TestHistoryCatalog:

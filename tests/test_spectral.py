@@ -6,6 +6,7 @@ from beamctl.spectral import (
     StateZ,
     eigenvalue,
     eigenvalues,
+    energy_norms,
     norm_half,
     norm_z,
     positive_part,
@@ -161,6 +162,19 @@ class TestNorms:
     def test_norm_z_velocity_only(self, rng):
         y = rng.normal(size=6)
         assert norm_z(StateZ(np.zeros(6), y)) == pytest.approx(np.linalg.norm(y), rel=1e-14)
+
+    def test_energy_norms_stack_matches_each_pair(self, rng):
+        lam = eigenvalues(8)
+        stack = rng.normal(size=(5, 3, 2, 8))
+        norms = energy_norms(stack, lam)
+        assert norms.shape == (5, 3)
+        for idx in np.ndindex(5, 3):
+            pair = stack[idx]
+            z = StateZ.from_pair(pair)
+            assert norms[idx] == norm_z(z)
+            assert norms[idx] == pytest.approx(
+                np.sqrt(norm_half(pair[0]) ** 2 + pair[1] @ pair[1]), rel=1e-14
+            )
 
     def test_state_requires_matching_lengths(self):
         with pytest.raises(ValueError):
