@@ -11,6 +11,7 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,6 +107,18 @@ def _float_list(block: dict, path: str, key: str, default=()) -> list[float]:
     return [float(v) for v in value]
 
 
+def _reject_non_finite(node, key: str) -> None:
+    """Raise ConfigError naming the first .nan/.inf anywhere under `node`."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"must be finite, got {node}", key)
+    if isinstance(node, dict):
+        for k, v in node.items():
+            _reject_non_finite(v, f"{key}.{k}" if key else str(k))
+    elif isinstance(node, list):
+        for j, v in enumerate(node):
+            _reject_non_finite(v, f"{key}[{j}]")
+
+
 def _snap(t: float, h: float, what: str, key: str) -> float:
     j = int(round(t / h))
     if abs(t - j * h) > 0.5 * h + 1e-12 * max(abs(t), 1.0):
@@ -148,6 +161,7 @@ def parse_config(path: str | Path) -> RunConfig:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigError("unknown configuration block", sorted(unknown)[0])
+    _reject_non_finite(raw, "")
 
     model = _block(raw, "model")
     c = _number(model, "model", "c", 1.0, positive=True)

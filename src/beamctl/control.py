@@ -2,17 +2,17 @@
 
 The distributed force enters only the velocity equation, so the
 controllability machinery decouples into per-mode 2x2 Gramians.  Two
-quadratures coexist on purpose:
+values of each coexist on purpose:
 
-* `mode_gramian` integrates the Gramian kernel by composite Simpson with
-  a per-mode step fine enough to resolve the mode's oscillation; it is the
-  reported, refinement-checkable value.
+* `mode_gramian` is the exact Gramian of the continuous system, in closed
+  form from one propagator evaluation at the window length; it is the
+  reported value.
 * `GramianSet` additionally carries the *steering* Gramian, accumulated by
-  the same trapezoid rule on the control grid that `controllability_map`
-  uses.  With that pairing the right-inverse identity (map after steering
-  equals the target) holds to machine precision on every grid, because
-  both sides share one discrete quadrature.  The two Gramians agree up to
-  the trapezoid error of the control grid.
+  the trapezoid rule on the control grid that `controllability_map` uses.
+  With that pairing the right-inverse identity (map after steering equals
+  the target) holds to machine precision on every grid, because both
+  sides share one discrete quadrature.  The gap between the two Gramians
+  is the trapezoid error of the control grid alone.
 """
 
 from __future__ import annotations
@@ -159,52 +159,39 @@ class ControlSignal:
         )
 
 
-def _simpson_gramian(lam: float, c: float, d: float, length: float, step: float) -> np.ndarray:
-    n = max(int(np.ceil(length / step)), 2)
-    n += n % 2
-    tau = np.linspace(0.0, length, n + 1)
-    _, e01, _, e11 = propagator_entries_for(tau, np.array([lam]), c, d)
-    e01, e11 = e01[:, 0], e11[:, 0]
-    w = np.full(n + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= length / n / 3.0
-    g00 = lam * e01**2
-    g01 = e01 * e11
-    g11 = e11**2
-    out = np.empty((2, 2))
-    out[0, 0] = float(np.sum(w * g00))
-    out[0, 1] = float(np.sum(w * g01))
-    out[1, 0] = lam * out[0, 1]
-    out[1, 1] = float(np.sum(w * g11))
-    return out
-
-
 def default_gramian_step(n: int, t0: float, t1: float, p: ModelParams) -> float:
-    """Simpson step resolving mode n's kernel oscillation to ~1e-10 relative."""
+    """Simpson step resolving mode n's Gramian kernel to ~1e-10; sizes cross-checks only."""
     omega = np.sqrt(p.d * eigenvalue(n))
     return min((t1 - t0) / 32.0, 0.012 / (2.0 * omega + p.c))
 
 
-def mode_gramian(
-    n: int, t0: float, t1: float, p: ModelParams, step: float | None = None
-) -> np.ndarray:
-    """Controllability Gramian of mode n over [t0, t1] by composite Simpson.
+def mode_gramian(n: int, t0: float, t1: float, p: ModelParams) -> np.ndarray:
+    """Controllability Gramian of mode n over [t0, t1], in closed form.
 
     The kernel is E(tau) b b* E*(tau) with b = (0, 1) and the adjoint taken
-    in the energy inner product; after the change of variable tau = t1 - s
-    the integral runs over [0, t1 - t0].
+    in the energy inner product, over tau in [0, L], L = t1 - t0.  Its force
+    column (e01, e11) solves e01' = e11, e11' = -d*lam*e01 - c*e11, so its
+    integrals follow from e01(L) and e11(L): int e01*e11 integrates e01*e01',
+    int e11^2 is the energy balance, int e01^2 follows from (e01*e11)'.
     """
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
     length = t1 - t0
     if length <= 0:
         raise ValueError(f"degenerate interval: t0={t0}, t1={t1}")
-    if step is None:
-        step = default_gramian_step(n, t0, t1, p)
-    if step > length / 16.0:
-        step = length / 16.0
-    return _simpson_gramian(eigenvalue(n), p.c, p.d, length, step)
+    lam = eigenvalue(n)
+    _, e01, _, e11 = propagator_entries_for(np.array([length]), np.array([lam]), p.c, p.d)
+    a, b = float(e01[0, 0]), float(e11[0, 0])
+    dlam = p.d * lam
+    i01 = 0.5 * a * a
+    i11 = (1.0 - b * b - dlam * a * a) / (2.0 * p.c)
+    i00 = (i11 - p.c * i01 - a * b) / dlam
+    return np.array([[lam * i00, i01], [lam * i01, i11]])
+
+
+def _reference_blocks(t0: float, t1: float, p: ModelParams) -> np.ndarray:
+    """(n_modes, 2, 2) stack of the closed-form Gramians of every mode."""
+    return np.array([mode_gramian(n, t0, t1, p) for n in range(1, p.n_modes + 1)])
 
 
 def _weighted_cond(w: np.ndarray, lam: float) -> float:
@@ -226,9 +213,9 @@ class GramianSet:
     """Per-mode Gramians over [t0, t1] with inverses and condition numbers.
 
     `steering` matches the control-grid trapezoid rule (used by
-    `minimum_energy_control`); `reference` is the Simpson value reported by
-    diagnostics.  `cond` is the energy-weighted condition number of the
-    steering block.
+    `minimum_energy_control`); `reference` is the exact `mode_gramian`
+    value reported by diagnostics.  `cond` is the energy-weighted condition
+    number of the steering block.
     """
 
     t0: float
@@ -277,9 +264,7 @@ def build_gramian_set(t0: float, t1: float, p: ModelParams, n_steps: int) -> Gra
     W[:, 1, 0] = lam * W[:, 0, 1]
     W[:, 1, 1] = np.sum(w[:, None] * e11**2, axis=0)
 
-    ref = np.empty_like(W)
-    for i in range(p.n_modes):
-        ref[i] = mode_gramian(i + 1, t0, t1, p)
+    ref = _reference_blocks(t0, t1, p)
     cond = np.array([_weighted_cond(W[i], lam[i]) for i in range(p.n_modes)])
     ref_cond = np.array([_weighted_cond(ref[i], lam[i]) for i in range(p.n_modes)])
     return GramianSet(t0, t1, n_steps, W, _invert_blocks(W), ref, cond, ref_cond)
@@ -346,7 +331,7 @@ def gamma_norm_estimate(
 ) -> float:
     """Grid estimate of the steering-operator norm sup_t |b* E*(t1-t) W^-1|.
 
-    Uses the Simpson (reference) Gramian so the estimate is a property of
+    Uses the exact (reference) Gramian so the estimate is a property of
     the continuous operator, independent of any control grid.  The induced
     norm at fixed t is the maximum over modes of the dual energy norm of
     the per-mode row.
@@ -354,10 +339,7 @@ def gamma_norm_estimate(
     lam = p.lam
     ts = t0 + (t1 - t0) / n_samples * np.arange(n_samples + 1)
     _, e01, _, e11 = propagator_entries_for(t1 - ts, lam, p.c, p.d)
-    ref = np.empty((p.n_modes, 2, 2))
-    for i in range(p.n_modes):
-        ref[i] = mode_gramian(i + 1, t0, t1, p)
-    inv = _invert_blocks(ref)
+    inv = _invert_blocks(_reference_blocks(t0, t1, p))
     # Row vector m with u_n(t) = m . xi_n, m = W^-T (lambda*e01, e11)^T.
     m0 = inv[:, 0, 0][None, :] * lam[None, :] * e01 + inv[:, 1, 0][None, :] * e11
     m1 = inv[:, 0, 1][None, :] * lam[None, :] * e01 + inv[:, 1, 1][None, :] * e11

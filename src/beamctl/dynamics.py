@@ -471,12 +471,17 @@ def segment_at(traj: Trajectory, t: float) -> Segment:
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    """A resolved trajectory plus the outer-iteration diagnostics."""
+    """A resolved trajectory plus the outer-iteration diagnostics.
+
+    `sources[j]` is the final sweep's `node_sources` row at t_j = j*h, taken
+    with the left control value.
+    """
 
     trajectory: Trajectory
     picard_iterations: int
     history_residual: float
     picard_sup_diffs: tuple[float, ...]
+    sources: np.ndarray
 
 
 def _control_nodes(u: ControlSignal | None, spec: ProblemSpec):
@@ -525,21 +530,26 @@ def _sweep(spec: ProblemSpec, step, u_left, u_right, u_marks, hist_values, hist_
     from the propagated position, and adds the right half.  A second
     evaluation happens only where the right limit of the source differs
     from its left limit: after an impulse jump and where the control jumps.
+    Returns the nodes, their marks and the first source row of each node.
     """
     h = spec.h
     half_h = 0.5 * h
     values = np.empty((n_r + spec.n_steps + 1, 2, spec.params.n_modes))
     values[: n_r + 1] = hist_values
     marks = dict(hist_marks)
+    sources = np.empty((spec.n_steps + 1, spec.params.n_modes))
     source = node_sources(spec, values, marks)
     impulse_nodes = {n_r + int(round(ev.time / h)): ev for ev in spec.impulses}
 
-    g = u_right[0] + source(n_r, 0.0, u_right[0])
+    sources[0] = source(n_r, 0.0, u_right[0])
+    g = u_right[0] + sources[0]
     for j in range(1, spec.n_steps + 1):
         i = n_r + j
         t = j * h
         step(values[i - 1], g, values[i])
-        g = u_left[j] + source(i, t, u_left[j])
+        row = source(i, t, u_left[j])
+        sources[j] = row
+        g = u_left[j] + row
         values[i, 1] += half_h * g
         ev = impulse_nodes.get(i)
         if ev is not None:
@@ -547,7 +557,7 @@ def _sweep(spec: ProblemSpec, step, u_left, u_right, u_marks, hist_values, hist_
             values[i, 1] += ev.map.velocity_jump(t, marks[i], u_right[j])
         if ev is not None or j in u_marks:
             g = u_right[j] + source(i, t, u_right[j])
-    return values, marks
+    return values, marks, sources
 
 
 def _nonlocal_on_history(values, marks, spec: ProblemSpec, n_r: int):
@@ -604,7 +614,7 @@ def integrate_mild(spec: ProblemSpec, u: ControlSignal | None = None) -> Integra
     for iteration in range(1, spec.picard_max_iter + 1):
         # Overflow surfaces as a non-finite norm, reported below as one error.
         with np.errstate(over="ignore", invalid="ignore"):
-            values, marks = _sweep(
+            values, marks, sources = _sweep(
                 spec, step, u_left, u_right, u_marks, hist_values, hist_marks, n_r
             )
             finite = np.isfinite(energy_norms(values, lam))
@@ -644,4 +654,4 @@ def integrate_mild(spec: ProblemSpec, u: ControlSignal | None = None) -> Integra
             f"last contraction ratio {ratio:.3f})"
         )
     traj = Trajectory(spec.h, n_r, values, marks)
-    return IntegrationResult(traj, iteration, residual, tuple(sup_diffs))
+    return IntegrationResult(traj, iteration, residual, tuple(sup_diffs), sources)

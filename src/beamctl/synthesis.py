@@ -261,36 +261,16 @@ def approx_experiment(
     return PullbackResult(tuple(rows), M_est)
 
 
-def _trap_convolution_of_sources(traj: Trajectory, spec: ProblemSpec) -> np.ndarray:
-    """Trapezoid value of the propagated perturbation integral over [0, T].
-
-    Matches the integrator's stepping exactly: nodal trapezoid weights with
-    one source evaluation per node.  Impulse nodes need no second one, since
-    the source reads the position, which does not jump.
-    """
-    p = spec.params
-    h = spec.h
-    n_r = traj.n_history
-    ts = h * np.arange(spec.n_steps + 1)
-    e00, e01, e10, e11 = propagator_entries_for(p.T - ts, p.lam, p.c, p.d)
-    source = node_sources(spec, traj.values, traj.left_values)
-
-    acc_w = np.zeros(p.n_modes)
-    acc_y = np.zeros(p.n_modes)
-    for j in range(spec.n_steps + 1):
-        row = source(n_r + j, ts[j], None)
-        wt = h if 0 < j < spec.n_steps else 0.5 * h
-        acc_w += wt * e01[j] * row
-        acc_y += wt * e11[j] * row
-    return np.vstack([acc_w, acc_y])
-
-
-def steering_target(traj: Trajectory, zstar: StateZ, spec: ProblemSpec) -> StateZ:
+def steering_target(
+    traj: Trajectory, zstar: StateZ, spec: ProblemSpec, sources: np.ndarray | None = None
+) -> StateZ:
     """What the control channel must deliver for the trajectory to end at zstar.
 
     Subtracts from the target the propagated effective initial state, the
     convolved perturbation, and the propagated impulse jumps, all evaluated
-    on the given trajectory.  Requires control-independent catalogs.
+    on the given trajectory.  `sources` takes the trajectory's per-node
+    source rows when known (`IntegrationResult.sources`); otherwise they are
+    evaluated here.  Requires control-independent catalogs.
     """
     if spec.u_dependent:
         raise ConfigError(
@@ -298,7 +278,6 @@ def steering_target(traj: Trajectory, zstar: StateZ, spec: ProblemSpec) -> State
         )
     p = spec.params
     lam = p.lam
-    n_r = traj.n_history
 
     rho0 = spec.history.value(0.0)
     if spec.q:
@@ -310,7 +289,20 @@ def steering_target(traj: Trajectory, zstar: StateZ, spec: ProblemSpec) -> State
         z0_eff = rho0
     total = apply_semigroup(StateZ.from_pair(z0_eff), p.T, p).to_pair()
 
-    total += _trap_convolution_of_sources(traj, spec)
+    # Trapezoid convolution of the sources, one row per node as the
+    # integrator steps; impulse nodes need no second row, since the source
+    # reads the position, which does not jump.
+    h = spec.h
+    if sources is None:
+        source = node_sources(spec, traj.values, traj.left_values)
+        sources = [source(traj.n_history + j, h * j, None) for j in range(spec.n_steps + 1)]
+    _, e01, _, e11 = propagator_entries_for(p.T - h * np.arange(spec.n_steps + 1), lam, p.c, p.d)
+    acc = np.zeros((2, p.n_modes))
+    for j, row in enumerate(sources):
+        wt = h if 0 < j < spec.n_steps else 0.5 * h
+        acc[0] += wt * e01[j] * row
+        acc[1] += wt * e11[j] * row
+    total += acc
 
     for ev in spec.impulses:
         node = traj.node_index(ev.time)
@@ -375,7 +367,7 @@ def exact_fixed_point(
     diffs: list[float] = []
     grow_streak = 0
     for it in range(1, max_iter + 1):
-        xi = steering_target(prev.trajectory, zstar, spec)
+        xi = steering_target(prev.trajectory, zstar, spec, prev.sources)
         control = minimum_energy_control(xi, gs, p)
         current = integrate_mild(spec, control)
         d = current.trajectory.sup_diff(prev.trajectory)

@@ -6,15 +6,17 @@ matrix ODE, responses from classical fixed-step RK4, and the delay system
 from a method-of-steps RK4 with cubic-Hermite dense output.  The one
 exception is `implicit_trapezoid_sweep`, the integrator's former
 implicit-endpoint sweep, kept unchanged as a bitwise reference for the
-explicit sweep that replaced it.
+explicit sweep that replaced it.  `simpson_gramian` integrates the package's
+own propagator entries, but by a quadrature the package no longer uses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from beamctl.control import default_gramian_step
 from beamctl.semigroup import propagator_entries_for
-from beamctl.spectral import StateZ
+from beamctl.spectral import StateZ, eigenvalue
 
 _NODE_SNAP = 1e-9
 
@@ -90,6 +92,31 @@ def sine_coefficients_simpson(f_values: np.ndarray, xs: np.ndarray, n_modes: int
         integrand = f_values * np.sqrt(2.0) * np.sin(n * np.pi * xs)
         out[n - 1] = composite_simpson(integrand, dx)
     return out
+
+
+def simpson_gramian(n: int, t0: float, t1: float, p, refine: int = 1) -> np.ndarray:
+    """Gramian of mode n over [t0, t1] by composite Simpson on the kernel.
+
+    The package's former `mode_gramian`: the step is
+    `default_gramian_step` / `refine`, capped at (t1 - t0) / 16, on the
+    kernel (lam*e01^2, e01*e11; lam*e01*e11, e11^2) over tau in [0, t1 - t0].
+    """
+    length = t1 - t0
+    step = min(default_gramian_step(n, t0, t1, p) / refine, length / 16.0)
+    intervals = max(int(np.ceil(length / step)), 2)
+    intervals += intervals % 2
+    tau = np.linspace(0.0, length, intervals + 1)
+    lam = eigenvalue(n)
+    _, e01, _, e11 = propagator_entries_for(tau, np.array([lam]), p.c, p.d)
+    e01, e11 = e01[:, 0], e11[:, 0]
+    dx = length / intervals
+    g01 = composite_simpson(e01 * e11, dx)
+    return np.array(
+        [
+            [lam * composite_simpson(e01**2, dx), g01],
+            [lam * g01, composite_simpson(e11**2, dx)],
+        ]
+    )
 
 
 class _OracleSegment:

@@ -1,0 +1,44 @@
+"""The names the benchmark tracer in `perfbench/` looks up on the package.
+
+The tracer wraps functions and counts methods by (module, name) at run
+time, so a rename or removal here would break `perfbench/run.py --trace 1`
+without failing any other test.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from beamctl import control
+from beamctl.semigroup import ModelParams
+
+TRACER_PATH = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load_tracer()
+
+
+@pytest.mark.parametrize("module, name", [(m, f) for m, f, _ in tracer.TRACED])
+def test_traced_function_resolves(module, name):
+    assert callable(getattr(importlib.import_module(f"beamctl.{module}"), name))
+
+
+@pytest.mark.parametrize("module, cls, method", tracer.COUNTED)
+def test_counted_method_resolves(module, cls, method):
+    assert callable(getattr(getattr(importlib.import_module(f"beamctl.{module}"), cls), method))
+
+
+def test_simpson_node_count_reads_the_default_step():
+    p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=8, T=1.0, r=0.25)
+    assert control.default_gramian_step(8, 0.0, 1.0, p) > 0.0
+    # The tracer calls it with the arguments of `mode_gramian(n, t0, t1, p)`.
+    assert tracer.simpson_nodes(8, 0.0, 1.0, p) > tracer.simpson_nodes(1, 0.0, 1.0, p) > 0

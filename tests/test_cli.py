@@ -128,6 +128,33 @@ class TestCli:
         report = read_report(tmp_path / "steer_linear_report.txt")
         assert float(report["terminal_error_relative"]) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "command, data, key",
+        [
+            pytest.param("gramian", {"model": {"c": float("inf")}}, "model.c", id="model-c-inf"),
+            pytest.param(
+                "simulate",
+                {"model": {"r": 0.25}, "delays": {"lags": [0.1]}, "nonlocal": {"gammas": [float("nan")]}},
+                "nonlocal.gammas[0]",
+                id="gamma-nan",
+            ),
+            pytest.param(
+                "simulate",
+                {"nonlinearity": {"catalog": "delayed_saturation", "params": {"amp": float("nan")}}},
+                "nonlinearity.params.amp",
+                id="amp-nan",
+            ),
+        ],
+    )
+    def test_non_finite_input_exits_2_at_load(self, tmp_path, capsys, command, data, key):
+        out = tmp_path / "o"
+        rc = main([command, "--config", str(write_config(tmp_path, data)), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {key}: must be finite")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_steer_without_target_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": {"c": 1.0, "d": 1.0, "k": 1.0}})
         rc = main(["steer", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -12,10 +12,10 @@ from beamctl.control import (
     steering_control,
 )
 from beamctl.errors import NumericalError
-from beamctl.semigroup import apply_semigroup, mode_matrix, propagator_entries_for
+from beamctl.semigroup import ModelParams, apply_semigroup, mode_matrix, propagator_entries_for
 from beamctl.spectral import StateZ, eigenvalues, norm_z, zero_state
 
-from oracles import rk4_forced_response
+from oracles import rk4_forced_response, simpson_gramian
 
 
 def random_state(rng, n, w_scale=0.3, y_scale=1.0):
@@ -42,13 +42,25 @@ class TestModeGramian:
         with pytest.raises(ValueError, match="degenerate"):
             mode_gramian(1, 1.0, 1.0, p8)
 
-    def test_simpson_refinement(self, p8):
-        from beamctl.control import default_gramian_step
-
-        step = default_gramian_step(1, 0.0, 1.0, p8)
-        coarse = mode_gramian(1, 0.0, 1.0, p8, step)
-        fine = mode_gramian(1, 0.0, 1.0, p8, step / 10.0)
-        assert np.abs(coarse - fine).max() < 1e-8
+    @pytest.mark.parametrize(
+        "c, d, t0",
+        [
+            pytest.param(1.0, 1.0, 0.0, id="p8-full"),
+            pytest.param(1.0, 1.0, 0.975, id="p8-tail"),
+            pytest.param(200.0, 1.0, 0.0, id="overdamped"),
+            pytest.param(2.0 * np.pi**2, 1.0, 0.0, id="critical"),
+            pytest.param(30.0, 4.0, 0.0, id="d4-c30"),
+        ],
+    )
+    def test_closed_form_matches_refined_simpson(self, c, d, t0):
+        # c = 2 pi^2 sqrt(d) puts mode 1 on the critically damped branch;
+        # c = 200 makes modes 1 and 2 overdamped.
+        p = ModelParams(c=c, d=d, k=1.0, n_modes=8, T=1.0, r=0.3)
+        lam = eigenvalues(8)
+        for n in range(1, 9):
+            exact = symmetrized(mode_gramian(n, t0, 1.0, p), lam[n - 1])
+            oracle = symmetrized(simpson_gramian(n, t0, 1.0, p, refine=4), lam[n - 1])
+            assert np.abs(exact - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
     def test_kalman_rank_structure(self, p8):
         # [b, A b] = [[0, 1], [1, -c]] has determinant -1 for every mode.
@@ -108,7 +120,7 @@ class TestGramianSet:
             assert np.abs(gs.steering[i] @ gs.steering_inv[i] - np.eye(2)).max() <= 1e-10
 
     def test_steering_gramian_tracks_reference(self, p8):
-        # The control-grid Gramian converges to the Simpson value as the
+        # The control-grid Gramian converges to the exact value as the
         # grid refines (they differ by the trapezoid error).
         coarse = build_gramian_set(0.0, 1.0, p8, 2000)
         fine = build_gramian_set(0.0, 1.0, p8, 20000)

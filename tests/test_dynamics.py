@@ -378,23 +378,30 @@ SWEEP_CASES = {
 class TestExplicitSweep:
     """The explicit sweep against the implicit-endpoint sweep it replaced."""
 
-    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-    def test_matches_implicit_sweep_bitwise(self, case, grid129, rng, monkeypatch):
+    @staticmethod
+    def _case(case, grid, rng):
         kwargs, marked = SWEEP_CASES[case]
         p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
         spec = ProblemSpec(
             params=p,
-            grid=grid129,
+            grid=grid,
             n_steps=200,
             lags=(0.1, 0.2),
             gammas=(0.1, 0.05),
             history=constant_segment(p, w=[0.4, 0.15], y=[0.0, 0.1]),
             **kwargs,
         )
-        u = _marked_control(rng, spec.n_steps) if marked else None
+        return spec, _marked_control(rng, spec.n_steps) if marked else None
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_matches_implicit_sweep_bitwise(self, case, grid129, rng, monkeypatch):
+        spec, u = self._case(case, grid129, rng)
         explicit = integrate_mild(spec, u)
+        # The implicit sweep records no source rows.
         monkeypatch.setattr(
-            dynamics, "_sweep", lambda spec, step, *rest: implicit_trapezoid_sweep(spec, *rest)
+            dynamics,
+            "_sweep",
+            lambda spec, step, *rest: (*implicit_trapezoid_sweep(spec, *rest), None),
         )
         implicit = integrate_mild(spec, u)
         a, b = explicit.trajectory, implicit.trajectory
@@ -406,6 +413,17 @@ class TestExplicitSweep:
             assert np.array_equal(a.left_values[i], b.left_values[i])
         assert explicit.picard_sup_diffs == implicit.picard_sup_diffs
         assert explicit.history_residual == implicit.history_residual
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_recorded_sources_are_node_sources_bitwise(self, case, grid129, rng):
+        # `steering_target` sums these rows in place of evaluating them again.
+        spec, u = self._case(case, grid129, rng)
+        res = integrate_mild(spec, u)
+        traj = res.trajectory
+        u_left = u.node_values()[0] if u is not None else np.zeros((spec.n_steps + 1, 4))
+        source = dynamics.node_sources(spec, traj.values, traj.left_values)
+        rows = [source(traj.n_history + j, j * spec.h, u_left[j]) for j in range(spec.n_steps + 1)]
+        assert np.array_equal(res.sources, rows)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("amps", [(1e300,), (1e308, 1e308)])

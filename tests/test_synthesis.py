@@ -204,6 +204,13 @@ class TestSteeringTarget:
         b = steering_target(traj, z1 + delta, spec)
         assert norm_z((b - a) - delta) <= 1e-12 * norm_z(delta)
 
+    def test_recorded_sources_give_the_same_target_bitwise(self, exact_benchmark, rng):
+        res = integrate_mild(exact_benchmark)
+        zstar = StateZ(rng.normal(size=4), rng.normal(size=4))
+        a = steering_target(res.trajectory, zstar, exact_benchmark)
+        b = steering_target(res.trajectory, zstar, exact_benchmark, res.sources)
+        assert np.array_equal(a.to_pair(), b.to_pair())
+
     def test_lipschitz_against_certificate(self, exact_benchmark, rng):
         spec = exact_benchmark
         rep = contraction_constants(spec)
