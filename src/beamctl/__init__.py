@@ -35,9 +35,6 @@ from .dynamics import (
     Trajectory,
     history_segment,
     integrate_mild,
-    nonlocal_combination,
-    segment_at,
-    source_term,
 )
 from .errors import ConfigError, NumericalError
 from .semigroup import (

@@ -95,11 +95,6 @@ class ControlSignal:
     def zeros(cls, t0: float, t1: float, n_steps: int, n_modes: int) -> "ControlSignal":
         return cls(t0, t1, np.zeros((n_steps + 1, n_modes)))
 
-    @classmethod
-    def from_function(cls, fn, t0: float, t1: float, n_steps: int) -> "ControlSignal":
-        ts = t0 + (t1 - t0) / n_steps * np.arange(n_steps + 1)
-        return cls(t0, t1, np.array([np.asarray(fn(t), dtype=float) for t in ts]))
-
     def node_values(self) -> tuple[np.ndarray, np.ndarray]:
         """(left, right) value arrays per node; they differ only at marks."""
         right = self.values
@@ -165,6 +160,23 @@ def default_gramian_step(n: int, t0: float, t1: float, p: ModelParams) -> float:
     return min((t1 - t0) / 32.0, 0.012 / (2.0 * omega + p.c))
 
 
+# Ten-point Gauss-Legendre rule on [-1, 1], (node, weight) for the positive
+# half; it integrates the Gramian kernel to roundoff on windows with
+# omega_n*L, c*L <= 1.  Tabulated, since importing numpy.polynomial for
+# `leggauss` costs about 1 MB of resident memory.
+_GL_HALF = np.array(
+    [
+        (0.14887433898163122, 0.2955242247147528),
+        (0.4333953941292472, 0.2692667193099965),
+        (0.6794095682990244, 0.219086362515982),
+        (0.8650633666889845, 0.1494513491505804),
+        (0.9739065285171717, 0.06667134430868814),
+    ]
+)
+_GL_NODES = np.concatenate((-_GL_HALF[:, 0], _GL_HALF[:, 0]))
+_GL_WEIGHTS = np.tile(_GL_HALF[:, 1], 2)
+
+
 def mode_gramian(n: int, t0: float, t1: float, p: ModelParams) -> np.ndarray:
     """Controllability Gramian of mode n over [t0, t1], in closed form.
 
@@ -173,6 +185,9 @@ def mode_gramian(n: int, t0: float, t1: float, p: ModelParams) -> np.ndarray:
     column (e01, e11) solves e01' = e11, e11' = -d*lam*e01 - c*e11, so its
     integrals follow from e01(L) and e11(L): int e01*e11 integrates e01*e01',
     int e11^2 is the energy balance, int e01^2 follows from (e01*e11)'.
+    On short windows (omega_n*L and c*L at most 1) those identities cancel
+    (int e01^2 ~ L^3/3 out of O(L) terms), and a fixed Gauss-Legendre rule
+    on the kernel, exact to roundoff there, takes their place.
     """
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
@@ -180,12 +195,18 @@ def mode_gramian(n: int, t0: float, t1: float, p: ModelParams) -> np.ndarray:
     if length <= 0:
         raise ValueError(f"degenerate interval: t0={t0}, t1={t1}")
     lam = eigenvalue(n)
-    _, e01, _, e11 = propagator_entries_for(np.array([length]), np.array([lam]), p.c, p.d)
-    a, b = float(e01[0, 0]), float(e11[0, 0])
     dlam = p.d * lam
-    i01 = 0.5 * a * a
-    i11 = (1.0 - b * b - dlam * a * a) / (2.0 * p.c)
-    i00 = (i11 - p.c * i01 - a * b) / dlam
+    if max(np.sqrt(dlam), p.c) * length <= 1.0:
+        tau = 0.5 * length * (_GL_NODES + 1.0)
+        _, e01, _, e11 = propagator_entries_for(tau, np.array([lam]), p.c, p.d)
+        wts, a, b = 0.5 * length * _GL_WEIGHTS, e01[:, 0], e11[:, 0]
+        i00, i01, i11 = wts @ (a * a), wts @ (a * b), wts @ (b * b)
+    else:
+        _, e01, _, e11 = propagator_entries_for(np.array([length]), np.array([lam]), p.c, p.d)
+        a, b = float(e01[0, 0]), float(e11[0, 0])
+        i01 = 0.5 * a * a
+        i11 = (1.0 - b * b - dlam * a * a) / (2.0 * p.c)
+        i00 = (i11 - p.c * i01 - a * b) / dlam
     return np.array([[lam * i00, i01], [lam * i01, i11]])
 
 

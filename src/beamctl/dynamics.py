@@ -18,7 +18,10 @@ The nonlocal initial condition prescribes the history only implicitly
 trajectory is resolved by an outer Picard iteration over candidate
 histories, terminated on the history-consistency residual.  Measuring the
 residual instead of the whole-trajectory change keeps termination causal:
-nodes beyond the largest lag never influence the iteration count.
+nodes beyond the largest lag never influence the iteration count.  So a
+run whose control departs from a converged run's only after the largest
+lag repeats its history iteration exactly, and `integrate_tail` integrates
+just the part after the departure.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .catalogs import Forcing, ImpulseEvent, Nonlinearity
 from .control import ControlSignal
 from .errors import ConfigError, NumericalError
 from .semigroup import ModelParams, exponential_step
-from .spectral import SpatialGrid, StateZ, eigenvalues, energy_norms, pair_norm
+from .spectral import SpatialGrid, StateZ, eigenvalues, energy_norms
 
 __all__ = [
     "Segment",
@@ -39,11 +42,9 @@ __all__ = [
     "ProblemSpec",
     "IntegrationResult",
     "history_segment",
-    "source_term",
     "node_sources",
-    "nonlocal_combination",
-    "segment_at",
     "integrate_mild",
+    "integrate_tail",
 ]
 
 _NODE_SNAP = 1e-9
@@ -111,14 +112,6 @@ class Segment:
         upper = self.left_values.get(lo + 1, self.values[lo + 1])
         return (1.0 - a) * self.values[lo] + a * upper
 
-    def sup_norm(self) -> float:
-        """Max energy norm over nodes, including the left limits at jumps."""
-        lam = eigenvalues(self.n_modes)
-        best = float(energy_norms(self.values, lam).max())
-        for v in self.left_values.values():
-            best = max(best, pair_norm(v, lam))
-        return best
-
     def state(self, theta: float) -> StateZ:
         return StateZ.from_pair(self.value(theta))
 
@@ -181,19 +174,8 @@ class Trajectory:
         upper = self.left_values.get(lo + 1, self.values[lo + 1])
         return StateZ.from_pair((1.0 - a) * self.values[lo] + a * upper)
 
-    def left_state(self, t: float) -> StateZ:
-        i = self.node_index(t)
-        return StateZ.from_pair(self.left_values.get(i, self.values[i]))
-
     def terminal_state(self) -> StateZ:
         return StateZ.from_pair(self.values[-1])
-
-    def sup_norm(self) -> float:
-        lam = eigenvalues(self.n_modes)
-        best = float(energy_norms(self.values, lam).max())
-        for v in self.left_values.values():
-            best = max(best, pair_norm(v, lam))
-        return best
 
     def sup_diff(self, other: "Trajectory") -> float:
         """Max energy norm of the nodewise difference (canonical values)."""
@@ -387,18 +369,6 @@ def _source_row(t, seg, w_current, u_val, spec, basis, quad_w):
     return row
 
 
-def source_term(t: float, seg, u_val: np.ndarray | None, spec: ProblemSpec) -> StateZ:
-    """Perturbation entering the velocity equation: (0, p(t) - k*w+ + f).
-
-    `seg` is the delay segment ending at t; its value at 0 supplies the
-    current position for the one-sided cable force.  `u_val` may be None
-    when every catalog entry is control-independent.
-    """
-    basis = spec.grid.basis(spec.params.n_modes)
-    row = _source_row(t, seg, seg.value(0.0)[0], u_val, spec, basis, spec.grid.weight)
-    return StateZ(np.zeros_like(row), row)
-
-
 def node_sources(spec: ProblemSpec, values: np.ndarray, marks: dict):
     """Per-node evaluator of the velocity source p(t) - k*w+ + f (no control channel).
 
@@ -417,56 +387,6 @@ def node_sources(spec: ProblemSpec, values: np.ndarray, marks: dict):
         return _source_row(t, seg, values[node, 0], u_val, spec, basis, quad_w)
 
     return row
-
-
-def nonlocal_combination(segments, spec: ProblemSpec) -> Segment:
-    """Linear combination of the lagged segments with the nonlocal weights.
-
-    The increment satisfies |G(y)(t) - G(v)(t)| <= L_q * sum_i |y_i(t) -
-    v_i(t)| by construction, with L_q the largest absolute coefficient.
-    """
-    if len(segments) != spec.q:
-        raise ValueError(f"expected {spec.q} segments, got {len(segments)}")
-    if spec.q == 0:
-        raise ValueError("problem has no nonlocal terms")
-    base = segments[0]
-    for seg in segments[1:]:
-        if seg.n_nodes != base.n_nodes or abs(seg.step - base.step) > 1e-12 * base.step:
-            raise ValueError("segments live on different grids")
-    values = np.zeros_like(base.values)
-    for g, seg in zip(spec.gammas, segments):
-        values += g * seg.values
-    marks = {}
-    mark_keys = sorted({i for seg in segments for i in seg.left_values})
-    for i in mark_keys:
-        acc = np.zeros_like(base.values[0])
-        for g, seg in zip(spec.gammas, segments):
-            acc += g * seg.left_values.get(i, seg.values[i])
-        marks[i] = acc
-    return Segment(base.step, values, marks)
-
-
-def segment_at(traj: Trajectory, t: float) -> Segment:
-    """Delay window [t - r, t] of a trajectory, for t in [0, T].
-
-    At grid times this is an exact node slice and jump marks are carried
-    over; off the grid the window is sampled by linear interpolation and
-    interior jump information is lost.
-    """
-    if not -1e-12 <= t <= traj.t_end + 1e-12:
-        raise ValueError(f"time {t} outside [0, {traj.t_end}]")
-    n_r = traj.n_history
-    idx, frac = _node_position(t + traj.r, traj.step)
-    if abs(frac) < _NODE_SNAP:
-        lo = idx - n_r
-        values = traj.values[lo : idx + 1]
-        marks = {
-            i - lo: v for i, v in traj.left_values.items() if lo < i <= idx
-        }
-        return Segment(traj.step, values, marks)
-    thetas = t + traj.step * (np.arange(n_r + 1) - n_r)
-    values = np.stack([traj.state(th).to_pair() for th in thetas])
-    return Segment(traj.step, values)
 
 
 @dataclass(frozen=True)
@@ -522,28 +442,36 @@ def _resample_history(spec: ProblemSpec):
     return values, marks, n_r
 
 
-def _sweep(spec: ProblemSpec, step, u_left, u_right, u_marks, hist_values, hist_marks, n_r):
-    """One explicit exponential-trapezoid pass over [0, T] from the given history.
+def _sweep(spec, step, u_left, u_right, u_marks, prefix, prefix_marks, n_r, prefix_sources=None):
+    """One explicit exponential-trapezoid pass from the last node of `prefix` to T.
 
-    Each step propagates the previous node with the left half of the
-    trapezoid source (`step`), evaluates the source once at the new node
-    from the propagated position, and adds the right half.  A second
-    evaluation happens only where the right limit of the source differs
-    from its left limit: after an impulse jump and where the control jumps.
-    Returns the nodes, their marks and the first source row of each node.
+    `prefix` holds the nodes from -r up to t_j0 = j0*h and `prefix_marks`
+    their left limits: in the history iteration the candidate history alone
+    (j0 = 0); for a tail, a converged run up to t_j0, whose source rows
+    0..j0 come in `prefix_sources`.  Each step propagates the previous node
+    with the left half of the trapezoid source (`step`), evaluates the
+    source once at the new node from the propagated position, and adds the
+    right half.  A second evaluation happens only where the right limit of
+    the source differs from its left limit: after an impulse jump and where
+    the control jumps.  Returns the nodes, their marks and the first source
+    row of each node.
     """
     h = spec.h
     half_h = 0.5 * h
+    j0 = prefix.shape[0] - n_r - 1
     values = np.empty((n_r + spec.n_steps + 1, 2, spec.params.n_modes))
-    values[: n_r + 1] = hist_values
-    marks = dict(hist_marks)
+    values[: n_r + j0 + 1] = prefix
+    marks = dict(prefix_marks)
     sources = np.empty((spec.n_steps + 1, spec.params.n_modes))
     source = node_sources(spec, values, marks)
     impulse_nodes = {n_r + int(round(ev.time / h)): ev for ev in spec.impulses}
 
-    sources[0] = source(n_r, 0.0, u_right[0])
-    g = u_right[0] + sources[0]
-    for j in range(1, spec.n_steps + 1):
+    # The right-limit source closes node j0, as at the end of its step; at
+    # t = 0 nothing jumps, so it is also node 0's recorded row.
+    row = source(n_r + j0, j0 * h, u_right[j0])
+    sources[: j0 + 1] = prefix_sources if j0 else row
+    g = u_right[j0] + row
+    for j in range(j0 + 1, spec.n_steps + 1):
         i = n_r + j
         t = j * h
         step(values[i - 1], g, values[i])
@@ -585,6 +513,19 @@ def _nonlocal_on_history(values, marks, spec: ProblemSpec, n_r: int):
     return gvals, gmarks
 
 
+def _guarded_sweep(spec: ProblemSpec, where: str, *args):
+    """`_sweep` under the non-finite guard, which names the first bad time."""
+    # Overflow surfaces as a non-finite norm, reported below as one error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, marks, sources = _sweep(spec, *args)
+        finite = np.isfinite(energy_norms(values, spec.params.lam))
+    if not finite.all():
+        n_r = values.shape[0] - spec.n_steps - 1
+        t_bad = (int(np.argmin(finite)) - n_r) * spec.h
+        raise NumericalError(f"state is not finite at t = {t_bad:.6g} ({where})")
+    return values, marks, sources
+
+
 def integrate_mild(spec: ProblemSpec, u: ControlSignal | None = None) -> IntegrationResult:
     """Resolve the mild solution on [-r, T] under the control u.
 
@@ -600,7 +541,7 @@ def integrate_mild(spec: ProblemSpec, u: ControlSignal | None = None) -> Integra
     """
     if spec.u_dependent and u is None:
         raise ValueError("problem has control-dependent catalog entries but no control")
-    u_left, u_right, u_marks = _control_nodes(u, spec)
+    controls = _control_nodes(u, spec)
     rho_values, rho_marks, n_r = _resample_history(spec)
     p = spec.params
     lam = p.lam
@@ -612,17 +553,9 @@ def integrate_mild(spec: ProblemSpec, u: ControlSignal | None = None) -> Integra
     grow_streak = 0
     residual, ratio = np.inf, np.nan
     for iteration in range(1, spec.picard_max_iter + 1):
-        # Overflow surfaces as a non-finite norm, reported below as one error.
-        with np.errstate(over="ignore", invalid="ignore"):
-            values, marks, sources = _sweep(
-                spec, step, u_left, u_right, u_marks, hist_values, hist_marks, n_r
-            )
-            finite = np.isfinite(energy_norms(values, lam))
-        if not finite.all():
-            t_bad = (int(np.argmin(finite)) - n_r) * spec.h
-            raise NumericalError(
-                f"state is not finite at t = {t_bad:.6g} (history sweep {iteration})"
-            )
+        values, marks, sources = _guarded_sweep(
+            spec, f"history sweep {iteration}", step, *controls, hist_values, hist_marks, n_r
+        )
         if prev_values is not None:
             d = float(energy_norms(values - prev_values, lam).max())
             ratio = d / sup_diffs[-1] if sup_diffs and sup_diffs[-1] > 0 else np.nan
@@ -655,3 +588,35 @@ def integrate_mild(spec: ProblemSpec, u: ControlSignal | None = None) -> Integra
         )
     traj = Trajectory(spec.h, n_r, values, marks)
     return IntegrationResult(traj, iteration, residual, tuple(sup_diffs), sources)
+
+
+def integrate_tail(
+    spec: ProblemSpec, nominal: IntegrationResult, u: ControlSignal, start: int
+) -> IntegrationResult:
+    """Bitwise `integrate_mild(spec, u)` for u switched from the nominal control at start*h.
+
+    u must equal the nominal control before t_start = start*h and keep its
+    value as the left limit there (a pull-back switch), no impulse may sit
+    at t_start and no lag exceed it.  The history iteration then reads only
+    nodes the two runs share, so it is the nominal's, which has already
+    passed the divergence guard; only the tail after t_start is integrated,
+    under the non-finite guard.  `picard_sup_diffs` is left empty.
+    """
+    h = spec.h
+    if any(int(round(tau / h)) > start for tau in spec.lags):
+        raise ValueError(f"a delay lag reaches past t_start = {start * h:.6g}")
+    traj = nominal.trajectory
+    end = traj.n_history + start + 1
+    p = spec.params
+    values, marks, sources = _guarded_sweep(
+        spec,
+        f"tail from t = {start * h:.6g}",
+        exponential_step(h, p.lam, p.c, p.d),
+        *_control_nodes(u, spec),
+        traj.values[:end],
+        {i: v for i, v in traj.left_values.items() if i < end},
+        traj.n_history,
+        nominal.sources[: start + 1],
+    )
+    tail = Trajectory(h, traj.n_history, values, marks)
+    return IntegrationResult(tail, nominal.picard_iterations, nominal.history_residual, (), sources)

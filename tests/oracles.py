@@ -6,8 +6,12 @@ matrix ODE, responses from classical fixed-step RK4, and the delay system
 from a method-of-steps RK4 with cubic-Hermite dense output.  The one
 exception is `implicit_trapezoid_sweep`, the integrator's former
 implicit-endpoint sweep, kept unchanged as a bitwise reference for the
-explicit sweep that replaced it.  `simpson_gramian` integrates the package's
-own propagator entries, but by a quadrature the package no longer uses.
+explicit sweep that replaced it; likewise `full_pullback_experiment`
+re-integrates every switched pull-back run in full, as the package did
+before it reused the nominal prefix.  `simpson_gramian` integrates the
+package's own propagator entries, but by a quadrature the package no
+longer uses.  `source_term`, `nonlocal_combination` and `segment_at` are
+former package helpers that only the tests used.
 """
 
 from __future__ import annotations
@@ -15,8 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from beamctl.control import default_gramian_step
-from beamctl.semigroup import propagator_entries_for
-from beamctl.spectral import StateZ, eigenvalue
+from beamctl.dynamics import Segment, integrate_mild
+from beamctl.semigroup import operator_norm_bound, propagator_entries_for, weighted_block_norms
+from beamctl.spectral import StateZ, eigenvalue, energy_norms, pair_norm
+from beamctl.synthesis import PullbackResult, PullbackRow, pullback_control
 
 _NODE_SNAP = 1e-9
 
@@ -343,3 +349,102 @@ def implicit_trapezoid_sweep(spec, u_left, u_right, u_marks, hist_values, hist_m
             # control value; recompute only when the control jumps here.
             g_prev = rhs(t, i, current, u_right[j]) if j in u_marks else row
     return values, marks
+
+
+def source_term(t: float, seg, u_val, spec) -> StateZ:
+    """Perturbation entering the velocity equation: (0, p(t) - k*w+ + f).
+
+    `seg` is the delay segment ending at t; its value at 0 supplies the
+    current position for the one-sided cable force.  `u_val` may be None
+    when every catalog entry is control-independent.
+    """
+    basis = spec.grid.basis(spec.params.n_modes)
+    row = _source_row(t, seg, seg.value(0.0)[0], u_val, spec, basis, spec.grid.weight)
+    return StateZ(np.zeros_like(row), row)
+
+
+def nonlocal_combination(segments, spec) -> Segment:
+    """Linear combination of the lagged segments with the nonlocal weights.
+
+    The increment satisfies |G(y)(t) - G(v)(t)| <= L_q * sum_i |y_i(t) -
+    v_i(t)| by construction, with L_q the largest absolute coefficient.
+    """
+    if len(segments) != spec.q:
+        raise ValueError(f"expected {spec.q} segments, got {len(segments)}")
+    if spec.q == 0:
+        raise ValueError("problem has no nonlocal terms")
+    base = segments[0]
+    for seg in segments[1:]:
+        if seg.n_nodes != base.n_nodes or abs(seg.step - base.step) > 1e-12 * base.step:
+            raise ValueError("segments live on different grids")
+    values = np.zeros_like(base.values)
+    for g, seg in zip(spec.gammas, segments):
+        values += g * seg.values
+    marks = {}
+    mark_keys = sorted({i for seg in segments for i in seg.left_values})
+    for i in mark_keys:
+        acc = np.zeros_like(base.values[0])
+        for g, seg in zip(spec.gammas, segments):
+            acc += g * seg.left_values.get(i, seg.values[i])
+        marks[i] = acc
+    return Segment(base.step, values, marks)
+
+
+def segment_at(traj, t: float) -> Segment:
+    """Delay window [t - r, t] of a trajectory, for t in [0, T].
+
+    At grid times this is an exact node slice and jump marks are carried
+    over; off the grid the window is sampled by linear interpolation and
+    interior jump information is lost.
+    """
+    if not -1e-12 <= t <= traj.t_end + 1e-12:
+        raise ValueError(f"time {t} outside [0, {traj.t_end}]")
+    n_r = traj.n_history
+    pos = (t + traj.r) / traj.step
+    idx = int(round(pos))
+    if abs(pos - idx) < _NODE_SNAP:
+        lo = idx - n_r
+        values = traj.values[lo : idx + 1]
+        marks = {i - lo: v for i, v in traj.left_values.items() if lo < i <= idx}
+        return Segment(traj.step, values, marks)
+    thetas = t + traj.step * (np.arange(n_r + 1) - n_r)
+    values = np.stack([traj.state(th).to_pair() for th in thetas])
+    return Segment(traj.step, values)
+
+
+def full_pullback_experiment(spec, u, zstar, sigmas):
+    """The pull-back experiment with every switched run integrated over [-r, T].
+
+    The loop of `approx_experiment` before it reused the nominal prefix
+    (windows are not validated here).  Returns the `PullbackResult` and the
+    switched trajectories, one per window.
+    """
+    p = spec.params
+    nominal = integrate_mild(spec, u)
+    traj = nominal.trajectory
+    lam = p.lam
+    M_est = operator_norm_bound(p)
+    nl = spec.nonlinearity
+    rows, runs = [], []
+    for sigma in [float(s) for s in sigmas]:
+        u_s = pullback_control(u, traj, sigma, zstar, spec)
+        switched = integrate_mild(spec, u_s).trajectory
+        runs.append(switched)
+        terminal_error = pair_norm(switched.values[-1] - zstar.to_pair(), lam)
+
+        n_tail = int(round(sigma / spec.h))
+        switch_node = traj.n_nodes - 1 - n_tail
+        tail_ts = p.T - sigma + spec.h * np.arange(n_tail + 1)
+        e00, e01, e10, e11 = propagator_entries_for(p.T - tail_ts, lam, p.c, p.d)
+        s_norms = weighted_block_norms(e00, e01, e10, e11, lam[None, :]).max(axis=1)
+        delay_nodes = [traj.node_index(t - p.r) for t in tail_ts]
+        seg_norms = np.array([pair_norm(traj.values[i], lam) for i in delay_nodes])
+        envelope = np.array([nl.alpha1 * nl.envelope(s) + nl.beta1 for s in seg_norms])
+        integrand = s_norms * envelope
+        bound = float(spec.h * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1])))
+
+        d_delay = max(pair_norm(switched.values[i] - traj.values[i], lam) for i in delay_nodes)
+        overlap = switched.values[: switch_node + 1] - traj.values[: switch_node + 1]
+        d_overlap = float(energy_norms(overlap, lam).max())
+        rows.append(PullbackRow(sigma, float(terminal_error), bound, float(d_delay), d_overlap))
+    return PullbackResult(tuple(rows), M_est), runs

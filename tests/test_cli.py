@@ -201,6 +201,19 @@ class TestCli:
         assert "t = 0.5 " in err
         assert not list(out.glob("*.csv"))
 
+    def test_approx_non_finite_tail_exits_3_without_csv(self, tmp_path, capsys):
+        # A target of 1e300 makes the first steering tail, from T - 0.08 = 0.92,
+        # overflow at its first step.
+        data = yaml.safe_load((CONFIGS / "approx_bounded.yaml").read_text())
+        data["targets"]["zstar_w"] = [1.0e300] * 4
+        out = tmp_path / "o"
+        rc = main(["approx", "--config", str(write_config(tmp_path, data)), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:")
+        assert "t = 0.9205 " in err
+        assert not list(out.glob("*_approx.csv"))
+
     def test_simulate_emits_double_rows_at_impulse(self, tmp_path):
         rc = main(
             ["simulate", "--config", str(CONFIGS / "simulate_demo.yaml"), "--out", str(tmp_path)]

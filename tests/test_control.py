@@ -62,6 +62,26 @@ class TestModeGramian:
             oracle = symmetrized(simpson_gramian(n, t0, 1.0, p, refine=4), lam[n - 1])
             assert np.abs(exact - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
+    @pytest.mark.parametrize(
+        "c, d",
+        [
+            pytest.param(1.0, 1.0, id="p8"),
+            pytest.param(200.0, 1.0, id="overdamped"),
+            pytest.param(2.0 * np.pi**2, 1.0, id="critical"),
+            pytest.param(30.0, 4.0, id="d4-c30"),
+        ],
+    )
+    def test_short_windows_match_refined_simpson(self, c, d):
+        # Windows down to L = 1e-5, where int e01^2 ~ L^3/3 is far below the
+        # O(L) terms of the closed-form identities.  They start at 0 so that
+        # t1 - t0 is L exactly; Simpson needs 16x refinement to resolve 1e-11.
+        p = ModelParams(c=c, d=d, k=1.0, n_modes=8, T=1.0, r=0.3)
+        for length in (1e-2, 1e-3, 1e-4, 1e-5):
+            for n in range(1, 9):
+                got = mode_gramian(n, 0.0, length, p)
+                oracle = simpson_gramian(n, 0.0, length, p, refine=16)
+                assert np.all(np.abs(got - oracle) <= 1e-11 * np.abs(oracle)), (length, n)
+
     def test_kalman_rank_structure(self, p8):
         # [b, A b] = [[0, 1], [1, -c]] has determinant -1 for every mode.
         b = np.array([0.0, 1.0])

@@ -9,15 +9,18 @@ from beamctl.dynamics import (
     Segment,
     history_segment,
     integrate_mild,
-    nonlocal_combination,
-    segment_at,
-    source_term,
 )
 from beamctl.errors import ConfigError, NumericalError
 from beamctl.semigroup import ModelParams, apply_semigroup
 from beamctl.spectral import SpatialGrid, StateZ, eigenvalues, norm_z, pair_norm, project
 
-from oracles import implicit_trapezoid_sweep, method_of_steps_rk4
+from oracles import (
+    implicit_trapezoid_sweep,
+    method_of_steps_rk4,
+    nonlocal_combination,
+    segment_at,
+    source_term,
+)
 
 
 def tiny_cable(n_modes=4, T=1.0, r=0.25):
@@ -473,6 +476,43 @@ class TestExplicitSweep:
         coarse = _marked_control(rng, 100, marks=(40,))
         with pytest.raises(ValueError, match="trajectory grid"):
             integrate_mild(spec, coarse)
+
+
+class TestIntegrateTail:
+    """A run switched off a converged nominal run, integrated from the switch only."""
+
+    @staticmethod
+    def _switched(spec, u, start, rng):
+        # Nominal control before `start`, its value as the left limit there,
+        # a fresh control from `start` on.
+        values = np.zeros((spec.n_steps + 1, 4)) if u is None else u.values.copy()
+        marks = {} if u is None else {i: v for i, v in u.left_values.items() if i < start}
+        marks[start] = values[start].copy()
+        values[start:] = rng.normal(size=values[start:].shape)
+        return ControlSignal(0.0, 1.0, values, marks)
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_matches_integrate_mild_bitwise(self, case, grid129, rng):
+        # Switch at t = 0.6: past both lags; one case has an impulse after it.
+        spec, u = TestExplicitSweep._case(case, grid129, rng)
+        nominal = integrate_mild(spec, u)
+        u_s = self._switched(spec, u, 120, rng)
+        tail = dynamics.integrate_tail(spec, nominal, u_s, 120)
+        full = integrate_mild(spec, u_s)
+        a, b = tail.trajectory, full.trajectory
+        assert np.array_equal(a.values, b.values)
+        assert sorted(a.left_values) == sorted(b.left_values)
+        for i in a.left_values:
+            assert np.array_equal(a.left_values[i], b.left_values[i])
+        assert np.array_equal(tail.sources, full.sources)
+        assert tail.picard_iterations == full.picard_iterations
+        assert tail.history_residual == full.history_residual
+
+    def test_lag_past_the_switch_rejected(self, grid129, rng):
+        spec, u = TestExplicitSweep._case("velocity_kick+marked_control", grid129, rng)
+        nominal = integrate_mild(spec, u)
+        with pytest.raises(ValueError, match="lag reaches past"):
+            dynamics.integrate_tail(spec, nominal, self._switched(spec, u, 30, rng), 30)
 
 
 class TestHistoryCatalog:

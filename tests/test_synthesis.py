@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from beamctl import synthesis
 from beamctl.catalogs import ImpulseEvent, make_impulse_map, make_nonlinearity
-from beamctl.control import controllability_map
+from beamctl.control import ControlSignal, controllability_map
 from beamctl.dynamics import ProblemSpec, Trajectory, history_segment, integrate_mild
 from beamctl.semigroup import ModelParams
 from beamctl.spectral import StateZ, norm_z, pair_norm, zero_state
@@ -13,6 +14,8 @@ from beamctl.synthesis import (
     pullback_control,
     steering_target,
 )
+
+from oracles import full_pullback_experiment
 
 
 def constant_segment(p, w=(), y=(), n_nodes=201):
@@ -49,6 +52,43 @@ def bounded_benchmark(grid129):
         history=constant_segment(p, w=[0.3, 0.1], y=[0.1]),
         picard_tol=1e-11,
     )
+
+
+def fallback_spec(grid, gammas=(0.05, 0.05)):
+    """Pull-back problem whose last lag, 0.35, reaches past every switch T - sigma <= 0.3."""
+    p = ModelParams(c=1.0, d=1.0, k=1e-9, n_modes=4, T=0.5, r=0.4)
+    return ProblemSpec(
+        params=p,
+        grid=grid,
+        n_steps=1000,
+        impulses=(ImpulseEvent(0.1, make_impulse_map("constant_kick", 4, {"coeffs": [0.0, 0.2]})),),
+        lags=(0.1, 0.35),
+        gammas=gammas,
+        nonlinearity=make_nonlinearity("bounded_wave", 4, {"amp": 0.5, "omega": 2.0}),
+        history=constant_segment(p, w=[0.3, 0.1], y=[0.1]),
+        picard_tol=1e-11,
+    )
+
+
+def spied_approx_experiment(monkeypatch, spec, u, zstar, sigmas):
+    """`approx_experiment` plus its `integrate_mild` call count and switched runs."""
+    mild_calls, runs = [], []
+
+    def spy(fn, counter=None):
+        def wrapped(*args, **kwargs):
+            res = fn(*args, **kwargs)
+            if counter is not None:
+                counter.append(1)
+            runs.append(res.trajectory)
+            return res
+
+        return wrapped
+
+    with monkeypatch.context() as m:
+        m.setattr(synthesis, "integrate_mild", spy(synthesis.integrate_mild, mild_calls))
+        m.setattr(synthesis, "integrate_tail", spy(synthesis.integrate_tail))
+        result = approx_experiment(spec, u, zstar, sigmas)
+    return result, len(mild_calls), runs[1:]
 
 
 class TestContractionConstants:
@@ -144,13 +184,45 @@ class TestApproxExperiment:
             assert row.terminal_error <= row.bound_estimate + 1e-6
         assert all(a >= b for a, b in zip(errs, errs[1:]))
 
-    def test_delay_identity_and_locality(self, bounded_benchmark, rng):
-        spec = bounded_benchmark
+    def test_delay_identity_and_locality(self, bounded_benchmark, grid129, rng, monkeypatch):
+        # On the bounded benchmark the switched runs reuse the nominal prefix,
+        # so both deviations are zero by construction.  The fallback problem's
+        # last lag reaches past the switch, so each run is integrated in full;
+        # that lag carries no weight, so the pull-back identity still holds.
+        cases = [
+            (bounded_benchmark, [0.08, 0.02], 1),
+            (fallback_spec(grid129, (0.05, 0.0)), [0.3, 0.2], 3),
+        ]
+        for spec, sigmas, integrations in cases:
+            zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4) * 0.4)
+            result, mild_calls, _ = spied_approx_experiment(monkeypatch, spec, None, zstar, sigmas)
+            assert mild_calls == integrations
+            for row in result.rows:
+                assert row.delay_identity_sup <= 1e-9
+                assert row.overlap_sup <= 1e-9
+
+    @pytest.mark.parametrize("case", ["bounded", "marked-nominal", "fallback"])
+    def test_matches_full_reintegration_bitwise(
+        self, case, bounded_benchmark, grid129, rng, monkeypatch
+    ):
+        spec, u, sigmas = bounded_benchmark, None, [0.08, 0.04, 0.02, 0.01]
+        if case == "marked-nominal":
+            # The mark at t = 0.5 sits before every switch.
+            u = ControlSignal(0.0, 1.0, rng.normal(size=(2001, 4)), {1000: rng.normal(size=4)})
+            sigmas = [0.08, 0.02]
+        elif case == "fallback":
+            spec, sigmas = fallback_spec(grid129), [0.3, 0.2]
         zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4) * 0.4)
-        result = approx_experiment(spec, None, zstar, [0.08, 0.02])
-        for row in result.rows:
-            assert row.delay_identity_sup <= 1e-9
-            assert row.overlap_sup <= 1e-9
+        result, mild_calls, runs = spied_approx_experiment(monkeypatch, spec, u, zstar, sigmas)
+        oracle, oracle_runs = full_pullback_experiment(spec, u, zstar, sigmas)
+        assert mild_calls == (1 + len(sigmas) if case == "fallback" else 1)
+        assert result == oracle
+        assert len(runs) == len(oracle_runs) == len(sigmas)
+        for a, b in zip(runs, oracle_runs):
+            assert np.array_equal(a.values, b.values)
+            assert sorted(a.left_values) == sorted(b.left_values)
+            for i in a.left_values:
+                assert np.array_equal(a.left_values[i], b.left_values[i])
 
     def test_monotone_on_delayed_saturation_benchmark(self, grid129, rng):
         p = ModelParams(c=1.0, d=1.0, k=1e-9, n_modes=4, T=1.0, r=0.4)
