@@ -37,14 +37,7 @@ from .dynamics import (
     integrate_mild,
 )
 from .errors import ConfigError, NumericalError
-from .semigroup import (
-    ModelParams,
-    apply_semigroup,
-    expm2,
-    mode_adjoint_matrix,
-    mode_matrix,
-    operator_norm_bound,
-)
+from .semigroup import ModelParams, apply_semigroup, operator_norm_bound
 from .spectral import (
     SpatialGrid,
     StateZ,

@@ -91,10 +91,6 @@ class ControlSignal:
     def times(self) -> np.ndarray:
         return self.t0 + self.step * np.arange(self.n_nodes)
 
-    @classmethod
-    def zeros(cls, t0: float, t1: float, n_steps: int, n_modes: int) -> "ControlSignal":
-        return cls(t0, t1, np.zeros((n_steps + 1, n_modes)))
-
     def node_values(self) -> tuple[np.ndarray, np.ndarray]:
         """(left, right) value arrays per node; they differ only at marks."""
         right = self.values
@@ -134,24 +130,6 @@ class ControlSignal:
         for i, wi in extra.items():
             total += wi * float(np.sum(self.left_values[i] ** 2))
         return float(np.sqrt(total))
-
-    def scaled(self, a: float) -> "ControlSignal":
-        return ControlSignal(
-            self.t0, self.t1, a * self.values, {i: a * v for i, v in self.left_values.items()}
-        )
-
-    def plus(self, other: "ControlSignal") -> "ControlSignal":
-        if other.n_nodes != self.n_nodes or other.t0 != self.t0 or other.t1 != self.t1:
-            raise ValueError("control grids do not match")
-        sl, _ = self.node_values()
-        ol, _ = other.node_values()
-        marks = set(self.left_values) | set(other.left_values)
-        return ControlSignal(
-            self.t0,
-            self.t1,
-            self.values + other.values,
-            {i: sl[i] + ol[i] for i in marks},
-        )
 
 
 def default_gramian_step(n: int, t0: float, t1: float, p: ModelParams) -> float:

@@ -18,10 +18,13 @@ The nonlocal initial condition prescribes the history only implicitly
 trajectory is resolved by an outer Picard iteration over candidate
 histories, terminated on the history-consistency residual.  Measuring the
 residual instead of the whole-trajectory change keeps termination causal:
-nodes beyond the largest lag never influence the iteration count.  So a
-run whose control departs from a converged run's only after the largest
-lag repeats its history iteration exactly, and `integrate_tail` integrates
-just the part after the departure.
+nodes beyond the largest lag never influence the iteration count.  So the
+history sweeps stop at the largest lag tau_q, and once the residual is
+met the converged sweep continues from there to T, once; the sweep being
+causal, that is bitwise the full sweep.  Likewise a run whose control
+departs from a converged run's only after the largest lag repeats its
+history iteration exactly, and `integrate_tail` integrates just the part
+after the departure.
 """
 
 from __future__ import annotations
@@ -394,7 +397,9 @@ class IntegrationResult:
     """A resolved trajectory plus the outer-iteration diagnostics.
 
     `sources[j]` is the final sweep's `node_sources` row at t_j = j*h, taken
-    with the left control value.
+    with the left control value.  `picard_sup_diffs` holds the energy sup
+    norms of successive history-sweep differences over [-r, tau_q], the part
+    of the trajectory that the nonlocal history map feeds back.
     """
 
     trajectory: Trajectory
@@ -442,22 +447,26 @@ def _resample_history(spec: ProblemSpec):
     return values, marks, n_r
 
 
-def _sweep(spec, step, u_left, u_right, u_marks, prefix, prefix_marks, n_r, prefix_sources=None):
-    """One explicit exponential-trapezoid pass from the last node of `prefix` to T.
+def _sweep(
+    spec, step, u_left, u_right, u_marks, prefix, prefix_marks, n_r, prefix_sources=None, last=None
+):
+    """One explicit exponential-trapezoid pass from the last node of `prefix` to t_last.
 
     `prefix` holds the nodes from -r up to t_j0 = j0*h and `prefix_marks`
     their left limits: in the history iteration the candidate history alone
-    (j0 = 0); for a tail, a converged run up to t_j0, whose source rows
-    0..j0 come in `prefix_sources`.  Each step propagates the previous node
-    with the left half of the trapezoid source (`step`), evaluates the
-    source once at the new node from the propagated position, and adds the
-    right half.  A second evaluation happens only where the right limit of
-    the source differs from its left limit: after an impulse jump and where
-    the control jumps.  Returns the nodes, their marks and the first source
-    row of each node.
+    (j0 = 0); for a continuation or a tail, a run up to t_j0, whose source
+    rows 0..j0 come in `prefix_sources`.  The pass ends at t_last = last*h
+    (T by default) and leaves the node and source rows after it unfilled.
+    Each step propagates the previous node with the left half of the
+    trapezoid source (`step`), evaluates the source once at the new node
+    from the propagated position, and adds the right half.  A second
+    evaluation happens only where the right limit of the source differs
+    from its left limit: after an impulse jump and where the control jumps.
+    Returns the nodes, their marks and the first source row of each node.
     """
     h = spec.h
     half_h = 0.5 * h
+    last = spec.n_steps if last is None else last
     j0 = prefix.shape[0] - n_r - 1
     values = np.empty((n_r + spec.n_steps + 1, 2, spec.params.n_modes))
     values[: n_r + j0 + 1] = prefix
@@ -471,7 +480,7 @@ def _sweep(spec, step, u_left, u_right, u_marks, prefix, prefix_marks, n_r, pref
     row = source(n_r + j0, j0 * h, u_right[j0])
     sources[: j0 + 1] = prefix_sources if j0 else row
     g = u_right[j0] + row
-    for j in range(j0 + 1, spec.n_steps + 1):
+    for j in range(j0 + 1, last + 1):
         i = n_r + j
         t = j * h
         step(values[i - 1], g, values[i])
@@ -513,14 +522,19 @@ def _nonlocal_on_history(values, marks, spec: ProblemSpec, n_r: int):
     return gvals, gmarks
 
 
-def _guarded_sweep(spec: ProblemSpec, where: str, *args):
-    """`_sweep` under the non-finite guard, which names the first bad time."""
+def _guarded_sweep(spec: ProblemSpec, where: str, *args, last: int | None = None):
+    """`_sweep` under the non-finite guard, which names the first bad time.
+
+    The guard reads the nodes up to t_last = last*h (T by default) only:
+    the rows after it are unfilled.
+    """
+    last = spec.n_steps if last is None else last
     # Overflow surfaces as a non-finite norm, reported below as one error.
     with np.errstate(over="ignore", invalid="ignore"):
-        values, marks, sources = _sweep(spec, *args)
-        finite = np.isfinite(energy_norms(values, spec.params.lam))
-    if not finite.all():
+        values, marks, sources = _sweep(spec, *args, last=last)
         n_r = values.shape[0] - spec.n_steps - 1
+        finite = np.isfinite(energy_norms(values[: n_r + last + 1], spec.params.lam))
+    if not finite.all():
         t_bad = (int(np.argmin(finite)) - n_r) * spec.h
         raise NumericalError(f"state is not finite at t = {t_bad:.6g} ({where})")
     return values, marks, sources
@@ -535,9 +549,12 @@ def integrate_mild(spec: ProblemSpec, u: ControlSignal | None = None) -> Integra
     nonlocal combination of its own lagged segments.  That implicit
     coupling is resolved by Picard iteration over candidate histories,
     starting from the history with the nonlocal term dropped, until the
-    history-consistency residual falls below `picard_tol`.  The iteration
-    stops with NumericalError when a sweep leaves the finite range or the
-    successive sweep differences grow three times in a row.
+    history-consistency residual falls below `picard_tol`.  The residual and
+    the next candidate read no node past the largest lag tau_q, so each
+    history sweep stops there; the converged one then continues to T, once.
+    The iteration stops with NumericalError when a sweep leaves the finite
+    range or the successive sweep differences on [-r, tau_q] grow three
+    times in a row.
     """
     if spec.u_dependent and u is None:
         raise ValueError("problem has control-dependent catalog entries but no control")
@@ -546,6 +563,8 @@ def integrate_mild(spec: ProblemSpec, u: ControlSignal | None = None) -> Integra
     p = spec.params
     lam = p.lam
     step = exponential_step(spec.h, lam, p.c, p.d)
+    stop = max((int(round(tau / spec.h)) for tau in spec.lags), default=spec.n_steps)
+    n_read = n_r + stop + 1
 
     hist_values, hist_marks = rho_values, rho_marks
     prev_values = None
@@ -553,11 +572,12 @@ def integrate_mild(spec: ProblemSpec, u: ControlSignal | None = None) -> Integra
     grow_streak = 0
     residual, ratio = np.inf, np.nan
     for iteration in range(1, spec.picard_max_iter + 1):
+        where = f"history sweep {iteration}"
         values, marks, sources = _guarded_sweep(
-            spec, f"history sweep {iteration}", step, *controls, hist_values, hist_marks, n_r
+            spec, where, step, *controls, hist_values, hist_marks, n_r, last=stop
         )
         if prev_values is not None:
-            d = float(energy_norms(values - prev_values, lam).max())
+            d = float(energy_norms(values[:n_read] - prev_values[:n_read], lam).max())
             ratio = d / sup_diffs[-1] if sup_diffs and sup_diffs[-1] > 0 else np.nan
             sup_diffs.append(d)
         if spec.q == 0:
@@ -585,6 +605,10 @@ def integrate_mild(spec: ProblemSpec, u: ControlSignal | None = None) -> Integra
             f"history iteration did not reach tol={spec.picard_tol} in "
             f"{spec.picard_max_iter} sweeps (residual {residual:.3e}, "
             f"last contraction ratio {ratio:.3f})"
+        )
+    if stop < spec.n_steps:
+        values, marks, sources = _guarded_sweep(
+            spec, where, step, *controls, values[:n_read], marks, n_r, sources[: stop + 1]
         )
     traj = Trajectory(spec.h, n_r, values, marks)
     return IntegrationResult(traj, iteration, residual, tuple(sup_diffs), sources)

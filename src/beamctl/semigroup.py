@@ -13,20 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import StateZ, eigenvalue, eigenvalues
+from .spectral import StateZ, eigenvalues
 
 __all__ = [
     "ModelParams",
-    "mode_matrix",
-    "mode_adjoint_matrix",
-    "expm2",
     "propagator_entries",
     "propagator_entries_for",
     "exponential_step",
     "semigroup_blocks",
-    "adjoint_blocks",
     "apply_semigroup",
-    "apply_adjoint_semigroup",
     "weighted_block_norms",
     "operator_norm_bound",
 ]
@@ -70,22 +65,6 @@ class ModelParams:
         return eigenvalues(self.n_modes)
 
 
-def mode_matrix(n: int, p: ModelParams) -> np.ndarray:
-    """Generator block of mode n: [[0, 1], [-d*lambda_n, -c]]."""
-    lam = eigenvalue(n)
-    return np.array([[0.0, 1.0], [-p.d * lam, -p.c]])
-
-
-def mode_adjoint_matrix(n: int, p: ModelParams) -> np.ndarray:
-    """Adjoint of the generator block in the energy inner product.
-
-    With the mode-n weight D = diag(lambda_n, 1) the adjoint is
-    D^-1 A^T D = [[0, -d], [lambda_n, -c]].
-    """
-    lam = eigenvalue(n)
-    return np.array([[0.0, -p.d], [lam, -p.c]])
-
-
 def _branch_coefficients(shift, det, t):
     """Pair (C0, C1) with exp(Mt) = exp(shift*t) * (C0*I + C1*(M - shift*I)).
 
@@ -116,24 +95,6 @@ def _branch_coefficients(shift, det, t):
     c0 = np.where(repeated, 1.0, np.where(hyperbolic, hyp_c0, osc_c0))
     c1 = np.where(repeated, t * np.ones_like(wt), np.where(hyperbolic, hyp_c1, osc_c1))
     return c0, c1
-
-
-def expm2(a: np.ndarray, t: float) -> np.ndarray:
-    """Closed-form exponential exp(a*t) of a real 2x2 matrix.
-
-    Branches on the discriminant of the characteristic polynomial:
-    complex pair (damped oscillation), distinct real roots, and the
-    repeated-root limit near the branch point.  Negative t is allowed.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
-    shift = 0.5 * (a[0, 0] + a[1, 1])
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    c0, c1 = _branch_coefficients(np.array(shift), np.array(det), t)
-    scale = np.exp(shift * t)
-    b = a - shift * np.eye(2)
-    return scale * (float(c0) * np.eye(2) + float(c1) * b)
 
 
 def propagator_entries_for(ts: np.ndarray, lam: np.ndarray, c: float, d: float):
@@ -180,8 +141,9 @@ def propagator_entries(ts: np.ndarray, p: ModelParams):
     """Entries of exp(A_n * t) for every mode and every time in `ts`.
 
     Returns four arrays of shape (len(ts), n_modes): e00, e01, e10, e11.
-    The adjoint-block entries come from the same evaluation (both blocks
-    share trace and determinant); see `adjoint_blocks`.
+    The adjoint block in the energy inner product, D^-1 E^T D with
+    D = diag(lambda_n, 1), reuses them: same diagonal, off-diagonals
+    e10/lambda_n and e01*lambda_n.
     """
     return propagator_entries_for(ts, p.lam, p.c, p.d)
 
@@ -193,22 +155,6 @@ def semigroup_blocks(t: float, p: ModelParams) -> np.ndarray:
     blocks[:, 0, 0] = e00[0]
     blocks[:, 0, 1] = e01[0]
     blocks[:, 1, 0] = e10[0]
-    blocks[:, 1, 1] = e11[0]
-    return blocks
-
-
-def adjoint_blocks(t: float, p: ModelParams) -> np.ndarray:
-    """Per-mode blocks of the adjoint propagator in the energy inner product.
-
-    Related to the direct block E by D^-1 E^T D with D = diag(lambda_n, 1):
-    same diagonal, off-diagonals rescaled by lambda_n.
-    """
-    lam = p.lam
-    e00, e01, e10, e11 = propagator_entries(np.array([t]), p)
-    blocks = np.empty((p.n_modes, 2, 2))
-    blocks[:, 0, 0] = e00[0]
-    blocks[:, 0, 1] = e10[0] / lam
-    blocks[:, 1, 0] = e01[0] * lam
     blocks[:, 1, 1] = e11[0]
     return blocks
 
@@ -231,12 +177,6 @@ def apply_semigroup(z: StateZ, t: float, p: ModelParams) -> StateZ:
     if t == 0.0:
         return z
     return StateZ.from_pair(_apply_blocks(semigroup_blocks(t, p), z.to_pair()))
-
-
-def apply_adjoint_semigroup(z: StateZ, t: float, p: ModelParams) -> StateZ:
-    if z.n_modes != p.n_modes:
-        raise ValueError(f"state has {z.n_modes} modes, params expect {p.n_modes}")
-    return StateZ.from_pair(_apply_blocks(adjoint_blocks(t, p), z.to_pair()))
 
 
 def weighted_block_norms(e00, e01, e10, e11, lam) -> np.ndarray:

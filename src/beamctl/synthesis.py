@@ -219,9 +219,11 @@ def approx_experiment(
     integrates the nonlinear system under the switched control: from the
     switch node on, starting from the nominal run's converged nodes, when
     no delay lag reaches past the switch (`integrate_tail`, bitwise the
-    full run), and over all of [-r, T] otherwise.  It reports the terminal
-    miss together with the trapezoid estimate of the envelope integral over
-    the tail window, evaluated on the nominal trajectory's delayed states.
+    full run), and over all of [-r, T] otherwise, with a warning: the
+    nonlocal history then reads the switched tail, so the pull-back
+    identity behind the bound fails.  It reports the terminal miss together
+    with the trapezoid estimate of the envelope integral over the tail
+    window, evaluated on the nominal trajectory's delayed states.
     """
     p = spec.params
     limit = _sigma_limit(spec)
@@ -236,7 +238,8 @@ def approx_experiment(
 
     nominal = integrate_mild(spec, u)
     traj = nominal.trajectory
-    last_lag_node = int(round(max(spec.lags, default=0.0) / spec.h))
+    tau_q = max(spec.lags, default=0.0)
+    last_lag_node = int(round(tau_q / spec.h))
     lam = p.lam
     M_est = operator_norm_bound(p)
     nl = spec.nonlinearity
@@ -248,6 +251,14 @@ def approx_experiment(
         if last_lag_node <= switch:
             switched = integrate_tail(spec, nominal, u_s, switch).trajectory
         else:
+            logger.warning(
+                "pull-back window sigma = %.6g switches at T - sigma = %.6g, before the "
+                "largest lag tau_q = %.6g: the nonlocal history reads the switched tail, "
+                "so the pull-back identity and the error bound need not hold",
+                sigma,
+                p.T - sigma,
+                tau_q,
+            )
             switched = integrate_mild(spec, u_s).trajectory
         terminal_error = pair_norm(switched.values[-1] - zstar.to_pair(), lam)
 

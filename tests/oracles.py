@@ -8,23 +8,109 @@ exception is `implicit_trapezoid_sweep`, the integrator's former
 implicit-endpoint sweep, kept unchanged as a bitwise reference for the
 explicit sweep that replaced it; likewise `full_pullback_experiment`
 re-integrates every switched pull-back run in full, as the package did
-before it reused the nominal prefix.  `simpson_gramian` integrates the
+before it reused the nominal prefix, and `full_history_integrate` runs
+every history sweep over all of [0, T], as the package did before its
+history sweeps stopped at the largest lag.  `simpson_gramian` integrates the
 package's own propagator entries, but by a quadrature the package no
-longer uses.  `source_term`, `nonlocal_combination` and `segment_at` are
-former package helpers that only the tests used.
+longer uses.  `source_term`, `nonlocal_combination`, `segment_at`, the
+generator blocks, `expm2`, the adjoint propagator and the control
+arithmetic are former package helpers that only the tests used.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from beamctl.control import default_gramian_step
-from beamctl.dynamics import Segment, integrate_mild
-from beamctl.semigroup import operator_norm_bound, propagator_entries_for, weighted_block_norms
+from beamctl import dynamics
+from beamctl.control import ControlSignal, default_gramian_step
+from beamctl.dynamics import IntegrationResult, Segment, Trajectory, integrate_mild
+from beamctl.errors import NumericalError
+from beamctl.semigroup import (
+    _apply_blocks,
+    _branch_coefficients,
+    exponential_step,
+    operator_norm_bound,
+    propagator_entries,
+    propagator_entries_for,
+    weighted_block_norms,
+)
 from beamctl.spectral import StateZ, eigenvalue, energy_norms, pair_norm
 from beamctl.synthesis import PullbackResult, PullbackRow, pullback_control
 
 _NODE_SNAP = 1e-9
+
+
+def mode_matrix(n: int, p) -> np.ndarray:
+    """Generator block of mode n: [[0, 1], [-d*lambda_n, -c]]."""
+    lam = eigenvalue(n)
+    return np.array([[0.0, 1.0], [-p.d * lam, -p.c]])
+
+
+def mode_adjoint_matrix(n: int, p) -> np.ndarray:
+    """Adjoint of the generator block in the energy inner product.
+
+    With the mode-n weight D = diag(lambda_n, 1) the adjoint is
+    D^-1 A^T D = [[0, -d], [lambda_n, -c]].
+    """
+    lam = eigenvalue(n)
+    return np.array([[0.0, -p.d], [lam, -p.c]])
+
+
+def expm2(a: np.ndarray, t: float) -> np.ndarray:
+    """Closed-form exponential exp(a*t) of a real 2x2 matrix.
+
+    Branches on the discriminant of the characteristic polynomial:
+    complex pair (damped oscillation), distinct real roots, and the
+    repeated-root limit near the branch point.  Negative t is allowed.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
+    shift = 0.5 * (a[0, 0] + a[1, 1])
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    c0, c1 = _branch_coefficients(np.array(shift), np.array(det), t)
+    scale = np.exp(shift * t)
+    b = a - shift * np.eye(2)
+    return scale * (float(c0) * np.eye(2) + float(c1) * b)
+
+
+def adjoint_blocks(t: float, p) -> np.ndarray:
+    """Per-mode blocks of the adjoint propagator in the energy inner product.
+
+    Related to the direct block E by D^-1 E^T D with D = diag(lambda_n, 1):
+    same diagonal, off-diagonals rescaled by lambda_n.
+    """
+    lam = p.lam
+    e00, e01, e10, e11 = propagator_entries(np.array([t]), p)
+    blocks = np.empty((p.n_modes, 2, 2))
+    blocks[:, 0, 0] = e00[0]
+    blocks[:, 0, 1] = e10[0] / lam
+    blocks[:, 1, 0] = e01[0] * lam
+    blocks[:, 1, 1] = e11[0]
+    return blocks
+
+
+def apply_adjoint_semigroup(z: StateZ, t: float, p) -> StateZ:
+    if z.n_modes != p.n_modes:
+        raise ValueError(f"state has {z.n_modes} modes, params expect {p.n_modes}")
+    return StateZ.from_pair(_apply_blocks(adjoint_blocks(t, p), z.to_pair()))
+
+
+def zero_control(t0: float, t1: float, n_steps: int, n_modes: int) -> ControlSignal:
+    return ControlSignal(t0, t1, np.zeros((n_steps + 1, n_modes)))
+
+
+def scaled_control(u: ControlSignal, a: float) -> ControlSignal:
+    return ControlSignal(u.t0, u.t1, a * u.values, {i: a * v for i, v in u.left_values.items()})
+
+
+def control_sum(u: ControlSignal, v: ControlSignal) -> ControlSignal:
+    if v.n_nodes != u.n_nodes or v.t0 != u.t0 or v.t1 != u.t1:
+        raise ValueError("control grids do not match")
+    ul, _ = u.node_values()
+    vl, _ = v.node_values()
+    marks = set(u.left_values) | set(v.left_values)
+    return ControlSignal(u.t0, u.t1, u.values + v.values, {i: ul[i] + vl[i] for i in marks})
 
 
 def taylor_expm(a: np.ndarray, t: float, scaling_power: int = 10, order: int = 30) -> np.ndarray:
@@ -448,3 +534,62 @@ def full_pullback_experiment(spec, u, zstar, sigmas):
         d_overlap = float(energy_norms(overlap, lam).max())
         rows.append(PullbackRow(sigma, float(terminal_error), bound, float(d_delay), d_overlap))
     return PullbackResult(tuple(rows), M_est), runs
+
+
+def full_history_integrate(spec, u=None):
+    """`integrate_mild` with every history sweep over all of [0, T].
+
+    The package's former history loop, kept as the bitwise reference for
+    the sweeps that stop at the largest lag: its values, marks, source rows,
+    sweep count and residual must be equal.  Its `picard_sup_diffs` are
+    measured over the whole trajectory.
+    """
+    if spec.u_dependent and u is None:
+        raise ValueError("problem has control-dependent catalog entries but no control")
+    controls = dynamics._control_nodes(u, spec)
+    rho_values, rho_marks, n_r = dynamics._resample_history(spec)
+    p = spec.params
+    lam = p.lam
+    step = exponential_step(spec.h, lam, p.c, p.d)
+
+    hist_values, hist_marks = rho_values, rho_marks
+    prev_values = None
+    sup_diffs: list[float] = []
+    grow_streak = 0
+    residual, ratio = np.inf, np.nan
+    for iteration in range(1, spec.picard_max_iter + 1):
+        values, marks, sources = dynamics._guarded_sweep(
+            spec, f"history sweep {iteration}", step, *controls, hist_values, hist_marks, n_r
+        )
+        if prev_values is not None:
+            d = float(energy_norms(values - prev_values, lam).max())
+            ratio = d / sup_diffs[-1] if sup_diffs and sup_diffs[-1] > 0 else np.nan
+            sup_diffs.append(d)
+        if spec.q == 0:
+            residual = 0.0
+            break
+        gvals, gmarks = dynamics._nonlocal_on_history(values, marks, spec, n_r)
+        residual = float(energy_norms(values[: n_r + 1] + gvals - rho_values, lam).max())
+        if residual <= spec.picard_tol:
+            break
+        grow_streak = grow_streak + 1 if np.isfinite(ratio) and ratio > 1.0 else 0
+        if grow_streak >= 3:
+            raise NumericalError(
+                f"history iteration diverging: sweep-difference ratio {ratio:.3f} > 1 "
+                f"for three consecutive sweeps (sweep {iteration}, residual {residual:.3e})"
+            )
+        hist_values = rho_values - gvals
+        hist_marks = {}
+        for i in sorted(set(rho_marks) | set(gmarks)):
+            rho_side = rho_marks.get(i, rho_values[i])
+            g_side = gmarks.get(i, gvals[i])
+            hist_marks[i] = rho_side - g_side
+        prev_values = values
+    else:
+        raise NumericalError(
+            f"history iteration did not reach tol={spec.picard_tol} in "
+            f"{spec.picard_max_iter} sweeps (residual {residual:.3e}, "
+            f"last contraction ratio {ratio:.3f})"
+        )
+    traj = Trajectory(spec.h, n_r, values, marks)
+    return IntegrationResult(traj, iteration, residual, tuple(sup_diffs), sources)

@@ -15,6 +15,7 @@ from beamctl.semigroup import ModelParams, apply_semigroup
 from beamctl.spectral import SpatialGrid, StateZ, eigenvalues, norm_z, pair_norm, project
 
 from oracles import (
+    full_history_integrate,
     implicit_trapezoid_sweep,
     method_of_steps_rk4,
     nonlocal_combination,
@@ -382,15 +383,15 @@ class TestExplicitSweep:
     """The explicit sweep against the implicit-endpoint sweep it replaced."""
 
     @staticmethod
-    def _case(case, grid, rng):
+    def _case(case, grid, rng, lags=(0.1, 0.2), gammas=(0.1, 0.05)):
         kwargs, marked = SWEEP_CASES[case]
         p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
         spec = ProblemSpec(
             params=p,
             grid=grid,
             n_steps=200,
-            lags=(0.1, 0.2),
-            gammas=(0.1, 0.05),
+            lags=lags,
+            gammas=gammas,
             history=constant_segment(p, w=[0.4, 0.15], y=[0.0, 0.1]),
             **kwargs,
         )
@@ -400,12 +401,18 @@ class TestExplicitSweep:
     def test_matches_implicit_sweep_bitwise(self, case, grid129, rng, monkeypatch):
         spec, u = self._case(case, grid129, rng)
         explicit = integrate_mild(spec, u)
-        # The implicit sweep records no source rows.
-        monkeypatch.setattr(
-            dynamics,
-            "_sweep",
-            lambda spec, step, *rest: (*implicit_trapezoid_sweep(spec, *rest), None),
-        )
+
+        def implicit_sweep(spec, step, u_left, u_right, u_marks, prefix, marks, n_r, *_, last):
+            # The implicit sweep always runs from the history in `prefix` to T
+            # (a continuation repeats the converged sweep) and records no
+            # source rows.
+            hist_marks = {i: v for i, v in marks.items() if i <= n_r}
+            values, marks = implicit_trapezoid_sweep(
+                spec, u_left, u_right, u_marks, prefix[: n_r + 1], hist_marks, n_r
+            )
+            return values, marks, np.full((spec.n_steps + 1, spec.params.n_modes), np.nan)
+
+        monkeypatch.setattr(dynamics, "_sweep", implicit_sweep)
         implicit = integrate_mild(spec, u)
         a, b = explicit.trajectory, implicit.trajectory
         assert explicit.picard_iterations == implicit.picard_iterations >= 2
@@ -429,10 +436,19 @@ class TestExplicitSweep:
         assert np.array_equal(res.sources, rows)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("amps", [(1e300,), (1e308, 1e308)])
-    def test_non_finite_state_raises_naming_time(self, grid129, amps):
+    @pytest.mark.parametrize(
+        "amps, lags, gammas",
+        [
+            pytest.param(amps, lags, gammas, id=f"amps{i}{suffix}")
+            for lags, gammas, suffix in (((), (), ""), ((0.1, 0.2), (0.1, 0.05), "-lags"))
+            for i, amps in enumerate([(1e300,), (1e308, 1e308)])
+        ],
+    )
+    def test_non_finite_state_raises_naming_time(self, grid129, amps, lags, gammas):
         # 1e300 overflows only the energy norm; a second 1e308 kick
         # overflows the state itself.  Either way: one error, no warning.
+        # With lags, both kicks lie past the largest lag, where only the
+        # continuation of the converged history sweep reaches.
         p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
         kicks = tuple(
             ImpulseEvent(t, _kick("velocity_kick", a)) for t, a in zip((0.5, 0.6), amps)
@@ -442,6 +458,8 @@ class TestExplicitSweep:
             grid=grid129,
             n_steps=200,
             impulses=kicks,
+            lags=lags,
+            gammas=gammas,
             history=constant_segment(p, w=[0.4], y=[0.2]),
         )
         with pytest.raises(NumericalError, match=r"not finite at t = 0\.5 "):
@@ -460,9 +478,9 @@ class TestExplicitSweep:
         sweeps = []
         real_sweep = dynamics._sweep
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             sweeps.append(1)
-            return real_sweep(*args)
+            return real_sweep(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "_sweep", counted)
         with pytest.raises(NumericalError, match="diverging"):
@@ -476,6 +494,61 @@ class TestExplicitSweep:
         coarse = _marked_control(rng, 100, marks=(40,))
         with pytest.raises(ValueError, match="trajectory grid"):
             integrate_mild(spec, coarse)
+
+
+class TestHistorySweepStop:
+    """History sweeps that stop at the largest lag, against sweeps over [0, T]."""
+
+    @pytest.mark.parametrize(
+        "case, lags, gammas",
+        [(case, (0.1, 0.2), (0.1, 0.05)) for case in sorted(SWEEP_CASES)]
+        + [
+            ("harmonic+delayed_saturation+saturating_kick", (0.15,), (0.2,)),
+            ("control_saturation+control_kick+marked_control", (), ()),
+        ],
+    )
+    def test_matches_full_history_sweeps_bitwise(self, case, lags, gammas, grid129, rng):
+        # With lags (0.1, 0.2) the sweeps stop at t = 0.2, where the
+        # control_saturation case has an impulse and a control mark.
+        spec, u = TestExplicitSweep._case(case, grid129, rng, lags, gammas)
+        got = integrate_mild(spec, u)
+        ref = full_history_integrate(spec, u)
+        a, b = got.trajectory, ref.trajectory
+        assert np.array_equal(a.values, b.values)
+        assert sorted(a.left_values) == sorted(b.left_values)
+        for i in a.left_values:
+            assert np.array_equal(a.left_values[i], b.left_values[i])
+        assert np.array_equal(got.sources, ref.sources)
+        assert got.picard_iterations == ref.picard_iterations
+        assert got.history_residual == ref.history_residual
+
+    def test_guard_reads_no_unfilled_rows(self, grid129, rng, monkeypatch):
+        # Rows a truncated sweep leaves unfilled hold NaN here: the guard,
+        # the sup-diffs and the result must never read them.
+        spec, u = TestExplicitSweep._case("bounded_wave+constant_kick", grid129, rng)
+        clean = integrate_mild(spec, u)
+        real_empty, real_sweep = np.empty, dynamics._sweep
+        unfilled = []
+
+        def nan_empty(*args, **kwargs):
+            out = real_empty(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+
+        def recorded(*args, **kwargs):
+            values, marks, sources = real_sweep(*args, **kwargs)
+            unfilled.append(bool(np.isnan(values[-1]).all()))
+            return values, marks, sources
+
+        monkeypatch.setattr(dynamics.np, "empty", nan_empty)
+        monkeypatch.setattr(dynamics, "_sweep", recorded)
+        poisoned = integrate_mild(spec, u)
+        assert unfilled == [True] * clean.picard_iterations + [False]
+        assert np.array_equal(poisoned.trajectory.values, clean.trajectory.values)
+        assert np.array_equal(poisoned.sources, clean.sources)
+        assert poisoned.picard_sup_diffs == clean.picard_sup_diffs
+        assert poisoned.history_residual == clean.history_residual
 
 
 class TestIntegrateTail:

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from beamctl.semigroup import (
-    ModelParams,
+from beamctl.semigroup import ModelParams, apply_semigroup, operator_norm_bound, semigroup_blocks
+from beamctl.spectral import StateZ, eigenvalue, eigenvalues, norm_z
+
+from oracles import (
     apply_adjoint_semigroup,
-    apply_semigroup,
     expm2,
     mode_adjoint_matrix,
     mode_matrix,
-    operator_norm_bound,
-    semigroup_blocks,
+    rk4_matrix_exp,
+    taylor_expm,
 )
-from beamctl.spectral import StateZ, eigenvalue, eigenvalues, norm_z
-
-from oracles import rk4_matrix_exp, taylor_expm
 
 
 def weighted_ip(a: StateZ, b: StateZ, lam) -> float:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,25 @@ class TestApproxExperiment:
             for row in result.rows:
                 assert row.delay_identity_sup <= 1e-9
                 assert row.overlap_sup <= 1e-9
+
+    def test_windows_switching_before_the_last_lag_warn(
+        self, bounded_benchmark, grid129, rng, caplog
+    ):
+        # Fallback problem: both switches, T - sigma = 0.2 and 0.3, come
+        # before tau_q = 0.35.  The bounded benchmark is the problem of
+        # approx_bounded.yaml, whose switches all follow tau_q = 0.2.
+        zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4) * 0.4)
+        with caplog.at_level(logging.WARNING, logger="beamctl.synthesis"):
+            approx_experiment(fallback_spec(grid129), None, zstar, [0.3, 0.2])
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert [rec.levelno for rec in caplog.records] == [logging.WARNING] * 2
+        for sigma, message in zip((0.3, 0.2), messages):
+            assert f"sigma = {sigma:g} " in message
+            assert "tau_q = 0.35:" in message
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG):
+            approx_experiment(bounded_benchmark, None, zstar, [0.08, 0.04, 0.02, 0.01])
+        assert not caplog.records
 
     @pytest.mark.parametrize("case", ["bounded", "marked-nominal", "fallback"])
     def test_matches_full_reintegration_bitwise(
