@@ -43,10 +43,8 @@ from .spectral import (
     StateZ,
     eigenvalue,
     eigenvalues,
-    norm_half,
     norm_z,
     positive_part,
-    project,
     reconstruct,
 )
 from .synthesis import (

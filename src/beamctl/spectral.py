@@ -20,10 +20,8 @@ __all__ = [
     "StateZ",
     "eigenvalue",
     "eigenvalues",
-    "project",
     "reconstruct",
     "positive_part",
-    "norm_half",
     "norm_z",
     "energy_norms",
     "pair_norm",
@@ -89,20 +87,6 @@ def _require_resolution(grid: SpatialGrid, n_modes: int) -> None:
         )
 
 
-def project(samples: np.ndarray, n_modes: int, grid: SpatialGrid) -> np.ndarray:
-    """Modal coefficients of a grid function by discrete sine quadrature.
-
-    The interior trapezoid rule is exact for products of basis functions
-    up to the grid's Nyquist mode, so project(reconstruct(c)) == c to
-    machine precision whenever the grid resolves the requested modes.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape[-1] != grid.n_points:
-        raise ValueError(f"expected {grid.n_points} samples, got {samples.shape[-1]}")
-    _require_resolution(grid, n_modes)
-    return grid.weight * (samples @ grid.basis(n_modes))
-
-
 def reconstruct(coeffs: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Grid samples of the function with the given modal coefficients."""
     coeffs = np.asarray(coeffs, dtype=float)
@@ -121,12 +105,6 @@ def positive_part(coeffs: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     _require_resolution(grid, n_modes)
     clipped = np.maximum(reconstruct(coeffs, grid), 0.0)
     return grid.weight * (clipped @ grid.basis(n_modes))
-
-
-def norm_half(w: np.ndarray) -> float:
-    """Fractional-power norm sqrt(sum lambda_n * w_n**2)."""
-    w = np.asarray(w, dtype=float)
-    return float(np.sqrt(np.sum(eigenvalues(w.shape[-1]) * w**2)))
 
 
 def energy_norms(values: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -190,5 +168,5 @@ def zero_state(n_modes: int) -> StateZ:
 
 
 def norm_z(z: StateZ) -> float:
-    """Energy norm of a state: sqrt(norm_half(w)**2 + |y|**2)."""
+    """Energy norm of a state: sqrt(sum lambda_n * w_n**2 + |y|**2)."""
     return pair_norm(z.to_pair(), eigenvalues(z.n_modes))

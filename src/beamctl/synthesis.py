@@ -315,18 +315,17 @@ def steering_target(
 
     # Trapezoid convolution of the sources, one row per node as the
     # integrator steps; impulse nodes need no second row, since the source
-    # reads the position, which does not jump.
+    # reads the position, which does not jump.  The sum over axis 0 adds the
+    # rows in node order, as a loop over the nodes would.
     h = spec.h
     if sources is None:
         source = node_sources(spec, traj.values, traj.left_values)
         sources = [source(traj.n_history + j, h * j, None) for j in range(spec.n_steps + 1)]
     _, e01, _, e11 = propagator_entries_for(p.T - h * np.arange(spec.n_steps + 1), lam, p.c, p.d)
-    acc = np.zeros((2, p.n_modes))
-    for j, row in enumerate(sources):
-        wt = h if 0 < j < spec.n_steps else 0.5 * h
-        acc[0] += wt * e01[j] * row
-        acc[1] += wt * e11[j] * row
-    total += acc
+    wt = np.full((spec.n_steps + 1, 1), h)
+    wt[0] = wt[-1] = 0.5 * h
+    total[0] += (wt * e01 * sources).sum(axis=0)
+    total[1] += (wt * e11 * sources).sum(axis=0)
 
     for ev in spec.impulses:
         node = traj.node_index(ev.time)
@@ -371,7 +370,10 @@ def exact_fixed_point(
     and quadrature tolerances.  When the contraction certificate fails the
     iteration still runs (the condition is sufficient, not necessary) but
     convergence is no longer guaranteed; divergence is detected from the
-    successive-difference ratios.
+    successive-difference ratios.  Each integration after the first starts
+    its history iteration from the previous iterate's converged history
+    (`integrate_mild(..., warm=prev)`), which saves sweeps as the controls
+    settle and moves the converged values only within `picard_tol`.
     """
     if spec.u_dependent:
         raise ConfigError(
@@ -393,7 +395,7 @@ def exact_fixed_point(
     for it in range(1, max_iter + 1):
         xi = steering_target(prev.trajectory, zstar, spec, prev.sources)
         control = minimum_energy_control(xi, gs, p)
-        current = integrate_mild(spec, control)
+        current = integrate_mild(spec, control, warm=prev)
         d = current.trajectory.sup_diff(prev.trajectory)
         ratio = d / diffs[-1] if diffs and diffs[-1] > 0 else float("nan")
         diffs.append(d)

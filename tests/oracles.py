@@ -10,32 +10,61 @@ explicit sweep that replaced it; likewise `full_pullback_experiment`
 re-integrates every switched pull-back run in full, as the package did
 before it reused the nominal prefix, and `full_history_integrate` runs
 every history sweep over all of [0, T], as the package did before its
-history sweeps stopped at the largest lag.  `simpson_gramian` integrates the
+history sweeps stopped at the largest lag.  `cold_exact_fixed_point` starts
+every integration of the exact driver from the prescribed history, as the
+package did before it warm-started them, and `loop_steering_target` sums
+the steering target's source convolution one node at a time, as the package
+did before it summed it in one pass.  `simpson_gramian` integrates the
 package's own propagator entries, but by a quadrature the package no
 longer uses.  `source_term`, `nonlocal_combination`, `segment_at`, the
-generator blocks, `expm2`, the adjoint propagator and the control
-arithmetic are former package helpers that only the tests used.
+generator blocks, `expm2`, the adjoint propagator, the control
+arithmetic, `project` and `norm_half` are former package helpers that only
+the tests used.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from beamctl import dynamics
-from beamctl.control import ControlSignal, default_gramian_step
+from beamctl.control import (
+    ControlSignal,
+    build_gramian_set,
+    default_gramian_step,
+    minimum_energy_control,
+)
 from beamctl.dynamics import IntegrationResult, Segment, Trajectory, integrate_mild
 from beamctl.errors import NumericalError
 from beamctl.semigroup import (
     _apply_blocks,
     _branch_coefficients,
+    apply_semigroup,
     exponential_step,
     operator_norm_bound,
     propagator_entries,
     propagator_entries_for,
     weighted_block_norms,
 )
-from beamctl.spectral import StateZ, eigenvalue, energy_norms, pair_norm
-from beamctl.synthesis import PullbackResult, PullbackRow, pullback_control
+from beamctl.spectral import (
+    SpatialGrid,
+    StateZ,
+    _require_resolution,
+    eigenvalue,
+    eigenvalues,
+    energy_norms,
+    pair_norm,
+)
+from beamctl.synthesis import (
+    FixedPointResult,
+    FixedPointRow,
+    PullbackResult,
+    PullbackRow,
+    contraction_constants,
+    pullback_control,
+    steering_target,
+)
 
 _NODE_SNAP = 1e-9
 
@@ -111,6 +140,26 @@ def control_sum(u: ControlSignal, v: ControlSignal) -> ControlSignal:
     vl, _ = v.node_values()
     marks = set(u.left_values) | set(v.left_values)
     return ControlSignal(u.t0, u.t1, u.values + v.values, {i: ul[i] + vl[i] for i in marks})
+
+
+def project(samples: np.ndarray, n_modes: int, grid: SpatialGrid) -> np.ndarray:
+    """Modal coefficients of a grid function by discrete sine quadrature.
+
+    The interior trapezoid rule is exact for products of basis functions
+    up to the grid's Nyquist mode, so project(reconstruct(c)) == c to
+    machine precision whenever the grid resolves the requested modes.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.shape[-1] != grid.n_points:
+        raise ValueError(f"expected {grid.n_points} samples, got {samples.shape[-1]}")
+    _require_resolution(grid, n_modes)
+    return grid.weight * (samples @ grid.basis(n_modes))
+
+
+def norm_half(w: np.ndarray) -> float:
+    """Fractional-power norm sqrt(sum lambda_n * w_n**2)."""
+    w = np.asarray(w, dtype=float)
+    return float(np.sqrt(np.sum(eigenvalues(w.shape[-1]) * w**2)))
 
 
 def taylor_expm(a: np.ndarray, t: float, scaling_power: int = 10, order: int = 30) -> np.ndarray:
@@ -224,7 +273,14 @@ class _OracleSegment:
         return self._lookup(theta)
 
 
-def method_of_steps_rk4(spec, u=None, refine: int = 8, picard_tol: float = 1e-11, max_iter: int = 80):
+def method_of_steps_rk4(
+    spec,
+    u=None,
+    refine: int = 8,
+    picard_tol: float = 1e-11,
+    max_iter: int = 80,
+    full_sweeps: bool = False,
+):
     """Method-of-steps RK4 for the full impulsive delay problem.
 
     Fixed-step classical RK4 on a grid `refine` times finer than the
@@ -233,15 +289,22 @@ def method_of_steps_rk4(spec, u=None, refine: int = 8, picard_tol: float = 1e-11
     resolved by the same outer fixed point as the package, but everything
     inside the sweep is independent.  Returns the (n_nodes, 2, N) state
     array from -r to T.
+
+    The sweep is causal and the residual reads no node past the largest
+    lag, so the history sweeps stop there and the converged history is
+    swept once more over [0, T]; `full_sweeps=True` runs every sweep over
+    [0, T] instead, with bitwise the same result.
     """
     p = spec.params
     h = spec.h / refine
     n_r = int(round(p.r / h))
     n_fwd = spec.n_steps * refine
     n_tot = n_r + n_fwd + 1
-    lam = p.lam
+    neg_d_lam = -p.d * p.lam
     basis = spec.grid.basis(p.n_modes)
     quad_w = spec.grid.weight
+    forced = not spec.forcing.is_zero
+    perturbed = not spec.nonlinearity.is_zero
 
     def clip_project(w):
         return quad_w * (np.maximum(basis @ w, 0.0) @ basis)
@@ -252,15 +315,18 @@ def method_of_steps_rk4(spec, u=None, refine: int = 8, picard_tol: float = 1e-11
     imp_nodes = {n_r + int(round(ev.time / h)): ev for ev in spec.impulses}
     rho = np.stack([spec.history.value(-p.r + h * i) for i in range(n_r + 1)])
 
-    def sweep(hist):
+    def sweep(hist, n_steps=n_fwd):
         ys = np.empty((n_tot, 2, p.n_modes))
         ys[: n_r + 1] = hist
         fs = np.empty_like(ys)
 
-        def rhs(t, z):
+        def time_terms(t):
+            # The control, the load and the catalog term read the time and
+            # nodes at least a lag back, never the stage state, so every
+            # evaluation at one time shares them.
             def lookup(theta):
                 pos = (t + theta + p.r) / h
-                j = int(np.floor(pos + 1e-12))
+                j = math.floor(pos + 1e-12)
                 a = pos - j
                 if a < 1e-12:
                     return ys[j]
@@ -274,44 +340,57 @@ def method_of_steps_rk4(spec, u=None, refine: int = 8, picard_tol: float = 1e-11
                 h11 = a * a * (a - 1)
                 return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
 
-            w, y = z
             uv = u_at(t)
-            row = -p.d * lam * w - p.c * y - p.k * clip_project(w)
+            load = spec.forcing(t) if forced else None
+            pert = None
+            if perturbed:
+                pert = spec.nonlinearity.evaluate(t, _OracleSegment(lookup, p.r), uv)
+            return uv, load, pert
+
+        def rhs(z, terms):
+            uv, load, pert = terms
+            w, y = z
+            row = neg_d_lam * w - p.c * y - p.k * clip_project(w)
             if uv is not None:
                 row = row + uv
-            if not spec.forcing.is_zero:
-                row = row + spec.forcing(t)
-            if not spec.nonlinearity.is_zero:
-                row = row + spec.nonlinearity.evaluate(t, _OracleSegment(lookup, p.r), uv)
-            return np.vstack([y, row])
+            if load is not None:
+                row = row + load
+            if pert is not None:
+                row = row + pert
+            out = np.empty_like(z)
+            out[0] = y
+            out[1] = row
+            return out
 
         # Hermite slopes over the history come from difference quotients of
         # the data itself (the history is not governed by the equation).
         fs[0] = (ys[1] - ys[0]) / h
-        for j in range(1, n_r):
-            fs[j] = (ys[j + 1] - ys[j - 1]) / (2 * h)
-        fs[n_r] = rhs(0.0, ys[n_r])
-        for m in range(n_fwd):
+        fs[1:n_r] = (ys[2 : n_r + 1] - ys[: n_r - 1]) / (2 * h)
+        fs[n_r] = rhs(ys[n_r], time_terms(0.0))
+        for m in range(n_steps):
             i = n_r + m
             t = m * h
             z = ys[i]
             k1 = fs[i]
-            k2 = rhs(t + h / 2, z + h / 2 * k1)
-            k3 = rhs(t + h / 2, z + h / 2 * k2)
-            k4 = rhs(t + h, z + h * k3)
+            mid = time_terms(t + h / 2)
+            k2 = rhs(z + h / 2 * k1, mid)
+            k3 = rhs(z + h / 2 * k2, mid)
+            end = time_terms(t + h)
+            k4 = rhs(z + h * k3, end)
             znew = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             ev = imp_nodes.get(i + 1)
             if ev is not None:
                 znew = znew.copy()
-                znew[1] = znew[1] + ev.map.velocity_jump(t + h, znew, u_at(t + h))
+                znew[1] = znew[1] + ev.map.velocity_jump(t + h, znew, end[0])
             ys[i + 1] = znew
-            fs[i + 1] = rhs(t + h, znew)
+            fs[i + 1] = rhs(znew, end)
         return ys
 
     hist = rho.copy()
     offsets = [int(round(tau / h)) for tau in spec.lags]
+    stop = n_fwd if full_sweeps or not offsets else max(offsets)
     for _ in range(max_iter):
-        ys = sweep(hist)
+        ys = sweep(hist, stop)
         if not spec.lags:
             return ys
         gv = np.zeros((n_r + 1, 2, p.n_modes))
@@ -319,7 +398,7 @@ def method_of_steps_rk4(spec, u=None, refine: int = 8, picard_tol: float = 1e-11
             gv += g * ys[off : off + n_r + 1]
         residual = float(np.abs(ys[: n_r + 1] + gv - rho).max())
         if residual <= picard_tol:
-            return ys
+            return ys if stop == n_fwd else sweep(hist)
         hist = rho - gv
     raise RuntimeError("oracle history iteration did not converge")
 
@@ -593,3 +672,71 @@ def full_history_integrate(spec, u=None):
         )
     traj = Trajectory(spec.h, n_r, values, marks)
     return IntegrationResult(traj, iteration, residual, tuple(sup_diffs), sources)
+
+
+def loop_steering_target(traj, zstar, spec, sources=None) -> StateZ:
+    """`steering_target` with the source convolution summed one node at a time.
+
+    The package's former loop, kept as the bitwise reference for the
+    one-pass sum that replaced it.
+    """
+    p = spec.params
+    lam = p.lam
+    rho0 = spec.history.value(0.0)
+    if spec.q:
+        g0 = np.zeros_like(rho0)
+        for g, tau in zip(spec.gammas, spec.lags):
+            g0 += g * traj.values[traj.node_index(tau)]
+        z0_eff = rho0 - g0
+    else:
+        z0_eff = rho0
+    total = apply_semigroup(StateZ.from_pair(z0_eff), p.T, p).to_pair()
+
+    h = spec.h
+    if sources is None:
+        source = dynamics.node_sources(spec, traj.values, traj.left_values)
+        sources = [source(traj.n_history + j, h * j, None) for j in range(spec.n_steps + 1)]
+    _, e01, _, e11 = propagator_entries_for(p.T - h * np.arange(spec.n_steps + 1), lam, p.c, p.d)
+    acc = np.zeros((2, p.n_modes))
+    for j, row in enumerate(sources):
+        wt = h if 0 < j < spec.n_steps else 0.5 * h
+        acc[0] += wt * e01[j] * row
+        acc[1] += wt * e11[j] * row
+    total += acc
+
+    for ev in spec.impulses:
+        node = traj.node_index(ev.time)
+        left = traj.left_values[node]
+        jump_row = ev.map.velocity_jump(ev.time, left, None)
+        e00, e01, e10, e11 = propagator_entries_for(np.array([p.T - ev.time]), lam, p.c, p.d)
+        total[0] += e01[0] * jump_row
+        total[1] += e11[0] * jump_row
+    return StateZ(zstar.w - total[0], zstar.y - total[1])
+
+
+def cold_exact_fixed_point(spec, zstar, tol: float = 1e-8, max_iter: int = 50):
+    """`exact_fixed_point` with every integration started from the prescribed history.
+
+    The package's former outer loop, before each integration was
+    warm-started from the previous iterate's converged history; the same
+    certificate, steering target and minimum-energy control, without the
+    divergence stop.
+    """
+    p = spec.params
+    report = contraction_constants(spec)
+    gs = build_gramian_set(0.0, p.T, p, spec.n_steps)
+    prev = integrate_mild(spec, None)
+    rows, diffs = [], []
+    for it in range(1, max_iter + 1):
+        xi = steering_target(prev.trajectory, zstar, spec, prev.sources)
+        control = minimum_energy_control(xi, gs, p)
+        current = integrate_mild(spec, control)
+        d = current.trajectory.sup_diff(prev.trajectory)
+        ratio = d / diffs[-1] if diffs and diffs[-1] > 0 else float("nan")
+        diffs.append(d)
+        rows.append(FixedPointRow(it, d, ratio))
+        prev = current
+        if d <= tol:
+            terminal = pair_norm(current.trajectory.values[-1] - zstar.to_pair(), p.lam)
+            return FixedPointResult(control, current, tuple(rows), report, float(terminal))
+    raise NumericalError(f"fixed-point iteration did not converge in {max_iter} iterations")

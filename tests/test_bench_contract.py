@@ -11,10 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from beamctl import control
+from beamctl import control, synthesis
+from beamctl.config import parse_config
 from beamctl.semigroup import ModelParams
 
-TRACER_PATH = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -42,3 +44,23 @@ def test_simpson_node_count_reads_the_default_step():
     assert control.default_gramian_step(8, 0.0, 1.0, p) > 0.0
     # The tracer calls it with the arguments of `mode_gramian(n, t0, t1, p)`.
     assert tracer.simpson_nodes(8, 0.0, 1.0, p) > tracer.simpson_nodes(1, 0.0, 1.0, p) > 0
+
+
+def test_exact_integrations_go_through_the_traced_name(monkeypatch):
+    # The tracer wraps `synthesis.integrate_mild`; the warm starts of the
+    # exact driver must reach it there, or the trace loses their calls,
+    # sweeps and steps and books their source evaluations to the driver.
+    cfg = parse_config(ROOT / "configs" / "exact_benchmark.yaml")
+    calls = []
+    real = synthesis.integrate_mild
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((kwargs.get("warm") is not None, result.picard_iterations))
+        return result
+
+    monkeypatch.setattr(synthesis, "integrate_mild", counted)
+    out = synthesis.exact_fixed_point(cfg.problem, cfg.zstar, cfg.tol, cfg.max_iter)
+    assert len(out.iterations) == 6
+    assert [warm for warm, _ in calls] == [False] + [True] * 6
+    assert sum(sweeps for _, sweeps in calls) == 32

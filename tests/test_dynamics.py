@@ -12,13 +12,14 @@ from beamctl.dynamics import (
 )
 from beamctl.errors import ConfigError, NumericalError
 from beamctl.semigroup import ModelParams, apply_semigroup
-from beamctl.spectral import SpatialGrid, StateZ, eigenvalues, norm_z, pair_norm, project
+from beamctl.spectral import SpatialGrid, StateZ, eigenvalues, energy_norms, norm_z, pair_norm
 
 from oracles import (
     full_history_integrate,
     implicit_trapezoid_sweep,
     method_of_steps_rk4,
     nonlocal_combination,
+    project,
     segment_at,
     source_term,
 )
@@ -219,6 +220,26 @@ class TestIntegrateMild:
         got = integrate_mild(spec).trajectory.values[-1]
         rel = pair_norm(got - oracle[-1], lam) / pair_norm(oracle[-1], lam)
         assert rel <= 1e-4
+
+    def test_method_of_steps_stop_at_the_last_lag_is_bitwise(self, grid129):
+        # The oracle's history sweeps stop at the largest lag and the
+        # converged history is swept once more to T; sweeping to T every
+        # time gives the same array.
+        p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=0.5, r=0.2)
+        spec = ProblemSpec(
+            params=p,
+            grid=grid129,
+            n_steps=50,
+            impulses=(ImpulseEvent(0.3, make_impulse_map("saturating_kick", 4, {"amp": 0.05})),),
+            lags=(0.05, 0.1),
+            gammas=(0.1, 0.05),
+            forcing=make_forcing("harmonic", 4, {"coeffs": [2 ** -0.5], "omega": 3.0}),
+            nonlinearity=make_nonlinearity("delayed_saturation", 4, {"amp": 0.2}),
+            history=constant_segment(p, w=[0.4, 0.15], y=[0.0, 0.1]),
+        )
+        stopped = method_of_steps_rk4(spec, refine=2)
+        full = method_of_steps_rk4(spec, refine=2, full_sweeps=True)
+        assert np.array_equal(stopped, full)
 
     def test_history_residual_below_tolerance(self, grid129):
         p = tiny_cable()
@@ -549,6 +570,66 @@ class TestHistorySweepStop:
         assert np.array_equal(poisoned.sources, clean.sources)
         assert poisoned.picard_sup_diffs == clean.picard_sup_diffs
         assert poisoned.history_residual == clean.history_residual
+
+
+class TestWarmStart:
+    """History iterations that start from another run's converged history."""
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_converged_warm_start_takes_one_sweep_bitwise(self, case, grid129, rng):
+        spec, u = TestExplicitSweep._case(case, grid129, rng)
+        cold = integrate_mild(spec, u)
+        warm = integrate_mild(spec, u, warm=cold)
+        assert cold.picard_iterations >= 2
+        assert warm.picard_iterations == 1
+        assert warm.picard_sup_diffs == ()
+        a, b = warm.trajectory, cold.trajectory
+        assert np.array_equal(a.values, b.values)
+        assert sorted(a.left_values) == sorted(b.left_values)
+        for i in a.left_values:
+            assert np.array_equal(a.left_values[i], b.left_values[i])
+        assert np.array_equal(warm.sources, cold.sources)
+        assert warm.history_residual == cold.history_residual
+
+    def test_warm_start_under_another_control_meets_the_residual(self, grid129, rng):
+        spec, u = TestExplicitSweep._case("velocity_kick+marked_control", grid129, rng)
+        cold = integrate_mild(spec, u)
+        warm = integrate_mild(spec, u, warm=integrate_mild(spec, None))
+        assert warm.picard_iterations < cold.picard_iterations
+        assert warm.history_residual <= spec.picard_tol
+        lam = spec.params.lam
+        scale = energy_norms(cold.trajectory.values, lam).max()
+        assert cold.trajectory.sup_diff(warm.trajectory) <= 1e-9 * scale
+
+    def test_warm_start_on_other_grid_rejected(self, grid129):
+        p = tiny_cable()
+        spec = ProblemSpec(params=p, grid=grid129, n_steps=200)
+        coarse = integrate_mild(ProblemSpec(params=p, grid=grid129, n_steps=100))
+        with pytest.raises(ValueError, match="trajectory grid"):
+            integrate_mild(spec, warm=coarse)
+
+    def test_diverging_history_stops_with_a_warm_start(self, grid129, monkeypatch):
+        p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
+        kwargs = dict(
+            params=p,
+            grid=grid129,
+            n_steps=200,
+            lags=(0.1,),
+            history=constant_segment(p, w=[0.4], y=[0.2]),
+        )
+        converged = integrate_mild(ProblemSpec(gammas=(0.1,), **kwargs))
+        spec = ProblemSpec(gammas=(1.5,), **kwargs)
+        sweeps = []
+        real_sweep = dynamics._sweep
+
+        def counted(*args, **kwargs):
+            sweeps.append(1)
+            return real_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_sweep", counted)
+        with pytest.raises(NumericalError, match="diverging"):
+            integrate_mild(spec, warm=converged)
+        assert len(sweeps) < spec.picard_max_iter
 
 
 class TestIntegrateTail:

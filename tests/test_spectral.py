@@ -7,15 +7,13 @@ from beamctl.spectral import (
     eigenvalue,
     eigenvalues,
     energy_norms,
-    norm_half,
     norm_z,
     positive_part,
-    project,
     reconstruct,
     zero_state,
 )
 
-from oracles import sine_coefficients_simpson
+from oracles import norm_half, project, sine_coefficients_simpson
 
 
 class TestEigenvalues:
