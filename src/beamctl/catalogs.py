@@ -3,9 +3,11 @@
 Every entry declares the constants the synthesis module consumes: a
 Lipschitz bound with respect to the sup norm of the delay segment, a
 growth envelope (alpha1, beta1, and a scalar envelope function), and
-whether the entry reads the instantaneous control value.  Entries that
-depend on the control are rejected by the exact-controllability driver,
-which requires state-only perturbations.
+whether the entry reads the instantaneous control value.  A perturbation
+reads the delay segment at most at its endpoint, the state at t - r, in
+which the growth envelope is stated too, so it receives that state alone.
+Entries that depend on the control are rejected by the
+exact-controllability driver, which requires state-only perturbations.
 """
 
 from __future__ import annotations
@@ -34,10 +36,21 @@ NONLINEARITY_KINDS = ("zero", "bounded_wave", "delayed_saturation", "control_sat
 IMPULSE_KINDS = ("constant_kick", "velocity_kick", "saturating_kick", "control_kick")
 
 
+def _param(params: dict, key: str) -> float:
+    """A scalar catalog parameter (default 0); errors name `params.<key>`."""
+    try:
+        return float(params.get(key, 0.0))
+    except (TypeError, ValueError):
+        raise ConfigError(f"expected a number, got {params[key]!r}", f"params.{key}") from None
+
+
 def _profile(params: dict, n_modes: int, key: str = "coeffs") -> np.ndarray:
-    coeffs = np.asarray(params.get(key, ()), dtype=float)
-    if coeffs.ndim != 1 or coeffs.size == 0 or coeffs.size > n_modes:
-        raise ConfigError(f"'{key}' must list 1..{n_modes} modal coefficients")
+    try:
+        coeffs = np.asarray(params.get(key, ()), dtype=float)
+    except (TypeError, ValueError):
+        coeffs = None
+    if coeffs is None or coeffs.ndim != 1 or coeffs.size == 0 or coeffs.size > n_modes:
+        raise ConfigError(f"must list 1..{n_modes} modal coefficients", f"params.{key}")
     out = np.zeros(n_modes)
     out[: coeffs.size] = coeffs
     return out
@@ -51,10 +64,6 @@ class Forcing:
     profile: np.ndarray
     omega: float = 0.0
     phase: float = 0.0
-
-    @property
-    def bound(self) -> float:
-        return float(np.linalg.norm(self.profile))
 
     @property
     def is_zero(self) -> bool:
@@ -74,8 +83,8 @@ def make_forcing(kind: str, n_modes: int, params: dict | None = None) -> Forcing
         return Forcing(
             "harmonic",
             _profile(params, n_modes),
-            float(params.get("omega", 0.0)),
-            float(params.get("phase", 0.0)),
+            _param(params, "omega"),
+            _param(params, "phase"),
         )
     raise ConfigError(f"unknown forcing catalog entry '{kind}' (known: {FORCING_KINDS})")
 
@@ -84,9 +93,10 @@ def make_forcing(kind: str, n_modes: int, params: dict | None = None) -> Forcing
 class Nonlinearity:
     """Nonlinear perturbation f(t, segment, u) valued in modal coefficients.
 
-    `lipschitz` bounds the increment in the X norm against the sup norm of
-    the segment difference; `alpha1`, `beta1`, and `envelope` give the
-    growth bound alpha1 * envelope(|segment(-r)|) + beta1.
+    An entry reads the segment at most at its endpoint segment(-r), the
+    state at t - r.  `lipschitz` bounds the increment in the X norm against
+    the sup norm of the segment difference; `alpha1`, `beta1`, and
+    `envelope` give the growth bound alpha1 * envelope(|segment(-r)|) + beta1.
     """
 
     kind: str
@@ -112,13 +122,13 @@ class Nonlinearity:
             return float(x)
         return float(min(x, self.envelope_cap))
 
-    def evaluate(self, t: float, seg, u_val: np.ndarray | None) -> np.ndarray:
+    def evaluate(self, t: float, delayed: np.ndarray, u_val: np.ndarray | None) -> np.ndarray:
+        """f at time t from `delayed`, the (2, N) right-limit state at t - r, and the control."""
         if self.kind == "zero":
             raise RuntimeError("zero nonlinearity should be short-circuited by callers")
         if self.kind == "bounded_wave":
             return self.amp * np.cos(self.omega * t + self.phase) * self.profile
         if self.kind == "delayed_saturation":
-            delayed = seg.value(-seg.span)
             return self.amp * np.tanh(delayed[1])
         # control_saturation
         if u_val is None:
@@ -136,7 +146,7 @@ def make_nonlinearity(
 ) -> Nonlinearity:
     """Build a catalog entry; explicit constants override the derived defaults."""
     params = params or {}
-    amp = float(params.get("amp", 0.0))
+    amp = _param(params, "amp")
     if kind == "zero":
         entry = Nonlinearity("zero", 0.0)
     elif kind == "bounded_wave":
@@ -151,8 +161,8 @@ def make_nonlinearity(
             "bounded_wave",
             amp,
             profile / norm,
-            float(params.get("omega", 0.0)),
-            float(params.get("phase", 0.0)),
+            _param(params, "omega"),
+            _param(params, "phase"),
             lipschitz=0.0,
             alpha1=0.0,
             beta1=abs(amp),
@@ -229,7 +239,7 @@ def make_impulse_map(
     kind: str, n_modes: int, params: dict | None = None, d_k: float | None = None
 ) -> ImpulseMap:
     params = params or {}
-    amp = float(params.get("amp", 0.0))
+    amp = _param(params, "amp")
     if kind == "constant_kick":
         entry = ImpulseMap("constant_kick", 0.0, _profile(params, n_modes), d_k=0.0)
     elif kind == "velocity_kick":

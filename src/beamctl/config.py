@@ -63,12 +63,12 @@ class RunConfig:
         return self.problem.params
 
 
-def _block(raw: dict, name: str, default=None) -> dict:
-    value = raw.get(name, default if default is not None else {})
+def _block(raw: dict, name: str, path: str = "") -> dict:
+    value = raw.get(name)
     if value is None:
-        value = {}
+        return {}
     if not isinstance(value, dict):
-        raise ConfigError("expected a mapping", name)
+        raise ConfigError("expected a mapping", f"{path}{name}")
     return value
 
 
@@ -83,6 +83,19 @@ def _number(block: dict, path: str, key: str, default=None, positive=False):
     if positive and not value > 0:
         raise ConfigError(f"must be positive, got {value}", f"{path}.{key}")
     return float(value)
+
+
+def _optional_number(block: dict, path: str, key: str) -> float | None:
+    """`_number` for a key whose absence (or null) means a derived value."""
+    return None if block.get(key) is None else _number(block, path, key)
+
+
+def _catalog(path: str, make, *args):
+    """`make(*args)` with its errors keyed `path.catalog`, or `path.params.<key>`."""
+    try:
+        return make(*args)
+    except ConfigError as exc:
+        raise ConfigError(exc.message, f"{path}.{exc.key or 'catalog'}") from exc
 
 
 def _int(block: dict, path: str, key: str, default=None, minimum=None) -> int:
@@ -215,12 +228,9 @@ def parse_config(path: str | Path) -> RunConfig:
         kind = entry.get("catalog")
         if not kind:
             raise ConfigError("missing catalog entry name", f"{key}.catalog")
-        imp_params = entry.get("params") or {}
-        d_k = entry.get("d_k")
-        try:
-            imap = make_impulse_map(kind, n_modes, imp_params, d_k)
-        except ConfigError as exc:
-            raise ConfigError(str(exc), f"{key}.catalog") from exc
+        imp_params = _block(entry, "params", f"{key}.")
+        d_k = _optional_number(entry, key, "d_k")
+        imap = _catalog(key, make_impulse_map, kind, n_modes, imp_params, d_k)
         events.append(ImpulseEvent(t_k, imap))
         resolved_impulses.append(
             {"time": t_k, "catalog": kind, "params": dict(imp_params), "d_k": imap.d_k}
@@ -252,40 +262,31 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(
             f"{len(gammas)} coefficients for {len(lags)} delay lags", "nonlocal.gammas"
         )
-    L_q_declared = nonlocal_block.get("L_q")
-    if L_q_declared is not None:
-        L_q_declared = float(L_q_declared)
+    L_q_declared = _optional_number(nonlocal_block, "nonlocal", "L_q")
 
     forcing_block = _block(raw, "forcing")
     forcing_kind = forcing_block.get("catalog", "zero")
-    forcing_params = forcing_block.get("params") or {}
-    try:
-        forcing = make_forcing(forcing_kind, n_modes, forcing_params)
-    except ConfigError as exc:
-        raise ConfigError(str(exc), "forcing.catalog") from exc
+    forcing_params = _block(forcing_block, "params", "forcing.")
+    forcing = _catalog("forcing", make_forcing, forcing_kind, n_modes, forcing_params)
 
     nl_block = _block(raw, "nonlinearity")
     nl_kind = nl_block.get("catalog", "zero")
-    nl_params = nl_block.get("params") or {}
-    try:
-        nonlinearity = make_nonlinearity(
-            nl_kind,
-            n_modes,
-            nl_params,
-            lipschitz=nl_block.get("l_f"),
-            alpha1=nl_block.get("alpha1"),
-            beta1=nl_block.get("beta1"),
-        )
-    except ConfigError as exc:
-        raise ConfigError(str(exc), "nonlinearity.catalog") from exc
+    nl_params = _block(nl_block, "params", "nonlinearity.")
+    nonlinearity = _catalog(
+        "nonlinearity",
+        make_nonlinearity,
+        nl_kind,
+        n_modes,
+        nl_params,
+        *(_optional_number(nl_block, "nonlinearity", key) for key in ("l_f", "alpha1", "beta1")),
+    )
 
     history_block = _block(raw, "history")
     history_kind = history_block.get("catalog", "zero")
-    history_params = history_block.get("params") or {}
-    try:
-        history = history_segment(history_kind, params, n_hist_nodes, history_params)
-    except ConfigError as exc:
-        raise ConfigError(str(exc), "history.catalog") from exc
+    history_params = _block(history_block, "params", "history.")
+    history = _catalog(
+        "history", history_segment, history_kind, params, n_hist_nodes, history_params
+    )
 
     experiment = _block(raw, "experiment")
     tol = _number(experiment, "experiment", "tol", 1e-8, positive=True)

@@ -6,12 +6,13 @@ per-mode blocks, the sources (control, load, cable force, nonlinear term)
 are integrated by the trapezoid rule within each step.  The step is
 explicit and still takes the trapezoid rule's right endpoint exactly: the
 sources enter only the velocity equation and read the new node only
-through its position (the cable force clips it; the catalog terms read the
-time, the control and delayed nodes), and the exact propagation fixes that
-position before the source is evaluated.  One source evaluation per node
-thus closes the step.  Summed over steps the scheme reproduces the global
-trapezoid convolution of the sources exactly, which is what ties the
-integrator to the discrete Gramian of the control module.
+through its position (the cable force clips it with `positive_part`; the
+catalog terms read the time, the control and the node at t - r), and the
+exact propagation fixes that position before the source is evaluated.  One
+source evaluation per node, `node_sources`, thus closes the step.  Summed
+over steps the scheme reproduces the global trapezoid convolution of the
+sources exactly, which is what ties the integrator to the discrete Gramian
+of the control module.
 
 The nonlocal initial condition prescribes the history only implicitly
 (through segments of the solution at the positive lag times), so the whole
@@ -39,7 +40,7 @@ from .catalogs import Forcing, ImpulseEvent, Nonlinearity
 from .control import ControlSignal
 from .errors import ConfigError, NumericalError
 from .semigroup import ModelParams, exponential_step
-from .spectral import SpatialGrid, StateZ, eigenvalues, energy_norms
+from .spectral import SpatialGrid, StateZ, eigenvalues, energy_norms, positive_part
 
 __all__ = [
     "Segment",
@@ -116,9 +117,6 @@ class Segment:
         a = (theta + self.span) / self.step - lo
         upper = self.left_values.get(lo + 1, self.values[lo + 1])
         return (1.0 - a) * self.values[lo] + a * upper
-
-    def state(self, theta: float) -> StateZ:
-        return StateZ.from_pair(self.value(theta))
 
 
 @dataclass(frozen=True)
@@ -304,9 +302,14 @@ def history_segment(
         w = np.zeros(p.n_modes)
         y = np.zeros(p.n_modes)
         for key, out in (("w", w), ("y", y)):
-            coeffs = np.asarray(params.get(key, ()), dtype=float)
+            try:
+                coeffs = np.asarray(params.get(key, ()), dtype=float)
+            except (TypeError, ValueError):
+                raise ConfigError("expected a list of numbers", f"params.{key}") from None
             if coeffs.size > p.n_modes:
-                raise ConfigError(f"history.{key} lists {coeffs.size} modes, model has {p.n_modes}")
+                raise ConfigError(
+                    f"lists {coeffs.size} modes, model has {p.n_modes}", f"params.{key}"
+                )
             out[: coeffs.size] = coeffs
         values = np.broadcast_to(np.vstack([w, y]), (n_nodes, 2, p.n_modes)).copy()
         return Segment(step, values)
@@ -314,7 +317,10 @@ def history_segment(
         path = params.get("path")
         if not path:
             raise ConfigError("history catalog 'file' needs a 'path'")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read history file: {exc}", "params.path") from None
         if data.shape[1] != 1 + 2 * p.n_modes:
             raise ConfigError(
                 f"history file {path} must have columns t, w_1..w_{p.n_modes}, "
@@ -333,63 +339,25 @@ def history_segment(
     raise ConfigError(f"unknown history catalog entry '{kind}'")
 
 
-class _SegmentView:
-    """Duck-typed delay segment ending at one node of a trajectory buffer.
-
-    Exposes the `value`/`span`/`state` interface of `Segment` without
-    copying the window; `node` moves along as a sweep advances.
-    """
-
-    __slots__ = ("_values", "_marks", "_step", "span", "node")
-
-    def __init__(self, values, marks, span, step):
-        self._values = values
-        self._marks = marks
-        self._step = step
-        self.span = span
-        self.node = 0
-
-    def value(self, theta):
-        pos = theta / self._step
-        rel = int(round(pos))
-        if abs(pos - rel) < _NODE_SNAP:
-            return self._values[self.node + rel]
-        lo = self.node + int(np.floor(pos))
-        a = pos - np.floor(pos)
-        upper = self._marks.get(lo + 1, self._values[lo + 1])
-        return (1.0 - a) * self._values[lo] + a * upper
-
-    def state(self, theta):
-        return StateZ.from_pair(self.value(theta))
-
-
-def _source_row(t, seg, w_current, u_val, spec, basis, quad_w):
-    """Velocity-equation source excluding the control channel: p - k*w+ + f."""
-    clipped = np.maximum(basis @ w_current, 0.0)
-    row = -spec.params.k * (quad_w * (clipped @ basis))
-    if not spec.forcing.is_zero:
-        row = row + spec.forcing(t)
-    if not spec.nonlinearity.is_zero:
-        row = row + spec.nonlinearity.evaluate(t, seg, u_val)
-    return row
-
-
-def node_sources(spec: ProblemSpec, values: np.ndarray, marks: dict):
+def node_sources(spec: ProblemSpec, values: np.ndarray):
     """Per-node evaluator of the velocity source p(t) - k*w+ + f (no control channel).
 
     `values` is a trajectory buffer on the grid of `spec` (history nodes
-    first, t = 0 at node r/h) and `marks` its left limits.  The returned
-    `row(node, t, u_val)` reads the position `values[node, 0]` and, through
-    the delay segment ending at `node`, earlier nodes; it never reads the
+    first, t = 0 at node n_r = r/h).  The returned `row(node, t, u_val)` is
+    the package's one source evaluation: the cable force clips the position
+    `values[node, 0]` through `positive_part`, and the catalog term reads
+    the right-limit state `values[node - n_r]` at t - r.  It never reads the
     velocity at `node`, and it sees later writes to the buffer.
     """
-    seg = _SegmentView(values, marks, spec.params.r, spec.h)
-    basis = spec.grid.basis(spec.params.n_modes)
-    quad_w = spec.grid.weight
+    n_r = int(round(spec.params.r / spec.h))
 
     def row(node: int, t: float, u_val: np.ndarray | None) -> np.ndarray:
-        seg.node = node
-        return _source_row(t, seg, values[node, 0], u_val, spec, basis, quad_w)
+        out = -spec.params.k * positive_part(values[node, 0], spec.grid)
+        if not spec.forcing.is_zero:
+            out = out + spec.forcing(t)
+        if not spec.nonlinearity.is_zero:
+            out = out + spec.nonlinearity.evaluate(t, values[node - n_r], u_val)
+        return out
 
     return row
 
@@ -474,7 +442,7 @@ def _sweep(
     values[: n_r + j0 + 1] = prefix
     marks = dict(prefix_marks)
     sources = np.empty((spec.n_steps + 1, spec.params.n_modes))
-    source = node_sources(spec, values, marks)
+    source = node_sources(spec, values)
     impulse_nodes = {n_r + int(round(ev.time / h)): ev for ev in spec.impulses}
 
     # The right-limit source closes node j0, as at the end of its step; at

@@ -10,6 +10,7 @@ class ConfigError(Exception):
     """
 
     def __init__(self, message: str, key: str | None = None):
+        self.message = message
         self.key = key
         super().__init__(f"{key}: {message}" if key else message)
 

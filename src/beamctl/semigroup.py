@@ -17,7 +17,6 @@ from .spectral import StateZ, eigenvalues
 
 __all__ = [
     "ModelParams",
-    "propagator_entries",
     "propagator_entries_for",
     "exponential_step",
     "semigroup_blocks",
@@ -101,6 +100,9 @@ def propagator_entries_for(ts: np.ndarray, lam: np.ndarray, c: float, d: float):
     """Entries of exp(A_n * t) for the given eigenvalues and times.
 
     Returns four arrays of shape (len(ts), len(lam)): e00, e01, e10, e11.
+    The adjoint block in the energy inner product, D^-1 E^T D with
+    D = diag(lambda_n, 1), reuses them: same diagonal, off-diagonals
+    e10/lambda_n and e01*lambda_n.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -137,20 +139,9 @@ def exponential_step(h: float, lam: np.ndarray, c: float, d: float):
     return step
 
 
-def propagator_entries(ts: np.ndarray, p: ModelParams):
-    """Entries of exp(A_n * t) for every mode and every time in `ts`.
-
-    Returns four arrays of shape (len(ts), n_modes): e00, e01, e10, e11.
-    The adjoint block in the energy inner product, D^-1 E^T D with
-    D = diag(lambda_n, 1), reuses them: same diagonal, off-diagonals
-    e10/lambda_n and e01*lambda_n.
-    """
-    return propagator_entries_for(ts, p.lam, p.c, p.d)
-
-
 def semigroup_blocks(t: float, p: ModelParams) -> np.ndarray:
     """(n_modes, 2, 2) array of per-mode propagator blocks at time t."""
-    e00, e01, e10, e11 = propagator_entries(np.array([t]), p)
+    e00, e01, e10, e11 = propagator_entries_for(np.array([t]), p.lam, p.c, p.d)
     blocks = np.empty((p.n_modes, 2, 2))
     blocks[:, 0, 0] = e00[0]
     blocks[:, 0, 1] = e01[0]
@@ -208,6 +199,6 @@ def operator_norm_bound(p: ModelParams, time_step: float | None = None) -> float
         raise ValueError(f"time step must be positive, got {time_step}")
     n = max(int(round(p.T / time_step)), 1)
     ts = np.linspace(0.0, p.T, n + 1)
-    e00, e01, e10, e11 = propagator_entries(ts, p)
+    e00, e01, e10, e11 = propagator_entries_for(ts, p.lam, p.c, p.d)
     norms = weighted_block_norms(e00, e01, e10, e11, p.lam[None, :])
     return float(norms.max())

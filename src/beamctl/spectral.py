@@ -103,8 +103,9 @@ def positive_part(coeffs: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     n_modes = coeffs.shape[-1]
     _require_resolution(grid, n_modes)
-    clipped = np.maximum(reconstruct(coeffs, grid), 0.0)
-    return grid.weight * (clipped @ grid.basis(n_modes))
+    basis = grid.basis(n_modes)
+    clipped = np.maximum(basis @ coeffs, 0.0)
+    return grid.weight * (clipped @ basis)
 
 
 def energy_norms(values: np.ndarray, lam: np.ndarray) -> np.ndarray:

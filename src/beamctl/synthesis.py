@@ -267,18 +267,15 @@ def approx_experiment(
         e00, e01, e10, e11 = propagator_entries_for(p.T - tail_ts, lam, p.c, p.d)
         s_norms = weighted_block_norms(e00, e01, e10, e11, lam[None, :]).max(axis=1)
         # Delayed argument of the perturbation along the tail, taken from
-        # the nominal trajectory per the pull-back identity.
-        delay_nodes = [traj.node_index(t - p.r) for t in tail_ts]
-        seg_norms = np.array(
-            [pair_norm(traj.values[i], lam) for i in delay_nodes]
-        )
+        # the nominal trajectory per the pull-back identity: t - r at node
+        # switch + j of the buffer, as `node_sources` reads it.
+        delayed = slice(switch, switch + n_tail + 1)
+        seg_norms = energy_norms(traj.values[delayed], lam)
         envelope = np.array([nl.alpha1 * nl.envelope(s) + nl.beta1 for s in seg_norms])
         integrand = s_norms * envelope
         bound = float(spec.h * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1])))
 
-        d_delay = max(
-            pair_norm(switched.values[i] - traj.values[i], lam) for i in delay_nodes
-        )
+        d_delay = energy_norms(switched.values[delayed] - traj.values[delayed], lam).max()
         overlap = switched.values[: switch_node + 1] - traj.values[: switch_node + 1]
         d_overlap = float(energy_norms(overlap, lam).max())
         rows.append(PullbackRow(sigma, float(terminal_error), bound, float(d_delay), d_overlap))
@@ -319,7 +316,7 @@ def steering_target(
     # rows in node order, as a loop over the nodes would.
     h = spec.h
     if sources is None:
-        source = node_sources(spec, traj.values, traj.left_values)
+        source = node_sources(spec, traj.values)
         sources = [source(traj.n_history + j, h * j, None) for j in range(spec.n_steps + 1)]
     _, e01, _, e11 = propagator_entries_for(p.T - h * np.arange(spec.n_steps + 1), lam, p.c, p.d)
     wt = np.full((spec.n_steps + 1, 1), h)

@@ -43,7 +43,6 @@ from beamctl.semigroup import (
     apply_semigroup,
     exponential_step,
     operator_norm_bound,
-    propagator_entries,
     propagator_entries_for,
     weighted_block_norms,
 )
@@ -110,7 +109,7 @@ def adjoint_blocks(t: float, p) -> np.ndarray:
     same diagonal, off-diagonals rescaled by lambda_n.
     """
     lam = p.lam
-    e00, e01, e10, e11 = propagator_entries(np.array([t]), p)
+    e00, e01, e10, e11 = propagator_entries_for(np.array([t]), lam, p.c, p.d)
     blocks = np.empty((p.n_modes, 2, 2))
     blocks[:, 0, 0] = e00[0]
     blocks[:, 0, 1] = e10[0] / lam
@@ -260,19 +259,6 @@ def simpson_gramian(n: int, t0: float, t1: float, p, refine: int = 1) -> np.ndar
     )
 
 
-class _OracleSegment:
-    """Segment interface backed by a dense-lookup closure."""
-
-    __slots__ = ("_lookup", "span")
-
-    def __init__(self, lookup, span):
-        self._lookup = lookup
-        self.span = span
-
-    def value(self, theta):
-        return self._lookup(theta)
-
-
 def method_of_steps_rk4(
     spec,
     u=None,
@@ -344,7 +330,7 @@ def method_of_steps_rk4(
             load = spec.forcing(t) if forced else None
             pert = None
             if perturbed:
-                pert = spec.nonlinearity.evaluate(t, _OracleSegment(lookup, p.r), uv)
+                pert = spec.nonlinearity.evaluate(t, lookup(-p.r), uv)
             return uv, load, pert
 
         def rhs(z, terms):
@@ -450,7 +436,7 @@ def _source_row(t, seg, w_current, u_val, spec, basis, quad_w):
     if not spec.forcing.is_zero:
         row = row + spec.forcing(t)
     if not spec.nonlinearity.is_zero:
-        row = row + spec.nonlinearity.evaluate(t, seg, u_val)
+        row = row + spec.nonlinearity.evaluate(t, seg.value(-seg.span), u_val)
     return row
 
 
@@ -694,7 +680,7 @@ def loop_steering_target(traj, zstar, spec, sources=None) -> StateZ:
 
     h = spec.h
     if sources is None:
-        source = dynamics.node_sources(spec, traj.values, traj.left_values)
+        source = dynamics.node_sources(spec, traj.values)
         sources = [source(traj.n_history + j, h * j, None) for j in range(spec.n_steps + 1)]
     _, e01, _, e11 = propagator_entries_for(p.T - h * np.arange(spec.n_steps + 1), lam, p.c, p.d)
     acc = np.zeros((2, p.n_modes))

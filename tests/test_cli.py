@@ -155,6 +155,85 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "fragment, key",
+        [
+            pytest.param(
+                {"nonlinearity": {"catalog": "bounded_wave", "params": {"amp": "x"}}},
+                "nonlinearity.params.amp",
+                id="amp-str",
+            ),
+            pytest.param(
+                {"delays": {"lags": [0.1]}, "nonlocal": {"gammas": [0.1], "L_q": "big"}},
+                "nonlocal.L_q",
+                id="L_q-str",
+            ),
+            pytest.param(
+                {
+                    "impulses": [
+                        {
+                            "time": 0.5,
+                            "catalog": "velocity_kick",
+                            "params": {"amp": 0.1},
+                            "d_k": "z",
+                        }
+                    ]
+                },
+                "impulses[0].d_k",
+                id="d_k-str",
+            ),
+            pytest.param(
+                {
+                    "nonlinearity": {
+                        "catalog": "delayed_saturation",
+                        "params": {"amp": 0.1},
+                        "l_f": [1],
+                    }
+                },
+                "nonlinearity.l_f",
+                id="l_f-list",
+            ),
+            pytest.param(
+                {"forcing": {"catalog": "harmonic", "params": [1, 2]}},
+                "forcing.params",
+                id="forcing-params-list",
+            ),
+            pytest.param(
+                {"impulses": [{"time": 0.5, "catalog": "velocity_kick", "params": [1]}]},
+                "impulses[0].params",
+                id="impulse-params-list",
+            ),
+            pytest.param(
+                {"forcing": {"catalog": "harmonic", "params": {"coeffs": "abc"}}},
+                "forcing.params.coeffs",
+                id="coeffs-str",
+            ),
+            pytest.param(
+                {"forcing": {"catalog": "harmonic", "params": {"coeffs": [1.0], "omega": "fast"}}},
+                "forcing.params.omega",
+                id="omega-str",
+            ),
+            pytest.param(
+                {"history": {"catalog": "file", "params": {"path": "/nonexistent.csv"}}},
+                "history.params.path",
+                id="history-file-missing",
+            ),
+        ],
+    )
+    def test_malformed_input_exits_2_at_load(self, tmp_path, capsys, fragment, key):
+        data = {
+            "model": {"c": 1.0, "d": 1.0, "k": 1.0, "n_modes": 4, "T": 1.0, "r": 0.25},
+            "grids": {"h": 0.002, "G": 65},
+            **fragment,
+        }
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", str(write_config(tmp_path, data)), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {key}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_steer_without_target_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": {"c": 1.0, "d": 1.0, "k": 1.0}})
         rc = main(["steer", "--config", str(cfg), "--out", str(tmp_path / "o")])

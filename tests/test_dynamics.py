@@ -452,9 +452,41 @@ class TestExplicitSweep:
         res = integrate_mild(spec, u)
         traj = res.trajectory
         u_left = u.node_values()[0] if u is not None else np.zeros((spec.n_steps + 1, 4))
-        source = dynamics.node_sources(spec, traj.values, traj.left_values)
+        source = dynamics.node_sources(spec, traj.values)
         rows = [source(traj.n_history + j, j * spec.h, u_left[j]) for j in range(spec.n_steps + 1)]
         assert np.array_equal(res.sources, rows)
+
+    def test_cable_clip_goes_through_positive_part(self, grid129, rng, monkeypatch):
+        # The clip that test_spectral checks (and its strict xfail) is the
+        # one every node evaluation of the sweep runs.
+        spec, u = self._case("harmonic+delayed_saturation+saturating_kick", grid129, rng)
+        plain = integrate_mild(spec, u)
+        counts = {"clips": 0, "rows": 0}
+        real_clip, real_sources = dynamics.positive_part, dynamics.node_sources
+
+        def counted_clip(coeffs, grid):
+            counts["clips"] += 1
+            return real_clip(coeffs, grid)
+
+        def counted_sources(spec, values):
+            row = real_sources(spec, values)
+
+            def counted_row(*args):
+                counts["rows"] += 1
+                return row(*args)
+
+            return counted_row
+
+        monkeypatch.setattr(dynamics, "positive_part", counted_clip)
+        monkeypatch.setattr(dynamics, "node_sources", counted_sources)
+        patched = integrate_mild(spec, u)
+        assert counts["rows"] > spec.n_steps
+        assert counts["clips"] == counts["rows"]
+        assert np.array_equal(patched.trajectory.values, plain.trajectory.values)
+        assert np.array_equal(patched.sources, plain.sources)
+        assert sorted(patched.trajectory.left_values) == sorted(plain.trajectory.left_values)
+        for i, v in plain.trajectory.left_values.items():
+            assert np.array_equal(patched.trajectory.left_values[i], v)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from beamctl.config import parse_config
 from beamctl.control import ControlSignal, controllability_map
 from beamctl.dynamics import ProblemSpec, Trajectory, history_segment, integrate_mild
 from beamctl.semigroup import ModelParams
-from beamctl.spectral import StateZ, norm_z, pair_norm, zero_state
+from beamctl.spectral import SpatialGrid, StateZ, norm_z, pair_norm, zero_state
 from beamctl.synthesis import (
     approx_experiment,
     contraction_constants,
@@ -32,12 +32,11 @@ def constant_segment(p, w=(), y=(), n_nodes=201):
     return history_segment("modal_constant", p, n_nodes, {"w": list(w), "y": list(y)})
 
 
-@pytest.fixture
-def exact_benchmark(grid129):
+def exact_benchmark_spec():
     p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
     return ProblemSpec(
         params=p,
-        grid=grid129,
+        grid=SpatialGrid(129),
         n_steps=2000,
         impulses=(ImpulseEvent(0.5, make_impulse_map("saturating_kick", 4, {"amp": 0.01})),),
         lags=(0.1, 0.2),
@@ -46,6 +45,11 @@ def exact_benchmark(grid129):
         history=constant_segment(p, w=[0.3, 0.1], y=[0.0, 0.05]),
         picard_tol=1e-11,
     )
+
+
+@pytest.fixture
+def exact_benchmark():
+    return exact_benchmark_spec()
 
 
 @pytest.fixture
@@ -76,6 +80,21 @@ def fallback_spec(grid, gammas=(0.05, 0.05)):
         gammas=gammas,
         nonlinearity=make_nonlinearity("bounded_wave", 4, {"amp": 0.5, "omega": 2.0}),
         history=constant_segment(p, w=[0.3, 0.1], y=[0.1]),
+        picard_tol=1e-11,
+    )
+
+
+def saturation_spec(grid):
+    """Pull-back problem whose bound reads every delayed state: delayed_saturation below its cap."""
+    p = ModelParams(c=1.0, d=1.0, k=1e-9, n_modes=4, T=1.0, r=0.4)
+    return ProblemSpec(
+        params=p,
+        grid=grid,
+        n_steps=2000,
+        lags=(0.1, 0.2),
+        gammas=(0.05, 0.05),
+        nonlinearity=make_nonlinearity("delayed_saturation", 4, {"amp": 0.4}),
+        history=constant_segment(p, w=[0.02, 0.01], y=[0.2]),
         picard_tol=1e-11,
     )
 
@@ -230,7 +249,7 @@ class TestApproxExperiment:
             approx_experiment(bounded_benchmark, None, zstar, [0.08, 0.04, 0.02, 0.01])
         assert not caplog.records
 
-    @pytest.mark.parametrize("case", ["bounded", "marked-nominal", "fallback"])
+    @pytest.mark.parametrize("case", ["bounded", "marked-nominal", "fallback", "saturation"])
     def test_matches_full_reintegration_bitwise(
         self, case, bounded_benchmark, grid129, rng, monkeypatch
     ):
@@ -241,6 +260,8 @@ class TestApproxExperiment:
             sigmas = [0.08, 0.02]
         elif case == "fallback":
             spec, sigmas = fallback_spec(grid129), [0.3, 0.2]
+        elif case == "saturation":
+            spec, sigmas = saturation_spec(grid129), [0.08, 0.02]
         zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4) * 0.4)
         result, mild_calls, runs = spied_approx_experiment(monkeypatch, spec, u, zstar, sigmas)
         oracle, oracle_runs = full_pullback_experiment(spec, u, zstar, sigmas)
@@ -380,10 +401,17 @@ class TestExactFixedPoint:
         assert len(out.iterations) <= 2
         assert out.terminal_error <= 1e-6
 
-    def test_benchmark_convergence_and_ratios(self, exact_benchmark, rng):
-        spec = exact_benchmark
+    @pytest.fixture(scope="class")
+    def benchmark_run(self):
+        # One run on the `exact_benchmark` problem and the rng(1234) target,
+        # shared by the tests that check it.
+        spec = exact_benchmark_spec()
+        rng = np.random.default_rng(1234)
         zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4) * 0.5)
-        out = exact_fixed_point(spec, zstar, tol=1e-9, max_iter=50)
+        return spec, zstar, exact_fixed_point(spec, zstar, tol=1e-9, max_iter=50)
+
+    def test_benchmark_convergence_and_ratios(self, benchmark_run):
+        spec, zstar, out = benchmark_run
         assert out.report.satisfied
         assert out.terminal_error <= 1e-6
         bound = out.report.lhs + 0.05
@@ -397,10 +425,8 @@ class TestExactFixedPoint:
         once_more = integrate_mild(spec, minimum_energy_control(xi, gs, spec.params))
         assert once_more.trajectory.sup_diff(out.result.trajectory) <= 2e-9
 
-    def test_reached_target_matches_steering_identity(self, exact_benchmark, rng):
-        spec = exact_benchmark
-        zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4) * 0.5)
-        out = exact_fixed_point(spec, zstar, tol=1e-9, max_iter=50)
+    def test_reached_target_matches_steering_identity(self, benchmark_run):
+        spec, zstar, out = benchmark_run
         gu = controllability_map(out.control, spec.params)
         lz = steering_target(out.result.trajectory, zstar, spec)
         assert norm_z(gu - lz) <= 1e-9 * max(1.0, norm_z(lz))
