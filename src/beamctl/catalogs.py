@@ -8,11 +8,12 @@ reads the delay segment at most at its endpoint, the state at t - r, in
 which the growth envelope is stated too, so it receives that state alone.
 Entries that depend on the control are rejected by the
 exact-controllability driver, which requires state-only perturbations.
+Each entry names the `params` keys it uses; any other key is rejected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,11 +30,35 @@ __all__ = [
     "FORCING_KINDS",
     "NONLINEARITY_KINDS",
     "IMPULSE_KINDS",
+    "entry_params",
 ]
 
-FORCING_KINDS = ("zero", "harmonic")
-NONLINEARITY_KINDS = ("zero", "bounded_wave", "delayed_saturation", "control_saturation")
-IMPULSE_KINDS = ("constant_kick", "velocity_kick", "saturating_kick", "control_kick")
+# Each catalog entry and the `params` keys it uses.
+FORCING_KINDS = {"zero": (), "harmonic": ("coeffs", "omega", "phase")}
+NONLINEARITY_KINDS = {
+    "zero": (),
+    "bounded_wave": ("amp", "coeffs", "omega", "phase"),
+    "delayed_saturation": ("amp",),
+    "control_saturation": ("amp",),
+}
+IMPULSE_KINDS = {
+    "constant_kick": ("coeffs",),
+    "velocity_kick": ("amp",),
+    "saturating_kick": ("amp",),
+    "control_kick": ("amp",),
+}
+
+
+def entry_params(what: str, kind, params: dict | None, kinds: dict) -> dict:
+    """`params` (default empty) once `kind` is an entry of `kinds` that uses every key."""
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {what} catalog entry '{kind}' (known: {tuple(kinds)})")
+    params = params or {}
+    for key in params:
+        if key not in kinds[kind]:
+            uses = ", ".join(kinds[kind]) or "no params"
+            raise ConfigError(f"unknown key; '{kind}' uses {uses}", f"params.{key}")
+    return params
 
 
 def _param(params: dict, key: str) -> float:
@@ -76,17 +101,12 @@ class Forcing:
 
 
 def make_forcing(kind: str, n_modes: int, params: dict | None = None) -> Forcing:
-    params = params or {}
+    params = entry_params("forcing", kind, params, FORCING_KINDS)
     if kind == "zero":
         return Forcing("zero", np.zeros(n_modes))
-    if kind == "harmonic":
-        return Forcing(
-            "harmonic",
-            _profile(params, n_modes),
-            _param(params, "omega"),
-            _param(params, "phase"),
-        )
-    raise ConfigError(f"unknown forcing catalog entry '{kind}' (known: {FORCING_KINDS})")
+    return Forcing(
+        "harmonic", _profile(params, n_modes), _param(params, "omega"), _param(params, "phase")
+    )
 
 
 @dataclass(frozen=True)
@@ -145,7 +165,7 @@ def make_nonlinearity(
     beta1: float | None = None,
 ) -> Nonlinearity:
     """Build a catalog entry; explicit constants override the derived defaults."""
-    params = params or {}
+    params = entry_params("nonlinearity", kind, params, NONLINEARITY_KINDS)
     amp = _param(params, "amp")
     if kind == "zero":
         entry = Nonlinearity("zero", 0.0)
@@ -179,7 +199,7 @@ def make_nonlinearity(
             envelope_kind="clip",
             envelope_cap=float(np.sqrt(n_modes)),
         )
-    elif kind == "control_saturation":
+    else:  # control_saturation
         entry = Nonlinearity(
             "control_saturation",
             amp,
@@ -189,22 +209,12 @@ def make_nonlinearity(
             envelope_kind="zero",
             u_dependent=True,
         )
-    else:
-        raise ConfigError(
-            f"unknown nonlinearity catalog entry '{kind}' (known: {NONLINEARITY_KINDS})"
-        )
-    overrides = {}
-    if lipschitz is not None:
-        overrides["lipschitz"] = float(lipschitz)
-    if alpha1 is not None:
-        overrides["alpha1"] = float(alpha1)
-    if beta1 is not None:
-        overrides["beta1"] = float(beta1)
-    if overrides:
-        from dataclasses import replace
-
-        entry = replace(entry, **overrides)
-    return entry
+    overrides = {
+        name: float(value)
+        for name, value in (("lipschitz", lipschitz), ("alpha1", alpha1), ("beta1", beta1))
+        if value is not None
+    }
+    return replace(entry, **overrides) if overrides else entry
 
 
 @dataclass(frozen=True)
@@ -238,7 +248,7 @@ class ImpulseMap:
 def make_impulse_map(
     kind: str, n_modes: int, params: dict | None = None, d_k: float | None = None
 ) -> ImpulseMap:
-    params = params or {}
+    params = entry_params("impulse", kind, params, IMPULSE_KINDS)
     amp = _param(params, "amp")
     if kind == "constant_kick":
         entry = ImpulseMap("constant_kick", 0.0, _profile(params, n_modes), d_k=0.0)
@@ -246,15 +256,9 @@ def make_impulse_map(
         entry = ImpulseMap("velocity_kick", amp, None, d_k=abs(amp))
     elif kind == "saturating_kick":
         entry = ImpulseMap("saturating_kick", amp, None, d_k=abs(amp))
-    elif kind == "control_kick":
+    else:  # control_kick
         entry = ImpulseMap("control_kick", amp, None, d_k=0.0, u_dependent=True)
-    else:
-        raise ConfigError(f"unknown impulse catalog entry '{kind}' (known: {IMPULSE_KINDS})")
-    if d_k is not None:
-        from dataclasses import replace
-
-        entry = replace(entry, d_k=float(d_k))
-    return entry
+    return entry if d_k is None else replace(entry, d_k=float(d_k))
 
 
 @dataclass(frozen=True)

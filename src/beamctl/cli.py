@@ -171,7 +171,7 @@ def _cmd_exact(cfg: RunConfig, out: Path, prefix: str, say) -> None:
 
 
 def _cmd_check(cfg: RunConfig, out: Path, prefix: str, say) -> None:
-    rep = contraction_constants(cfg.problem, cfg.norm_step, cfg.gamma_samples)
+    rep = contraction_constants(cfg.problem)
     say(f"contraction lhs = {rep.lhs:.6g} (satisfied: {rep.satisfied})")
     write_report(
         out / f"{prefix}_report.txt",

@@ -1,12 +1,15 @@
 """Run-configuration loading, validation, and resolution.
 
-Configurations are YAML with nested blocks.  Loading applies every
-default, snaps impulse times, delay lags, and the delay span onto the
-trajectory grid (anything farther than half a step from a node is
-rejected), and re-validates all structural invariants.  The fully
-resolved configuration is echoed back to an output file so a run can be
-reproduced from a single artifact; feeding the echo back produces
-byte-identical outputs.
+Configurations are YAML with nested blocks, all read by one reader,
+`_Block`: its typed getters alone decide which keys exist, their defaults
+and checks, and the echo, for each getter records the value it read in
+read order.  Loading snaps impulse times, delay lags, the delay span, t0
+and the pull-back windows onto the trajectory grid (anything farther than
+half a step from a node is rejected) and writes the snapped and derived
+values back into the echo; a key that no getter read, at any level, is
+rejected.  The echo is the fully resolved configuration, written next to
+the outputs so a run can be reproduced from a single artifact; feeding it
+back produces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -26,20 +29,6 @@ from .spectral import SpatialGrid, StateZ
 
 __all__ = ["RunConfig", "parse_config", "resolved_config_text"]
 
-_TOP_KEYS = {
-    "model",
-    "grids",
-    "impulses",
-    "delays",
-    "nonlocal",
-    "forcing",
-    "nonlinearity",
-    "history",
-    "targets",
-    "experiment",
-    "output",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -52,8 +41,6 @@ class RunConfig:
     t0: float
     tol: float
     max_iter: int
-    norm_step: float
-    gamma_samples: int
     out_dir: str
     prefix: str
     resolved: dict
@@ -63,31 +50,106 @@ class RunConfig:
         return self.problem.params
 
 
-def _block(raw: dict, name: str, path: str = "") -> dict:
-    value = raw.get(name)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError("expected a mapping", f"{path}{name}")
-    return value
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _number(block: dict, path: str, key: str, default=None, positive=False):
-    if key not in block:
-        if default is None:
-            raise ConfigError("missing required key", f"{path}.{key}")
-        return default
-    value = block[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"expected a number, got {value!r}", f"{path}.{key}")
-    if positive and not value > 0:
-        raise ConfigError(f"must be positive, got {value}", f"{path}.{key}")
-    return float(value)
+class _Block:
+    """One YAML mapping, read through typed getters whose errors name `path.key`.
 
+    Each getter records the value it returns in `resolved`, in read order,
+    and `set` replaces a recorded value by its resolved form.  `echo()`
+    rejects any key that no getter read, here or in a block read from here,
+    and returns the record.
+    """
 
-def _optional_number(block: dict, path: str, key: str) -> float | None:
-    """`_number` for a key whose absence (or null) means a derived value."""
-    return None if block.get(key) is None else _number(block, path, key)
+    def __init__(self, raw, path: str = ""):
+        if raw is None:
+            raw = {}
+        if not isinstance(raw, dict):
+            raise ConfigError("expected a mapping", path)
+        self.raw = raw
+        self.path = path
+        self.resolved: dict = {}
+        self._children: list[_Block] = []
+
+    def key(self, name) -> str:
+        return f"{self.path}.{name}" if self.path else str(name)
+
+    def set(self, name: str, value):
+        self.resolved[name] = value
+        return value
+
+    def get(self, name: str, default=None):
+        """The raw value, unchecked (catalog names)."""
+        return self.set(name, self.raw.get(name, default))
+
+    def text(self, name: str, default: str) -> str:
+        return self.set(name, str(self.raw.get(name, default)))
+
+    def number(self, name: str, default=None, positive=False) -> float:
+        if name not in self.raw:
+            if default is None:
+                raise ConfigError("missing required key", self.key(name))
+            return self.set(name, default)
+        value = self.raw[name]
+        if not _is_number(value):
+            raise ConfigError(f"expected a number, got {value!r}", self.key(name))
+        if positive and not value > 0:
+            raise ConfigError(f"must be positive, got {value}", self.key(name))
+        return self.set(name, float(value))
+
+    def optional_number(self, name: str) -> float | None:
+        """`number` for a key whose absence (or null) means a derived value."""
+        return self.set(name, None) if self.raw.get(name) is None else self.number(name)
+
+    def integer(self, name: str, default: int, minimum: int) -> int:
+        value = self.raw.get(name, default)
+        if value is None:
+            raise ConfigError("missing required key", self.key(name))
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"expected an integer, got {value!r}", self.key(name))
+        if value < minimum:
+            raise ConfigError(f"must be >= {minimum}, got {value}", self.key(name))
+        return self.set(name, value)
+
+    def numbers(self, name: str, default=()) -> list[float]:
+        value = self.raw.get(name, list(default))
+        if value is None:
+            value = []
+        if not isinstance(value, list) or not all(_is_number(v) for v in value):
+            raise ConfigError("expected a list of numbers", self.key(name))
+        return self.set(name, [float(v) for v in value])
+
+    def params(self) -> dict:
+        """A catalog's `params` mapping; the catalog entry checks its keys."""
+        return self.set("params", dict(_Block(self.raw.get("params"), self.key("params")).raw))
+
+    def block(self, name: str) -> _Block:
+        child = _Block(self.raw.get(name), self.key(name))
+        self._children.append(child)
+        self.set(name, child.resolved)
+        return child
+
+    def entries(self, name: str, what: str) -> list[_Block]:
+        """A list of mappings, read as blocks `name[j]`."""
+        raw = self.raw.get(name)
+        if raw is None:
+            raw = []
+        if not isinstance(raw, list):
+            raise ConfigError(f"expected a list of {what}", self.key(name))
+        children = [_Block(entry, f"{self.key(name)}[{j}]") for j, entry in enumerate(raw)]
+        self._children.extend(children)
+        self.set(name, [child.resolved for child in children])
+        return children
+
+    def echo(self) -> dict:
+        unknown = sorted((k for k in self.raw if k not in self.resolved), key=str)
+        if unknown:
+            raise ConfigError("unknown key", self.key(unknown[0]))
+        for child in self._children:
+            child.echo()
+        return self.resolved
 
 
 def _catalog(path: str, make, *args):
@@ -96,28 +158,6 @@ def _catalog(path: str, make, *args):
         return make(*args)
     except ConfigError as exc:
         raise ConfigError(exc.message, f"{path}.{exc.key or 'catalog'}") from exc
-
-
-def _int(block: dict, path: str, key: str, default=None, minimum=None) -> int:
-    value = block.get(key, default)
-    if value is None:
-        raise ConfigError("missing required key", f"{path}.{key}")
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"expected an integer, got {value!r}", f"{path}.{key}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"must be >= {minimum}, got {value}", f"{path}.{key}")
-    return value
-
-
-def _float_list(block: dict, path: str, key: str, default=()) -> list[float]:
-    value = block.get(key, list(default))
-    if value is None:
-        value = []
-    if not isinstance(value, list) or any(
-        not isinstance(v, (int, float)) or isinstance(v, bool) for v in value
-    ):
-        raise ConfigError("expected a list of numbers", f"{path}.{key}")
-    return [float(v) for v in value]
 
 
 def _reject_non_finite(node, key: str) -> None:
@@ -141,21 +181,21 @@ def _snap(t: float, h: float, what: str, key: str) -> float:
     return j * h
 
 
-def _state(block: dict, path: str, prefix: str, n_modes: int) -> StateZ | None:
+def _state(targets: _Block, prefix: str, n_modes: int) -> StateZ | None:
     w_key, y_key = f"{prefix}_w", f"{prefix}_y"
-    if w_key not in block and y_key not in block:
+    if w_key not in targets.raw and y_key not in targets.raw:
         return None
-    w = _float_list(block, path, w_key)
-    y = _float_list(block, path, y_key)
+    w = targets.numbers(w_key)
+    y = targets.numbers(y_key)
     if len(w) > n_modes or len(y) > n_modes:
-        raise ConfigError(
-            f"at most {n_modes} modal coefficients allowed", f"{path}.{prefix}_*"
-        )
-    full_w = np.zeros(n_modes)
-    full_y = np.zeros(n_modes)
-    full_w[: len(w)] = w
-    full_y[: len(y)] = y
-    return StateZ(full_w, full_y)
+        raise ConfigError(f"at most {n_modes} modal coefficients allowed", f"targets.{prefix}_*")
+    pair = np.zeros((2, n_modes))
+    pair[0, : len(w)] = w
+    pair[1, : len(y)] = y
+    state = StateZ.from_pair(pair)
+    targets.set(w_key, state.w.tolist())
+    targets.set(y_key, state.y.tolist())
+    return state
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -167,80 +207,70 @@ def parse_config(path: str | Path) -> RunConfig:
         raw = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"not parseable as YAML: {exc}") from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
+    if raw is not None and not isinstance(raw, dict):
         raise ConfigError("top level must be a mapping")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError("unknown configuration block", sorted(unknown)[0])
     _reject_non_finite(raw, "")
+    # Blocks and keys are read in the order of the echo.
+    top = _Block(raw)
 
-    model = _block(raw, "model")
-    c = _number(model, "model", "c", 1.0, positive=True)
-    d = _number(model, "model", "d", 1.0, positive=True)
-    k = _number(model, "model", "k", 1.0, positive=True)
-    n_modes = _int(model, "model", "n_modes", 8, minimum=1)
-    T = _number(model, "model", "T", 1.0, positive=True)
-    r_raw = _number(model, "model", "r", T / 4.0, positive=True)
+    model = top.block("model")
+    c = model.number("c", 1.0, positive=True)
+    d = model.number("d", 1.0, positive=True)
+    k = model.number("k", 1.0, positive=True)
+    n_modes = model.integer("n_modes", 8, minimum=1)
+    T = model.number("T", 1.0, positive=True)
+    r_raw = model.number("r", T / 4.0, positive=True)
     if not r_raw < T:
         raise ConfigError(f"delay span must satisfy 0 < r < T, got r={r_raw}, T={T}", "model.r")
 
-    grids = _block(raw, "grids")
-    h_req = _number(grids, "grids", "h", T / 2000.0, positive=True)
+    grids = top.block("grids")
+    h_req = grids.number("h", T / 2000.0, positive=True)
     n_steps = max(int(round(T / h_req)), 16)
-    h = T / n_steps
-    r = _snap(r_raw, h, "delay span r", "model.r")
+    h = grids.set("h", T / n_steps)
+    r = model.set("r", _snap(r_raw, h, "delay span r", "model.r"))
     if r <= 0:
         raise ConfigError(f"delay span {r_raw} collapses to 0 on the grid (h={h})", "model.r")
-    h_r = _number(grids, "grids", "h_r", r / 200.0, positive=True)
+    h_r = grids.number("h_r", r / 200.0, positive=True)
     n_hist_nodes = max(int(round(r / h_r)), 2) + 1
-    G = _int(grids, "grids", "G", 513, minimum=3)
+    grids.set("h_r", r / (n_hist_nodes - 1))
+    G = grids.integer("G", 513, minimum=3)
     if G < 2 * n_modes + 1:
         raise ConfigError(
             f"G={G} cannot de-alias {n_modes} modes (need >= {2 * n_modes + 1})", "grids.G"
         )
-    norm_step = _number(grids, "grids", "norm_step", T / 2000.0, positive=True)
-    gamma_samples = _int(grids, "grids", "gamma_samples", 2000, minimum=16)
+    norm_step = grids.number("norm_step", T / 2000.0, positive=True)
+    gamma_samples = grids.integer("gamma_samples", 2000, minimum=16)
 
     params = ModelParams(c=c, d=d, k=k, n_modes=n_modes, T=T, r=r)
 
-    impulses_raw = raw.get("impulses", [])
-    if impulses_raw is None:
-        impulses_raw = []
-    if not isinstance(impulses_raw, list):
-        raise ConfigError("expected a list of impulse entries", "impulses")
     events = []
-    resolved_impulses = []
     prev_time = 0.0
-    for idx, entry in enumerate(impulses_raw):
-        key = f"impulses[{idx}]"
-        if not isinstance(entry, dict):
-            raise ConfigError("expected a mapping", key)
-        t_req = _number(entry, key, "time")
-        t_k = _snap(t_req, h, "impulse time", f"{key}.time")
+    for entry in top.entries("impulses", "impulse entries"):
+        t_k = _snap(entry.number("time"), h, "impulse time", entry.key("time"))
         if not prev_time < t_k < T:
             raise ConfigError(
                 f"impulse times must be strictly increasing inside (0, T); got {t_k}",
-                f"{key}.time",
+                entry.key("time"),
             )
-        prev_time = t_k
+        prev_time = entry.set("time", t_k)
         kind = entry.get("catalog")
         if not kind:
-            raise ConfigError("missing catalog entry name", f"{key}.catalog")
-        imp_params = _block(entry, "params", f"{key}.")
-        d_k = _optional_number(entry, key, "d_k")
-        imap = _catalog(key, make_impulse_map, kind, n_modes, imp_params, d_k)
-        events.append(ImpulseEvent(t_k, imap))
-        resolved_impulses.append(
-            {"time": t_k, "catalog": kind, "params": dict(imp_params), "d_k": imap.d_k}
+            raise ConfigError("missing catalog entry name", entry.key("catalog"))
+        imap = _catalog(
+            entry.path,
+            make_impulse_map,
+            kind,
+            n_modes,
+            entry.params(),
+            entry.optional_number("d_k"),
         )
+        entry.set("d_k", imap.d_k)
+        events.append(ImpulseEvent(t_k, imap))
 
-    delays = _block(raw, "delays")
-    lags_raw = _float_list(delays, "delays", "lags")
+    delays = top.block("delays")
     lags = []
     prev = 0.0
-    for j, tau in enumerate(lags_raw):
+    for j, tau in enumerate(delays.numbers("lags")):
         if not prev < tau < r:
             raise ConfigError(
                 f"lags must satisfy 0 < tau_1 < ... < tau_q < r (got tau={tau}, r={r})",
@@ -255,58 +285,58 @@ def parse_config(path: str | Path) -> RunConfig:
             )
         lags.append(tau_s)
         prev = tau_s
+    delays.set("lags", lags)
 
-    nonlocal_block = _block(raw, "nonlocal")
-    gammas = _float_list(nonlocal_block, "nonlocal", "gammas")
+    nonlocal_block = top.block("nonlocal")
+    gammas = nonlocal_block.numbers("gammas")
     if len(gammas) != len(lags):
         raise ConfigError(
             f"{len(gammas)} coefficients for {len(lags)} delay lags", "nonlocal.gammas"
         )
-    L_q_declared = _optional_number(nonlocal_block, "nonlocal", "L_q")
+    L_q_declared = nonlocal_block.optional_number("L_q")
 
-    forcing_block = _block(raw, "forcing")
-    forcing_kind = forcing_block.get("catalog", "zero")
-    forcing_params = _block(forcing_block, "params", "forcing.")
-    forcing = _catalog("forcing", make_forcing, forcing_kind, n_modes, forcing_params)
+    forcing_block = top.block("forcing")
+    forcing = _catalog(
+        "forcing", make_forcing, forcing_block.get("catalog", "zero"), n_modes, forcing_block.params()
+    )
 
-    nl_block = _block(raw, "nonlinearity")
-    nl_kind = nl_block.get("catalog", "zero")
-    nl_params = _block(nl_block, "params", "nonlinearity.")
+    nl_block = top.block("nonlinearity")
     nonlinearity = _catalog(
         "nonlinearity",
         make_nonlinearity,
-        nl_kind,
+        nl_block.get("catalog", "zero"),
         n_modes,
-        nl_params,
-        *(_optional_number(nl_block, "nonlinearity", key) for key in ("l_f", "alpha1", "beta1")),
+        nl_block.params(),
+        *(nl_block.optional_number(key) for key in ("l_f", "alpha1", "beta1")),
     )
+    nl_block.set("l_f", nonlinearity.lipschitz)
+    nl_block.set("alpha1", nonlinearity.alpha1)
+    nl_block.set("beta1", nonlinearity.beta1)
 
-    history_block = _block(raw, "history")
-    history_kind = history_block.get("catalog", "zero")
-    history_params = _block(history_block, "params", "history.")
+    history_block = top.block("history")
     history = _catalog(
-        "history", history_segment, history_kind, params, n_hist_nodes, history_params
+        "history",
+        history_segment,
+        history_block.get("catalog", "zero"),
+        params,
+        n_hist_nodes,
+        history_block.params(),
     )
 
-    experiment = _block(raw, "experiment")
-    tol = _number(experiment, "experiment", "tol", 1e-8, positive=True)
-    max_iter = _int(experiment, "experiment", "max_iter", 50, minimum=1)
-    picard_tol = _number(experiment, "experiment", "picard_tol", 1e-10, positive=True)
-    picard_max_iter = _int(experiment, "experiment", "picard_max_iter", 50, minimum=1)
-    t0 = _number(experiment, "experiment", "t0", 0.0)
+    targets = top.block("targets")
+    zstar = _state(targets, "zstar", n_modes)
+    z0 = _state(targets, "z0", n_modes)
+
+    experiment = top.block("experiment")
+    t0 = experiment.number("t0", 0.0)
     if not 0.0 <= t0 < T:
         raise ConfigError(f"t0 must lie in [0, T), got {t0}", "experiment.t0")
-    t0 = _snap(t0, h, "steering start t0", "experiment.t0")
+    t0 = experiment.set("t0", _snap(t0, h, "steering start t0", "experiment.t0"))
     t_m = events[-1].time if events else 0.0
     sigma_limit = min(T - t_m, r)
-    sigmas_raw = _float_list(
-        experiment,
-        "experiment",
-        "sigmas",
-        [f * sigma_limit for f in (0.2, 0.1, 0.05, 0.025)],
-    )
     sigmas = []
-    for j, s in enumerate(sigmas_raw):
+    default_sigmas = [f * sigma_limit for f in (0.2, 0.1, 0.05, 0.025)]
+    for j, s in enumerate(experiment.numbers("sigmas", default_sigmas)):
         s_snapped = _snap(s, h, "pull-back window", f"experiment.sigmas[{j}]")
         if not 0.0 < s_snapped < sigma_limit:
             raise ConfigError(
@@ -316,6 +346,11 @@ def parse_config(path: str | Path) -> RunConfig:
         if sigmas and s_snapped >= sigmas[-1]:
             raise ConfigError("windows must be strictly decreasing", f"experiment.sigmas[{j}]")
         sigmas.append(s_snapped)
+    experiment.set("sigmas", sigmas)
+    tol = experiment.number("tol", 1e-8, positive=True)
+    max_iter = experiment.integer("max_iter", 50, minimum=1)
+    picard_tol = experiment.number("picard_tol", 1e-10, positive=True)
+    picard_max_iter = experiment.integer("picard_max_iter", 50, minimum=1)
 
     problem = ProblemSpec(
         params=params,
@@ -330,58 +365,12 @@ def parse_config(path: str | Path) -> RunConfig:
         L_q_declared=L_q_declared,
         picard_tol=picard_tol,
         picard_max_iter=picard_max_iter,
+        norm_step=norm_step,
+        gamma_samples=gamma_samples,
     )
+    nonlocal_block.set("L_q", problem.L_q)
 
-    targets = _block(raw, "targets")
-    zstar = _state(targets, "targets", "zstar", n_modes)
-    z0 = _state(targets, "targets", "z0", n_modes)
-
-    output = _block(raw, "output")
-    out_dir = str(output.get("dir", "out"))
-    prefix = str(output.get("prefix", "run"))
-
-    resolved = {
-        "model": {"c": c, "d": d, "k": k, "n_modes": n_modes, "T": T, "r": r},
-        "grids": {
-            "h": h,
-            "h_r": r / (n_hist_nodes - 1),
-            "G": G,
-            "norm_step": norm_step,
-            "gamma_samples": gamma_samples,
-        },
-        "impulses": resolved_impulses,
-        "delays": {"lags": list(lags)},
-        "nonlocal": {"gammas": list(gammas), "L_q": problem.L_q},
-        "forcing": {"catalog": forcing_kind, "params": dict(forcing_params)},
-        "nonlinearity": {
-            "catalog": nl_kind,
-            "params": dict(nl_params),
-            "l_f": nonlinearity.lipschitz,
-            "alpha1": nonlinearity.alpha1,
-            "beta1": nonlinearity.beta1,
-        },
-        "history": {"catalog": history_kind, "params": dict(history_params)},
-        "targets": {
-            key: value
-            for key, value in (
-                ("zstar_w", zstar.w.tolist() if zstar is not None else None),
-                ("zstar_y", zstar.y.tolist() if zstar is not None else None),
-                ("z0_w", z0.w.tolist() if z0 is not None else None),
-                ("z0_y", z0.y.tolist() if z0 is not None else None),
-            )
-            if value is not None
-        },
-        "experiment": {
-            "t0": t0,
-            "sigmas": list(sigmas),
-            "tol": tol,
-            "max_iter": max_iter,
-            "picard_tol": picard_tol,
-            "picard_max_iter": picard_max_iter,
-        },
-        "output": {"dir": out_dir, "prefix": prefix},
-    }
-
+    output = top.block("output")
     return RunConfig(
         problem=problem,
         z0=z0,
@@ -390,11 +379,9 @@ def parse_config(path: str | Path) -> RunConfig:
         t0=t0,
         tol=tol,
         max_iter=max_iter,
-        norm_step=norm_step,
-        gamma_samples=gamma_samples,
-        out_dir=out_dir,
-        prefix=prefix,
-        resolved=resolved,
+        out_dir=output.text("dir", "out"),
+        prefix=output.text("prefix", "run"),
+        resolved=top.echo(),
     )
 
 

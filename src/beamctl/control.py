@@ -101,18 +101,6 @@ class ControlSignal:
             left[i] = v
         return left, right
 
-    def value(self, t: float) -> np.ndarray:
-        """Right-continuous piecewise-linear evaluation."""
-        if not self.t0 - 1e-12 <= t <= self.t1 + 1e-12:
-            raise ValueError(f"time {t} outside [{self.t0}, {self.t1}]")
-        pos = (t - self.t0) / self.step
-        i = int(np.clip(np.floor(pos + 1e-9), 0, self.n_nodes - 1))
-        frac = pos - i
-        if frac <= 1e-9:
-            return self.values[i].copy()
-        upper = self.left_values.get(i + 1, self.values[i + 1])
-        return (1.0 - frac) * self.values[i] + frac * upper
-
     def quadrature_weights(self) -> tuple[np.ndarray, dict[int, float]]:
         """Trapezoid weights for the canonical values plus extra mark weights."""
         h = self.step

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalogs import Forcing, ImpulseEvent, Nonlinearity
+from .catalogs import Forcing, ImpulseEvent, Nonlinearity, entry_params
 from .control import ControlSignal
 from .errors import ConfigError, NumericalError
 from .semigroup import ModelParams, exponential_step
@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 _NODE_SNAP = 1e-9
+
+# Each history catalog entry and the `params` keys it uses.
+HISTORY_KINDS = {"zero": (), "modal_constant": ("w", "y"), "file": ("path",)}
 
 
 def _as_marks(marks: dict | None) -> dict[int, np.ndarray]:
@@ -165,18 +168,6 @@ class Trajectory:
             raise ValueError(f"time {t} is not a grid node")
         return idx
 
-    def state(self, t: float) -> StateZ:
-        """Right-continuous value at t (grid nodes exactly, else linear)."""
-        if not -self.r - 1e-12 <= t <= self.t_end + 1e-12:
-            raise ValueError(f"time {t} outside [-{self.r}, {self.t_end}]")
-        idx, frac = _node_position(t + self.r, self.step)
-        if abs(frac) < _NODE_SNAP:
-            return StateZ.from_pair(self.values[min(max(idx, 0), self.n_nodes - 1)])
-        lo = int(np.floor((t + self.r) / self.step))
-        a = (t + self.r) / self.step - lo
-        upper = self.left_values.get(lo + 1, self.values[lo + 1])
-        return StateZ.from_pair((1.0 - a) * self.values[lo] + a * upper)
-
     def terminal_state(self) -> StateZ:
         return StateZ.from_pair(self.values[-1])
 
@@ -194,7 +185,8 @@ class ProblemSpec:
     Impulse times, delay lags, and the delay span r must sit on the
     trajectory grid; configuration loading snaps them (rejecting anything
     farther than half a step from a node), so construction only verifies
-    the alignment.
+    the alignment.  `norm_step` (default T/2000) and `gamma_samples` are the
+    time grids of the certificate's estimates of M and |Gamma|.
     """
 
     params: ModelParams
@@ -209,11 +201,15 @@ class ProblemSpec:
     L_q_declared: float | None = None
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
+    norm_step: float | None = None
+    gamma_samples: int = 2000
 
     def __post_init__(self) -> None:
         from .catalogs import make_forcing, make_nonlinearity
 
         p = self.params
+        if self.norm_step is None:
+            object.__setattr__(self, "norm_step", p.T / 2000.0)
         if self.forcing is None:
             object.__setattr__(self, "forcing", make_forcing("zero", p.n_modes))
         if self.nonlinearity is None:
@@ -292,7 +288,7 @@ def history_segment(
     kind: str, p: ModelParams, n_nodes: int, params: dict | None = None
 ) -> Segment:
     """Initial history data on [-r, 0]: 'zero', 'modal_constant', or 'file'."""
-    params = params or {}
+    params = entry_params("history", kind, params, HISTORY_KINDS)
     if n_nodes < 2:
         raise ConfigError(f"history grid needs at least 2 nodes, got {n_nodes}")
     step = p.r / (n_nodes - 1)
@@ -313,30 +309,29 @@ def history_segment(
             out[: coeffs.size] = coeffs
         values = np.broadcast_to(np.vstack([w, y]), (n_nodes, 2, p.n_modes)).copy()
         return Segment(step, values)
-    if kind == "file":
-        path = params.get("path")
-        if not path:
-            raise ConfigError("history catalog 'file' needs a 'path'")
-        try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read history file: {exc}", "params.path") from None
-        if data.shape[1] != 1 + 2 * p.n_modes:
-            raise ConfigError(
-                f"history file {path} must have columns t, w_1..w_{p.n_modes}, "
-                f"y_1..y_{p.n_modes}"
-            )
-        n = data.shape[0]
-        if n < 2:
-            raise ConfigError(f"history file {path} needs at least 2 rows")
-        ts = data[:, 0]
-        if abs(ts[0] + p.r) > 1e-9 or abs(ts[-1]) > 1e-9:
-            raise ConfigError(f"history file {path} must sample exactly [-r, 0] with r={p.r}")
-        values = np.empty((n, 2, p.n_modes))
-        values[:, 0, :] = data[:, 1 : 1 + p.n_modes]
-        values[:, 1, :] = data[:, 1 + p.n_modes :]
-        return Segment(p.r / (n - 1), values)
-    raise ConfigError(f"unknown history catalog entry '{kind}'")
+    # file
+    path = params.get("path")
+    if not path:
+        raise ConfigError("history catalog 'file' needs a 'path'", "params.path")
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read history file: {exc}", "params.path") from None
+    if data.shape[1] != 1 + 2 * p.n_modes:
+        raise ConfigError(
+            f"history file {path} must have columns t, w_1..w_{p.n_modes}, "
+            f"y_1..y_{p.n_modes}"
+        )
+    n = data.shape[0]
+    if n < 2:
+        raise ConfigError(f"history file {path} needs at least 2 rows")
+    ts = data[:, 0]
+    if abs(ts[0] + p.r) > 1e-9 or abs(ts[-1]) > 1e-9:
+        raise ConfigError(f"history file {path} must sample exactly [-r, 0] with r={p.r}")
+    values = np.empty((n, 2, p.n_modes))
+    values[:, 0, :] = data[:, 1 : 1 + p.n_modes]
+    values[:, 1, :] = data[:, 1 + p.n_modes :]
+    return Segment(p.r / (n - 1), values)
 
 
 def node_sources(spec: ProblemSpec, values: np.ndarray):

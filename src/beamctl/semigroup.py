@@ -19,7 +19,6 @@ __all__ = [
     "ModelParams",
     "propagator_entries_for",
     "exponential_step",
-    "semigroup_blocks",
     "apply_semigroup",
     "weighted_block_norms",
     "operator_norm_bound",
@@ -139,35 +138,14 @@ def exponential_step(h: float, lam: np.ndarray, c: float, d: float):
     return step
 
 
-def semigroup_blocks(t: float, p: ModelParams) -> np.ndarray:
-    """(n_modes, 2, 2) array of per-mode propagator blocks at time t."""
-    e00, e01, e10, e11 = propagator_entries_for(np.array([t]), p.lam, p.c, p.d)
-    blocks = np.empty((p.n_modes, 2, 2))
-    blocks[:, 0, 0] = e00[0]
-    blocks[:, 0, 1] = e01[0]
-    blocks[:, 1, 0] = e10[0]
-    blocks[:, 1, 1] = e11[0]
-    return blocks
-
-
-def _apply_blocks(blocks: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """Apply per-mode 2x2 blocks to a (2, N) coefficient pair."""
-    w, y = pair[0], pair[1]
-    return np.vstack(
-        [
-            blocks[:, 0, 0] * w + blocks[:, 0, 1] * y,
-            blocks[:, 1, 0] * w + blocks[:, 1, 1] * y,
-        ]
-    )
-
-
 def apply_semigroup(z: StateZ, t: float, p: ModelParams) -> StateZ:
     """Propagate a state by time t (any sign) under the homogeneous dynamics."""
     if z.n_modes != p.n_modes:
         raise ValueError(f"state has {z.n_modes} modes, params expect {p.n_modes}")
     if t == 0.0:
         return z
-    return StateZ.from_pair(_apply_blocks(semigroup_blocks(t, p), z.to_pair()))
+    e00, e01, e10, e11 = (e[0] for e in propagator_entries_for(np.array([t]), p.lam, p.c, p.d))
+    return StateZ(e00 * z.w + e01 * z.y, e10 * z.w + e11 * z.y)
 
 
 def weighted_block_norms(e00, e01, e10, e11, lam) -> np.ndarray:

@@ -85,26 +85,16 @@ class ContractionReport:
     lhs: float
     satisfied: bool
 
-    def recompute_lhs(self) -> float:
-        return (
-            self.M * self.L_q * self.q
-            + self.M * self.T * self.norm_B * self.norm_gamma * self.C
-            + self.M * self.T * self.lipschitz_F
-            + self.M * self.impulse_sum
-        )
 
+def contraction_constants(spec: ProblemSpec) -> ContractionReport:
+    """Assemble the contraction certificate from grid estimates and catalogs.
 
-def contraction_constants(
-    spec: ProblemSpec,
-    norm_step: float | None = None,
-    gamma_samples: int = 2000,
-) -> ContractionReport:
-    """Assemble the contraction certificate from grid estimates and catalogs."""
+    M and |Gamma| are maxima over the spec's `norm_step` and `gamma_samples`
+    time grids.
+    """
     p = spec.params
-    if norm_step is None:
-        norm_step = p.T / 2000.0
-    M = operator_norm_bound(p, norm_step)
-    norm_gamma = gamma_norm_estimate(0.0, p.T, p, gamma_samples)
+    M = operator_norm_bound(p, spec.norm_step)
+    norm_gamma = gamma_norm_estimate(0.0, p.T, p, spec.gamma_samples)
     lipschitz_F = p.k / np.pi**2 + spec.nonlinearity.lipschitz
     L_q = spec.L_q
     q = spec.q
@@ -114,10 +104,10 @@ def contraction_constants(
     lhs = M * L_q * q + M * p.T * norm_B * norm_gamma * C + M * p.T * lipschitz_F + M * n_imp
     return ContractionReport(
         M=M,
-        M_step=norm_step,
+        M_step=spec.norm_step,
         norm_B=norm_B,
         norm_gamma=norm_gamma,
-        gamma_samples=gamma_samples,
+        gamma_samples=spec.gamma_samples,
         lipschitz_F=lipschitz_F,
         L_q=L_q,
         q=q,
@@ -161,7 +151,7 @@ def pullback_control(
         raise ValueError(f"sigma={sigma} does not sit on the time grid (h={h})")
     switch = spec.n_steps - n_tail
     gs_tail = build_gramian_set(p.T - sigma, p.T, p, n_tail)
-    z_switch = traj.state(p.T - sigma)
+    z_switch = StateZ.from_pair(traj.values[traj.n_history + switch])
     xi = zstar - apply_semigroup(z_switch, sigma, p)
     tail = minimum_energy_control(xi, gs_tail, p)
 
@@ -241,7 +231,7 @@ def approx_experiment(
     tau_q = max(spec.lags, default=0.0)
     last_lag_node = int(round(tau_q / spec.h))
     lam = p.lam
-    M_est = operator_norm_bound(p)
+    M_est = operator_norm_bound(p, spec.norm_step)
     nl = spec.nonlinearity
     rows = []
     for sigma in sigmas:

@@ -38,7 +38,6 @@ from beamctl.control import (
 from beamctl.dynamics import IntegrationResult, Segment, Trajectory, integrate_mild
 from beamctl.errors import NumericalError
 from beamctl.semigroup import (
-    _apply_blocks,
     _branch_coefficients,
     apply_semigroup,
     exponential_step,
@@ -121,7 +120,56 @@ def adjoint_blocks(t: float, p) -> np.ndarray:
 def apply_adjoint_semigroup(z: StateZ, t: float, p) -> StateZ:
     if z.n_modes != p.n_modes:
         raise ValueError(f"state has {z.n_modes} modes, params expect {p.n_modes}")
-    return StateZ.from_pair(_apply_blocks(adjoint_blocks(t, p), z.to_pair()))
+    return StateZ.from_pair(apply_blocks(adjoint_blocks(t, p), z.to_pair()))
+
+
+def semigroup_blocks(t: float, p) -> np.ndarray:
+    """(n_modes, 2, 2) array of per-mode propagator blocks at time t."""
+    e00, e01, e10, e11 = propagator_entries_for(np.array([t]), p.lam, p.c, p.d)
+    blocks = np.empty((p.n_modes, 2, 2))
+    blocks[:, 0, 0] = e00[0]
+    blocks[:, 0, 1] = e01[0]
+    blocks[:, 1, 0] = e10[0]
+    blocks[:, 1, 1] = e11[0]
+    return blocks
+
+
+def apply_blocks(blocks: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Apply per-mode 2x2 blocks to a (2, N) coefficient pair."""
+    w, y = pair[0], pair[1]
+    return np.vstack(
+        [
+            blocks[:, 0, 0] * w + blocks[:, 0, 1] * y,
+            blocks[:, 1, 0] * w + blocks[:, 1, 1] * y,
+        ]
+    )
+
+
+def trajectory_state(traj: Trajectory, t: float) -> StateZ:
+    """Right-continuous value of a trajectory at t (grid nodes exactly, else linear)."""
+    if not -traj.r - 1e-12 <= t <= traj.t_end + 1e-12:
+        raise ValueError(f"time {t} outside [-{traj.r}, {traj.t_end}]")
+    pos = (t + traj.r) / traj.step
+    idx = int(round(pos))
+    if abs(pos - idx) < _NODE_SNAP:
+        return StateZ.from_pair(traj.values[min(max(idx, 0), traj.n_nodes - 1)])
+    lo = int(np.floor(pos))
+    a = pos - lo
+    upper = traj.left_values.get(lo + 1, traj.values[lo + 1])
+    return StateZ.from_pair((1.0 - a) * traj.values[lo] + a * upper)
+
+
+def control_value(u: ControlSignal, t: float) -> np.ndarray:
+    """Right-continuous piecewise-linear evaluation of a control at t."""
+    if not u.t0 - 1e-12 <= t <= u.t1 + 1e-12:
+        raise ValueError(f"time {t} outside [{u.t0}, {u.t1}]")
+    pos = (t - u.t0) / u.step
+    i = int(np.clip(np.floor(pos + 1e-9), 0, u.n_nodes - 1))
+    frac = pos - i
+    if frac <= 1e-9:
+        return u.values[i].copy()
+    upper = u.left_values.get(i + 1, u.values[i + 1])
+    return (1.0 - frac) * u.values[i] + frac * upper
 
 
 def zero_control(t0: float, t1: float, n_steps: int, n_modes: int) -> ControlSignal:
@@ -296,7 +344,7 @@ def method_of_steps_rk4(
         return quad_w * (np.maximum(basis @ w, 0.0) @ basis)
 
     def u_at(t):
-        return u.value(t) if u is not None else None
+        return control_value(u, t) if u is not None else None
 
     imp_nodes = {n_r + int(round(ev.time / h)): ev for ev in spec.impulses}
     rho = np.stack([spec.history.value(-p.r + h * i) for i in range(n_r + 1)])
@@ -559,7 +607,7 @@ def segment_at(traj, t: float) -> Segment:
         marks = {i - lo: v for i, v in traj.left_values.items() if lo < i <= idx}
         return Segment(traj.step, values, marks)
     thetas = t + traj.step * (np.arange(n_r + 1) - n_r)
-    values = np.stack([traj.state(th).to_pair() for th in thetas])
+    values = np.stack([trajectory_state(traj, th).to_pair() for th in thetas])
     return Segment(traj.step, values)
 
 
@@ -574,7 +622,7 @@ def full_pullback_experiment(spec, u, zstar, sigmas):
     nominal = integrate_mild(spec, u)
     traj = nominal.trajectory
     lam = p.lam
-    M_est = operator_norm_bound(p)
+    M_est = operator_norm_bound(p, spec.norm_step)
     nl = spec.nonlinearity
     rows, runs = [], []
     for sigma in [float(s) for s in sigmas]:

@@ -7,7 +7,8 @@ from beamctl.cli import main
 from beamctl.config import parse_config
 from beamctl.errors import ConfigError
 
-CONFIGS = Path(__file__).parents[1] / "configs"
+ROOT = Path(__file__).parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def write_config(tmp_path, data, name="cfg.yaml"):
@@ -99,6 +100,28 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError, match="nonlocal.gammas"):
             parse_config(path)
+
+    def test_readme_configuration_block_loads(self, tmp_path):
+        # The reference block under "## Configuration" in README.md, with its
+        # [...] placeholders filled in, loads and names every key the reader
+        # echoes: a key renamed in the reader or misspelt in the README fails.
+        section = (ROOT / "README.md").read_text().split("## Configuration", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.yaml"
+        path.write_text(block.replace("[...]", "[0.1, -0.2, 0.05]"))
+        cfg = parse_config(path)
+
+        def key_paths(node, prefix=""):
+            if isinstance(node, list) and node and isinstance(node[0], dict):
+                yield from key_paths(node[0], f"{prefix}[0]")
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    path = f"{prefix}.{key}" if prefix else key
+                    yield path
+                    yield from key_paths(value, path)
+
+        raw = yaml.safe_load(path.read_text())
+        assert set(key_paths(cfg.resolved)) == set(key_paths(raw))
 
 
 class TestCli:
@@ -218,6 +241,9 @@ class TestCli:
                 "history.params.path",
                 id="history-file-missing",
             ),
+            pytest.param(
+                {"history": {"catalog": "file"}}, "history.params.path", id="history-file-no-path"
+            ),
         ],
     )
     def test_malformed_input_exits_2_at_load(self, tmp_path, capsys, fragment, key):
@@ -233,6 +259,71 @@ class TestCli:
         assert err.startswith(f"error: config: {key}: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [
+            pytest.param(("modle",), "modle", id="top"),
+            pytest.param(("model", "dampin"), "model.dampin", id="model"),
+            pytest.param(("grids", "hr"), "grids.hr", id="grids"),
+            pytest.param(("impulses", 0, "dk"), "impulses[0].dk", id="impulse-entry"),
+            pytest.param(("delays", "lag"), "delays.lag", id="delays"),
+            pytest.param(("nonlocal", "Lq"), "nonlocal.Lq", id="nonlocal"),
+            pytest.param(("forcing", "parms"), "forcing.parms", id="forcing"),
+            pytest.param(("nonlinearity", "lf"), "nonlinearity.lf", id="nonlinearity"),
+            pytest.param(("history", "param"), "history.param", id="history"),
+            pytest.param(("targets", "zstar_v"), "targets.zstar_v", id="targets"),
+            pytest.param(
+                ("experiment", "picard_max_itr"), "experiment.picard_max_itr", id="experiment"
+            ),
+            pytest.param(("output", "prefx"), "output.prefx", id="output"),
+            pytest.param(
+                ("impulses", 0, "params", "amplitude"),
+                "impulses[0].params.amplitude",
+                id="impulse-params",
+            ),
+            pytest.param(
+                ("forcing", "params", "omgea"), "forcing.params.omgea", id="forcing-params"
+            ),
+            pytest.param(
+                ("nonlinearity", "params", "ampp"),
+                "nonlinearity.params.ampp",
+                id="nonlinearity-params",
+            ),
+            pytest.param(("history", "params", "z"), "history.params.z", id="history-params"),
+        ],
+    )
+    def test_misspelt_key_exits_2_at_load(self, tmp_path, capsys, where, key):
+        # Every block of simulate_demo.yaml plus targets and experiment; the
+        # config loads until one misspelt key is added.
+        data = yaml.safe_load((CONFIGS / "simulate_demo.yaml").read_text())
+        data["targets"] = {"zstar_w": [0.1], "zstar_y": [0.2]}
+        data["experiment"] = {"tol": 1.0e-9, "picard_max_iter": 40}
+        node = data
+        for part in where[:-1]:
+            node = node[part]
+        node[where[-1]] = 1.0
+        out = tmp_path / "o"
+        rc = main(["check", "--config", str(write_config(tmp_path, data)), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {key}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_exact_reports_the_check_certificate(self, tmp_path):
+        # Coarse certificate grids on a stiffer, more damped beam: the grid
+        # estimate of M moves with norm_step, and exact must use the same
+        # configured grids as check.
+        data = yaml.safe_load((CONFIGS / "exact_benchmark.yaml").read_text())
+        data["model"].update(d=4, c=30)
+        data["grids"].update(norm_step=0.05, gamma_samples=16)
+        cfg = str(write_config(tmp_path, data))
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "check")]) == 0
+        assert main(["exact", "--config", cfg, "--out", str(tmp_path / "exact")]) == 0
+        check = read_report(tmp_path / "check" / "exact_benchmark_report.txt")
+        exact = read_report(tmp_path / "exact" / "exact_benchmark_report.txt")
+        assert exact["contraction_lhs"] == check["lhs"]
 
     def test_steer_without_target_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": {"c": 1.0, "d": 1.0, "k": 1.0}})

@@ -17,6 +17,7 @@ from beamctl.spectral import StateZ, eigenvalues, norm_z, zero_state
 
 from oracles import (
     control_sum,
+    control_value,
     mode_matrix,
     rk4_forced_response,
     scaled_control,
@@ -241,7 +242,7 @@ class TestSteering:
         u = steering_control(zero_state(8), zstar, 0.0, 1.0, p8, n_steps)
         a = mode_matrix(1, p8)
         z_end = rk4_forced_response(
-            a, np.array([0.0, 1.0]), lambda t: u.value(t)[0], 1.0, np.zeros(2), 2 * n_steps
+            a, np.array([0.0, 1.0]), lambda t: control_value(u, t)[0], 1.0, np.zeros(2), 2 * n_steps
         )
         err = np.hypot(np.pi**2 * (z_end[0] - 1.0), z_end[1])
         assert err <= 1e-6 * norm_z(zstar)
@@ -265,9 +266,9 @@ class TestControlSignal:
     def test_interpolation_and_marks(self):
         values = np.array([[0.0], [1.0], [2.0]])
         u = ControlSignal(0.0, 1.0, values, {1: np.array([10.0])})
-        assert u.value(0.25)[0] == pytest.approx(5.0)  # toward the left limit
-        assert u.value(0.5)[0] == 1.0  # right limit at the mark
-        assert u.value(0.75)[0] == pytest.approx(1.5)
+        assert control_value(u, 0.25)[0] == pytest.approx(5.0)  # toward the left limit
+        assert control_value(u, 0.5)[0] == 1.0  # right limit at the mark
+        assert control_value(u, 0.75)[0] == pytest.approx(1.5)
 
     def test_l2_norm_matches_manual_trapezoid(self, rng):
         values = rng.normal(size=(11, 3))

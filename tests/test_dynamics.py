@@ -22,6 +22,7 @@ from oracles import (
     project,
     segment_at,
     source_term,
+    trajectory_state,
 )
 
 
@@ -181,7 +182,7 @@ class TestIntegrateMild:
         z0 = StateZ(np.array([0.5, 0.2, 0, 0.0]), np.array([0.1, -0.3, 0, 0.0]))
         for t in (0.25, 0.7, 1.0):
             expected = apply_semigroup(z0, t, p)
-            got = res.trajectory.state(t)
+            got = trajectory_state(res.trajectory, t)
             assert norm_z(got - expected) <= 1e-8
 
     def test_impulse_jump_identity_bookkept(self, grid129, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beamctl.semigroup import ModelParams, apply_semigroup, operator_norm_bound, semigroup_blocks
+from beamctl.semigroup import ModelParams, apply_semigroup, operator_norm_bound
 from beamctl.spectral import StateZ, eigenvalue, eigenvalues, norm_z
 
 from oracles import (
@@ -10,6 +10,7 @@ from oracles import (
     mode_adjoint_matrix,
     mode_matrix,
     rk4_matrix_exp,
+    semigroup_blocks,
     taylor_expm,
 )
 

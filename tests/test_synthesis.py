@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -150,13 +151,19 @@ class TestContractionConstants:
         assert rep.lipschitz_F == pytest.approx(1.0, rel=1e-14)
         formula = rep.M * rep.T * (1.0 + rep.norm_gamma * rep.M * rep.T)
         assert rep.lhs == pytest.approx(formula, rel=1e-12)
-        assert rep.lhs == pytest.approx(rep.recompute_lhs(), rel=1e-14)
+        four_terms = (
+            rep.M * rep.L_q * rep.q
+            + rep.M * rep.T * rep.norm_B * rep.norm_gamma * rep.C
+            + rep.M * rep.T * rep.lipschitz_F
+            + rep.M * rep.impulse_sum
+        )
+        assert rep.lhs == pytest.approx(four_terms, rel=1e-14)
 
     def test_reproducible_under_grid_refinement(self, grid129):
         p = ModelParams(c=1.0, d=1.0, k=np.pi**2, n_modes=4, T=1.0, r=0.25)
         spec = ProblemSpec(params=p, grid=grid129, n_steps=200)
-        coarse = contraction_constants(spec, norm_step=p.T / 2000, gamma_samples=2000)
-        fine = contraction_constants(spec, norm_step=p.T / 20000, gamma_samples=20000)
+        coarse = contraction_constants(replace(spec, norm_step=p.T / 2000, gamma_samples=2000))
+        fine = contraction_constants(replace(spec, norm_step=p.T / 20000, gamma_samples=20000))
         assert abs(coarse.lhs - fine.lhs) <= 1e-3 * fine.lhs
 
 
