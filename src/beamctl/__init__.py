@@ -31,7 +31,6 @@ from .control import (
 from .dynamics import (
     IntegrationResult,
     ProblemSpec,
-    Segment,
     Trajectory,
     history_segment,
     integrate_mild,

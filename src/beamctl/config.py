@@ -7,9 +7,9 @@ read order.  Loading snaps impulse times, delay lags, the delay span, t0
 and the pull-back windows onto the trajectory grid (anything farther than
 half a step from a node is rejected) and writes the snapped and derived
 values back into the echo; a key that no getter read, at any level, is
-rejected.  The echo is the fully resolved configuration, written next to
-the outputs so a run can be reproduced from a single artifact; feeding it
-back produces byte-identical outputs.
+rejected when the reader leaves its block.  The echo is the fully resolved
+configuration, written next to the outputs so a run can be reproduced from
+a single artifact; feeding it back produces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -60,7 +60,10 @@ class _Block:
     Each getter records the value it returns in `resolved`, in read order,
     and `set` replaces a recorded value by its resolved form.  `echo()`
     rejects any key that no getter read, here or in a block read from here,
-    and returns the record.
+    and returns the record.  Opening a block echoes the ones opened before
+    it, so every getter of a block must run before the next block opens; an
+    unknown key is then reported before a later block's checks can trip
+    over its absence.
     """
 
     def __init__(self, raw, path: str = ""):
@@ -85,7 +88,10 @@ class _Block:
         return self.set(name, self.raw.get(name, default))
 
     def text(self, name: str, default: str) -> str:
-        return self.set(name, str(self.raw.get(name, default)))
+        value = self.raw.get(name, default)
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"expected a non-empty string, got {value!r}", self.key(name))
+        return self.set(name, value)
 
     def number(self, name: str, default=None, positive=False) -> float:
         if name not in self.raw:
@@ -125,9 +131,14 @@ class _Block:
         """A catalog's `params` mapping; the catalog entry checks its keys."""
         return self.set("params", dict(_Block(self.raw.get("params"), self.key("params")).raw))
 
+    def _open(self, children: list[_Block]) -> None:
+        for child in self._children:
+            child.echo()
+        self._children.extend(children)
+
     def block(self, name: str) -> _Block:
         child = _Block(self.raw.get(name), self.key(name))
-        self._children.append(child)
+        self._open([child])
         self.set(name, child.resolved)
         return child
 
@@ -139,7 +150,7 @@ class _Block:
         if not isinstance(raw, list):
             raise ConfigError(f"expected a list of {what}", self.key(name))
         children = [_Block(entry, f"{self.key(name)}[{j}]") for j, entry in enumerate(raw)]
-        self._children.extend(children)
+        self._open(children)
         self.set(name, [child.resolved for child in children])
         return children
 
@@ -230,9 +241,6 @@ def parse_config(path: str | Path) -> RunConfig:
     r = model.set("r", _snap(r_raw, h, "delay span r", "model.r"))
     if r <= 0:
         raise ConfigError(f"delay span {r_raw} collapses to 0 on the grid (h={h})", "model.r")
-    h_r = grids.number("h_r", r / 200.0, positive=True)
-    n_hist_nodes = max(int(round(r / h_r)), 2) + 1
-    grids.set("h_r", r / (n_hist_nodes - 1))
     G = grids.integer("G", 513, minimum=3)
     if G < 2 * n_modes + 1:
         raise ConfigError(
@@ -319,7 +327,7 @@ def parse_config(path: str | Path) -> RunConfig:
         history_segment,
         history_block.get("catalog", "zero"),
         params,
-        n_hist_nodes,
+        int(round(r / h)) + 1,
         history_block.params(),
     )
 

@@ -1,6 +1,8 @@
 """Mild-solution integration with delays, impulses, and nonlocal history.
 
-The trajectory lives on one uniform grid covering [-r, T].  Stepping is an
+The trajectory lives on one uniform grid covering [-r, T], and so does the
+prescribed history: `ProblemSpec.history` holds it at the grid's nodes on
+[-r, 0], and the sweeps read it as it is.  Stepping is an
 exponential integrator: the stiff linear part is propagated by the exact
 per-mode blocks, the sources (control, load, cable force, nonlinear term)
 are integrated by the trapezoid rule within each step.  The step is
@@ -43,7 +45,6 @@ from .semigroup import ModelParams, exponential_step
 from .spectral import SpatialGrid, StateZ, eigenvalues, energy_norms, positive_part
 
 __all__ = [
-    "Segment",
     "Trajectory",
     "ProblemSpec",
     "IntegrationResult",
@@ -59,15 +60,6 @@ _NODE_SNAP = 1e-9
 HISTORY_KINDS = {"zero": (), "modal_constant": ("w", "y"), "file": ("path",)}
 
 
-def _as_marks(marks: dict | None) -> dict[int, np.ndarray]:
-    out = {}
-    for i, v in sorted((marks or {}).items()):
-        arr = np.array(v, dtype=float)
-        arr.flags.writeable = False
-        out[int(i)] = arr
-    return out
-
-
 def _node_position(offset: float, step: float) -> tuple[int, float]:
     pos = offset / step
     idx = int(round(pos))
@@ -75,60 +67,13 @@ def _node_position(offset: float, step: float) -> tuple[int, float]:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """History window on a uniform grid over [-span, 0].
-
-    `values[i]` holds the (2, n_modes) coefficient pair at theta_i =
-    -span + i*step and is the right limit; nodes listed in `left_values`
-    are jump points carrying a distinct left limit.
-    """
-
-    step: float
-    values: np.ndarray
-    left_values: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 3 or values.shape[1] != 2 or values.shape[0] < 2:
-            raise ValueError(f"values must be (n_nodes >= 2, 2, n_modes), got {values.shape}")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "left_values", _as_marks(self.left_values))
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
-
-    @property
-    def n_nodes(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_modes(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def span(self) -> float:
-        return self.step * (self.n_nodes - 1)
-
-    def value(self, theta: float) -> np.ndarray:
-        """Right-continuous piecewise-linear evaluation at theta in [-span, 0]."""
-        if not -self.span - 1e-9 * self.span <= theta <= 1e-12:
-            raise ValueError(f"theta {theta} outside [-{self.span}, 0]")
-        idx, frac = _node_position(theta + self.span, self.step)
-        if abs(frac) < _NODE_SNAP:
-            return self.values[min(max(idx, 0), self.n_nodes - 1)]
-        lo = int(np.floor(theta / self.step + (self.n_nodes - 1)))
-        a = (theta + self.span) / self.step - lo
-        upper = self.left_values.get(lo + 1, self.values[lo + 1])
-        return (1.0 - a) * self.values[lo] + a * upper
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Mild solution samples on the uniform grid covering [-r, T].
 
     Node i sits at t_i = (i - n_history) * step; `values[i]` is the right
-    limit there.  Jump nodes (impulse times and any history jumps) are
-    recorded in `left_values` with their left limits.
+    limit there.  Jump nodes (impulse times, and the history nodes where
+    the nonlocal term carries an impulse jump back) are recorded in
+    `left_values` with their left limits.
     """
 
     step: float
@@ -140,7 +85,10 @@ class Trajectory:
         values = np.array(self.values, dtype=float)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "left_values", _as_marks(self.left_values))
+        marks = {int(i): np.array(v, dtype=float) for i, v in sorted(self.left_values.items())}
+        for v in marks.values():
+            v.flags.writeable = False
+        object.__setattr__(self, "left_values", marks)
 
     @property
     def n_nodes(self) -> int:
@@ -185,8 +133,11 @@ class ProblemSpec:
     Impulse times, delay lags, and the delay span r must sit on the
     trajectory grid; configuration loading snaps them (rejecting anything
     farther than half a step from a node), so construction only verifies
-    the alignment.  `norm_step` (default T/2000) and `gamma_samples` are the
-    time grids of the certificate's estimates of M and |Gamma|.
+    the alignment.  `history` is the prescribed history rho at the
+    trajectory nodes of [-r, 0], a read-only (n_r + 1, 2, n_modes) array
+    with n_r = r/h (zeros by default); `history[-1]` is rho(0).
+    `norm_step` (default T/2000) and `gamma_samples` are the time grids of
+    the certificate's estimates of M and |Gamma|.
     """
 
     params: ModelParams
@@ -197,7 +148,7 @@ class ProblemSpec:
     gammas: tuple[float, ...] = ()
     forcing: Forcing = None
     nonlinearity: Nonlinearity = None
-    history: Segment = None
+    history: np.ndarray | None = None
     L_q_declared: float | None = None
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
@@ -250,20 +201,20 @@ class ProblemSpec:
             if abs(fr) > _NODE_SNAP:
                 raise ConfigError(f"impulse time {ev.time} does not sit on the time grid (h={h})")
             prev = ev.time
-        if self.history is not None:
-            if abs(self.history.span - p.r) > 1e-9 * max(p.r, 1.0):
-                raise ConfigError(
-                    f"history covers [-{self.history.span}, 0] but the delay span is {p.r}"
-                )
-            if self.history.n_modes != p.n_modes:
-                raise ConfigError(
-                    f"history has {self.history.n_modes} modes, model has {p.n_modes}"
-                )
-        else:
-            n_h = max(int(round(p.r / h)), 2)
-            object.__setattr__(
-                self, "history", Segment(p.r / n_h, np.zeros((n_h + 1, 2, p.n_modes)))
+        shape = (idx + 1, 2, p.n_modes)
+        history = np.broadcast_to(0.0, shape) if self.history is None else self.history
+        history = np.asarray(history, dtype=float)
+        if history.shape != shape:
+            raise ConfigError(
+                f"history has shape {history.shape}, the trajectory grid on [-r, 0] "
+                f"needs {shape}"
             )
+        # Read-only arrays (`history_segment`'s, whose constants are
+        # broadcast views) are kept; a writeable one is copied and frozen.
+        if history.flags.writeable:
+            history = history.copy()
+            history.flags.writeable = False
+        object.__setattr__(self, "history", history)
 
     @property
     def h(self) -> float:
@@ -286,14 +237,21 @@ class ProblemSpec:
 
 def history_segment(
     kind: str, p: ModelParams, n_nodes: int, params: dict | None = None
-) -> Segment:
-    """Initial history data on [-r, 0]: 'zero', 'modal_constant', or 'file'."""
+) -> np.ndarray:
+    """Initial history at the n_nodes trajectory nodes of [-r, 0].
+
+    Returns a read-only (n_nodes, 2, n_modes) array.  Kinds: 'zero',
+    'modal_constant', or 'file'.  A file samples [-r, 0] at uniformly
+    spaced rows, any number of them; the rows are interpolated piecewise
+    linearly onto the nodes, and a node within 1e-9 (in units of the row
+    spacing) of a row takes that row.
+    """
     params = entry_params("history", kind, params, HISTORY_KINDS)
     if n_nodes < 2:
         raise ConfigError(f"history grid needs at least 2 nodes, got {n_nodes}")
-    step = p.r / (n_nodes - 1)
+    shape = (n_nodes, 2, p.n_modes)
     if kind == "zero":
-        return Segment(step, np.zeros((n_nodes, 2, p.n_modes)))
+        return np.broadcast_to(0.0, shape)
     if kind == "modal_constant":
         w = np.zeros(p.n_modes)
         y = np.zeros(p.n_modes)
@@ -307,8 +265,7 @@ def history_segment(
                     f"lists {coeffs.size} modes, model has {p.n_modes}", f"params.{key}"
                 )
             out[: coeffs.size] = coeffs
-        values = np.broadcast_to(np.vstack([w, y]), (n_nodes, 2, p.n_modes)).copy()
-        return Segment(step, values)
+        return np.broadcast_to(np.vstack([w, y]), shape)
     # file
     path = params.get("path")
     if not path:
@@ -320,18 +277,39 @@ def history_segment(
     if data.shape[1] != 1 + 2 * p.n_modes:
         raise ConfigError(
             f"history file {path} must have columns t, w_1..w_{p.n_modes}, "
-            f"y_1..y_{p.n_modes}"
+            f"y_1..y_{p.n_modes}",
+            "params.path",
         )
     n = data.shape[0]
     if n < 2:
-        raise ConfigError(f"history file {path} needs at least 2 rows")
+        raise ConfigError(f"history file {path} needs at least 2 rows", "params.path")
     ts = data[:, 0]
     if abs(ts[0] + p.r) > 1e-9 or abs(ts[-1]) > 1e-9:
-        raise ConfigError(f"history file {path} must sample exactly [-r, 0] with r={p.r}")
-    values = np.empty((n, 2, p.n_modes))
-    values[:, 0, :] = data[:, 1 : 1 + p.n_modes]
-    values[:, 1, :] = data[:, 1 + p.n_modes :]
-    return Segment(p.r / (n - 1), values)
+        raise ConfigError(
+            f"history file {path} must sample exactly [-r, 0] with r={p.r}", "params.path"
+        )
+    step = p.r / (n - 1)
+    if np.abs(np.diff(ts) - step).max() > 1e-9 * p.r:
+        raise ConfigError(
+            f"history file {path} must sample [-r, 0] at uniform spacing r/{n - 1}",
+            "params.path",
+        )
+    rows = np.empty((n, 2, p.n_modes))
+    rows[:, 0, :] = data[:, 1 : 1 + p.n_modes]
+    rows[:, 1, :] = data[:, 1 + p.n_modes :]
+    # Node times as the trajectory grid computes them, h = T/n_steps.
+    n_r = n_nodes - 1
+    h = p.T / round(p.T * n_r / p.r)
+    thetas = h * np.arange(-n_r, 1)
+    pos = (thetas + step * (n - 1)) / step
+    lo = np.clip(np.floor(thetas / step + (n - 1)).astype(int), 0, n - 2)
+    a = (pos - lo)[:, None, None]
+    out = (1.0 - a) * rows[lo] + a * rows[lo + 1]
+    idx = np.rint(pos)
+    snap = np.abs(pos - idx) < _NODE_SNAP
+    out[snap] = rows[np.clip(idx[snap].astype(int), 0, n - 1)]
+    out.flags.writeable = False
+    return out
 
 
 def node_sources(spec: ProblemSpec, values: np.ndarray):
@@ -344,7 +322,7 @@ def node_sources(spec: ProblemSpec, values: np.ndarray):
     the right-limit state `values[node - n_r]` at t - r.  It never reads the
     velocity at `node`, and it sees later writes to the buffer.
     """
-    n_r = int(round(spec.params.r / spec.h))
+    n_r = len(spec.history) - 1
 
     def row(node: int, t: float, u_val: np.ndarray | None) -> np.ndarray:
         out = -spec.params.k * positive_part(values[node, 0], spec.grid)
@@ -389,27 +367,6 @@ def _control_nodes(u: ControlSignal | None, spec: ProblemSpec):
         )
     left, right = u.node_values()
     return left, right, frozenset(u.left_values)
-
-
-def _resample_history(spec: ProblemSpec):
-    """History data on the trajectory grid: (n_r + 1, 2, N) plus marks."""
-    h = spec.h
-    n_r = int(round(spec.params.r / h))
-    src = spec.history
-    if abs(src.step - h) < 1e-12 * h and src.n_nodes == n_r + 1:
-        return src.values.copy(), dict(src.left_values), n_r
-    thetas = h * np.arange(-n_r, 1)
-    values = np.stack([src.value(th) for th in thetas])
-    marks = {}
-    for i, v in src.left_values.items():
-        theta = src.step * i - src.span
-        idx, frac = _node_position(theta + spec.params.r, h)
-        if abs(frac) > _NODE_SNAP:
-            raise ConfigError(
-                f"history jump at {theta} does not sit on the trajectory grid (h={h})"
-            )
-        marks[idx] = np.array(v, dtype=float)
-    return values, marks, n_r
 
 
 def _sweep(
@@ -547,7 +504,8 @@ def integrate_mild(
     if spec.u_dependent and u is None:
         raise ValueError("problem has control-dependent catalog entries but no control")
     controls = _control_nodes(u, spec)
-    rho_values, rho_marks, n_r = _resample_history(spec)
+    rho_values = spec.history
+    n_r = len(rho_values) - 1
     p = spec.params
     lam = p.lam
     step = exponential_step(spec.h, lam, p.c, p.d)
@@ -555,7 +513,7 @@ def integrate_mild(
     n_read = n_r + stop + 1
 
     if warm is None:
-        hist_values, hist_marks = rho_values, rho_marks
+        hist_values, hist_marks = rho_values, {}
     else:
         hist_values, hist_marks = _warm_history(spec, warm, n_r)
     prev_values = None
@@ -585,11 +543,7 @@ def integrate_mild(
                 f"for three consecutive sweeps (sweep {iteration}, residual {residual:.3e})"
             )
         hist_values = rho_values - gvals
-        hist_marks = {}
-        for i in sorted(set(rho_marks) | set(gmarks)):
-            rho_side = rho_marks.get(i, rho_values[i])
-            g_side = gmarks.get(i, gvals[i])
-            hist_marks[i] = rho_side - g_side
+        hist_marks = {i: rho_values[i] - g_left for i, g_left in gmarks.items()}
         prev_values = values
     else:
         raise NumericalError(

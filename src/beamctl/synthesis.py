@@ -290,7 +290,7 @@ def steering_target(
     p = spec.params
     lam = p.lam
 
-    rho0 = spec.history.value(0.0)
+    rho0 = spec.history[-1]
     if spec.q:
         g0 = np.zeros_like(rho0)
         for g, tau in zip(spec.gammas, spec.lags):

@@ -14,17 +14,20 @@ history sweeps stopped at the largest lag.  `cold_exact_fixed_point` starts
 every integration of the exact driver from the prescribed history, as the
 package did before it warm-started them, and `loop_steering_target` sums
 the steering target's source convolution one node at a time, as the package
-did before it summed it in one pass.  `simpson_gramian` integrates the
-package's own propagator entries, but by a quadrature the package no
-longer uses.  `source_term`, `nonlocal_combination`, `segment_at`, the
-generator blocks, `expm2`, the adjoint propagator, the control
-arithmetic, `project` and `norm_half` are former package helpers that only
-the tests used.
+did before it summed it in one pass.  `resample_history` samples a
+history `Segment` at the trajectory nodes, as the package did on every
+integration before the history became a node array fixed at load.
+`simpson_gramian` integrates the package's own propagator entries, but by
+a quadrature the package no longer uses.  `Segment`, `source_term`,
+`nonlocal_combination`, `segment_at`, the generator blocks, `expm2`, the
+adjoint propagator, the control arithmetic, `project` and `norm_half` are
+former package helpers that only the tests used.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from beamctl.control import (
     default_gramian_step,
     minimum_energy_control,
 )
-from beamctl.dynamics import IntegrationResult, Segment, Trajectory, integrate_mild
+from beamctl.dynamics import IntegrationResult, Trajectory, integrate_mild
 from beamctl.errors import NumericalError
 from beamctl.semigroup import (
     _branch_coefficients,
@@ -65,6 +68,68 @@ from beamctl.synthesis import (
 )
 
 _NODE_SNAP = 1e-9
+
+
+@dataclass(frozen=True)
+class Segment:
+    """Delay window on a uniform grid over [-span, 0].
+
+    `values[i]` holds the (2, n_modes) coefficient pair at theta_i =
+    -span + i*step and is the right limit; nodes listed in `left_values`
+    are jump points carrying a distinct left limit.  The package's former
+    history type, kept for the window oracles and for `resample_history`.
+    """
+
+    step: float
+    values: np.ndarray
+    left_values: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 3 or values.shape[1] != 2 or values.shape[0] < 2:
+            raise ValueError(f"values must be (n_nodes >= 2, 2, n_modes), got {values.shape}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        marks = {int(i): np.array(v, dtype=float) for i, v in sorted(self.left_values.items())}
+        object.__setattr__(self, "left_values", marks)
+        if self.step <= 0:
+            raise ValueError(f"step must be positive, got {self.step}")
+
+    @property
+    def n_nodes(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def span(self) -> float:
+        return self.step * (self.n_nodes - 1)
+
+    def value(self, theta: float) -> np.ndarray:
+        """Right-continuous piecewise-linear evaluation at theta in [-span, 0]."""
+        if not -self.span - 1e-9 * self.span <= theta <= 1e-12:
+            raise ValueError(f"theta {theta} outside [-{self.span}, 0]")
+        pos = (theta + self.span) / self.step
+        idx = int(round(pos))
+        if abs(pos - idx) < _NODE_SNAP:
+            return self.values[min(max(idx, 0), self.n_nodes - 1)]
+        lo = int(np.floor(theta / self.step + (self.n_nodes - 1)))
+        a = (theta + self.span) / self.step - lo
+        upper = self.left_values.get(lo + 1, self.values[lo + 1])
+        return (1.0 - a) * self.values[lo] + a * upper
+
+
+def resample_history(segment: Segment, spec) -> np.ndarray:
+    """A history segment sampled at the trajectory nodes of [-r, 0] of `spec`.
+
+    The package's former per-integration resample, kept as the bitwise
+    reference for the history files that `history_segment` now interpolates
+    once at load (which carry no jump marks).
+    """
+    h = spec.h
+    n_r = int(round(spec.params.r / h))
+    if abs(segment.step - h) < 1e-12 * h and segment.n_nodes == n_r + 1:
+        return segment.values.copy()
+    thetas = h * np.arange(-n_r, 1)
+    return np.stack([segment.value(th) for th in thetas])
 
 
 def mode_matrix(n: int, p) -> np.ndarray:
@@ -347,7 +412,11 @@ def method_of_steps_rk4(
         return control_value(u, t) if u is not None else None
 
     imp_nodes = {n_r + int(round(ev.time / h)): ev for ev in spec.impulses}
-    rho = np.stack([spec.history.value(-p.r + h * i) for i in range(n_r + 1)])
+    # The history, linear between the package's nodes, at the finer nodes.
+    k, m = np.divmod(np.arange(n_r + 1), refine)
+    a = (m / refine)[:, None, None]
+    nxt = np.minimum(k + 1, len(spec.history) - 1)
+    rho = (1.0 - a) * spec.history[k] + a * spec.history[nxt]
 
     def sweep(hist, n_steps=n_fwd):
         ys = np.empty((n_tot, 2, p.n_modes))
@@ -660,12 +729,13 @@ def full_history_integrate(spec, u=None):
     if spec.u_dependent and u is None:
         raise ValueError("problem has control-dependent catalog entries but no control")
     controls = dynamics._control_nodes(u, spec)
-    rho_values, rho_marks, n_r = dynamics._resample_history(spec)
+    rho_values = spec.history
+    n_r = len(rho_values) - 1
     p = spec.params
     lam = p.lam
     step = exponential_step(spec.h, lam, p.c, p.d)
 
-    hist_values, hist_marks = rho_values, rho_marks
+    hist_values, hist_marks = rho_values, {}
     prev_values = None
     sup_diffs: list[float] = []
     grow_streak = 0
@@ -692,11 +762,7 @@ def full_history_integrate(spec, u=None):
                 f"for three consecutive sweeps (sweep {iteration}, residual {residual:.3e})"
             )
         hist_values = rho_values - gvals
-        hist_marks = {}
-        for i in sorted(set(rho_marks) | set(gmarks)):
-            rho_side = rho_marks.get(i, rho_values[i])
-            g_side = gmarks.get(i, gvals[i])
-            hist_marks[i] = rho_side - g_side
+        hist_marks = {i: rho_values[i] - g_left for i, g_left in gmarks.items()}
         prev_values = values
     else:
         raise NumericalError(
@@ -716,7 +782,7 @@ def loop_steering_target(traj, zstar, spec, sources=None) -> StateZ:
     """
     p = spec.params
     lam = p.lam
-    rho0 = spec.history.value(0.0)
+    rho0 = spec.history[-1]
     if spec.q:
         g0 = np.zeros_like(rho0)
         for g, tau in zip(spec.gammas, spec.lags):

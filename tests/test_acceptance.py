@@ -69,7 +69,7 @@ def full_benchmark(n_steps):
         gammas=(0.1, 0.05),
         nonlinearity=make_nonlinearity("delayed_saturation", 4, {"amp": 0.2}),
         history=history_segment(
-            "modal_constant", p, 201, {"w": [0.4, 0.15], "y": [0.0, 0.1]}
+            "modal_constant", p, int(round(p.r * n_steps)) + 1, {"w": [0.4, 0.15], "y": [0.0, 0.1]}
         ),
         picard_tol=1e-11,
     )
@@ -184,10 +184,7 @@ def test_criterion_5_impulse_and_history_exactness():
         for g, tau in zip(spec.gammas, spec.lags):
             off = traj.node_index(tau) - n_r
             gvals += g * traj.values[off : off + n_r + 1]
-        rho = np.stack(
-            [spec.history.value(-p.r + traj.step * i) for i in range(n_r + 1)]
-        )
-        resid = traj.values[: n_r + 1] + gvals - rho
+        resid = traj.values[: n_r + 1] + gvals - spec.history
         assert max(pair_norm(resid[i], lam) for i in range(n_r + 1)) <= 1e-10
 
 
@@ -204,7 +201,7 @@ def test_criterion_6_approximate_controllability():
             lags=(0.1, 0.2),
             gammas=(0.05, 0.05),
             nonlinearity=make_nonlinearity("bounded_wave", 4, {"amp": 0.5, "omega": 2.0}),
-            history=history_segment("modal_constant", p, 201, {"w": [0.3, 0.1], "y": [0.1]}),
+            history=history_segment("modal_constant", p, 801, {"w": [0.3, 0.1], "y": [0.1]}),
             picard_tol=1e-11,
         )
         rng = np.random.default_rng(66)
@@ -231,7 +228,7 @@ def test_criterion_7_exact_controllability_fixed_point(grid129):
             lags=(0.1, 0.2),
             gammas=(0.02, 0.01),
             nonlinearity=make_nonlinearity("delayed_saturation", 4, {"amp": 0.02}),
-            history=history_segment("modal_constant", p, 201, {"w": [0.3, 0.1], "y": [0.0, 0.05]}),
+            history=history_segment("modal_constant", p, 501, {"w": [0.3, 0.1], "y": [0.0, 0.05]}),
             picard_tol=1e-11,
         )
         report = contraction_constants(spec)

@@ -244,6 +244,13 @@ class TestCli:
             pytest.param(
                 {"history": {"catalog": "file"}}, "history.params.path", id="history-file-no-path"
             ),
+            pytest.param({"output": {"dir": None}}, "output.dir", id="output-dir-null"),
+            pytest.param({"output": {"prefix": ["a", "b"]}}, "output.prefix", id="prefix-list"),
+            pytest.param(
+                {"delays": {"lag": [0.1]}, "nonlocal": {"gammas": [0.1]}},
+                "delays.lag",
+                id="misspelt-before-a-check",
+            ),
         ],
     )
     def test_malformed_input_exits_2_at_load(self, tmp_path, capsys, fragment, key):
@@ -266,6 +273,7 @@ class TestCli:
             pytest.param(("modle",), "modle", id="top"),
             pytest.param(("model", "dampin"), "model.dampin", id="model"),
             pytest.param(("grids", "hr"), "grids.hr", id="grids"),
+            pytest.param(("grids", "h_r"), "grids.h_r", id="grids-h_r"),
             pytest.param(("impulses", 0, "dk"), "impulses[0].dk", id="impulse-entry"),
             pytest.param(("delays", "lag"), "delays.lag", id="delays"),
             pytest.param(("nonlocal", "Lq"), "nonlocal.Lq", id="nonlocal"),

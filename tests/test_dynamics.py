@@ -4,22 +4,19 @@ import pytest
 from beamctl import dynamics
 from beamctl.catalogs import ImpulseEvent, make_forcing, make_impulse_map, make_nonlinearity
 from beamctl.control import ControlSignal
-from beamctl.dynamics import (
-    ProblemSpec,
-    Segment,
-    history_segment,
-    integrate_mild,
-)
+from beamctl.dynamics import ProblemSpec, history_segment, integrate_mild
 from beamctl.errors import ConfigError, NumericalError
 from beamctl.semigroup import ModelParams, apply_semigroup
 from beamctl.spectral import SpatialGrid, StateZ, eigenvalues, energy_norms, norm_z, pair_norm
 
 from oracles import (
+    Segment,
     full_history_integrate,
     implicit_trapezoid_sweep,
     method_of_steps_rk4,
     nonlocal_combination,
     project,
+    resample_history,
     segment_at,
     source_term,
     trajectory_state,
@@ -31,8 +28,10 @@ def tiny_cable(n_modes=4, T=1.0, r=0.25):
     return ModelParams(c=1.0, d=1.0, k=1e-15, n_modes=n_modes, T=T, r=r)
 
 
-def constant_segment(p, w=(), y=(), n_nodes=201):
-    return history_segment("modal_constant", p, n_nodes, {"w": list(w), "y": list(y)})
+def constant_history(p, n_steps, w=(), y=()):
+    """A modal-constant history at the nodes of [-r, 0] of the grid with n_steps steps."""
+    n_r = int(round(p.r * n_steps / p.T))
+    return history_segment("modal_constant", p, n_r + 1, {"w": list(w), "y": list(y)})
 
 
 def random_segment(rng, p, n_nodes=51):
@@ -44,7 +43,8 @@ class TestSourceTerm:
     def test_zero_when_position_nonpositive(self, grid129):
         p = ModelParams(c=1.0, d=1.0, k=5.0, n_modes=4, T=1.0, r=0.25)
         spec = ProblemSpec(params=p, grid=grid129, n_steps=100)
-        seg = constant_segment(p, w=[-1.0], n_nodes=11)  # -sin(pi x) <= 0
+        # -sin(pi x) <= 0
+        seg = Segment(p.r / 10, history_segment("modal_constant", p, 11, {"w": [-1.0]}))
         out = source_term(0.3, seg, None, spec)
         assert norm_z(out) <= 1e-12
 
@@ -135,7 +135,7 @@ class TestNonlocalCombination:
 class TestSegmentAt:
     def test_initial_window_is_history(self, grid129):
         p = tiny_cable()
-        hist = constant_segment(p, w=[0.5], y=[0.1])
+        hist = constant_history(p, 500, w=[0.5], y=[0.1])
         spec = ProblemSpec(params=p, grid=grid129, n_steps=500, history=hist)
         traj = integrate_mild(spec).trajectory
         seg = segment_at(traj, 0.0)
@@ -151,7 +151,7 @@ class TestSegmentAt:
     def test_impulse_mark_carried_with_exact_jump(self, grid129):
         p = tiny_cable()
         imp = ImpulseEvent(0.5, make_impulse_map("constant_kick", 4, {"coeffs": [0.0, 0.25]}))
-        hist = constant_segment(p, w=[0.3])
+        hist = constant_history(p, 1000, w=[0.3])
         spec = ProblemSpec(params=p, grid=grid129, n_steps=1000, impulses=(imp,), history=hist)
         traj = integrate_mild(spec).trajectory
         seg = segment_at(traj, 0.6)
@@ -176,7 +176,7 @@ class TestSegmentAt:
 class TestIntegrateMild:
     def test_homogeneous_matches_group(self, grid129):
         p = tiny_cable()
-        hist = constant_segment(p, w=[0.5, 0.2], y=[0.1, -0.3])
+        hist = constant_history(p, 2000, w=[0.5, 0.2], y=[0.1, -0.3])
         spec = ProblemSpec(params=p, grid=grid129, n_steps=2000, history=hist)
         res = integrate_mild(spec)
         z0 = StateZ(np.array([0.5, 0.2, 0, 0.0]), np.array([0.1, -0.3, 0, 0.0]))
@@ -193,7 +193,7 @@ class TestIntegrateMild:
             grid=grid129,
             n_steps=1000,
             impulses=(ImpulseEvent(0.5, imap),),
-            history=constant_segment(p, w=[0.4], y=[0.2]),
+            history=constant_history(p, 1000, w=[0.4], y=[0.2]),
         )
         traj = integrate_mild(spec).trajectory
         node = traj.node_index(0.5)
@@ -214,7 +214,7 @@ class TestIntegrateMild:
             gammas=(0.1, 0.05),
             forcing=make_forcing("harmonic", 4, {"coeffs": [2 ** -0.5], "omega": 3.0}),
             nonlinearity=make_nonlinearity("delayed_saturation", 4, {"amp": 0.2}),
-            history=constant_segment(p, w=[0.4, 0.15], y=[0.0, 0.1]),
+            history=constant_history(p, 1000, w=[0.4, 0.15], y=[0.0, 0.1]),
         )
         oracle = method_of_steps_rk4(spec, refine=8)
         lam = p.lam
@@ -236,7 +236,7 @@ class TestIntegrateMild:
             gammas=(0.1, 0.05),
             forcing=make_forcing("harmonic", 4, {"coeffs": [2 ** -0.5], "omega": 3.0}),
             nonlinearity=make_nonlinearity("delayed_saturation", 4, {"amp": 0.2}),
-            history=constant_segment(p, w=[0.4, 0.15], y=[0.0, 0.1]),
+            history=constant_history(p, 50, w=[0.4, 0.15], y=[0.0, 0.1]),
         )
         stopped = method_of_steps_rk4(spec, refine=2)
         full = method_of_steps_rk4(spec, refine=2, full_sweeps=True)
@@ -250,7 +250,7 @@ class TestIntegrateMild:
             n_steps=1000,
             lags=(0.1, 0.2),
             gammas=(0.1, 0.05),
-            history=constant_segment(p, w=[0.4], y=[0.1]),
+            history=constant_history(p, 1000, w=[0.4], y=[0.1]),
             picard_tol=1e-10,
         )
         res = integrate_mild(spec)
@@ -263,8 +263,7 @@ class TestIntegrateMild:
         for g, tau in zip(spec.gammas, spec.lags):
             off = traj.node_index(tau) - n_r
             gvals += g * traj.values[off : off + n_r + 1]
-        rho = np.stack([spec.history.value(-p.r + traj.step * i) for i in range(n_r + 1)])
-        resid = traj.values[: n_r + 1] + gvals - rho
+        resid = traj.values[: n_r + 1] + gvals - spec.history
         worst = max(pair_norm(resid[i], lam) for i in range(n_r + 1))
         assert worst <= 1e-10
 
@@ -276,7 +275,7 @@ class TestIntegrateMild:
             n_steps=1000,
             lags=(0.1, 0.2),
             gammas=(0.2, 0.1),  # L_q * q = 0.4
-            history=constant_segment(p, w=[0.5, 0.2], y=[0.3]),
+            history=constant_history(p, 1000, w=[0.5, 0.2], y=[0.3]),
             picard_tol=1e-12,
         )
         res = integrate_mild(spec)
@@ -295,10 +294,13 @@ class TestIntegrateMild:
             lags=(0.1,),
             gammas=(0.1,),
             nonlinearity=make_nonlinearity("delayed_saturation", 4, {"amp": 0.2}),
-            history=constant_segment(p, w=[0.4, 0.15], y=[0.0, 0.1]),
         )
-        spec_h = ProblemSpec(n_steps=500, **kwargs)
-        spec_h2 = ProblemSpec(n_steps=1000, **kwargs)
+        spec_h, spec_h2 = (
+            ProblemSpec(
+                n_steps=n, history=constant_history(p, n, w=[0.4, 0.15], y=[0.0, 0.1]), **kwargs
+            )
+            for n in (500, 1000)
+        )
         oracle = method_of_steps_rk4(spec_h2, refine=8)[-1]
         lam = p.lam
         err_h = pair_norm(integrate_mild(spec_h).trajectory.values[-1] - oracle, lam)
@@ -314,7 +316,7 @@ class TestIntegrateMild:
             grid=grid129,
             n_steps=1000,
             impulses=(ImpulseEvent(0.5, imap),),
-            history=constant_segment(p, w=[0.4], y=[0.2]),
+            history=constant_history(p, 1000, w=[0.4], y=[0.2]),
         )
         traj = integrate_mild(spec).trajectory
         lam = p.lam
@@ -339,7 +341,7 @@ class TestIntegrateMild:
             lags=(0.1, 0.2),
             gammas=(0.1, 0.05),
             nonlinearity=make_nonlinearity("delayed_saturation", 4, {"amp": 0.2}),
-            history=constant_segment(p, w=[0.4], y=[0.1]),
+            history=constant_history(p, 500, w=[0.4], y=[0.1]),
         )
         base = rng.normal(size=(501, 4))
         u1 = ControlSignal(0.0, 1.0, base)
@@ -414,7 +416,7 @@ class TestExplicitSweep:
             n_steps=200,
             lags=lags,
             gammas=gammas,
-            history=constant_segment(p, w=[0.4, 0.15], y=[0.0, 0.1]),
+            history=constant_history(p, 200, w=[0.4, 0.15], y=[0.0, 0.1]),
             **kwargs,
         )
         return spec, _marked_control(rng, spec.n_steps) if marked else None
@@ -514,7 +516,7 @@ class TestExplicitSweep:
             impulses=kicks,
             lags=lags,
             gammas=gammas,
-            history=constant_segment(p, w=[0.4], y=[0.2]),
+            history=constant_history(p, 200, w=[0.4], y=[0.2]),
         )
         with pytest.raises(NumericalError, match=r"not finite at t = 0\.5 "):
             integrate_mild(spec)
@@ -527,7 +529,7 @@ class TestExplicitSweep:
             n_steps=200,
             lags=(0.1,),
             gammas=(1.5,),
-            history=constant_segment(p, w=[0.4], y=[0.2]),
+            history=constant_history(p, 200, w=[0.4], y=[0.2]),
         )
         sweeps = []
         real_sweep = dynamics._sweep
@@ -648,7 +650,7 @@ class TestWarmStart:
             grid=grid129,
             n_steps=200,
             lags=(0.1,),
-            history=constant_segment(p, w=[0.4], y=[0.2]),
+            history=constant_history(p, 200, w=[0.4], y=[0.2]),
         )
         converged = integrate_mild(ProblemSpec(gammas=(0.1,), **kwargs))
         spec = ProblemSpec(gammas=(1.5,), **kwargs)
@@ -702,27 +704,57 @@ class TestIntegrateTail:
             dynamics.integrate_tail(spec, nominal, self._switched(spec, u, 30, rng), 30)
 
 
+def write_history_file(path, ts, data):
+    """A history CSV with columns t, w_1..w_N, y_1..y_N; data holds the (w, y) rows."""
+    n_modes = data.shape[1] // 2
+    names = [f"w_{i}" for i in range(1, n_modes + 1)] + [f"y_{i}" for i in range(1, n_modes + 1)]
+    lines = ["t," + ",".join(names)]
+    for t, row in zip(ts, data):
+        lines.append(",".join(f"{v:.17g}" for v in [t, *row]))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 class TestHistoryCatalog:
     def test_file_history_round_trip(self, tmp_path, rng):
-        from beamctl.dynamics import history_segment
-
         p = tiny_cable()
         n = 41
-        ts = np.linspace(-p.r, 0.0, n)
         data = rng.normal(size=(n, 8))
-        lines = ["t," + ",".join(f"w_{i}" for i in range(1, 5)) + "," + ",".join(f"y_{i}" for i in range(1, 5))]
-        for i in range(n):
-            lines.append(",".join(f"{v:.17g}" for v in [ts[i], *data[i]]))
-        path = tmp_path / "history.csv"
-        path.write_text("\n".join(lines) + "\n")
-        seg = history_segment("file", p, n, {"path": str(path)})
-        assert seg.n_nodes == n
-        assert np.abs(seg.values[:, 0, :] - data[:, :4]).max() == 0.0
-        assert np.abs(seg.values[:, 1, :] - data[:, 4:]).max() == 0.0
+        path = write_history_file(tmp_path / "history.csv", np.linspace(-p.r, 0.0, n), data)
+        hist = history_segment("file", p, n, {"path": path})
+        assert hist.shape[0] == n
+        assert np.abs(hist[:, 0, :] - data[:, :4]).max() == 0.0
+        assert np.abs(hist[:, 1, :] - data[:, 4:]).max() == 0.0
+
+    @pytest.mark.parametrize(
+        "T, n_steps, n_r, rows",
+        [(1.0, 300, 77, 37), (0.3, 500, 210, 2), (1.5, 700, 210, 211), (0.3, 700, 77, 500)],
+    )
+    def test_file_history_matches_the_former_resample(
+        self, tmp_path, rng, grid129, T, n_steps, n_r, rows
+    ):
+        # Interpolated once at load, a uniform file gives bitwise the nodes
+        # that the former per-integration resample of its rows gave.
+        h = T / n_steps
+        p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=T, r=n_r * h)
+        data = rng.normal(size=(rows, 8))
+        path = write_history_file(tmp_path / "history.csv", np.linspace(-p.r, 0.0, rows), data)
+        hist = history_segment("file", p, n_r + 1, {"path": path})
+        spec = ProblemSpec(params=p, grid=grid129, n_steps=n_steps, history=hist)
+        pairs = np.stack([data[:, :4], data[:, 4:]], axis=1)
+        reference = resample_history(Segment(p.r / (rows - 1), pairs), spec)
+        assert np.array_equal(spec.history, reference)
+
+    def test_non_uniform_file_history_rejected(self, tmp_path):
+        p = tiny_cable()
+        data = np.zeros((3, 8))
+        data[:, 0] = [1.0, 0.8, 0.0]
+        path = write_history_file(tmp_path / "history.csv", [-0.25, -0.05, 0.0], data)
+        with pytest.raises(ConfigError, match="uniform") as err:
+            history_segment("file", p, 26, {"path": path})
+        assert err.value.key == "params.path"
 
     def test_file_history_must_cover_delay_span(self, tmp_path):
-        from beamctl.dynamics import history_segment
-
         p = tiny_cable()
         path = tmp_path / "history.csv"
         path.write_text("t,w_1,w_2,w_3,w_4,y_1,y_2,y_3,y_4\n-0.1,0,0,0,0,0,0,0,0\n0,0,0,0,0,0,0,0,0\n")
@@ -748,7 +780,8 @@ class TestProblemSpecValidation:
             ProblemSpec(params=p, grid=SpatialGrid(15), n_steps=100)
 
     def test_history_span_must_match_delay(self, grid129):
+        # r/h = 25 steps: the history needs (26, 2, 4) nodes.
         p = tiny_cable()
-        bad = Segment(0.1 / 10, np.zeros((11, 2, 4)))  # span 0.1 != r
-        with pytest.raises(ConfigError, match="history"):
-            ProblemSpec(params=p, grid=grid129, n_steps=100, history=bad)
+        for shape in ((11, 2, 4), (26, 2, 3)):
+            with pytest.raises(ConfigError, match="history"):
+                ProblemSpec(params=p, grid=grid129, n_steps=100, history=np.zeros(shape))

@@ -8,7 +8,8 @@ changed and by how much its numbers moved.  Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 
-from the repository root.
+from the repository root; it prints each `<config>/<file>` whose digest
+differs from the file it replaces.
 """
 
 import hashlib
@@ -49,10 +50,23 @@ def test_shipped_outputs_match_golden_digests(tmp_path):
         assert got[name] == golden[name], f"{name}: outputs differ from {GOLDEN.name}"
 
 
+def changed_digests(old: dict, new: dict) -> list[str]:
+    """`<config>/<file>` for each digest that differs, appears or disappears."""
+    return [
+        f"{name}/{fname}"
+        for name in sorted(set(old) | set(new))
+        for fname in sorted(set(old.get(name, {})) | set(new.get(name, {})))
+        if old.get(name, {}).get(fname) != new.get(name, {}).get(fname)
+    ]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         digests = shipped_digests(Path(tmp))
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for entry in changed_digests(old, digests):
+        print(entry)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")

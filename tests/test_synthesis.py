@@ -29,8 +29,10 @@ from oracles import (
 CONFIGS = Path(__file__).parents[1] / "configs"
 
 
-def constant_segment(p, w=(), y=(), n_nodes=201):
-    return history_segment("modal_constant", p, n_nodes, {"w": list(w), "y": list(y)})
+def constant_history(p, n_steps, w=(), y=()):
+    """A modal-constant history at the nodes of [-r, 0] of the grid with n_steps steps."""
+    n_r = int(round(p.r * n_steps / p.T))
+    return history_segment("modal_constant", p, n_r + 1, {"w": list(w), "y": list(y)})
 
 
 def exact_benchmark_spec():
@@ -43,7 +45,7 @@ def exact_benchmark_spec():
         lags=(0.1, 0.2),
         gammas=(0.02, 0.01),
         nonlinearity=make_nonlinearity("delayed_saturation", 4, {"amp": 0.02}),
-        history=constant_segment(p, w=[0.3, 0.1], y=[0.0, 0.05]),
+        history=constant_history(p, 2000, w=[0.3, 0.1], y=[0.0, 0.05]),
         picard_tol=1e-11,
     )
 
@@ -64,7 +66,7 @@ def bounded_benchmark(grid129):
         lags=(0.1, 0.2),
         gammas=(0.05, 0.05),
         nonlinearity=make_nonlinearity("bounded_wave", 4, {"amp": 0.5, "omega": 2.0}),
-        history=constant_segment(p, w=[0.3, 0.1], y=[0.1]),
+        history=constant_history(p, 2000, w=[0.3, 0.1], y=[0.1]),
         picard_tol=1e-11,
     )
 
@@ -80,7 +82,7 @@ def fallback_spec(grid, gammas=(0.05, 0.05)):
         lags=(0.1, 0.35),
         gammas=gammas,
         nonlinearity=make_nonlinearity("bounded_wave", 4, {"amp": 0.5, "omega": 2.0}),
-        history=constant_segment(p, w=[0.3, 0.1], y=[0.1]),
+        history=constant_history(p, 1000, w=[0.3, 0.1], y=[0.1]),
         picard_tol=1e-11,
     )
 
@@ -95,7 +97,7 @@ def saturation_spec(grid):
         lags=(0.1, 0.2),
         gammas=(0.05, 0.05),
         nonlinearity=make_nonlinearity("delayed_saturation", 4, {"amp": 0.4}),
-        history=constant_segment(p, w=[0.02, 0.01], y=[0.2]),
+        history=constant_history(p, 2000, w=[0.02, 0.01], y=[0.2]),
         picard_tol=1e-11,
     )
 
@@ -197,7 +199,7 @@ class TestPullbackControl:
             params=p,
             grid=grid129,
             n_steps=2000,
-            history=constant_segment(p, w=[0.3], y=[0.2]),
+            history=constant_history(p, 2000, w=[0.3], y=[0.2]),
         )
         zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4))
         traj = integrate_mild(spec).trajectory
@@ -290,7 +292,7 @@ class TestApproxExperiment:
             lags=(0.1, 0.2),
             gammas=(0.05, 0.05),
             nonlinearity=make_nonlinearity("delayed_saturation", 4, {"amp": 0.4}),
-            history=constant_segment(p, w=[0.3, 0.1], y=[0.2]),
+            history=constant_history(p, 2000, w=[0.3, 0.1], y=[0.2]),
             picard_tol=1e-11,
         )
         zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4) * 0.4)
@@ -302,7 +304,7 @@ class TestApproxExperiment:
     def test_linear_problem_every_window_exact(self, grid129, rng):
         p = ModelParams(c=1.0, d=1.0, k=1e-15, n_modes=4, T=1.0, r=0.4)
         spec = ProblemSpec(
-            params=p, grid=grid129, n_steps=2000, history=constant_segment(p, w=[0.2])
+            params=p, grid=grid129, n_steps=2000, history=constant_history(p, 2000, w=[0.2])
         )
         zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4))
         result = approx_experiment(spec, None, zstar, [0.08, 0.04, 0.02])
@@ -360,7 +362,7 @@ class TestSteeringTarget:
                 lags=(0.1, 0.2),
                 gammas=(0.05, 0.02),
                 forcing=make_forcing("harmonic", 4, {"coeffs": [2 ** -0.5, 0.1], "omega": 3.0}),
-                history=constant_segment(p, w=[0.3, 0.1], y=[0.0, 0.05]),
+                history=constant_history(p, 400, w=[0.3, 0.1], y=[0.0, 0.05]),
             )
         u = None
         if controlled:
@@ -401,7 +403,7 @@ class TestExactFixedPoint:
     def test_trivial_problem_converges_immediately(self, grid129, rng):
         p = ModelParams(c=1.0, d=1.0, k=1e-15, n_modes=4, T=1.0, r=0.25)
         spec = ProblemSpec(
-            params=p, grid=grid129, n_steps=2000, history=constant_segment(p, w=[0.2])
+            params=p, grid=grid129, n_steps=2000, history=constant_history(p, 2000, w=[0.2])
         )
         zstar = StateZ(rng.normal(size=4) * 0.3, rng.normal(size=4))
         out = exact_fixed_point(spec, zstar, tol=1e-9, max_iter=50)
