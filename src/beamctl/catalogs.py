@@ -94,10 +94,11 @@ class Forcing:
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
+        """p(t) for a time, (N,), or for a block of times (n,), (n, N)."""
         if self.is_zero:
-            return np.zeros_like(self.profile)
-        return np.cos(self.omega * t + self.phase) * self.profile
+            return np.zeros(np.shape(t) + self.profile.shape)
+        return np.multiply.outer(np.cos(self.omega * t + self.phase), self.profile)
 
 
 def make_forcing(kind: str, n_modes: int, params: dict | None = None) -> Forcing:
@@ -142,14 +143,19 @@ class Nonlinearity:
             return float(x)
         return float(min(x, self.envelope_cap))
 
-    def evaluate(self, t: float, delayed: np.ndarray, u_val: np.ndarray | None) -> np.ndarray:
-        """f at time t from `delayed`, the (2, N) right-limit state at t - r, and the control."""
+    def evaluate(self, t, delayed: np.ndarray, u_val: np.ndarray | None) -> np.ndarray:
+        """f at time t from `delayed`, the (2, N) right-limit state at t - r, and the control.
+
+        Also takes a block of n nodes: times (n,), delayed states (n, 2, N)
+        and control rows (n, N), and returns the (n, N) rows; every entry is
+        elementwise in the node, so a row equals that node's own evaluation.
+        """
         if self.kind == "zero":
             raise RuntimeError("zero nonlinearity should be short-circuited by callers")
         if self.kind == "bounded_wave":
-            return self.amp * np.cos(self.omega * t + self.phase) * self.profile
+            return np.multiply.outer(self.amp * np.cos(self.omega * t + self.phase), self.profile)
         if self.kind == "delayed_saturation":
-            return self.amp * np.tanh(delayed[1])
+            return self.amp * np.tanh(delayed[..., 1, :])
         # control_saturation
         if u_val is None:
             raise ValueError("catalog entry 'control_saturation' needs a control value")

@@ -7,7 +7,8 @@ read order.  Loading snaps impulse times, delay lags, the delay span, t0
 and the pull-back windows onto the trajectory grid (anything farther than
 half a step from a node is rejected) and writes the snapped and derived
 values back into the echo; a key that no getter read, at any level, is
-rejected when the reader leaves its block.  The echo is the fully resolved
+rejected when the reader leaves its block, and an unknown top-level block
+before any block is read.  The echo is the fully resolved
 configuration, written next to the outputs so a run can be reproduced from
 a single artifact; feeding it back produces byte-identical outputs.
 """
@@ -154,13 +155,24 @@ class _Block:
         self.set(name, [child.resolved for child in children])
         return children
 
-    def echo(self) -> dict:
-        unknown = sorted((k for k in self.raw if k not in self.resolved), key=str)
+    def reject_unknown(self, known) -> None:
+        """Raise ConfigError naming the first key (in sorted order) not in `known`."""
+        unknown = sorted((k for k in self.raw if k not in known), key=str)
         if unknown:
             raise ConfigError("unknown key", self.key(unknown[0]))
+
+    def echo(self) -> dict:
+        self.reject_unknown(self.resolved)
         for child in self._children:
             child.echo()
         return self.resolved
+
+
+# The top-level blocks, in read order.
+_BLOCKS = (
+    "model", "grids", "impulses", "delays", "nonlocal", "forcing", "nonlinearity",
+    "history", "targets", "experiment", "output",
+)
 
 
 def _catalog(path: str, make, *args):
@@ -221,8 +233,11 @@ def parse_config(path: str | Path) -> RunConfig:
     if raw is not None and not isinstance(raw, dict):
         raise ConfigError("top level must be a mapping")
     _reject_non_finite(raw, "")
-    # Blocks and keys are read in the order of the echo.
+    # Blocks and keys are read in the order of the echo.  A misspelt block
+    # name is rejected before any block is read: its missing block could
+    # otherwise trip a later block's check first.
     top = _Block(raw)
+    top.reject_unknown(_BLOCKS)
 
     model = top.block("model")
     c = model.number("c", 1.0, positive=True)

@@ -349,6 +349,6 @@ def integrate_linear(z0: StateZ, u: ControlSignal, p: ModelParams) -> np.ndarray
     out = np.empty((u.n_nodes, 2, p.n_modes))
     out[0] = z0.to_pair()
     for i in range(1, u.n_nodes):
-        step(out[i - 1], right[i - 1], out[i])
+        step(out[i - 1], half_h * right[i - 1], out[i])
         out[i, 1] += half_h * left[i]
     return out

@@ -11,10 +11,19 @@ sources enter only the velocity equation and read the new node only
 through its position (the cable force clips it with `positive_part`; the
 catalog terms read the time, the control and the node at t - r), and the
 exact propagation fixes that position before the source is evaluated.  One
-source evaluation per node, `node_sources`, thus closes the step.  Summed
-over steps the scheme reproduces the global trapezoid convolution of the
-sources exactly, which is what ties the integrator to the discrete Gramian
-of the control module.
+source evaluation per node, `node_sources`, thus closes the step, and h/2
+times that source (plus the control) both closes its node and opens the
+next step.  Summed over steps the scheme reproduces the global trapezoid
+convolution of the sources exactly, which is what ties the integrator to
+the discrete Gramian of the control module.
+
+Only the cable clip reads the new node; the load and the catalog term read
+the time, the control and the node at t - r, which is n_r = r/h steps
+back.  So a sweep evaluates those two terms for up to n_r nodes at once:
+every delayed node of such a block is final before the block starts.  The
+terms are elementwise in the node and are added to the clip per node in
+the order -k*w+ + p + f, so each row is bitwise the row of a node-by-node
+evaluation.
 
 The nonlocal initial condition prescribes the history only implicitly
 (through segments of the solution at the positive lag times), so the whole
@@ -42,7 +51,7 @@ from .catalogs import Forcing, ImpulseEvent, Nonlinearity, entry_params
 from .control import ControlSignal
 from .errors import ConfigError, NumericalError
 from .semigroup import ModelParams, exponential_step
-from .spectral import SpatialGrid, StateZ, eigenvalues, energy_norms, positive_part
+from .spectral import SpatialGrid, StateZ, eigenvalues, energy_norms, positive_clip
 
 __all__ = [
     "Trajectory",
@@ -313,26 +322,48 @@ def history_segment(
 
 
 def node_sources(spec: ProblemSpec, values: np.ndarray):
-    """Per-node evaluator of the velocity source p(t) - k*w+ + f (no control channel).
+    """Evaluator of the velocity source p(t) - k*w+ + f (no control channel) on a buffer.
 
     `values` is a trajectory buffer on the grid of `spec` (history nodes
-    first, t = 0 at node n_r = r/h).  The returned `row(node, t, u_val)` is
-    the package's one source evaluation: the cable force clips the position
-    `values[node, 0]` through `positive_part`, and the catalog term reads
-    the right-limit state `values[node - n_r]` at t - r.  It never reads the
-    velocity at `node`, and it sees later writes to the buffer.
+    first, t = 0 at node n_r = r/h).  The returned `block(first, n, u_rows)`
+    evaluates the terms that do not read the position for the n nodes
+    first, ..., first + n - 1 at once: the load p(t), and the catalog term
+    f, which reads the right-limit state `values[node - n_r]` at t - r and
+    the control row `u_rows[k]` (None if no entry reads the control).  It
+    returns `row(k, out)`, which clips the position `values[first + k, 0]`
+    through `positive_clip` (the clip of `positive_part`) and writes
+    -k*w+ + p + f, added in that order, into `out`.  This is the package's
+    one source evaluation; a single node is a block of one.  `row` never
+    reads the velocity at its node and sees later writes to the buffer; the
+    block's terms see the delayed nodes as they are when `block` is called.
     """
+    p = spec.params
     n_r = len(spec.history) - 1
+    h = spec.h
+    clip = positive_clip(spec.grid, p.n_modes)
+    neg_k = -p.k
+    forcing = None if spec.forcing.is_zero else spec.forcing
+    nonlinearity = None if spec.nonlinearity.is_zero else spec.nonlinearity
 
-    def row(node: int, t: float, u_val: np.ndarray | None) -> np.ndarray:
-        out = -spec.params.k * positive_part(values[node, 0], spec.grid)
-        if not spec.forcing.is_zero:
-            out = out + spec.forcing(t)
-        if not spec.nonlinearity.is_zero:
-            out = out + spec.nonlinearity.evaluate(t, values[node - n_r], u_val)
-        return out
+    def block(first: int, n: int, u_rows: np.ndarray | None):
+        ts = h * np.arange(first - n_r, first - n_r + n)
+        terms = []
+        if forcing is not None:
+            terms.append(forcing(ts))
+        if nonlinearity is not None:
+            delayed = values[first - n_r : first - n_r + n]
+            terms.append(nonlinearity.evaluate(ts, delayed, u_rows))
 
-    return row
+        def row(k: int, out: np.ndarray) -> np.ndarray:
+            clip(values[first + k, 0], out)
+            np.multiply(out, neg_k, out=out)
+            for term in terms:
+                np.add(out, term[k], out=out)
+            return out
+
+        return row
+
+    return block
 
 
 @dataclass(frozen=True)
@@ -390,32 +421,42 @@ def _sweep(
     half_h = 0.5 * h
     last = spec.n_steps if last is None else last
     j0 = prefix.shape[0] - n_r - 1
-    values = np.empty((n_r + spec.n_steps + 1, 2, spec.params.n_modes))
+    n_modes = spec.params.n_modes
+    values = np.empty((n_r + spec.n_steps + 1, 2, n_modes))
     values[: n_r + j0 + 1] = prefix
     marks = dict(prefix_marks)
-    sources = np.empty((spec.n_steps + 1, spec.params.n_modes))
+    sources = np.empty((spec.n_steps + 1, n_modes))
     source = node_sources(spec, values)
     impulse_nodes = {n_r + int(round(ev.time / h)): ev for ev in spec.impulses}
+    right_row = np.empty(n_modes)
 
-    # The right-limit source closes node j0, as at the end of its step; at
-    # t = 0 nothing jumps, so it is also node 0's recorded row.
-    row = source(n_r + j0, j0 * h, u_right[j0])
-    sources[: j0 + 1] = prefix_sources if j0 else row
-    g = u_right[j0] + row
-    for j in range(j0 + 1, last + 1):
-        i = n_r + j
-        t = j * h
-        step(values[i - 1], g, values[i])
-        row = source(i, t, u_left[j])
-        sources[j] = row
-        g = u_left[j] + row
-        values[i, 1] += half_h * g
-        ev = impulse_nodes.get(i)
-        if ev is not None:
-            marks[i] = values[i].copy()
-            values[i, 1] += ev.map.velocity_jump(t, marks[i], u_right[j])
-        if ev is not None or j in u_marks:
-            g = u_right[j] + source(i, t, u_right[j])
+    # h/2 times the right-limit source closes node j0, as at the end of its
+    # step, and opens the next step; at t = 0 nothing jumps, so the source
+    # is also node 0's recorded row.
+    source(n_r + j0, 1, u_right[j0 : j0 + 1])(0, right_row)
+    sources[: j0 + 1] = prefix_sources if j0 else right_row
+    half_g = np.multiply(u_right[j0] + right_row, half_h)
+    # The terms that do not read the position come in blocks of at most
+    # n_r nodes: a block's delayed nodes, n_r steps back, are then final.
+    for first in range(j0 + 1, last + 1, n_r):
+        n = min(n_r, last + 1 - first)
+        row = source(n_r + first, n, u_left[first : first + n])
+        for j in range(first, first + n):
+            i = n_r + j
+            node = values[i]
+            step(values[i - 1], half_g, node)
+            np.add(u_left[j], row(j - first, sources[j]), out=half_g)
+            np.multiply(half_g, half_h, out=half_g)
+            np.add(node[1], half_g, out=node[1])
+            ev = impulse_nodes.get(i)
+            if ev is not None:
+                t = j * h
+                marks[i] = node.copy()
+                node[1] += ev.map.velocity_jump(t, marks[i], u_right[j])
+            if ev is not None or j in u_marks:
+                source(i, 1, u_right[j : j + 1])(0, right_row)
+                np.add(u_right[j], right_row, out=half_g)
+                np.multiply(half_g, half_h, out=half_g)
     return values, marks, sources
 
 

@@ -45,18 +45,20 @@ def trajectory_header(n_modes: int) -> list[str]:
     )
 
 
-def _state_row(t: float, pair: np.ndarray, lam: np.ndarray) -> list[float]:
-    return [t, *pair[0].tolist(), *pair[1].tolist(), float(energy_norms(pair, lam))]
+def _state_row(t: float, pair: np.ndarray, norm) -> list[float]:
+    return [t, *pair[0].tolist(), *pair[1].tolist(), float(norm)]
 
 
 def trajectory_rows(traj: Trajectory):
     """One row per node; jump nodes are emitted twice, left then right."""
     lam = eigenvalues(traj.n_modes)
     times = traj.times
+    norms = energy_norms(traj.values, lam)
     for i in range(traj.n_nodes):
         if i in traj.left_values:
-            yield _state_row(times[i], traj.left_values[i], lam)
-        yield _state_row(times[i], traj.values[i], lam)
+            left = traj.left_values[i]
+            yield _state_row(times[i], left, energy_norms(left, lam))
+        yield _state_row(times[i], traj.values[i], norms[i])
 
 
 def snapshot_rows(traj: Trajectory, grid, n_snapshots: int = 11):

@@ -119,21 +119,26 @@ def propagator_entries_for(ts: np.ndarray, lam: np.ndarray, c: float, d: float):
 def exponential_step(h: float, lam: np.ndarray, c: float, d: float):
     """Kernel of the exponential-trapezoid scheme for sources in the velocity row.
 
-    Returns `step(prev, g, out)`, which writes E(h) (w, y + h/2 g) into the
-    (2, N) pair `out` for the pair `prev` = (w, y): the exact propagation of
-    the state and of the left half of the trapezoid source.  The caller
-    closes the step by adding h/2 times the source at the new node to
-    `out[1]`; summed over steps this is the trapezoid convolution of the
-    source against the propagator.
+    Returns `step(prev, half_source, out)`, which writes E(h) (w, y + h/2 g)
+    into the (2, N) pair `out` for the pair `prev` = (w, y), given
+    `half_source` = h/2 g: the exact propagation of the state and of the
+    left half of the trapezoid source.  The caller closes the step by adding
+    h/2 times the source at the new node to `out[1]`, the same h/2 g that
+    opens the next step; summed over steps this is the trapezoid convolution
+    of the source against the propagator.  `out` must not overlap `prev`.
     """
     e00, e01, e10, e11 = (e[0] for e in propagator_entries_for(np.array([h]), lam, c, d))
-    half_h = 0.5 * h
+    # The two columns of the 2x2 blocks, each stacked over both rows.
+    e_w = np.stack([e00, e10])
+    e_y = np.stack([e01, e11])
+    y_in = np.empty(e00.shape)
+    moved_y = np.empty(e_y.shape)
 
-    def step(prev: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
-        w = prev[0]
-        y_in = prev[1] + half_h * g
-        out[0] = e00 * w + e01 * y_in
-        out[1] = e10 * w + e11 * y_in
+    def step(prev: np.ndarray, half_source: np.ndarray, out: np.ndarray) -> None:
+        np.add(prev[1], half_source, out=y_in)
+        np.multiply(e_w, prev[0], out=out)
+        np.multiply(e_y, y_in, out=moved_y)
+        np.add(out, moved_y, out=out)
 
     return step
 

@@ -306,8 +306,9 @@ def steering_target(
     # rows in node order, as a loop over the nodes would.
     h = spec.h
     if sources is None:
-        source = node_sources(spec, traj.values)
-        sources = [source(traj.n_history + j, h * j, None) for j in range(spec.n_steps + 1)]
+        # Every node of the trajectory is final, so one block takes them all.
+        row = node_sources(spec, traj.values)(traj.n_history, spec.n_steps + 1, None)
+        sources = np.array([row(j, np.empty(p.n_modes)) for j in range(spec.n_steps + 1)])
     _, e01, _, e11 = propagator_entries_for(p.T - h * np.arange(spec.n_steps + 1), lam, p.c, p.d)
     wt = np.full((spec.n_steps + 1, 1), h)
     wt[0] = wt[-1] = 0.5 * h

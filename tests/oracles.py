@@ -774,11 +774,34 @@ def full_history_integrate(spec, u=None):
     return IntegrationResult(traj, iteration, residual, tuple(sup_diffs), sources)
 
 
+# Bound at import, so `per_node_sources` can stand in for `dynamics.node_sources`.
+_node_sources = dynamics.node_sources
+
+
+def per_node_sources(spec, values):
+    """`dynamics.node_sources` with every node of a block evaluated as a block of one.
+
+    The reference for the block evaluation of the terms that do not read
+    the position: a sweep run with this in place of `node_sources` (or its
+    rows) must be bitwise the same.
+    """
+    block = _node_sources(spec, values)
+
+    def one_by_one(first, n, u_rows):
+        def row(k, out):
+            return block(first + k, 1, None if u_rows is None else u_rows[k : k + 1])(0, out)
+
+        return row
+
+    return one_by_one
+
+
 def loop_steering_target(traj, zstar, spec, sources=None) -> StateZ:
     """`steering_target` with the source convolution summed one node at a time.
 
     The package's former loop, kept as the bitwise reference for the
-    one-pass sum that replaced it.
+    one-pass sum that replaced it; it evaluates missing source rows one
+    node at a time.
     """
     p = spec.params
     lam = p.lam
@@ -794,8 +817,8 @@ def loop_steering_target(traj, zstar, spec, sources=None) -> StateZ:
 
     h = spec.h
     if sources is None:
-        source = dynamics.node_sources(spec, traj.values)
-        sources = [source(traj.n_history + j, h * j, None) for j in range(spec.n_steps + 1)]
+        row = per_node_sources(spec, traj.values)(traj.n_history, spec.n_steps + 1, None)
+        sources = [row(j, np.empty(p.n_modes)) for j in range(spec.n_steps + 1)]
     _, e01, _, e11 = propagator_entries_for(p.T - h * np.arange(spec.n_steps + 1), lam, p.c, p.d)
     acc = np.zeros((2, p.n_modes))
     for j, row in enumerate(sources):

@@ -1,11 +1,15 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from beamctl.cli import main
 from beamctl.config import parse_config
+from beamctl.dynamics import Trajectory
 from beamctl.errors import ConfigError
+from beamctl.reporting import trajectory_rows
+from beamctl.spectral import eigenvalues, energy_norms
 
 ROOT = Path(__file__).parents[1]
 CONFIGS = ROOT / "configs"
@@ -299,6 +303,9 @@ class TestCli:
                 id="nonlinearity-params",
             ),
             pytest.param(("history", "params", "z"), "history.params.z", id="history-params"),
+            # The misspelt block takes the delays over, so without them the
+            # nonlocal count check would trip before the name is checked.
+            pytest.param(("delayz",), "delayz", id="top-before-a-check"),
         ],
     )
     def test_misspelt_key_exits_2_at_load(self, tmp_path, capsys, where, key):
@@ -310,7 +317,7 @@ class TestCli:
         node = data
         for part in where[:-1]:
             node = node[part]
-        node[where[-1]] = 1.0
+        node[where[-1]] = data.pop("delays") if where == ("delayz",) else 1.0
         out = tmp_path / "o"
         rc = main(["check", "--config", str(write_config(tmp_path, data)), "--out", str(out)])
         assert rc == 2
@@ -410,3 +417,17 @@ class TestCli:
         assert (out1 / "exact_benchmark_report.txt").read_bytes() == (
             out2 / "exact_benchmark_report.txt"
         ).read_bytes()
+
+    @pytest.mark.parametrize("n_modes", [4, 7, 32, 48])
+    def test_trajectory_norm_column_is_each_rows_norm(self, rng, n_modes):
+        # The norms come from one call over all nodes (and one per mark);
+        # each must be bitwise the norm of its own row.
+        values = rng.normal(size=(301, 2, n_modes)) * np.array([[1e-3], [1.0]])
+        marks = {40: rng.normal(size=(2, n_modes)), 200: rng.normal(size=(2, n_modes))}
+        traj = Trajectory(0.01, 50, values, marks)
+        lam = eigenvalues(n_modes)
+        rows = list(trajectory_rows(traj))
+        pairs = [p for i in range(301) for p in ([marks[i]] if i in marks else []) + [values[i]]]
+        assert len(rows) == len(pairs) == 303
+        for row, pair in zip(rows, pairs):
+            assert row[-1] == float(energy_norms(pair, lam))

@@ -15,6 +15,7 @@ from oracles import (
     implicit_trapezoid_sweep,
     method_of_steps_rk4,
     nonlocal_combination,
+    per_node_sources,
     project,
     resample_history,
     segment_at,
@@ -407,9 +408,9 @@ class TestExplicitSweep:
     """The explicit sweep against the implicit-endpoint sweep it replaced."""
 
     @staticmethod
-    def _case(case, grid, rng, lags=(0.1, 0.2), gammas=(0.1, 0.05)):
+    def _case(case, grid, rng, lags=(0.1, 0.2), gammas=(0.1, 0.05), r=0.25):
         kwargs, marked = SWEEP_CASES[case]
-        p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
+        p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=r)
         spec = ProblemSpec(
             params=p,
             grid=grid,
@@ -449,38 +450,72 @@ class TestExplicitSweep:
         assert explicit.history_residual == implicit.history_residual
 
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-    def test_recorded_sources_are_node_sources_bitwise(self, case, grid129, rng):
+    def test_recorded_sources_are_node_sources_bitwise(self, case, grid129, rng, monkeypatch):
         # `steering_target` sums these rows in place of evaluating them again.
-        spec, u = self._case(case, grid129, rng)
-        res = integrate_mild(spec, u)
-        traj = res.trajectory
-        u_left = u.node_values()[0] if u is not None else np.zeros((spec.n_steps + 1, 4))
-        source = dynamics.node_sources(spec, traj.values)
-        rows = [source(traj.n_history + j, j * spec.h, u_left[j]) for j in range(spec.n_steps + 1)]
-        assert np.array_equal(res.sources, rows)
+        # The sweep evaluates the load and the catalog term in blocks of up
+        # to r/h nodes: with r three steps long a run crosses a block edge
+        # every third step, and the tail starts at t = 121*h, inside a block
+        # of the nominal's continuation (which starts after the largest lag,
+        # at 40*h or 2*h).  Every run must equal one that evaluates node by
+        # node.
+        h = 1.0 / 200
+        for r_steps, lags in ((50, (0.1, 0.2)), (3, (h, 2 * h))):
+            spec, u = self._case(case, grid129, rng, lags=lags, r=r_steps * h)
+            assert len(spec.history) - 1 == r_steps
+            nominal = integrate_mild(spec, u)
+            u_s = TestIntegrateTail._switched(spec, u, 121, rng)
+            tail = dynamics.integrate_tail(spec, nominal, u_s, 121)
+            for res, control in ((nominal, u), (tail, u_s)):
+                traj = res.trajectory
+                u_left = control.node_values()[0] if control is not None else np.zeros((201, 4))
+                row = per_node_sources(spec, traj.values)(traj.n_history, 201, u_left)
+                assert np.array_equal(res.sources, [row(j, np.empty(4)) for j in range(201)])
+
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "node_sources", per_node_sources)
+                one_by_one = integrate_mild(spec, u)
+                tail_one_by_one = dynamics.integrate_tail(spec, one_by_one, u_s, 121)
+            assert nominal.picard_iterations == one_by_one.picard_iterations
+            for res, ref in ((nominal, one_by_one), (tail, tail_one_by_one)):
+                a, b = res.trajectory, ref.trajectory
+                assert np.array_equal(a.values, b.values)
+                assert np.array_equal(res.sources, ref.sources)
+                assert sorted(a.left_values) == sorted(b.left_values)
+                for i in a.left_values:
+                    assert np.array_equal(a.left_values[i], b.left_values[i])
 
     def test_cable_clip_goes_through_positive_part(self, grid129, rng, monkeypatch):
-        # The clip that test_spectral checks (and its strict xfail) is the
-        # one every node evaluation of the sweep runs.
+        # The clip that test_spectral checks (and its strict xfail) through
+        # `positive_part` is the one every node evaluation of the sweep runs.
         spec, u = self._case("harmonic+delayed_saturation+saturating_kick", grid129, rng)
         plain = integrate_mild(spec, u)
         counts = {"clips": 0, "rows": 0}
-        real_clip, real_sources = dynamics.positive_part, dynamics.node_sources
+        real_setup, real_sources = dynamics.positive_clip, dynamics.node_sources
 
-        def counted_clip(coeffs, grid):
-            counts["clips"] += 1
-            return real_clip(coeffs, grid)
+        def counted_setup(grid, n_modes):
+            clip = real_setup(grid, n_modes)
+
+            def counted_clip(coeffs, out):
+                counts["clips"] += 1
+                return clip(coeffs, out)
+
+            return counted_clip
 
         def counted_sources(spec, values):
-            row = real_sources(spec, values)
+            block = real_sources(spec, values)
 
-            def counted_row(*args):
-                counts["rows"] += 1
-                return row(*args)
+            def counted_block(*args):
+                row = block(*args)
 
-            return counted_row
+                def counted_row(*args):
+                    counts["rows"] += 1
+                    return row(*args)
 
-        monkeypatch.setattr(dynamics, "positive_part", counted_clip)
+                return counted_row
+
+            return counted_block
+
+        monkeypatch.setattr(dynamics, "positive_clip", counted_setup)
         monkeypatch.setattr(dynamics, "node_sources", counted_sources)
         patched = integrate_mild(spec, u)
         assert counts["rows"] > spec.n_steps
