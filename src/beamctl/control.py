@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .semigroup import ModelParams, exponential_step, propagator_entries_for
+from .semigroup import ModelParams, propagator_entries_for, propagator_matrix
 from .spectral import StateZ, eigenvalue
 
 __all__ = [
@@ -337,18 +337,21 @@ def gamma_norm_estimate(
 def integrate_linear(z0: StateZ, u: ControlSignal, p: ModelParams) -> np.ndarray:
     """March the unperturbed controlled system over the control grid.
 
-    Exponential-trapezoid stepping (`exponential_step`) with the control as
-    the only source.  Returns the (n_nodes, 2, n_modes) array of states.
+    Exponential-trapezoid stepping with the control as the only source: the
+    sweep's step matrix (`propagator_matrix`) with no cable force, the row
+    [w, y, h/2 u] carrying the left half of the control.  Returns the
+    (n_nodes, 2, n_modes) array of states.
     """
     if z0.n_modes != p.n_modes:
         raise ValueError(f"state has {z0.n_modes} modes, params expect {p.n_modes}")
-    h = u.step
-    step = exponential_step(h, p.lam, p.c, p.d)
-    half_h = 0.5 * h
+    n = p.n_modes
+    F = propagator_matrix(u.step, p.lam, p.c, p.d)
     left, right = u.node_values()
-    out = np.empty((u.n_nodes, 2, p.n_modes))
-    out[0] = z0.to_pair()
-    for i in range(1, u.n_nodes):
-        step(out[i - 1], half_h * right[i - 1], out[i])
-        out[i, 1] += half_h * left[i]
-    return out
+    rows = np.empty((u.n_nodes, 3 * n))
+    half_right = np.multiply(right, 0.5 * u.step, out=rows[:, 2 * n :])
+    half_left = half_right if left is right else np.multiply(left, 0.5 * u.step)
+    rows[0, : 2 * n] = z0.to_pair().ravel()
+    for prev, pair, y, half_u in zip(rows, rows[1:, : 2 * n], rows[1:, n : 2 * n], half_left[1:]):
+        np.dot(F, prev, out=pair)
+        np.add(y, half_u, out=y)
+    return rows[:, : 2 * n].reshape(-1, 2, n)

@@ -2,28 +2,34 @@
 
 The trajectory lives on one uniform grid covering [-r, T], and so does the
 prescribed history: `ProblemSpec.history` holds it at the grid's nodes on
-[-r, 0], and the sweeps read it as it is.  Stepping is an
-exponential integrator: the stiff linear part is propagated by the exact
-per-mode blocks, the sources (control, load, cable force, nonlinear term)
-are integrated by the trapezoid rule within each step.  The step is
-explicit and still takes the trapezoid rule's right endpoint exactly: the
-sources enter only the velocity equation and read the new node only
-through its position (the cable force clips it with `positive_part`; the
-catalog terms read the time, the control and the node at t - r), and the
-exact propagation fixes that position before the source is evaluated.  One
-source evaluation per node, `node_sources`, thus closes the step, and h/2
-times that source (plus the control) both closes its node and opens the
-next step.  Summed over steps the scheme reproduces the global trapezoid
-convolution of the sources exactly, which is what ties the integrator to
-the discrete Gramian of the control module.
+[-r, 0], and the sweeps read it as it is.  Stepping is an exponential
+integrator: the stiff linear part is propagated by the exact per-mode
+blocks, the sources (control, load, cable force, nonlinear term) are
+integrated by the trapezoid rule within each step.  The step is explicit
+and still takes the trapezoid rule's right endpoint exactly: the sources
+enter only the velocity equation and read the new node only through its
+position (the cable force clips it; the catalog terms read the time, the
+control and the node at t - r), and the exact propagation fixes that
+position before the source is evaluated.  So h/2 times the source at a
+node both closes its step and opens the next one.  Summed over steps the
+scheme reproduces the global trapezoid convolution of the sources exactly,
+which is what ties the integrator to the discrete Gramian of the control
+module.
 
-Only the cable clip reads the new node; the load and the catalog term read
-the time, the control and the node at t - r, which is n_r = r/h steps
-back.  So a sweep evaluates those two terms for up to n_r nodes at once:
-every delayed node of such a block is final before the block starts.  The
-terms are elementwise in the node and are added to the clip per node in
-the order -k*w+ + p + f, so each row is bitwise the row of a node-by-node
-evaluation.
+A sweep keeps each node as the row [w, y, h/2 (g + u)] and runs one fused
+kernel, built once per integration (`_sweep_kernel`): one product with the
+step matrix (`semigroup.propagator_matrix`) propagates the previous row,
+its opening half source folded into the velocity; one product samples the
+new position on the grid, `np.maximum` clips the samples, and one product
+with the projector (`spectral.positive_projector`, scaled by -k h/2) gives
+h/2 times the cable force, `positive_part`'s clip up to rounding.  Adding
+h/2 (p + f), then h/2 u, and closing the velocity are one add each.  The
+recorded source row of a node is h/2 g, without the control.  The load and
+the catalog term (`node_sources`) read the time, the control and the node
+at t - r, n_r = r/h steps back, so a sweep evaluates them for up to n_r
+nodes at once: every delayed node of such a block is final before the
+block starts, and the terms are elementwise in the node, so each row is
+bitwise the row of a node-by-node evaluation.
 
 The nonlocal initial condition prescribes the history only implicitly
 (through segments of the solution at the positive lag times), so the whole
@@ -44,14 +50,15 @@ needs fewer sweeps to meet the same residual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .catalogs import Forcing, ImpulseEvent, Nonlinearity, entry_params
 from .control import ControlSignal
 from .errors import ConfigError, NumericalError
-from .semigroup import ModelParams, exponential_step
-from .spectral import SpatialGrid, StateZ, eigenvalues, energy_norms, positive_clip
+from .semigroup import ModelParams, propagator_matrix
+from .spectral import SpatialGrid, StateZ, eigenvalues, energy_norms, positive_projector
 
 __all__ = [
     "Trajectory",
@@ -322,56 +329,52 @@ def history_segment(
 
 
 def node_sources(spec: ProblemSpec, values: np.ndarray):
-    """Evaluator of the velocity source p(t) - k*w+ + f (no control channel) on a buffer.
+    """Evaluator of h/2 (p(t) + f), the velocity source terms that do not read the position.
 
     `values` is a trajectory buffer on the grid of `spec` (history nodes
     first, t = 0 at node n_r = r/h).  The returned `block(first, n, u_rows)`
-    evaluates the terms that do not read the position for the n nodes
-    first, ..., first + n - 1 at once: the load p(t), and the catalog term
-    f, which reads the right-limit state `values[node - n_r]` at t - r and
-    the control row `u_rows[k]` (None if no entry reads the control).  It
-    returns `row(k, out)`, which clips the position `values[first + k, 0]`
-    through `positive_clip` (the clip of `positive_part`) and writes
-    -k*w+ + p + f, added in that order, into `out`.  This is the package's
-    one source evaluation; a single node is a block of one.  `row` never
-    reads the velocity at its node and sees later writes to the buffer; the
-    block's terms see the delayed nodes as they are when `block` is called.
+    evaluates the load p(t) and the catalog term f, which reads the state
+    `values[node - n_r]` at t - r and the control row `u_rows[k]` (None if no
+    entry reads the control), for the n nodes first, ..., first + n - 1 at
+    once, as they are when it is called.  It returns the (n, N) rows, or None
+    when both terms are zero; a single node is a block of one with bitwise
+    the same row.  The cable force reads the node itself (`_sweep_kernel`).
     """
-    p = spec.params
     n_r = len(spec.history) - 1
     h = spec.h
-    clip = positive_clip(spec.grid, p.n_modes)
-    neg_k = -p.k
+    half_h = 0.5 * h
     forcing = None if spec.forcing.is_zero else spec.forcing
     nonlinearity = None if spec.nonlinearity.is_zero else spec.nonlinearity
 
-    def block(first: int, n: int, u_rows: np.ndarray | None):
+    def block(first: int, n: int, u_rows: np.ndarray | None) -> np.ndarray | None:
         ts = h * np.arange(first - n_r, first - n_r + n)
-        terms = []
-        if forcing is not None:
-            terms.append(forcing(ts))
+        total = None if forcing is None else forcing(ts)
         if nonlinearity is not None:
-            delayed = values[first - n_r : first - n_r + n]
-            terms.append(nonlinearity.evaluate(ts, delayed, u_rows))
-
-        def row(k: int, out: np.ndarray) -> np.ndarray:
-            clip(values[first + k, 0], out)
-            np.multiply(out, neg_k, out=out)
-            for term in terms:
-                np.add(out, term[k], out=out)
-            return out
-
-        return row
+            f = nonlinearity.evaluate(ts, values[first - n_r : first - n_r + n], u_rows)
+            total = f if total is None else total + f
+        return None if total is None else total * half_h
 
     return block
+
+
+def _sweep_kernel(spec: ProblemSpec):
+    """(F, S, P): the sweep's step matrix, grid samples of the modes and cable projector.
+
+    `np.dot(np.maximum(np.dot(S, w), 0), P)` is h/2 times the cable force
+    -k w+ of the position w, `positive_part`'s clip up to rounding.
+    """
+    p, h = spec.params, spec.h
+    P = positive_projector(spec.grid, p.n_modes, -0.5 * h * p.k)
+    return propagator_matrix(h, p.lam, p.c, p.d), spec.grid.basis(p.n_modes), P
 
 
 @dataclass(frozen=True)
 class IntegrationResult:
     """A resolved trajectory plus the outer-iteration diagnostics.
 
-    `sources[j]` is the final sweep's `node_sources` row at t_j = j*h, taken
-    with the left control value.  `picard_sup_diffs` holds the energy sup
+    `sources[j]` is h/2 times the final sweep's velocity source
+    p(t) - k*w+ + f at t_j = j*h, without the control channel, taken with
+    the left control value.  `picard_sup_diffs` holds the energy sup
     norms of successive history-sweep differences over [-r, tau_q], the part
     of the trajectory that the nonlocal history map feeds back.
     """
@@ -401,7 +404,7 @@ def _control_nodes(u: ControlSignal | None, spec: ProblemSpec):
 
 
 def _sweep(
-    spec, step, u_left, u_right, u_marks, prefix, prefix_marks, n_r, prefix_sources=None, last=None
+    spec, kernel, u_left, u_right, u_marks, prefix, prefix_marks, n_r, prefix_sources=None, last=None
 ):
     """One explicit exponential-trapezoid pass from the last node of `prefix` to t_last.
 
@@ -410,53 +413,70 @@ def _sweep(
     (j0 = 0); for a continuation or a tail, a run up to t_j0, whose source
     rows 0..j0 come in `prefix_sources`.  The pass ends at t_last = last*h
     (T by default) and leaves the node and source rows after it unfilled.
-    Each step propagates the previous node with the left half of the
-    trapezoid source (`step`), evaluates the source once at the new node
-    from the propagated position, and adds the right half.  A second
-    evaluation happens only where the right limit of the source differs
-    from its left limit: after an impulse jump and where the control jumps.
-    Returns the nodes, their marks and the first source row of each node.
+    A second, one-node evaluation happens only where the right limit of the
+    source differs from its left limit: after an impulse jump and where the
+    control jumps.  Returns the nodes, their marks and the source rows h/2 g,
+    g taken with the left control and before any jump.
     """
+    F, S, P = kernel
     h = spec.h
-    half_h = 0.5 * h
     last = spec.n_steps if last is None else last
     j0 = prefix.shape[0] - n_r - 1
-    n_modes = spec.params.n_modes
-    values = np.empty((n_r + spec.n_steps + 1, 2, n_modes))
+    n = spec.params.n_modes
+    # Row i is [w, y, h/2 (g + u)]: node i and the half source it opens.
+    rows = np.empty((n_r + spec.n_steps + 1, 3 * n))
+    pairs, ws, ys, opens = rows[:, : 2 * n], rows[:, :n], rows[:, n : 2 * n], rows[:, 2 * n :]
+    values = pairs.reshape(-1, 2, n)
     values[: n_r + j0 + 1] = prefix
     marks = dict(prefix_marks)
-    sources = np.empty((spec.n_steps + 1, n_modes))
-    source = node_sources(spec, values)
-    impulse_nodes = {n_r + int(round(ev.time / h)): ev for ev in spec.impulses}
-    right_row = np.empty(n_modes)
+    sources = np.empty((spec.n_steps + 1, n))
+    terms = node_sources(spec, values)
+    half_u_left = np.multiply(u_left, 0.5 * h)
+    half_u_right = half_u_left if u_right is u_left else np.multiply(u_right, 0.5 * h)
+    jumps = {int(round(ev.time / h)): ev for ev in spec.impulses}
+    reopened = jumps.keys() | u_marks
+    samples = np.empty(S.shape[0])
+    floor = np.zeros_like(samples)  # `np.maximum` converts a scalar 0 on every call
 
-    # h/2 times the right-limit source closes node j0, as at the end of its
-    # step, and opens the next step; at t = 0 nothing jumps, so the source
-    # is also node 0's recorded row.
-    source(n_r + j0, 1, u_right[j0 : j0 + 1])(0, right_row)
-    sources[: j0 + 1] = prefix_sources if j0 else right_row
-    half_g = np.multiply(u_right[j0] + right_row, half_h)
+    def reopen(j: int, out: np.ndarray) -> np.ndarray:
+        # h/2 g at node j with the right control, as a one-node block.
+        np.dot(S, ws[n_r + j], out=samples)
+        np.maximum(samples, floor, out=samples)
+        np.dot(samples, P, out=out)
+        term = terms(n_r + j, 1, u_right[j : j + 1])
+        if term is not None:
+            np.add(out, term[0], out=out)
+        np.add(out, half_u_right[j], out=opens[n_r + j])
+        return out
+
+    # At t = 0 nothing jumps, so node 0's opening source is also its row.
+    opening = reopen(j0, np.empty(n))
+    sources[: j0 + 1] = prefix_sources if j0 else opening
     # The terms that do not read the position come in blocks of at most
     # n_r nodes: a block's delayed nodes, n_r steps back, are then final.
     for first in range(j0 + 1, last + 1, n_r):
-        n = min(n_r, last + 1 - first)
-        row = source(n_r + first, n, u_left[first : first + n])
-        for j in range(first, first + n):
-            i = n_r + j
-            node = values[i]
-            step(values[i - 1], half_g, node)
-            np.add(u_left[j], row(j - first, sources[j]), out=half_g)
-            np.multiply(half_g, half_h, out=half_g)
-            np.add(node[1], half_g, out=node[1])
-            ev = impulse_nodes.get(i)
-            if ev is not None:
-                t = j * h
-                marks[i] = node.copy()
-                node[1] += ev.map.velocity_jump(t, marks[i], u_right[j])
-            if ev is not None or j in u_marks:
-                source(i, 1, u_right[j : j + 1])(0, right_row)
-                np.add(u_right[j], right_row, out=half_g)
-                np.multiply(half_g, half_h, out=half_g)
+        js = slice(first, min(first + n_r, last + 1))
+        at = slice(n_r + js.start, n_r + js.stop)
+        block = terms(at.start, js.stop - first, u_left[js])
+        block = repeat(None) if block is None else block
+        nodes = zip(rows[at.start - 1 :], pairs[at], ws[at], ys[at], opens[at])
+        inputs = zip(sources[js], half_u_left[js], block)
+        # F propagates node and opening source; S, max and P give h/2 (-k w+).
+        for j, ((prev, pair, w, y, s), (src, half_u, term)) in enumerate(zip(nodes, inputs), first):
+            np.dot(F, prev, out=pair)
+            np.dot(S, w, out=samples)
+            np.maximum(samples, floor, out=samples)
+            np.dot(samples, P, out=src)
+            if term is not None:
+                np.add(src, term, out=src)
+            np.add(src, half_u, out=s)
+            np.add(y, s, out=y)
+            if j in reopened:
+                ev = jumps.get(j)
+                if ev is not None:
+                    marks[n_r + j] = values[n_r + j].copy()
+                    y += ev.map.velocity_jump(j * h, marks[n_r + j], u_right[j])
+                reopen(j, opening)
     return values, marks, sources
 
 
@@ -547,9 +567,8 @@ def integrate_mild(
     controls = _control_nodes(u, spec)
     rho_values = spec.history
     n_r = len(rho_values) - 1
-    p = spec.params
-    lam = p.lam
-    step = exponential_step(spec.h, lam, p.c, p.d)
+    lam = spec.params.lam
+    kernel = _sweep_kernel(spec)
     stop = max((int(round(tau / spec.h)) for tau in spec.lags), default=spec.n_steps)
     n_read = n_r + stop + 1
 
@@ -564,7 +583,7 @@ def integrate_mild(
     for iteration in range(1, spec.picard_max_iter + 1):
         where = f"history sweep {iteration}"
         values, marks, sources = _guarded_sweep(
-            spec, where, step, *controls, hist_values, hist_marks, n_r, last=stop
+            spec, where, kernel, *controls, hist_values, hist_marks, n_r, last=stop
         )
         if prev_values is not None:
             d = float(energy_norms(values[:n_read] - prev_values[:n_read], lam).max())
@@ -594,7 +613,7 @@ def integrate_mild(
         )
     if stop < spec.n_steps:
         values, marks, sources = _guarded_sweep(
-            spec, where, step, *controls, values[:n_read], marks, n_r, sources[: stop + 1]
+            spec, where, kernel, *controls, values[:n_read], marks, n_r, sources[: stop + 1]
         )
     traj = Trajectory(spec.h, n_r, values, marks)
     return IntegrationResult(traj, iteration, residual, tuple(sup_diffs), sources)
@@ -615,13 +634,14 @@ def integrate_tail(
     h = spec.h
     if any(int(round(tau / h)) > start for tau in spec.lags):
         raise ValueError(f"a delay lag reaches past t_start = {start * h:.6g}")
+    if any(int(round(ev.time / h)) == start for ev in spec.impulses):
+        raise ValueError(f"an impulse sits at t_start = {start * h:.6g}")
     traj = nominal.trajectory
     end = traj.n_history + start + 1
-    p = spec.params
     values, marks, sources = _guarded_sweep(
         spec,
         f"tail from t = {start * h:.6g}",
-        exponential_step(h, p.lam, p.c, p.d),
+        _sweep_kernel(spec),
         *_control_nodes(u, spec),
         traj.values[:end],
         {i: v for i, v in traj.left_values.items() if i < end},

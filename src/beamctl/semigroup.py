@@ -18,7 +18,7 @@ from .spectral import StateZ, eigenvalues
 __all__ = [
     "ModelParams",
     "propagator_entries_for",
-    "exponential_step",
+    "propagator_matrix",
     "apply_semigroup",
     "weighted_block_norms",
     "operator_norm_bound",
@@ -116,31 +116,19 @@ def propagator_entries_for(ts: np.ndarray, lam: np.ndarray, c: float, d: float):
     return e00, e01, e10, e11
 
 
-def exponential_step(h: float, lam: np.ndarray, c: float, d: float):
-    """Kernel of the exponential-trapezoid scheme for sources in the velocity row.
+def propagator_matrix(h: float, lam: np.ndarray, c: float, d: float) -> np.ndarray:
+    """Step matrix of the exponential-trapezoid scheme for sources in the velocity row.
 
-    Returns `step(prev, half_source, out)`, which writes E(h) (w, y + h/2 g)
-    into the (2, N) pair `out` for the pair `prev` = (w, y), given
-    `half_source` = h/2 g: the exact propagation of the state and of the
-    left half of the trapezoid source.  The caller closes the step by adding
-    h/2 times the source at the new node to `out[1]`, the same h/2 g that
-    opens the next step; summed over steps this is the trapezoid convolution
-    of the source against the propagator.  `out` must not overlap `prev`.
+    Returns the (2N, 3N) matrix F that maps a row [w, y, s] to the pair
+    E(h) (w, y + s), flattened: the exact propagation of the state and of
+    the left half s = h/2 g of the trapezoid source, which F folds into the
+    velocity columns.  The caller closes the step by adding h/2 times the
+    source at the new node to the velocity, the same h/2 g that opens the
+    next step; summed over steps this is the trapezoid convolution of the
+    source against the propagator.
     """
     e00, e01, e10, e11 = (e[0] for e in propagator_entries_for(np.array([h]), lam, c, d))
-    # The two columns of the 2x2 blocks, each stacked over both rows.
-    e_w = np.stack([e00, e10])
-    e_y = np.stack([e01, e11])
-    y_in = np.empty(e00.shape)
-    moved_y = np.empty(e_y.shape)
-
-    def step(prev: np.ndarray, half_source: np.ndarray, out: np.ndarray) -> None:
-        np.add(prev[1], half_source, out=y_in)
-        np.multiply(e_w, prev[0], out=out)
-        np.multiply(e_y, y_in, out=moved_y)
-        np.add(out, moved_y, out=out)
-
-    return step
+    return np.block([[np.diag(e) for e in (e00, e01, e01)], [np.diag(e) for e in (e10, e11, e11)]])
 
 
 def apply_semigroup(z: StateZ, t: float, p: ModelParams) -> StateZ:

@@ -22,7 +22,7 @@ __all__ = [
     "eigenvalues",
     "reconstruct",
     "positive_part",
-    "positive_clip",
+    "positive_projector",
     "norm_z",
     "energy_norms",
     "pair_norm",
@@ -94,28 +94,17 @@ def reconstruct(coeffs: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return grid.basis(coeffs.shape[-1]) @ coeffs
 
 
-def positive_clip(grid: SpatialGrid, n_modes: int):
-    """The clip of `positive_part` for `n_modes` modes on `grid`, set up once.
+def positive_projector(grid: SpatialGrid, n_modes: int, scale: float = 1.0) -> np.ndarray:
+    """The projection of `positive_part` for `n_modes` modes on `grid`, times `scale`.
 
-    Checks the anti-aliasing bound G >= 2N + 1 and looks up the basis and
-    the quadrature weight here; the returned `clip(coeffs, out)` writes the
-    modal coefficients of max(f, 0) for the (N,) vector `coeffs` into the
-    contiguous (N,) array `out` and returns it.  It reuses one grid-sample
-    buffer.
+    Checks the anti-aliasing bound G >= 2N + 1 and returns the (G, N)
+    matrix P = basis * (scale * weight): for clipped grid samples
+    s = max(basis @ c, 0), `np.dot(s, P)` is `scale * positive_part(c, grid)`
+    up to rounding, the quadrature weight and the scale folded into one
+    product.
     """
     _require_resolution(grid, n_modes)
-    basis = grid.basis(n_modes)
-    weight = grid.weight
-    samples = np.empty(grid.n_points)
-
-    def clip(coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # `np.dot` runs the same BLAS products as `@` with less call overhead.
-        np.dot(basis, coeffs, out=samples)
-        np.maximum(samples, 0.0, out=samples)
-        np.dot(samples, basis, out=out)
-        return np.multiply(out, weight, out=out)
-
-    return clip
+    return grid.basis(n_modes) * (scale * grid.weight)
 
 
 def positive_part(coeffs: np.ndarray, grid: SpatialGrid) -> np.ndarray:
@@ -123,11 +112,14 @@ def positive_part(coeffs: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 
     Reconstructs on the grid, clips negative values, and projects back to
     the same number of modes.  The grid must satisfy the anti-aliasing
-    bound G >= 2N + 1.  One call of `positive_clip`'s clip.
+    bound G >= 2N + 1.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     n_modes = coeffs.shape[-1]
-    return positive_clip(grid, n_modes)(coeffs, np.empty(n_modes))
+    _require_resolution(grid, n_modes)
+    basis = grid.basis(n_modes)
+    # `np.dot` runs the same BLAS products as `@` with less call overhead.
+    return np.dot(np.maximum(np.dot(basis, coeffs), 0.0), basis) * grid.weight
 
 
 def energy_norms(values: np.ndarray, lam: np.ndarray) -> np.ndarray:

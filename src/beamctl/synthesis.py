@@ -32,7 +32,6 @@ from .dynamics import (
     Trajectory,
     integrate_mild,
     integrate_tail,
-    node_sources,
 )
 from .errors import ConfigError, NumericalError
 from .semigroup import (
@@ -273,15 +272,15 @@ def approx_experiment(
 
 
 def steering_target(
-    traj: Trajectory, zstar: StateZ, spec: ProblemSpec, sources: np.ndarray | None = None
+    traj: Trajectory, zstar: StateZ, spec: ProblemSpec, sources: np.ndarray
 ) -> StateZ:
     """What the control channel must deliver for the trajectory to end at zstar.
 
     Subtracts from the target the propagated effective initial state, the
     convolved perturbation, and the propagated impulse jumps, all evaluated
-    on the given trajectory.  `sources` takes the trajectory's per-node
-    source rows when known (`IntegrationResult.sources`); otherwise they are
-    evaluated here.  Requires control-independent catalogs.
+    on the given trajectory.  `sources` holds the trajectory's per-node
+    source rows h/2 g, as `IntegrationResult.sources` records them.
+    Requires control-independent catalogs.
     """
     if spec.u_dependent:
         raise ConfigError(
@@ -300,18 +299,15 @@ def steering_target(
         z0_eff = rho0
     total = apply_semigroup(StateZ.from_pair(z0_eff), p.T, p).to_pair()
 
-    # Trapezoid convolution of the sources, one row per node as the
-    # integrator steps; impulse nodes need no second row, since the source
+    # Trapezoid convolution of the sources, one row h/2 g per node as the
+    # integrator steps, so the weights h/2 at the ends and h inside are once
+    # and twice a row; impulse nodes need no second row, since the source
     # reads the position, which does not jump.  The sum over axis 0 adds the
     # rows in node order, as a loop over the nodes would.
     h = spec.h
-    if sources is None:
-        # Every node of the trajectory is final, so one block takes them all.
-        row = node_sources(spec, traj.values)(traj.n_history, spec.n_steps + 1, None)
-        sources = np.array([row(j, np.empty(p.n_modes)) for j in range(spec.n_steps + 1)])
     _, e01, _, e11 = propagator_entries_for(p.T - h * np.arange(spec.n_steps + 1), lam, p.c, p.d)
-    wt = np.full((spec.n_steps + 1, 1), h)
-    wt[0] = wt[-1] = 0.5 * h
+    wt = np.full((spec.n_steps + 1, 1), 2.0)
+    wt[0] = wt[-1] = 1.0
     total[0] += (wt * e01 * sources).sum(axis=0)
     total[1] += (wt * e11 * sources).sum(axis=0)
 

@@ -5,8 +5,9 @@ choices: matrix exponentials come from scaled Taylor series or RK4 on the
 matrix ODE, responses from classical fixed-step RK4, and the delay system
 from a method-of-steps RK4 with cubic-Hermite dense output.  The one
 exception is `implicit_trapezoid_sweep`, the integrator's former
-implicit-endpoint sweep, kept unchanged as a bitwise reference for the
-explicit sweep that replaced it; likewise `full_pullback_experiment`
+implicit-endpoint sweep, kept as a bitwise reference for the explicit sweep
+that replaced it (on the explicit sweep's kernel, so that only the endpoint
+treatment differs); likewise `full_pullback_experiment`
 re-integrates every switched pull-back run in full, as the package did
 before it reused the nominal prefix, and `full_history_integrate` runs
 every history sweep over all of [0, T], as the package did before its
@@ -14,7 +15,9 @@ history sweeps stopped at the largest lag.  `cold_exact_fixed_point` starts
 every integration of the exact driver from the prescribed history, as the
 package did before it warm-started them, and `loop_steering_target` sums
 the steering target's source convolution one node at a time, as the package
-did before it summed it in one pass.  `resample_history` samples a
+did before it summed it in one pass, and `one_node_sources` evaluates the
+source rows node by node, as the steering target did before it took the
+rows that the integration records.  `resample_history` samples a
 history `Segment` at the trajectory nodes, as the package did on every
 integration before the history became a node array fixed at load.
 `simpson_gramian` integrates the package's own propagator entries, but by
@@ -43,7 +46,6 @@ from beamctl.errors import NumericalError
 from beamctl.semigroup import (
     _branch_coefficients,
     apply_semigroup,
-    exponential_step,
     operator_norm_bound,
     propagator_entries_for,
     weighted_block_norms,
@@ -562,16 +564,18 @@ def implicit_trapezoid_sweep(spec, u_left, u_right, u_marks, hist_values, hist_m
 
     Each step resolves the trapezoid right endpoint by up to eight passes of
     an inner fixed point.  Kept as a bitwise reference for the explicit
-    sweep in `beamctl.dynamics`, which must reproduce it exactly; the
+    sweep in `beamctl.dynamics`, which must reproduce it exactly.  It steps
+    with the explicit sweep's kernel (`dynamics._sweep_kernel`: the step
+    matrix, the grid samples and the halved cable projector) and adds the
+    halved source terms in the same order, so the two differ only in how
+    they reach the endpoint, the jumps and the marks, not in rounding; the
     signature is that of the old `_sweep`.
     """
     p = spec.params
     h = spec.h
+    half_h = 0.5 * h
     n_total = n_r + spec.n_steps + 1
-    e00, e01, e10, e11 = propagator_entries_for(np.array([h]), p.lam, p.c, p.d)
-    e00, e01, e10, e11 = e00[0], e01[0], e10[0], e11[0]
-    basis = spec.grid.basis(p.n_modes)
-    quad_w = spec.grid.weight
+    F, S, P = dynamics._sweep_kernel(spec)
 
     values = np.empty((n_total, 2, p.n_modes))
     values[: n_r + 1] = hist_values
@@ -579,27 +583,32 @@ def implicit_trapezoid_sweep(spec, u_left, u_right, u_marks, hist_values, hist_m
     impulse_nodes = {n_r + int(round(ev.time / h)): ev for ev in spec.impulses}
 
     def rhs(t, node, current, u_val):
+        # h/2 times the velocity source with the control, at `current`.
         seg = _SegmentView(values, marks, node, p.r, h, current)
-        return u_val + _source_row(t, seg, current[0], u_val, spec, basis, quad_w)
+        row = np.dot(np.maximum(np.dot(S, current[0]), 0.0), P)
+        terms = []
+        if not spec.forcing.is_zero:
+            terms.append(spec.forcing(t))
+        if not spec.nonlinearity.is_zero:
+            terms.append(spec.nonlinearity.evaluate(t, seg.value(-seg.span), u_val))
+        if terms:
+            row = row + sum(terms[1:], terms[0]) * half_h
+        return row + u_val * half_h
 
     g_prev = rhs(0.0, n_r, values[n_r], u_right[0])
-    half_h = 0.5 * h
     for j in range(1, spec.n_steps + 1):
         i = n_r + j
         t = j * h
-        w0, y0 = values[i - 1]
-        y_in = y0 + half_h * g_prev
-        base_w = e00 * w0 + e01 * y_in
-        base_y = e10 * w0 + e11 * y_in
+        base = np.dot(F, np.concatenate([values[i - 1].ravel(), g_prev])).reshape(2, -1)
         # Implicit trapezoid endpoint: only the velocity row moves, and the
         # contraction factor is h/2 times the state-Lipschitz bound of the
         # sources, so a couple of passes reach roundoff.
-        current = np.vstack([base_w, base_y])
+        current = base
         row = rhs(t, i, current, u_left[j])
         for _ in range(8):
-            y_new = base_y + half_h * row
+            y_new = base[1] + row
             delta = float(np.max(np.abs(y_new - current[1])))
-            current = np.vstack([base_w, y_new])
+            current = np.vstack([base[0], y_new])
             scale = max(1.0, float(np.max(np.abs(y_new))))
             if delta <= 1e-13 * scale:
                 break
@@ -733,7 +742,7 @@ def full_history_integrate(spec, u=None):
     n_r = len(rho_values) - 1
     p = spec.params
     lam = p.lam
-    step = exponential_step(spec.h, lam, p.c, p.d)
+    kernel = dynamics._sweep_kernel(spec)
 
     hist_values, hist_marks = rho_values, {}
     prev_values = None
@@ -742,7 +751,7 @@ def full_history_integrate(spec, u=None):
     residual, ratio = np.inf, np.nan
     for iteration in range(1, spec.picard_max_iter + 1):
         values, marks, sources = dynamics._guarded_sweep(
-            spec, f"history sweep {iteration}", step, *controls, hist_values, hist_marks, n_r
+            spec, f"history sweep {iteration}", kernel, *controls, hist_values, hist_marks, n_r
         )
         if prev_values is not None:
             d = float(energy_norms(values - prev_values, lam).max())
@@ -782,26 +791,47 @@ def per_node_sources(spec, values):
     """`dynamics.node_sources` with every node of a block evaluated as a block of one.
 
     The reference for the block evaluation of the terms that do not read
-    the position: a sweep run with this in place of `node_sources` (or its
-    rows) must be bitwise the same.
+    the position: a sweep run with this in place of `node_sources` must be
+    bitwise the same.
     """
     block = _node_sources(spec, values)
 
     def one_by_one(first, n, u_rows):
-        def row(k, out):
-            return block(first + k, 1, None if u_rows is None else u_rows[k : k + 1])(0, out)
-
-        return row
+        rows = [None if u_rows is None else u_rows[k : k + 1] for k in range(n)]
+        terms = [block(first + k, 1, row) for k, row in enumerate(rows)]
+        return None if terms[0] is None else np.concatenate(terms)
 
     return one_by_one
+
+
+def one_node_sources(spec, traj, u_rows=None):
+    """The source rows h/2 g of a trajectory, each node evaluated on its own.
+
+    Node j's row is the cable half source of its position through the
+    sweep's kernel (`dynamics._sweep_kernel`) plus `node_sources`' block of
+    one at the control row `u_rows[j]` (None when no entry reads the
+    control): the one-node evaluation that a sweep's recorded rows must
+    equal bitwise.
+    """
+    _, S, P = dynamics._sweep_kernel(spec)
+    block = _node_sources(spec, traj.values)
+    rows = np.empty((spec.n_steps + 1, spec.params.n_modes))
+    for j, row in enumerate(rows):
+        i = traj.n_history + j
+        np.dot(np.maximum(np.dot(S, traj.values[i, 0]), 0.0), P, out=row)
+        term = block(i, 1, None if u_rows is None else u_rows[j : j + 1])
+        if term is not None:
+            np.add(row, term[0], out=row)
+    return rows
 
 
 def loop_steering_target(traj, zstar, spec, sources=None) -> StateZ:
     """`steering_target` with the source convolution summed one node at a time.
 
     The package's former loop, kept as the bitwise reference for the
-    one-pass sum that replaced it; it evaluates missing source rows one
-    node at a time.
+    one-pass sum that replaced it; missing source rows h/2 g are evaluated
+    one node at a time (`one_node_sources`), as the package's own fallback
+    did before the recorded rows became the only input.
     """
     p = spec.params
     lam = p.lam
@@ -817,12 +847,12 @@ def loop_steering_target(traj, zstar, spec, sources=None) -> StateZ:
 
     h = spec.h
     if sources is None:
-        row = per_node_sources(spec, traj.values)(traj.n_history, spec.n_steps + 1, None)
-        sources = [row(j, np.empty(p.n_modes)) for j in range(spec.n_steps + 1)]
+        sources = one_node_sources(spec, traj)
     _, e01, _, e11 = propagator_entries_for(p.T - h * np.arange(spec.n_steps + 1), lam, p.c, p.d)
     acc = np.zeros((2, p.n_modes))
     for j, row in enumerate(sources):
-        wt = h if 0 < j < spec.n_steps else 0.5 * h
+        # Trapezoid weights h inside and h/2 at the ends: twice and once h/2 g.
+        wt = 2.0 if 0 < j < spec.n_steps else 1.0
         acc[0] += wt * e01[j] * row
         acc[1] += wt * e11[j] * row
     total += acc

@@ -7,7 +7,15 @@ from beamctl.control import ControlSignal
 from beamctl.dynamics import ProblemSpec, history_segment, integrate_mild
 from beamctl.errors import ConfigError, NumericalError
 from beamctl.semigroup import ModelParams, apply_semigroup
-from beamctl.spectral import SpatialGrid, StateZ, eigenvalues, energy_norms, norm_z, pair_norm
+from beamctl.spectral import (
+    SpatialGrid,
+    StateZ,
+    eigenvalues,
+    energy_norms,
+    norm_z,
+    pair_norm,
+    positive_part,
+)
 
 from oracles import (
     Segment,
@@ -15,6 +23,7 @@ from oracles import (
     implicit_trapezoid_sweep,
     method_of_steps_rk4,
     nonlocal_combination,
+    one_node_sources,
     per_node_sources,
     project,
     resample_history,
@@ -61,8 +70,6 @@ class TestSourceTerm:
         # operating grid (its own grid convergence is covered elsewhere)
         fine = SpatialGrid(2590)
         load_coeffs = project(np.sin(np.pi * fine.nodes), 4, fine)
-        from beamctl.spectral import positive_part
-
         oracle = load_coeffs - p.k * positive_part(w, grid129)
         assert np.abs(out.y - oracle).max() < 1e-8
         assert not out.w.any()
@@ -427,7 +434,7 @@ class TestExplicitSweep:
         spec, u = self._case(case, grid129, rng)
         explicit = integrate_mild(spec, u)
 
-        def implicit_sweep(spec, step, u_left, u_right, u_marks, prefix, marks, n_r, *_, last):
+        def implicit_sweep(spec, kernel, u_left, u_right, u_marks, prefix, marks, n_r, *_, last):
             # The implicit sweep always runs from the history in `prefix` to T
             # (a continuation repeats the converged sweep) and records no
             # source rows.
@@ -468,8 +475,7 @@ class TestExplicitSweep:
             for res, control in ((nominal, u), (tail, u_s)):
                 traj = res.trajectory
                 u_left = control.node_values()[0] if control is not None else np.zeros((201, 4))
-                row = per_node_sources(spec, traj.values)(traj.n_history, 201, u_left)
-                assert np.array_equal(res.sources, [row(j, np.empty(4)) for j in range(201)])
+                assert np.array_equal(res.sources, one_node_sources(spec, traj, u_left))
 
             with monkeypatch.context() as m:
                 m.setattr(dynamics, "node_sources", per_node_sources)
@@ -484,47 +490,33 @@ class TestExplicitSweep:
                 for i in a.left_values:
                     assert np.array_equal(a.left_values[i], b.left_values[i])
 
-    def test_cable_clip_goes_through_positive_part(self, grid129, rng, monkeypatch):
+    def test_cable_clip_goes_through_positive_part(self, grid129, rng):
         # The clip that test_spectral checks (and its strict xfail) through
-        # `positive_part` is the one every node evaluation of the sweep runs.
+        # `positive_part` is, to rounding, the one the sweep's kernel runs at
+        # every node: h/2 times the cable force -k*w+ of the node's position.
+        # The recorded rows are the kernel's one-node evaluation bitwise
+        # (test_recorded_sources_are_node_sources_bitwise).
         spec, u = self._case("harmonic+delayed_saturation+saturating_kick", grid129, rng)
-        plain = integrate_mild(spec, u)
-        counts = {"clips": 0, "rows": 0}
-        real_setup, real_sources = dynamics.positive_clip, dynamics.node_sources
-
-        def counted_setup(grid, n_modes):
-            clip = real_setup(grid, n_modes)
-
-            def counted_clip(coeffs, out):
-                counts["clips"] += 1
-                return clip(coeffs, out)
-
-            return counted_clip
-
-        def counted_sources(spec, values):
-            block = real_sources(spec, values)
-
-            def counted_block(*args):
-                row = block(*args)
-
-                def counted_row(*args):
-                    counts["rows"] += 1
-                    return row(*args)
-
-                return counted_row
-
-            return counted_block
-
-        monkeypatch.setattr(dynamics, "positive_clip", counted_setup)
-        monkeypatch.setattr(dynamics, "node_sources", counted_sources)
-        patched = integrate_mild(spec, u)
-        assert counts["rows"] > spec.n_steps
-        assert counts["clips"] == counts["rows"]
-        assert np.array_equal(patched.trajectory.values, plain.trajectory.values)
-        assert np.array_equal(patched.sources, plain.sources)
-        assert sorted(patched.trajectory.left_values) == sorted(plain.trajectory.left_values)
-        for i, v in plain.trajectory.left_values.items():
-            assert np.array_equal(patched.trajectory.left_values[i], v)
+        traj = integrate_mild(spec, u).trajectory
+        _, S, P = dynamics._sweep_kernel(spec)
+        scale = -0.5 * spec.h * spec.params.k
+        n_points = spec.grid.n_points
+        # Both sides differ only in where the weight and the scale are
+        # multiplied in: each G-term dot product is off by at most
+        # G*eps*(|samples| @ |basis|) (Higham, Accuracy and Stability, 3.1),
+        # and the four scalings by at most eps each.
+        eps = np.finfo(float).eps
+        clipped_nodes = 0
+        for w in traj.values[traj.n_history :, 0]:
+            samples = np.maximum(np.dot(S, w), 0.0)
+            got = np.dot(samples, P)
+            ref = scale * positive_part(w, spec.grid)
+            magnitude = abs(scale) * spec.grid.weight * (samples @ np.abs(S))
+            assert np.all(np.abs(got - ref) <= (2 * n_points + 4) * eps * magnitude)
+            clipped_nodes += bool(0.0 < samples.max() and (np.dot(S, w) < 0.0).any())
+        # The clip is active (neither the identity nor zero) at a good part
+        # of the nodes: 72 of 201 on this case.
+        assert clipped_nodes > spec.n_steps // 4
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -731,6 +723,13 @@ class TestIntegrateTail:
         assert np.array_equal(tail.sources, full.sources)
         assert tail.picard_iterations == full.picard_iterations
         assert tail.history_residual == full.history_residual
+
+    def test_impulse_at_the_switch_rejected(self, grid129, rng):
+        # The jump at t_start would read the nominal's control there.
+        spec, u = TestExplicitSweep._case("bounded_wave+constant_kick", grid129, rng)
+        nominal = integrate_mild(spec, u)
+        with pytest.raises(ValueError, match=r"impulse sits at t_start = 0\.4$"):
+            dynamics.integrate_tail(spec, nominal, self._switched(spec, u, 80, rng), 80)
 
     def test_lag_past_the_switch_rejected(self, grid129, rng):
         spec, u = TestExplicitSweep._case("velocity_kick+marked_control", grid129, rng)

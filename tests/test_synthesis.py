@@ -321,24 +321,25 @@ class TestSteeringTarget:
     def test_trivial_problem_returns_target(self, grid129, rng):
         p = ModelParams(c=1.0, d=1.0, k=1e-15, n_modes=4, T=1.0, r=0.25)
         spec = ProblemSpec(params=p, grid=grid129, n_steps=500)
-        traj = integrate_mild(spec).trajectory
+        res = integrate_mild(spec)
         zstar = StateZ(rng.normal(size=4), rng.normal(size=4))
-        out = steering_target(traj, zstar, spec)
+        out = steering_target(res.trajectory, zstar, spec, res.sources)
         assert norm_z(out - zstar) <= 1e-12 * norm_z(zstar)
 
     def test_shift_linearity_in_target(self, exact_benchmark, rng):
         spec = exact_benchmark
-        traj = integrate_mild(spec).trajectory
+        res = integrate_mild(spec)
         z1 = StateZ(rng.normal(size=4), rng.normal(size=4))
         delta = StateZ(rng.normal(size=4), rng.normal(size=4))
-        a = steering_target(traj, z1, spec)
-        b = steering_target(traj, z1 + delta, spec)
+        a = steering_target(res.trajectory, z1, spec, res.sources)
+        b = steering_target(res.trajectory, z1 + delta, spec, res.sources)
         assert norm_z((b - a) - delta) <= 1e-12 * norm_z(delta)
 
     def test_recorded_sources_give_the_same_target_bitwise(self, exact_benchmark, rng):
         res = integrate_mild(exact_benchmark)
         zstar = StateZ(rng.normal(size=4), rng.normal(size=4))
-        a = steering_target(res.trajectory, zstar, exact_benchmark)
+        # The loop evaluates every row on its own, one node at a time.
+        a = loop_steering_target(res.trajectory, zstar, exact_benchmark)
         b = steering_target(res.trajectory, zstar, exact_benchmark, res.sources)
         assert np.array_equal(a.to_pair(), b.to_pair())
 
@@ -369,8 +370,8 @@ class TestSteeringTarget:
             u = ControlSignal(0.0, 1.0, rng.normal(size=(spec.n_steps + 1, 4)))
         res = integrate_mild(spec, u)
         zstar = StateZ(rng.normal(size=4), rng.normal(size=4))
+        got = steering_target(res.trajectory, zstar, spec, res.sources).to_pair()
         for sources in (None, res.sources):
-            got = steering_target(res.trajectory, zstar, spec, sources).to_pair()
             ref = loop_steering_target(res.trajectory, zstar, spec, sources).to_pair()
             # Bytes, not values: the sign of zero must agree too.
             assert got.tobytes() == ref.tobytes()
@@ -389,8 +390,8 @@ class TestSteeringTarget:
             vals_b = 0.3 * rng.normal(size=(n_total, 2, 4))
             ya = Trajectory(spec.h, n_r, vals_a, {imp_node: 0.3 * rng.normal(size=(2, 4))})
             yb = Trajectory(spec.h, n_r, vals_b, {imp_node: 0.3 * rng.normal(size=(2, 4))})
-            la = steering_target(ya, zstar, spec)
-            lb = steering_target(yb, zstar, spec)
+            la = loop_steering_target(ya, zstar, spec)
+            lb = loop_steering_target(yb, zstar, spec)
             sup = ya.sup_diff(yb)
             sup = max(
                 sup,
@@ -427,7 +428,7 @@ class TestExactFixedPoint:
         for row in out.iterations[1:]:
             assert row.ratio <= bound
         # one more pass through the map moves the iterate by at most 2 tol
-        xi = steering_target(out.result.trajectory, zstar, spec)
+        xi = steering_target(out.result.trajectory, zstar, spec, out.result.sources)
         from beamctl.control import build_gramian_set, minimum_energy_control
 
         gs = build_gramian_set(0.0, spec.params.T, spec.params, spec.n_steps)
@@ -437,7 +438,7 @@ class TestExactFixedPoint:
     def test_reached_target_matches_steering_identity(self, benchmark_run):
         spec, zstar, out = benchmark_run
         gu = controllability_map(out.control, spec.params)
-        lz = steering_target(out.result.trajectory, zstar, spec)
+        lz = steering_target(out.result.trajectory, zstar, spec, out.result.sources)
         assert norm_z(gu - lz) <= 1e-9 * max(1.0, norm_z(lz))
 
     @pytest.mark.parametrize("problem", ["config", "criterion_7"])
