@@ -31,6 +31,7 @@ __all__ = [
     "NONLINEARITY_KINDS",
     "IMPULSE_KINDS",
     "entry_params",
+    "param_list",
 ]
 
 # Each catalog entry and the `params` keys it uses.
@@ -61,20 +62,29 @@ def entry_params(what: str, kind, params: dict | None, kinds: dict) -> dict:
     return params
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _param(params: dict, key: str) -> float:
     """A scalar catalog parameter (default 0); errors name `params.<key>`."""
-    try:
-        return float(params.get(key, 0.0))
-    except (TypeError, ValueError):
-        raise ConfigError(f"expected a number, got {params[key]!r}", f"params.{key}") from None
+    value = params.get(key, 0.0)
+    if not _is_real(value):
+        raise ConfigError(f"expected a number, got {value!r}", f"params.{key}")
+    return float(value)
+
+
+def param_list(params: dict, key: str) -> np.ndarray:
+    """A list-of-numbers catalog parameter (default empty); errors name `params.<key>`."""
+    value = params.get(key, [])
+    if not isinstance(value, (list, tuple)) or not all(map(_is_real, value)):
+        raise ConfigError(f"expected a list of numbers, got {value!r}", f"params.{key}")
+    return np.array(value, dtype=float)
 
 
 def _profile(params: dict, n_modes: int, key: str = "coeffs") -> np.ndarray:
-    try:
-        coeffs = np.asarray(params.get(key, ()), dtype=float)
-    except (TypeError, ValueError):
-        coeffs = None
-    if coeffs is None or coeffs.ndim != 1 or coeffs.size == 0 or coeffs.size > n_modes:
+    coeffs = param_list(params, key)
+    if not 0 < coeffs.size <= n_modes:
         raise ConfigError(f"must list 1..{n_modes} modal coefficients", f"params.{key}")
     out = np.zeros(n_modes)
     out[: coeffs.size] = coeffs

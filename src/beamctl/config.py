@@ -107,8 +107,13 @@ class _Block:
         return self.set(name, float(value))
 
     def optional_number(self, name: str) -> float | None:
-        """`number` for a key whose absence (or null) means a derived value."""
-        return self.set(name, None) if self.raw.get(name) is None else self.number(name)
+        """A declared constant (>= 0) whose absence (or null) means a derived value."""
+        if self.raw.get(name) is None:
+            return self.set(name, None)
+        value = self.number(name)
+        if value < 0:
+            raise ConfigError(f"must be >= 0, got {value}", self.key(name))
+        return value
 
     def integer(self, name: str, default: int, minimum: int) -> int:
         value = self.raw.get(name, default)
@@ -261,8 +266,6 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(
             f"G={G} cannot de-alias {n_modes} modes (need >= {2 * n_modes + 1})", "grids.G"
         )
-    norm_step = grids.number("norm_step", T / 2000.0, positive=True)
-    gamma_samples = grids.integer("gamma_samples", 2000, minimum=16)
 
     params = ModelParams(c=c, d=d, k=k, n_modes=n_modes, T=T, r=r)
 
@@ -388,8 +391,6 @@ def parse_config(path: str | Path) -> RunConfig:
         L_q_declared=L_q_declared,
         picard_tol=picard_tol,
         picard_max_iter=picard_max_iter,
-        norm_step=norm_step,
-        gamma_samples=gamma_samples,
     )
     nonlocal_block.set("L_q", problem.L_q)
 

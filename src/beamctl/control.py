@@ -1,18 +1,21 @@
 """Controllability Gramians and minimum-energy steering controls.
 
 The distributed force enters only the velocity equation, so the
-controllability machinery decouples into per-mode 2x2 Gramians.  Two
-values of each coexist on purpose:
+controllability machinery decouples into per-mode 2x2 Gramians.  Each
+of its two Gramians has its own readers:
 
+* `GramianSet` holds the *steering* Gramian of a window, accumulated by
+  the trapezoid rule on the control grid that `controllability_map` uses,
+  and the force-column table it is built from.  Everything that steers or
+  certifies reads it: `minimum_energy_control` applies its inverse, and
+  `gamma_norm_estimate` takes the norm of exactly that applied operator
+  for the contraction certificate.  Because the map and the Gramian share
+  one discrete quadrature, the right-inverse identity (map after steering
+  equals the target) holds to machine precision on every grid.
 * `mode_gramian` is the exact Gramian of the continuous system, in closed
-  form from one propagator evaluation at the window length; it is the
-  reported value.
-* `GramianSet` additionally carries the *steering* Gramian, accumulated by
-  the trapezoid rule on the control grid that `controllability_map` uses.
-  With that pairing the right-inverse identity (map after steering equals
-  the target) holds to machine precision on every grid, because both
-  sides share one discrete quadrature.  The gap between the two Gramians
-  is the trapezoid error of the control grid alone.
+  form from one propagator evaluation at the window length; only the
+  `gramian` command reports it.  The gap between the two Gramians is the
+  trapezoid error of the control grid alone.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "steering_control",
     "gamma_norm_estimate",
     "integrate_linear",
+    "weighted_cond",
 ]
 
 CONDITION_LIMIT = 1e12
@@ -176,12 +180,7 @@ def mode_gramian(n: int, t0: float, t1: float, p: ModelParams) -> np.ndarray:
     return np.array([[lam * i00, i01], [lam * i01, i11]])
 
 
-def _reference_blocks(t0: float, t1: float, p: ModelParams) -> np.ndarray:
-    """(n_modes, 2, 2) stack of the closed-form Gramians of every mode."""
-    return np.array([mode_gramian(n, t0, t1, p) for n in range(1, p.n_modes + 1)])
-
-
-def _weighted_cond(w: np.ndarray, lam: float) -> float:
+def weighted_cond(w: np.ndarray, lam: float) -> float:
     """Condition number of the Gramian block in the energy inner product."""
     rl = np.sqrt(lam)
     s01 = rl * w[0, 1]
@@ -197,26 +196,21 @@ def _weighted_cond(w: np.ndarray, lam: float) -> float:
 
 @dataclass(frozen=True)
 class GramianSet:
-    """Per-mode Gramians over [t0, t1] with inverses and condition numbers.
+    """Per-mode steering Gramians over [t0, t1], their inverses and condition numbers.
 
-    `steering` matches the control-grid trapezoid rule (used by
-    `minimum_energy_control`); `reference` is the exact `mode_gramian`
-    value reported by diagnostics.  `cond` is the energy-weighted condition
-    number of the steering block.
+    `steering` is the control-grid trapezoid rule applied to the force
+    column (`e01`, `e11`) of the propagator at t1 - t_i, tabulated at the
+    control nodes t_i, one column per mode.  `cond` is the energy-weighted
+    condition number of each steering block.
     """
 
     t0: float
     t1: float
-    n_steps: int
     steering: np.ndarray
     steering_inv: np.ndarray
-    reference: np.ndarray
     cond: np.ndarray
-    reference_cond: np.ndarray
-
-    @property
-    def step(self) -> float:
-        return (self.t1 - self.t0) / self.n_steps
+    e01: np.ndarray
+    e11: np.ndarray
 
     @property
     def n_modes(self) -> int:
@@ -234,7 +228,7 @@ def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
 
 
 def build_gramian_set(t0: float, t1: float, p: ModelParams, n_steps: int) -> GramianSet:
-    """Assemble steering and reference Gramians for every mode."""
+    """Assemble the steering Gramian of every mode from its force-column table."""
     if not 0 <= t0 < t1:
         raise ValueError(f"need 0 <= t0 < t1, got [{t0}, {t1}]")
     if n_steps < 16:
@@ -251,10 +245,8 @@ def build_gramian_set(t0: float, t1: float, p: ModelParams, n_steps: int) -> Gra
     W[:, 1, 0] = lam * W[:, 0, 1]
     W[:, 1, 1] = np.sum(w[:, None] * e11**2, axis=0)
 
-    ref = _reference_blocks(t0, t1, p)
-    cond = np.array([_weighted_cond(W[i], lam[i]) for i in range(p.n_modes)])
-    ref_cond = np.array([_weighted_cond(ref[i], lam[i]) for i in range(p.n_modes)])
-    return GramianSet(t0, t1, n_steps, W, _invert_blocks(W), ref, cond, ref_cond)
+    cond = np.array([weighted_cond(W[i], lam[i]) for i in range(p.n_modes)])
+    return GramianSet(t0, t1, W, _invert_blocks(W), cond, e01, e11)
 
 
 def controllability_map(u: ControlSignal, p: ModelParams) -> StateZ:
@@ -276,6 +268,16 @@ def controllability_map(u: ControlSignal, p: ModelParams) -> StateZ:
     return StateZ(w_comp, y_comp)
 
 
+def _require_conditioned(gs: GramianSet) -> None:
+    """Raise NumericalError naming the first mode whose steering block is ill-conditioned."""
+    bad = np.nonzero(gs.cond > CONDITION_LIMIT)[0]
+    if bad.size:
+        raise NumericalError(
+            f"Gramian for mode {int(bad[0]) + 1} is ill-conditioned "
+            f"(cond {gs.cond[bad[0]]:.3e} > {CONDITION_LIMIT:.0e})"
+        )
+
+
 def minimum_energy_control(xi: StateZ, gs: GramianSet, p: ModelParams) -> ControlSignal:
     """Control of least trapezoid-L2 norm steering 0 to `xi` over [t0, t1].
 
@@ -285,20 +287,10 @@ def minimum_energy_control(xi: StateZ, gs: GramianSet, p: ModelParams) -> Contro
     """
     if xi.n_modes != gs.n_modes:
         raise ValueError(f"target has {xi.n_modes} modes, Gramian set has {gs.n_modes}")
-    bad = np.nonzero(gs.cond > CONDITION_LIMIT)[0]
-    if bad.size:
-        n = int(bad[0]) + 1
-        raise NumericalError(
-            f"Gramian for mode {n} is ill-conditioned "
-            f"(cond {gs.cond[bad[0]]:.3e} > {CONDITION_LIMIT:.0e})"
-        )
-    lam = p.lam
-    h = gs.step
-    ts = gs.t0 + h * np.arange(gs.n_steps + 1)
-    _, e01, _, e11 = propagator_entries_for(gs.t1 - ts, lam, p.c, p.d)
+    _require_conditioned(gs)
     eta = np.einsum("nij,jn->in", gs.steering_inv, xi.to_pair())
     # Second row of the adjoint propagator is (lambda*e01, e11).
-    values = lam[None, :] * e01 * eta[0][None, :] + e11 * eta[1][None, :]
+    values = p.lam[None, :] * gs.e01 * eta[0][None, :] + gs.e11 * eta[1][None, :]
     return ControlSignal(gs.t0, gs.t1, values)
 
 
@@ -313,25 +305,23 @@ def steering_control(
     return minimum_energy_control(xi, gs, p)
 
 
-def gamma_norm_estimate(
-    t0: float, t1: float, p: ModelParams, n_samples: int = 2000
-) -> float:
-    """Grid estimate of the steering-operator norm sup_t |b* E*(t1-t) W^-1|.
+def gamma_norm_estimate(gs: GramianSet, p: ModelParams) -> float:
+    """Norm of the steering operator xi -> u that `minimum_energy_control` applies.
 
-    Uses the exact (reference) Gramian so the estimate is a property of
-    the continuous operator, independent of any control grid.  The induced
-    norm at fixed t is the maximum over modes of the dual energy norm of
-    the per-mode row.
+    Per mode u_n(t_i) = m_i . xi_n at each node, with the row
+    m_i = (lambda*e01, e11) W^-1 of the set's table and steering inverse,
+    and u is linear between nodes.  The norm of an affine function is
+    convex, so sup_t |u(t)| is reached at a node, and the operator norm is
+    the maximum over the nodes and modes of the dual energy norm of m_i,
+    with no sampling.  Raises NumericalError on an ill-conditioned block,
+    as steering with it would.
     """
-    lam = p.lam
-    ts = t0 + (t1 - t0) / n_samples * np.arange(n_samples + 1)
-    _, e01, _, e11 = propagator_entries_for(t1 - ts, lam, p.c, p.d)
-    inv = _invert_blocks(_reference_blocks(t0, t1, p))
-    # Row vector m with u_n(t) = m . xi_n, m = W^-T (lambda*e01, e11)^T.
-    m0 = inv[:, 0, 0][None, :] * lam[None, :] * e01 + inv[:, 1, 0][None, :] * e11
-    m1 = inv[:, 0, 1][None, :] * lam[None, :] * e01 + inv[:, 1, 1][None, :] * e11
-    dual = np.sqrt(m0**2 / lam[None, :] + m1**2)
-    return float(dual.max())
+    _require_conditioned(gs)
+    lam, inv = p.lam, gs.steering_inv
+    lam_e01 = lam * gs.e01
+    m0 = lam_e01 * inv[:, 0, 0] + gs.e11 * inv[:, 1, 0]
+    m1 = lam_e01 * inv[:, 0, 1] + gs.e11 * inv[:, 1, 1]
+    return float(np.sqrt(m0**2 / lam + m1**2).max())
 
 
 def integrate_linear(z0: StateZ, u: ControlSignal, p: ModelParams) -> np.ndarray:

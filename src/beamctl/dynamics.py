@@ -54,7 +54,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .catalogs import Forcing, ImpulseEvent, Nonlinearity, entry_params
+from .catalogs import Forcing, ImpulseEvent, Nonlinearity, entry_params, param_list
 from .control import ControlSignal
 from .errors import ConfigError, NumericalError
 from .semigroup import ModelParams, propagator_matrix
@@ -152,8 +152,6 @@ class ProblemSpec:
     the alignment.  `history` is the prescribed history rho at the
     trajectory nodes of [-r, 0], a read-only (n_r + 1, 2, n_modes) array
     with n_r = r/h (zeros by default); `history[-1]` is rho(0).
-    `norm_step` (default T/2000) and `gamma_samples` are the time grids of
-    the certificate's estimates of M and |Gamma|.
     """
 
     params: ModelParams
@@ -168,15 +166,11 @@ class ProblemSpec:
     L_q_declared: float | None = None
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
-    norm_step: float | None = None
-    gamma_samples: int = 2000
 
     def __post_init__(self) -> None:
         from .catalogs import make_forcing, make_nonlinearity
 
         p = self.params
-        if self.norm_step is None:
-            object.__setattr__(self, "norm_step", p.T / 2000.0)
         if self.forcing is None:
             object.__setattr__(self, "forcing", make_forcing("zero", p.n_modes))
         if self.nonlinearity is None:
@@ -272,10 +266,7 @@ def history_segment(
         w = np.zeros(p.n_modes)
         y = np.zeros(p.n_modes)
         for key, out in (("w", w), ("y", y)):
-            try:
-                coeffs = np.asarray(params.get(key, ()), dtype=float)
-            except (TypeError, ValueError):
-                raise ConfigError("expected a list of numbers", f"params.{key}") from None
+            coeffs = param_list(params, key)
             if coeffs.size > p.n_modes:
                 raise ConfigError(
                     f"lists {coeffs.size} modes, model has {p.n_modes}", f"params.{key}"
@@ -540,7 +531,7 @@ def _warm_history(spec: ProblemSpec, warm: IntegrationResult, n_r: int):
 def integrate_mild(
     spec: ProblemSpec, u: ControlSignal | None = None, *, warm: IntegrationResult | None = None
 ) -> IntegrationResult:
-    """Resolve the mild solution on [-r, T] under the control u.
+    """Resolve the mild solution on [-r, T] under the control u (None: zero).
 
     On [0, T] the state follows the variation-of-constants formula with
     the group propagator, jump updates at the impulse times, and the
@@ -562,8 +553,6 @@ def integrate_mild(
     `warm` was run with the same control, its history already meets the
     residual and one sweep returns that run bit for bit.
     """
-    if spec.u_dependent and u is None:
-        raise ValueError("problem has control-dependent catalog entries but no control")
     controls = _control_nodes(u, spec)
     rho_values = spec.history
     n_r = len(rho_values) - 1

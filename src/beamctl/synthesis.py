@@ -22,6 +22,7 @@ import numpy as np
 
 from .control import (
     ControlSignal,
+    GramianSet,
     build_gramian_set,
     gamma_norm_estimate,
     minimum_energy_control,
@@ -71,10 +72,8 @@ class ContractionReport:
     """
 
     M: float
-    M_step: float
     norm_B: float
     norm_gamma: float
-    gamma_samples: int
     lipschitz_F: float
     L_q: float
     q: int
@@ -85,15 +84,16 @@ class ContractionReport:
     satisfied: bool
 
 
-def contraction_constants(spec: ProblemSpec) -> ContractionReport:
-    """Assemble the contraction certificate from grid estimates and catalogs.
+def contraction_constants(spec: ProblemSpec, gs: GramianSet) -> ContractionReport:
+    """Assemble the contraction certificate from closed forms and catalogs.
 
-    M and |Gamma| are maxima over the spec's `norm_step` and `gamma_samples`
-    time grids.
+    M is the bound `operator_norm_bound` on the propagator norm, and
+    |Gamma| the norm of the steering operator that `minimum_energy_control`
+    applies with `gs`, the steering Gramian set over [0, T].
     """
     p = spec.params
-    M = operator_norm_bound(p, spec.norm_step)
-    norm_gamma = gamma_norm_estimate(0.0, p.T, p, spec.gamma_samples)
+    M = operator_norm_bound(p)
+    norm_gamma = gamma_norm_estimate(gs, p)
     lipschitz_F = p.k / np.pi**2 + spec.nonlinearity.lipschitz
     L_q = spec.L_q
     q = spec.q
@@ -103,10 +103,8 @@ def contraction_constants(spec: ProblemSpec) -> ContractionReport:
     lhs = M * L_q * q + M * p.T * norm_B * norm_gamma * C + M * p.T * lipschitz_F + M * n_imp
     return ContractionReport(
         M=M,
-        M_step=spec.norm_step,
         norm_B=norm_B,
         norm_gamma=norm_gamma,
-        gamma_samples=spec.gamma_samples,
         lipschitz_F=lipschitz_F,
         L_q=L_q,
         q=q,
@@ -230,7 +228,7 @@ def approx_experiment(
     tau_q = max(spec.lags, default=0.0)
     last_lag_node = int(round(tau_q / spec.h))
     lam = p.lam
-    M_est = operator_norm_bound(p, spec.norm_step)
+    M_est = operator_norm_bound(p)
     nl = spec.nonlinearity
     rows = []
     for sigma in sigmas:
@@ -357,21 +355,23 @@ def exact_fixed_point(
     successive-difference ratios.  Each integration after the first starts
     its history iteration from the previous iterate's converged history
     (`integrate_mild(..., warm=prev)`), which saves sweeps as the controls
-    settle and moves the converged values only within `picard_tol`.
+    settle and moves the converged values only within `picard_tol`.  The
+    certificate reads the Gramian set the iteration steers with, so it
+    describes the operator the iteration applies.
     """
     if spec.u_dependent:
         raise ConfigError(
             "exact steering needs control-independent perturbation and impulse entries"
         )
     p = spec.params
-    report = contraction_constants(spec)
+    gs = build_gramian_set(0.0, p.T, p, spec.n_steps)
+    report = contraction_constants(spec, gs)
     if not report.satisfied:
         logger.warning(
             "contraction certificate violated (lhs = %.6g >= 1); "
             "iterating without a convergence guarantee",
             report.lhs,
         )
-    gs = build_gramian_set(0.0, p.T, p, spec.n_steps)
     prev = integrate_mild(spec, None)
     rows: list[FixedPointRow] = []
     diffs: list[float] = []

@@ -21,7 +21,11 @@ rows that the integration records.  `resample_history` samples a
 history `Segment` at the trajectory nodes, as the package did on every
 integration before the history became a node array fixed at load.
 `simpson_gramian` integrates the package's own propagator entries, but by
-a quadrature the package no longer uses.  `Segment`, `source_term`,
+a quadrature the package no longer uses.  `sampled_operator_norm` and
+`sampled_gamma_norm` are the certificate's former grid estimates of M and
+|Gamma| (the latter of the reference operator, built on `mode_gramian`);
+`interpolated_gamma_norm` samples the applied steering operator between
+its nodes.  `Segment`, `source_term`,
 `nonlocal_combination`, `segment_at`, the generator blocks, `expm2`, the
 adjoint propagator, the control arithmetic, `project` and `norm_half` are
 former package helpers that only the tests used.
@@ -40,6 +44,7 @@ from beamctl.control import (
     build_gramian_set,
     default_gramian_step,
     minimum_energy_control,
+    mode_gramian,
 )
 from beamctl.dynamics import IntegrationResult, Trajectory, integrate_mild
 from beamctl.errors import NumericalError
@@ -374,6 +379,60 @@ def simpson_gramian(n: int, t0: float, t1: float, p, refine: int = 1) -> np.ndar
     )
 
 
+def sampled_operator_norm(p, time_step: float | None = None) -> float:
+    """Largest energy operator norm of S(t) over modes and a uniform grid on [0, T].
+
+    The package's former `operator_norm_bound`: a grid maximum, so a lower
+    estimate of the sup; the default step is T/2000.
+    """
+    if time_step is None:
+        time_step = p.T / 2000.0
+    n = max(int(round(p.T / time_step)), 1)
+    ts = np.linspace(0.0, p.T, n + 1)
+    e00, e01, e10, e11 = propagator_entries_for(ts, p.lam, p.c, p.d)
+    return float(weighted_block_norms(e00, e01, e10, e11, p.lam[None, :]).max())
+
+
+def _dual_norms(m0, m1, lam):
+    """Dual energy norms of the rows (m0, m1): the norm of xi -> m0 xi_w + m1 xi_y."""
+    return np.sqrt(m0**2 / lam + m1**2)
+
+
+def sampled_gamma_norm(t0: float, t1: float, p, n_samples: int = 2000) -> float:
+    """Grid estimate of sup_t |b* E*(t1 - t) W^-1| with the exact Gramians W.
+
+    The package's former `gamma_norm_estimate`: the reference operator of
+    the continuous system (`mode_gramian`), sampled on n_samples + 1 times.
+    """
+    lam = p.lam
+    ts = t0 + (t1 - t0) / n_samples * np.arange(n_samples + 1)
+    _, e01, _, e11 = propagator_entries_for(t1 - ts, lam, p.c, p.d)
+    inv = np.array([np.linalg.inv(mode_gramian(n, t0, t1, p)) for n in range(1, p.n_modes + 1)])
+    m0 = inv[:, 0, 0] * lam * e01 + inv[:, 1, 0] * e11
+    m1 = inv[:, 0, 1] * lam * e01 + inv[:, 1, 1] * e11
+    return float(_dual_norms(m0, m1, lam).max())
+
+
+def interpolated_gamma_norm(gs, p, refine: int = 10) -> float:
+    """Sup of the applied steering operator's norm on a `refine`-times finer grid.
+
+    The rows of the operator xi -> u are read off `minimum_energy_control`
+    on the unit targets of the energy coordinates (xi_w = 1 and xi_y = 1 in
+    every mode at once, which the per-mode steering keeps apart), and the
+    piecewise-linear control between two nodes is sampled at `refine`
+    points per interval.
+    """
+    n = p.n_modes
+    m0 = minimum_energy_control(StateZ(np.ones(n), np.zeros(n)), gs, p).values
+    m1 = minimum_energy_control(StateZ(np.zeros(n), np.ones(n)), gs, p).values
+    theta = (np.arange(refine) / refine)[:, None, None]
+    fine = []
+    for m in (m0, m1):
+        inner = (1.0 - theta) * m[None, :-1] + theta * m[None, 1:]
+        fine.append(np.concatenate([inner.transpose(1, 0, 2).reshape(-1, n), m[-1:]]))
+    return float(_dual_norms(fine[0], fine[1], p.lam).max())
+
+
 def method_of_steps_rk4(
     spec,
     u=None,
@@ -700,7 +759,7 @@ def full_pullback_experiment(spec, u, zstar, sigmas):
     nominal = integrate_mild(spec, u)
     traj = nominal.trajectory
     lam = p.lam
-    M_est = operator_norm_bound(p, spec.norm_step)
+    M_est = operator_norm_bound(p)
     nl = spec.nonlinearity
     rows, runs = [], []
     for sigma in [float(s) for s in sigmas]:
@@ -735,8 +794,6 @@ def full_history_integrate(spec, u=None):
     sweep count and residual must be equal.  Its `picard_sup_diffs` are
     measured over the whole trajectory.
     """
-    if spec.u_dependent and u is None:
-        raise ValueError("problem has control-dependent catalog entries but no control")
     controls = dynamics._control_nodes(u, spec)
     rho_values = spec.history
     n_r = len(rho_values) - 1
@@ -876,8 +933,8 @@ def cold_exact_fixed_point(spec, zstar, tol: float = 1e-8, max_iter: int = 50):
     divergence stop.
     """
     p = spec.params
-    report = contraction_constants(spec)
     gs = build_gramian_set(0.0, p.T, p, spec.n_steps)
+    report = contraction_constants(spec, gs)
     prev = integrate_mild(spec, None)
     rows, diffs = [], []
     for it in range(1, max_iter + 1):

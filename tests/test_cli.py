@@ -6,7 +6,8 @@ import yaml
 
 from beamctl.cli import main
 from beamctl.config import parse_config
-from beamctl.dynamics import Trajectory
+from beamctl.control import ControlSignal
+from beamctl.dynamics import Trajectory, integrate_mild
 from beamctl.errors import ConfigError
 from beamctl.reporting import trajectory_rows
 from beamctl.spectral import eigenvalues, energy_norms
@@ -255,6 +256,36 @@ class TestCli:
                 "delays.lag",
                 id="misspelt-before-a-check",
             ),
+            # A negative declared constant would lower the certificate's lhs.
+            pytest.param(
+                {"nonlinearity": {"catalog": "delayed_saturation", "params": {"amp": 0.1}, "l_f": -5}},
+                "nonlinearity.l_f",
+                id="l_f-negative",
+            ),
+            pytest.param(
+                {"nonlinearity": {"catalog": "delayed_saturation", "alpha1": -0.5}},
+                "nonlinearity.alpha1",
+                id="alpha1-negative",
+            ),
+            pytest.param(
+                {"nonlinearity": {"catalog": "bounded_wave", "beta1": -1e-3}},
+                "nonlinearity.beta1",
+                id="beta1-negative",
+            ),
+            pytest.param(
+                {
+                    "impulses": [
+                        {"time": 0.5, "catalog": "velocity_kick", "params": {"amp": 0.1}, "d_k": -3}
+                    ]
+                },
+                "impulses[0].d_k",
+                id="d_k-negative",
+            ),
+            pytest.param(
+                {"delays": {"lags": [0.1]}, "nonlocal": {"gammas": [0.1], "L_q": -0.2}},
+                "nonlocal.L_q",
+                id="L_q-negative",
+            ),
         ],
     )
     def test_malformed_input_exits_2_at_load(self, tmp_path, capsys, fragment, key):
@@ -278,6 +309,8 @@ class TestCli:
             pytest.param(("model", "dampin"), "model.dampin", id="model"),
             pytest.param(("grids", "hr"), "grids.hr", id="grids"),
             pytest.param(("grids", "h_r"), "grids.h_r", id="grids-h_r"),
+            pytest.param(("grids", "norm_step"), "grids.norm_step", id="grids-norm_step"),
+            pytest.param(("grids", "gamma_samples"), "grids.gamma_samples", id="grids-gamma_samples"),
             pytest.param(("impulses", 0, "dk"), "impulses[0].dk", id="impulse-entry"),
             pytest.param(("delays", "lag"), "delays.lag", id="delays"),
             pytest.param(("nonlocal", "Lq"), "nonlocal.Lq", id="nonlocal"),
@@ -327,18 +360,79 @@ class TestCli:
         assert not out.exists()
 
     def test_exact_reports_the_check_certificate(self, tmp_path):
-        # Coarse certificate grids on a stiffer, more damped beam: the grid
-        # estimate of M moves with norm_step, and exact must use the same
-        # configured grids as check.
+        # On a stiffer, more damped beam, where M = 2 and |Gamma| is large,
+        # exact must certify with the same steering set as check.
         data = yaml.safe_load((CONFIGS / "exact_benchmark.yaml").read_text())
         data["model"].update(d=4, c=30)
-        data["grids"].update(norm_step=0.05, gamma_samples=16)
         cfg = str(write_config(tmp_path, data))
         assert main(["check", "--config", cfg, "--out", str(tmp_path / "check")]) == 0
         assert main(["exact", "--config", cfg, "--out", str(tmp_path / "exact")]) == 0
         check = read_report(tmp_path / "check" / "exact_benchmark_report.txt")
         exact = read_report(tmp_path / "exact" / "exact_benchmark_report.txt")
         assert exact["contraction_lhs"] == check["lhs"]
+
+    def test_zero_declared_constants_load(self, tmp_path):
+        data = {
+            "impulses": [{"time": 0.5, "catalog": "velocity_kick", "params": {"amp": 0.1}, "d_k": 0}],
+            "delays": {"lags": [0.1]},
+            "nonlocal": {"gammas": [0.1], "L_q": 0},
+            "nonlinearity": {"catalog": "delayed_saturation", "l_f": 0, "alpha1": 0.0, "beta1": 0},
+        }
+        cfg = parse_config(write_config(tmp_path, data))
+        nl = cfg.problem.nonlinearity
+        assert (nl.lipschitz, nl.alpha1, nl.beta1, cfg.problem.L_q) == (0.0, 0.0, 0.0, 0.0)
+        assert cfg.problem.impulses[0].d_k == 0.0
+
+    def test_stiff_damped_probe_prints_unsatisfied(self, tmp_path):
+        # check_zero on a stiffer, more damped beam with a small cable: the
+        # former sampled M (1.860) printed lhs = 0.943 and satisfied = true.
+        data = yaml.safe_load((CONFIGS / "check_zero.yaml").read_text())
+        data["model"].update(c=30, d=4, k=0.024)
+        cfg = str(write_config(tmp_path, data))
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        report = read_report(tmp_path / "o" / "check_zero_report.txt")
+        assert report["M"] == "2"
+        assert float(report["lhs"]) > 1.0
+        assert report["satisfied"] == "false"
+
+    @pytest.mark.parametrize(
+        "fragment",
+        [
+            pytest.param(
+                {"nonlinearity": {"catalog": "control_saturation", "params": {"amp": 0.1}}},
+                id="control_saturation",
+            ),
+            pytest.param(
+                {"impulses": [{"time": 0.5, "catalog": "control_kick", "params": {"amp": 0.1}}]},
+                id="control_kick",
+            ),
+        ],
+    )
+    def test_control_dependent_entries_run_under_zero_control(self, tmp_path, capsys, fragment):
+        # No control means the zero control, for the catalogs too; only
+        # exact, which steers, rejects these entries.
+        data = {
+            "model": {"c": 1.0, "d": 1.0, "k": 1.0, "n_modes": 4, "T": 1.0, "r": 0.25},
+            "grids": {"h": 0.002, "G": 65},
+            "history": {"catalog": "modal_constant", "params": {"w": [0.3], "y": [0.1]}},
+            "targets": {"zstar_w": [0.1], "zstar_y": [0.2]},
+            "experiment": {"sigmas": [0.08, 0.04]},
+            **fragment,
+        }
+        path = write_config(tmp_path, data)
+        for command in ("simulate", "approx"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+        assert main(["exact", "--config", str(path), "--out", str(tmp_path / "exact")]) == 2
+        assert "control-independent" in capsys.readouterr().err
+        spec = parse_config(path).problem
+        zero = ControlSignal(0.0, 1.0, np.zeros((spec.n_steps + 1, 4)))
+        implicit, explicit = integrate_mild(spec, None), integrate_mild(spec, zero)
+        assert implicit.trajectory.values.tobytes() == explicit.trajectory.values.tobytes()
+        assert implicit.sources.tobytes() == explicit.sources.tobytes()
+        marks = implicit.trajectory.left_values
+        assert sorted(marks) == sorted(explicit.trajectory.left_values)
+        for i, v in marks.items():
+            assert v.tobytes() == explicit.trajectory.left_values[i].tobytes()
 
     def test_steer_without_target_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": {"c": 1.0, "d": 1.0, "k": 1.0}})

@@ -18,8 +18,10 @@ from beamctl.spectral import StateZ, eigenvalues, norm_z, zero_state
 from oracles import (
     control_sum,
     control_value,
+    interpolated_gamma_norm,
     mode_matrix,
     rk4_forced_response,
+    sampled_gamma_norm,
     scaled_control,
     simpson_gramian,
     zero_control,
@@ -150,11 +152,21 @@ class TestGramianSet:
     def test_steering_gramian_tracks_reference(self, p8):
         # The control-grid Gramian converges to the exact value as the
         # grid refines (they differ by the trapezoid error).
+        reference = np.array([mode_gramian(n, 0.0, 1.0, p8) for n in range(1, 9)])
         coarse = build_gramian_set(0.0, 1.0, p8, 2000)
         fine = build_gramian_set(0.0, 1.0, p8, 20000)
-        err_coarse = np.abs(coarse.steering - coarse.reference).max()
-        err_fine = np.abs(fine.steering - fine.reference).max()
+        err_coarse = np.abs(coarse.steering - reference).max()
+        err_fine = np.abs(fine.steering - reference).max()
         assert err_fine < err_coarse / 50.0
+
+    def test_table_is_the_force_column(self, p8):
+        # The set keeps the propagator's force column at t1 - t_i, the
+        # table its Gramian and every steering control are built from.
+        gs = build_gramian_set(0.25, 1.0, p8, 300)
+        ts = 0.25 + (1.0 - 0.25) / 300 * np.arange(301)
+        _, e01, _, e11 = propagator_entries_for(1.0 - ts, eigenvalues(8), p8.c, p8.d)
+        assert np.array_equal(gs.e01, e01)
+        assert np.array_equal(gs.e11, e11)
 
 
 class TestControllabilityMap:
@@ -224,9 +236,34 @@ class TestMinimumEnergyControl:
             assert u_star.l2_norm() <= alt.l2_norm() + 1e-6
 
     def test_gamma_norm_refinement(self, p8):
-        coarse = gamma_norm_estimate(0.0, 1.0, p8, 2000)
-        fine = gamma_norm_estimate(0.0, 1.0, p8, 20000)
+        # The applied operator's norm settles as the control grid refines,
+        # onto the sampled norm of the continuous (reference) operator.
+        coarse = gamma_norm_estimate(build_gramian_set(0.0, 1.0, p8, 2000), p8)
+        fine = gamma_norm_estimate(build_gramian_set(0.0, 1.0, p8, 20000), p8)
         assert abs(coarse - fine) <= 1e-3 * fine
+        assert abs(sampled_gamma_norm(0.0, 1.0, p8, 20000) - fine) <= 1e-3 * fine
+
+    @pytest.mark.parametrize(
+        "c, d, t0, n_steps",
+        [
+            pytest.param(1.0, 1.0, 0.0, 2000, id="p8"),
+            pytest.param(1.0, 1.0, 0.9, 200, id="p8-tail"),
+            pytest.param(30.0, 4.0, 0.0, 400, id="d4-c30"),
+            pytest.param(200.0, 0.5, 0.0, 400, id="overdamped"),
+        ],
+    )
+    def test_gamma_norm_is_the_sup_between_nodes(self, c, d, t0, n_steps):
+        # The control is linear between nodes, so the sup over a ten times
+        # finer interpolation is the maximum over the nodes.
+        p = ModelParams(c=c, d=d, k=1.0, n_modes=8, T=1.0, r=0.3)
+        gs = build_gramian_set(t0, 1.0, p, n_steps)
+        got = gamma_norm_estimate(gs, p)
+        assert got == pytest.approx(interpolated_gamma_norm(gs, p, refine=10), rel=1e-14)
+
+    def test_gamma_norm_ill_conditioned_names_the_mode(self, p8):
+        gs = build_gramian_set(0.0, 2e-7, p8, 16)
+        with pytest.raises(NumericalError, match="mode"):
+            gamma_norm_estimate(gs, p8)
 
 
 class TestSteering:

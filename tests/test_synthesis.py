@@ -1,5 +1,4 @@
 import logging
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +7,12 @@ import pytest
 from beamctl import synthesis
 from beamctl.catalogs import ImpulseEvent, make_forcing, make_impulse_map, make_nonlinearity
 from beamctl.config import parse_config
-from beamctl.control import ControlSignal, controllability_map
+from beamctl.control import (
+    ControlSignal,
+    build_gramian_set,
+    controllability_map,
+    minimum_energy_control,
+)
 from beamctl.dynamics import ProblemSpec, Trajectory, history_segment, integrate_mild
 from beamctl.semigroup import ModelParams
 from beamctl.spectral import SpatialGrid, StateZ, norm_z, pair_norm, zero_state
@@ -27,6 +31,12 @@ from oracles import (
 )
 
 CONFIGS = Path(__file__).parents[1] / "configs"
+
+
+def certificate(spec, n_steps=None):
+    """The contraction certificate with the steering set of n_steps (default the spec's)."""
+    p = spec.params
+    return contraction_constants(spec, build_gramian_set(0.0, p.T, p, n_steps or spec.n_steps))
 
 
 def constant_history(p, n_steps, w=(), y=()):
@@ -127,7 +137,7 @@ class TestContractionConstants:
     def test_all_zero_perturbations(self, grid129):
         p = ModelParams(c=1.0, d=1.0, k=1e-15, n_modes=4, T=1.0, r=0.25)
         spec = ProblemSpec(params=p, grid=grid129, n_steps=200)
-        rep = contraction_constants(spec)
+        rep = certificate(spec)
         assert rep.lhs <= 1e-12
         assert rep.satisfied
 
@@ -141,7 +151,7 @@ class TestContractionConstants:
                 n_steps=200,
                 impulses=(ImpulseEvent(0.5, make_impulse_map("velocity_kick", 4, {"amp": d1})),),
             )
-            values.append(contraction_constants(spec).lhs)
+            values.append(certificate(spec).lhs)
         assert values[0] < values[1] < values[2]
 
     def test_pure_cable_case_formula(self, grid129):
@@ -149,7 +159,7 @@ class TestContractionConstants:
         # lhs = M*T*(1 + |Gamma|*M*T).
         p = ModelParams(c=1.0, d=1.0, k=np.pi**2, n_modes=4, T=1.0, r=0.25)
         spec = ProblemSpec(params=p, grid=grid129, n_steps=200)
-        rep = contraction_constants(spec)
+        rep = certificate(spec)
         assert rep.lipschitz_F == pytest.approx(1.0, rel=1e-14)
         formula = rep.M * rep.T * (1.0 + rep.norm_gamma * rep.M * rep.T)
         assert rep.lhs == pytest.approx(formula, rel=1e-12)
@@ -164,8 +174,8 @@ class TestContractionConstants:
     def test_reproducible_under_grid_refinement(self, grid129):
         p = ModelParams(c=1.0, d=1.0, k=np.pi**2, n_modes=4, T=1.0, r=0.25)
         spec = ProblemSpec(params=p, grid=grid129, n_steps=200)
-        coarse = contraction_constants(replace(spec, norm_step=p.T / 2000, gamma_samples=2000))
-        fine = contraction_constants(replace(spec, norm_step=p.T / 20000, gamma_samples=20000))
+        coarse = certificate(spec, 2000)
+        fine = certificate(spec, 20000)
         assert abs(coarse.lhs - fine.lhs) <= 1e-3 * fine.lhs
 
 
@@ -378,7 +388,7 @@ class TestSteeringTarget:
 
     def test_lipschitz_against_certificate(self, exact_benchmark, rng):
         spec = exact_benchmark
-        rep = contraction_constants(spec)
+        rep = certificate(spec)
         p = spec.params
         lam = p.lam
         n_r = int(round(p.r / spec.h))
@@ -422,6 +432,8 @@ class TestExactFixedPoint:
 
     def test_benchmark_convergence_and_ratios(self, benchmark_run):
         spec, zstar, out = benchmark_run
+        # The certificate is that of the steering set the iteration applies.
+        assert out.report == certificate(spec)
         assert out.report.satisfied
         assert out.terminal_error <= 1e-6
         bound = out.report.lhs + 0.05
@@ -429,8 +441,6 @@ class TestExactFixedPoint:
             assert row.ratio <= bound
         # one more pass through the map moves the iterate by at most 2 tol
         xi = steering_target(out.result.trajectory, zstar, spec, out.result.sources)
-        from beamctl.control import build_gramian_set, minimum_energy_control
-
         gs = build_gramian_set(0.0, spec.params.T, spec.params, spec.n_steps)
         once_more = integrate_mild(spec, minimum_energy_control(xi, gs, spec.params))
         assert once_more.trajectory.sup_diff(out.result.trajectory) <= 2e-9
