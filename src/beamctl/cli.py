@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .config import RunConfig, parse_config, resolved_config_text
 from .control import (
+    MIN_STEPS,
     build_gramian_set,
     integrate_linear,
     mode_gramian,
@@ -51,6 +52,12 @@ def _require_target(cfg: RunConfig, what: str) -> StateZ:
     if cfg.zstar is None:
         raise ConfigError(f"command '{what}' needs targets.zstar_w / targets.zstar_y")
     return cfg.zstar
+
+
+def _require_steps(n_steps: int, what: str, key: str) -> None:
+    """A steering window needs the step floor of its Gramian set."""
+    if n_steps < MIN_STEPS:
+        raise ConfigError(f"{what} spans {n_steps} steps, fewer than {MIN_STEPS}", key)
 
 
 def _cmd_simulate(cfg: RunConfig, out: Path, prefix: str, say) -> None:
@@ -96,6 +103,7 @@ def _cmd_steer(cfg: RunConfig, out: Path, prefix: str, say) -> None:
     z0 = cfg.z0 if cfg.z0 is not None else zero_state(p.n_modes)
     h = cfg.problem.h
     n_steps = int(round((p.T - cfg.t0) / h))
+    _require_steps(n_steps, f"steering window [{cfg.t0}, {p.T}]", "experiment.t0")
     u = steering_control(z0, zstar, cfg.t0, p.T, p, n_steps)
     states = integrate_linear(z0, u, p)
     terminal = StateZ.from_pair(states[-1])
@@ -121,6 +129,10 @@ def _cmd_steer(cfg: RunConfig, out: Path, prefix: str, say) -> None:
 
 def _cmd_approx(cfg: RunConfig, out: Path, prefix: str, say) -> None:
     zstar = _require_target(cfg, "approx")
+    if not cfg.sigmas:
+        raise ConfigError("command 'approx' needs a pull-back window", "experiment.sigmas")
+    for j, sigma in enumerate(cfg.sigmas):
+        _require_steps(round(sigma / cfg.problem.h), f"window {sigma}", f"experiment.sigmas[{j}]")
     result = approx_experiment(cfg.problem, None, zstar, list(cfg.sigmas))
     for row in result.rows:
         say(f"sigma={row.sigma:g}: terminal error {row.terminal_error:.3e}")

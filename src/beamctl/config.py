@@ -4,13 +4,15 @@ Configurations are YAML with nested blocks, all read by one reader,
 `_Block`: its typed getters alone decide which keys exist, their defaults
 and checks, and the echo, for each getter records the value it read in
 read order.  Loading snaps impulse times, delay lags, the delay span, t0
-and the pull-back windows onto the trajectory grid (anything farther than
-half a step from a node is rejected) and writes the snapped and derived
-values back into the echo; a key that no getter read, at any level, is
-rejected when the reader leaves its block, and an unknown top-level block
-before any block is read.  The echo is the fully resolved
-configuration, written next to the outputs so a run can be reproduced from
-a single artifact; feeding it back produces byte-identical outputs.
+and the pull-back windows to the nearest node of the trajectory grid and
+writes the snapped and derived values back into the echo; a key that no
+getter read, at any level, is rejected when the reader leaves its block,
+and an unknown top-level block before any block is read.  What
+`ProblemSpec` checks (the de-aliasing bound on G, the lags, their weights
+and the impulse times) is checked there alone, under the key it concerns.
+The echo is the fully resolved configuration, written next to the outputs
+so a run can be reproduced from a single artifact; feeding it back
+produces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -23,12 +25,16 @@ import numpy as np
 import yaml
 
 from .catalogs import ImpulseEvent, make_forcing, make_impulse_map, make_nonlinearity
+from .control import MIN_STEPS
 from .dynamics import ProblemSpec, history_segment
 from .errors import ConfigError
 from .semigroup import ModelParams
 from .spectral import SpatialGrid, StateZ
 
 __all__ = ["RunConfig", "parse_config", "resolved_config_text"]
+
+# The most steps T/h may ask for, checked before any grid is allocated.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -125,8 +131,9 @@ class _Block:
             raise ConfigError(f"must be >= {minimum}, got {value}", self.key(name))
         return self.set(name, value)
 
-    def numbers(self, name: str, default=()) -> list[float]:
-        value = self.raw.get(name, list(default))
+    def numbers(self, name: str) -> list[float]:
+        """A list of numbers; absent or null is the empty list."""
+        value = self.raw.get(name)
         if value is None:
             value = []
         if not isinstance(value, list) or not all(_is_number(v) for v in value):
@@ -200,13 +207,12 @@ def _reject_non_finite(node, key: str) -> None:
             _reject_non_finite(v, f"{key}[{j}]")
 
 
-def _snap(t: float, h: float, what: str, key: str) -> float:
-    j = int(round(t / h))
-    if abs(t - j * h) > 0.5 * h + 1e-12 * max(abs(t), 1.0):
-        raise ConfigError(
-            f"{what} {t} is farther than h/2 from a grid node (h = {h})", key
-        )
-    return j * h
+def _snap(t: float, h: float, what: str, key: str) -> int:
+    """The index j of the grid node j*h nearest to t."""
+    pos = t / h
+    if not math.isfinite(pos):
+        raise ConfigError(f"{what} {t} is not a finite number of steps (h = {h})", key)
+    return int(round(pos))
 
 
 def _state(targets: _Block, prefix: str, n_modes: int) -> StateZ | None:
@@ -251,34 +257,25 @@ def parse_config(path: str | Path) -> RunConfig:
     n_modes = model.integer("n_modes", 8, minimum=1)
     T = model.number("T", 1.0, positive=True)
     r_raw = model.number("r", T / 4.0, positive=True)
-    if not r_raw < T:
-        raise ConfigError(f"delay span must satisfy 0 < r < T, got r={r_raw}, T={T}", "model.r")
 
     grids = top.block("grids")
     h_req = grids.number("h", T / 2000.0, positive=True)
-    n_steps = max(int(round(T / h_req)), 16)
+    if not T / h_req <= MAX_STEPS:
+        raise ConfigError(f"T/h = {T / h_req:.6g} steps, more than {MAX_STEPS}", "grids.h")
+    n_steps = max(int(round(T / h_req)), MIN_STEPS)
     h = grids.set("h", T / n_steps)
-    r = model.set("r", _snap(r_raw, h, "delay span r", "model.r"))
-    if r <= 0:
-        raise ConfigError(f"delay span {r_raw} collapses to 0 on the grid (h={h})", "model.r")
+    n_r = _snap(r_raw, h, "delay span r", "model.r")
+    r = model.set("r", n_r * h)
+    if not 0 < n_r < n_steps:
+        raise ConfigError(f"delay span {r_raw} snaps to {r}, outside (0, T) (h={h})", "model.r")
     G = grids.integer("G", 513, minimum=3)
-    if G < 2 * n_modes + 1:
-        raise ConfigError(
-            f"G={G} cannot de-alias {n_modes} modes (need >= {2 * n_modes + 1})", "grids.G"
-        )
 
     params = ModelParams(c=c, d=d, k=k, n_modes=n_modes, T=T, r=r)
 
     events = []
-    prev_time = 0.0
     for entry in top.entries("impulses", "impulse entries"):
-        t_k = _snap(entry.number("time"), h, "impulse time", entry.key("time"))
-        if not prev_time < t_k < T:
-            raise ConfigError(
-                f"impulse times must be strictly increasing inside (0, T); got {t_k}",
-                entry.key("time"),
-            )
-        prev_time = entry.set("time", t_k)
+        t_k = _snap(entry.number("time"), h, "impulse time", entry.key("time")) * h
+        entry.set("time", t_k)
         kind = entry.get("catalog")
         if not kind:
             raise ConfigError("missing catalog entry name", entry.key("catalog"))
@@ -294,31 +291,14 @@ def parse_config(path: str | Path) -> RunConfig:
         events.append(ImpulseEvent(t_k, imap))
 
     delays = top.block("delays")
-    lags = []
-    prev = 0.0
-    for j, tau in enumerate(delays.numbers("lags")):
-        if not prev < tau < r:
-            raise ConfigError(
-                f"lags must satisfy 0 < tau_1 < ... < tau_q < r (got tau={tau}, r={r})",
-                f"delays.lags[{j}]",
-            )
-        tau_s = _snap(tau, h, "delay lag", f"delays.lags[{j}]")
-        if not prev < tau_s < r:
-            raise ConfigError(
-                f"lags must satisfy 0 < tau_1 < ... < tau_q < r after grid snapping "
-                f"(got tau={tau_s}, r={r})",
-                f"delays.lags[{j}]",
-            )
-        lags.append(tau_s)
-        prev = tau_s
+    lags = [
+        _snap(tau, h, "delay lag", f"delays.lags[{j}]") * h
+        for j, tau in enumerate(delays.numbers("lags"))
+    ]
     delays.set("lags", lags)
 
     nonlocal_block = top.block("nonlocal")
     gammas = nonlocal_block.numbers("gammas")
-    if len(gammas) != len(lags):
-        raise ConfigError(
-            f"{len(gammas)} coefficients for {len(lags)} delay lags", "nonlocal.gammas"
-        )
     L_q_declared = nonlocal_block.optional_number("L_q")
 
     forcing_block = top.block("forcing")
@@ -345,7 +325,7 @@ def parse_config(path: str | Path) -> RunConfig:
         history_segment,
         history_block.get("catalog", "zero"),
         params,
-        int(round(r / h)) + 1,
+        n_r + 1,
         history_block.params(),
     )
 
@@ -357,22 +337,11 @@ def parse_config(path: str | Path) -> RunConfig:
     t0 = experiment.number("t0", 0.0)
     if not 0.0 <= t0 < T:
         raise ConfigError(f"t0 must lie in [0, T), got {t0}", "experiment.t0")
-    t0 = experiment.set("t0", _snap(t0, h, "steering start t0", "experiment.t0"))
-    t_m = events[-1].time if events else 0.0
-    sigma_limit = min(T - t_m, r)
-    sigmas = []
-    default_sigmas = [f * sigma_limit for f in (0.2, 0.1, 0.05, 0.025)]
-    for j, s in enumerate(experiment.numbers("sigmas", default_sigmas)):
-        s_snapped = _snap(s, h, "pull-back window", f"experiment.sigmas[{j}]")
-        if not 0.0 < s_snapped < sigma_limit:
-            raise ConfigError(
-                f"window {s_snapped} outside (0, min(T - t_m, r)) = (0, {sigma_limit})",
-                f"experiment.sigmas[{j}]",
-            )
-        if sigmas and s_snapped >= sigmas[-1]:
-            raise ConfigError("windows must be strictly decreasing", f"experiment.sigmas[{j}]")
-        sigmas.append(s_snapped)
-    experiment.set("sigmas", sigmas)
+    t0 = experiment.set("t0", _snap(t0, h, "steering start t0", "experiment.t0") * h)
+    # The windows' default and limit read the last impulse time, so they are
+    # snapped and checked once the spec has checked the impulses; reading
+    # them here keeps their place in the echo.
+    windows = experiment.numbers("sigmas")
     tol = experiment.number("tol", 1e-8, positive=True)
     max_iter = experiment.integer("max_iter", 50, minimum=1)
     picard_tol = experiment.number("picard_tol", 1e-10, positive=True)
@@ -393,6 +362,22 @@ def parse_config(path: str | Path) -> RunConfig:
         picard_max_iter=picard_max_iter,
     )
     nonlocal_block.set("L_q", problem.L_q)
+    t_m = events[-1].time if events else 0.0
+    sigma_limit = min(T - t_m, r)
+    if "sigmas" not in experiment.raw:
+        windows = [f * sigma_limit for f in (0.2, 0.1, 0.05, 0.025)]
+    sigmas = []
+    for j, s in enumerate(windows):
+        s_snapped = _snap(s, h, "pull-back window", f"experiment.sigmas[{j}]") * h
+        if not 0.0 < s_snapped < sigma_limit:
+            raise ConfigError(
+                f"window {s_snapped} outside (0, min(T - t_m, r)) = (0, {sigma_limit})",
+                f"experiment.sigmas[{j}]",
+            )
+        if sigmas and s_snapped >= sigmas[-1]:
+            raise ConfigError("windows must be strictly decreasing", f"experiment.sigmas[{j}]")
+        sigmas.append(s_snapped)
+    experiment.set("sigmas", sigmas)
 
     output = top.block("output")
     return RunConfig(

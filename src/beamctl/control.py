@@ -43,6 +43,9 @@ __all__ = [
 
 CONDITION_LIMIT = 1e12
 
+# The fewest steps of any time grid: a trajectory and a steering window.
+MIN_STEPS = 16
+
 
 @dataclass(frozen=True)
 class ControlSignal:
@@ -231,7 +234,7 @@ def build_gramian_set(t0: float, t1: float, p: ModelParams, n_steps: int) -> Gra
     """Assemble the steering Gramian of every mode from its force-column table."""
     if not 0 <= t0 < t1:
         raise ValueError(f"need 0 <= t0 < t1, got [{t0}, {t1}]")
-    if n_steps < 16:
+    if n_steps < MIN_STEPS:
         raise ValueError(f"control grid too coarse: {n_steps} steps")
     lam = p.lam
     h = (t1 - t0) / n_steps

@@ -55,7 +55,7 @@ from itertools import repeat
 import numpy as np
 
 from .catalogs import Forcing, ImpulseEvent, Nonlinearity, entry_params, param_list
-from .control import ControlSignal
+from .control import MIN_STEPS, ControlSignal
 from .errors import ConfigError, NumericalError
 from .semigroup import ModelParams, propagator_matrix
 from .spectral import SpatialGrid, StateZ, eigenvalues, energy_norms, positive_projector
@@ -76,10 +76,21 @@ _NODE_SNAP = 1e-9
 HISTORY_KINDS = {"zero": (), "modal_constant": ("w", "y"), "file": ("path",)}
 
 
-def _node_position(offset: float, step: float) -> tuple[int, float]:
-    pos = offset / step
-    idx = int(round(pos))
-    return idx, pos - idx
+def _grid_nodes(times, h: float, end: int, rule: str, key: str) -> tuple[int, ...]:
+    """The indices j of the grid nodes j*h at `times`, which must increase strictly in (0, end).
+
+    ConfigError names `key`, formatted with the position of the bad time.
+    """
+    nodes = [0]
+    for j, t in enumerate(times):
+        pos = t / h
+        node = int(round(pos)) if np.isfinite(pos) else -1
+        if abs(pos - node) > _NODE_SNAP:
+            raise ConfigError(f"{t} does not sit on the time grid (h = {h})", key.format(j))
+        if not nodes[-1] < node < end:
+            raise ConfigError(f"{rule}; got {t}", key.format(j))
+        nodes.append(node)
+    return tuple(nodes[1:])
 
 
 @dataclass(frozen=True)
@@ -115,22 +126,8 @@ class Trajectory:
         return self.values.shape[2]
 
     @property
-    def r(self) -> float:
-        return self.step * self.n_history
-
-    @property
-    def t_end(self) -> float:
-        return self.step * (self.n_nodes - 1 - self.n_history)
-
-    @property
     def times(self) -> np.ndarray:
         return self.step * (np.arange(self.n_nodes) - self.n_history)
-
-    def node_index(self, t: float) -> int:
-        idx, frac = _node_position(t + self.r, self.step)
-        if abs(frac) > _NODE_SNAP or not 0 <= idx < self.n_nodes:
-            raise ValueError(f"time {t} is not a grid node")
-        return idx
 
     def terminal_state(self) -> StateZ:
         return StateZ.from_pair(self.values[-1])
@@ -147,11 +144,14 @@ class ProblemSpec:
     """Full description of one impulsive delay problem on [0, T].
 
     Impulse times, delay lags, and the delay span r must sit on the
-    trajectory grid; configuration loading snaps them (rejecting anything
-    farther than half a step from a node), so construction only verifies
-    the alignment.  `history` is the prescribed history rho at the
-    trajectory nodes of [-r, 0], a read-only (n_r + 1, 2, n_modes) array
-    with n_r = r/h (zeros by default); `history[-1]` is rho(0).
+    trajectory grid; configuration loading snaps them to the nearest node,
+    so construction only verifies the alignment, and keeps their node
+    indices: `n_r` = r/h, `lag_nodes` and `impulse_nodes`, counted from
+    t = 0.  Every reader takes its nodes from there.  The construction
+    checks raise ConfigError naming the configuration key they concern.
+    `history` is the prescribed history rho at the trajectory nodes of
+    [-r, 0], a read-only (n_r + 1, 2, n_modes) array (zeros by default);
+    `history[-1]` is rho(0).
     """
 
     params: ModelParams
@@ -166,6 +166,9 @@ class ProblemSpec:
     L_q_declared: float | None = None
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
+    n_r: int = field(init=False, repr=False)
+    lag_nodes: tuple[int, ...] = field(init=False, repr=False)
+    impulse_nodes: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         from .catalogs import make_forcing, make_nonlinearity
@@ -175,43 +178,30 @@ class ProblemSpec:
             object.__setattr__(self, "forcing", make_forcing("zero", p.n_modes))
         if self.nonlinearity is None:
             object.__setattr__(self, "nonlinearity", make_nonlinearity("zero", p.n_modes))
-        if self.n_steps < 16:
-            raise ConfigError(f"need at least 16 time steps, got {self.n_steps}")
+        if self.n_steps < MIN_STEPS:
+            raise ConfigError(f"need at least {MIN_STEPS} time steps, got {self.n_steps}")
         if not self.grid.supports(p.n_modes):
             raise ConfigError(
-                f"spatial grid with {self.grid.n_points} points cannot de-alias "
-                f"{p.n_modes} modes (need >= {2 * p.n_modes + 1})"
+                f"G={self.grid.n_points} cannot de-alias {p.n_modes} modes "
+                f"(need >= {2 * p.n_modes + 1})",
+                "grids.G",
             )
-        h = self.h
-        idx, frac = _node_position(p.r, h)
-        if abs(frac) > _NODE_SNAP or idx < 1:
-            raise ConfigError(f"delay span r={p.r} does not sit on the time grid (h={h})")
-        if len(self.lags) != len(self.gammas):
+        h, n = self.h, self.n_steps
+        (n_r,) = _grid_nodes([p.r], h, n, "delay span must satisfy 0 < r < T", "model.r")
+        times = [ev.time for ev in self.impulses]
+        rule = f"impulse times must satisfy 0 < t_1 < ... < t_m < T = {p.T}"
+        impulse_nodes = _grid_nodes(times, h, n, rule, "impulses[{}].time")
+        rule = f"lags must satisfy 0 < tau_1 < ... < tau_q < r = {p.r}"
+        lag_nodes = _grid_nodes(self.lags, h, n_r, rule, "delays.lags[{}]")
+        if len(self.gammas) != len(self.lags):
             raise ConfigError(
-                f"{len(self.lags)} delay lags but {len(self.gammas)} nonlocal coefficients"
+                f"{len(self.gammas)} coefficients for {len(self.lags)} delay lags",
+                "nonlocal.gammas",
             )
-        prev = 0.0
-        for j, tau in enumerate(self.lags):
-            if not prev < tau < p.r:
-                raise ConfigError(
-                    f"delays.lags[{j}]: lags must satisfy 0 < tau_1 < ... < tau_q < r "
-                    f"(got tau={tau}, r={p.r})"
-                )
-            _, fr = _node_position(tau, h)
-            if abs(fr) > _NODE_SNAP:
-                raise ConfigError(f"delay lag {tau} does not sit on the time grid (h={h})")
-            prev = tau
-        prev = 0.0
-        for ev in self.impulses:
-            if not prev < ev.time < p.T:
-                raise ConfigError(
-                    f"impulse times must be strictly increasing inside (0, T); got {ev.time}"
-                )
-            _, fr = _node_position(ev.time, h)
-            if abs(fr) > _NODE_SNAP:
-                raise ConfigError(f"impulse time {ev.time} does not sit on the time grid (h={h})")
-            prev = ev.time
-        shape = (idx + 1, 2, p.n_modes)
+        object.__setattr__(self, "n_r", n_r)
+        object.__setattr__(self, "lag_nodes", lag_nodes)
+        object.__setattr__(self, "impulse_nodes", impulse_nodes)
+        shape = (n_r + 1, 2, p.n_modes)
         history = np.broadcast_to(0.0, shape) if self.history is None else self.history
         history = np.asarray(history, dtype=float)
         if history.shape != shape:
@@ -331,7 +321,7 @@ def node_sources(spec: ProblemSpec, values: np.ndarray):
     when both terms are zero; a single node is a block of one with bitwise
     the same row.  The cable force reads the node itself (`_sweep_kernel`).
     """
-    n_r = len(spec.history) - 1
+    n_r = spec.n_r
     h = spec.h
     half_h = 0.5 * h
     forcing = None if spec.forcing.is_zero else spec.forcing
@@ -395,7 +385,7 @@ def _control_nodes(u: ControlSignal | None, spec: ProblemSpec):
 
 
 def _sweep(
-    spec, kernel, u_left, u_right, u_marks, prefix, prefix_marks, n_r, prefix_sources=None, last=None
+    spec, kernel, u_left, u_right, u_marks, prefix, prefix_marks, prefix_sources=None, last=None
 ):
     """One explicit exponential-trapezoid pass from the last node of `prefix` to t_last.
 
@@ -410,7 +400,7 @@ def _sweep(
     g taken with the left control and before any jump.
     """
     F, S, P = kernel
-    h = spec.h
+    h, n_r = spec.h, spec.n_r
     last = spec.n_steps if last is None else last
     j0 = prefix.shape[0] - n_r - 1
     n = spec.params.n_modes
@@ -424,7 +414,7 @@ def _sweep(
     terms = node_sources(spec, values)
     half_u_left = np.multiply(u_left, 0.5 * h)
     half_u_right = half_u_left if u_right is u_left else np.multiply(u_right, 0.5 * h)
-    jumps = {int(round(ev.time / h)): ev for ev in spec.impulses}
+    jumps = dict(zip(spec.impulse_nodes, spec.impulses))
     reopened = jumps.keys() | u_marks
     samples = np.empty(S.shape[0])
     floor = np.zeros_like(samples)  # `np.maximum` converts a scalar 0 on every call
@@ -471,12 +461,11 @@ def _sweep(
     return values, marks, sources
 
 
-def _nonlocal_on_history(values, marks, spec: ProblemSpec, n_r: int):
+def _nonlocal_on_history(values, marks, spec: ProblemSpec):
     """Evaluate the nonlocal combination of the lagged windows on [-r, 0]."""
-    h = spec.h
+    n_r, offsets = spec.n_r, spec.lag_nodes
     gvals = np.zeros((n_r + 1, 2, spec.params.n_modes))
     gmarks: dict[int, np.ndarray] = {}
-    offsets = [int(round(tau / h)) for tau in spec.lags]
     for g, off in zip(spec.gammas, offsets):
         gvals += g * values[off : off + n_r + 1]
     mark_targets = sorted(
@@ -506,17 +495,16 @@ def _guarded_sweep(spec: ProblemSpec, where: str, *args, last: int | None = None
     # Overflow surfaces as a non-finite norm, reported below as one error.
     with np.errstate(over="ignore", invalid="ignore"):
         values, marks, sources = _sweep(spec, *args, last=last)
-        n_r = values.shape[0] - spec.n_steps - 1
-        finite = np.isfinite(energy_norms(values[: n_r + last + 1], spec.params.lam))
+        finite = np.isfinite(energy_norms(values[: spec.n_r + last + 1], spec.params.lam))
     if not finite.all():
-        t_bad = (int(np.argmin(finite)) - n_r) * spec.h
+        t_bad = (int(np.argmin(finite)) - spec.n_r) * spec.h
         raise NumericalError(f"state is not finite at t = {t_bad:.6g} ({where})")
     return values, marks, sources
 
 
-def _warm_history(spec: ProblemSpec, warm: IntegrationResult, n_r: int):
+def _warm_history(spec: ProblemSpec, warm: IntegrationResult):
     """The history nodes [-r, 0] of a run on the grid of `spec`, plus their marks."""
-    traj = warm.trajectory
+    traj, n_r = warm.trajectory, spec.n_r
     shape = (n_r + spec.n_steps + 1, 2, spec.params.n_modes)
     same_grid = traj.n_history == n_r and abs(traj.step - spec.h) <= 1e-12 * spec.h
     if traj.values.shape != shape or not same_grid:
@@ -554,17 +542,16 @@ def integrate_mild(
     residual and one sweep returns that run bit for bit.
     """
     controls = _control_nodes(u, spec)
-    rho_values = spec.history
-    n_r = len(rho_values) - 1
+    rho_values, n_r = spec.history, spec.n_r
     lam = spec.params.lam
     kernel = _sweep_kernel(spec)
-    stop = max((int(round(tau / spec.h)) for tau in spec.lags), default=spec.n_steps)
+    stop = max(spec.lag_nodes, default=spec.n_steps)
     n_read = n_r + stop + 1
 
     if warm is None:
         hist_values, hist_marks = rho_values, {}
     else:
-        hist_values, hist_marks = _warm_history(spec, warm, n_r)
+        hist_values, hist_marks = _warm_history(spec, warm)
     prev_values = None
     sup_diffs: list[float] = []
     grow_streak = 0
@@ -572,7 +559,7 @@ def integrate_mild(
     for iteration in range(1, spec.picard_max_iter + 1):
         where = f"history sweep {iteration}"
         values, marks, sources = _guarded_sweep(
-            spec, where, kernel, *controls, hist_values, hist_marks, n_r, last=stop
+            spec, where, kernel, *controls, hist_values, hist_marks, last=stop
         )
         if prev_values is not None:
             d = float(energy_norms(values[:n_read] - prev_values[:n_read], lam).max())
@@ -581,7 +568,7 @@ def integrate_mild(
         if spec.q == 0:
             residual = 0.0
             break
-        gvals, gmarks = _nonlocal_on_history(values, marks, spec, n_r)
+        gvals, gmarks = _nonlocal_on_history(values, marks, spec)
         residual = float(energy_norms(values[: n_r + 1] + gvals - rho_values, lam).max())
         if residual <= spec.picard_tol:
             break
@@ -602,7 +589,7 @@ def integrate_mild(
         )
     if stop < spec.n_steps:
         values, marks, sources = _guarded_sweep(
-            spec, where, kernel, *controls, values[:n_read], marks, n_r, sources[: stop + 1]
+            spec, where, kernel, *controls, values[:n_read], marks, sources[: stop + 1]
         )
     traj = Trajectory(spec.h, n_r, values, marks)
     return IntegrationResult(traj, iteration, residual, tuple(sup_diffs), sources)
@@ -621,12 +608,12 @@ def integrate_tail(
     under the non-finite guard.  `picard_sup_diffs` is left empty.
     """
     h = spec.h
-    if any(int(round(tau / h)) > start for tau in spec.lags):
+    if max(spec.lag_nodes, default=0) > start:
         raise ValueError(f"a delay lag reaches past t_start = {start * h:.6g}")
-    if any(int(round(ev.time / h)) == start for ev in spec.impulses):
+    if start in spec.impulse_nodes:
         raise ValueError(f"an impulse sits at t_start = {start * h:.6g}")
     traj = nominal.trajectory
-    end = traj.n_history + start + 1
+    end = spec.n_r + start + 1
     values, marks, sources = _guarded_sweep(
         spec,
         f"tail from t = {start * h:.6g}",
@@ -634,8 +621,7 @@ def integrate_tail(
         *_control_nodes(u, spec),
         traj.values[:end],
         {i: v for i, v in traj.left_values.items() if i < end},
-        traj.n_history,
         nominal.sources[: start + 1],
     )
-    tail = Trajectory(h, traj.n_history, values, marks)
+    tail = Trajectory(h, spec.n_r, values, marks)
     return IntegrationResult(tail, nominal.picard_iterations, nominal.history_residual, (), sources)

@@ -226,7 +226,7 @@ def approx_experiment(
     nominal = integrate_mild(spec, u)
     traj = nominal.trajectory
     tau_q = max(spec.lags, default=0.0)
-    last_lag_node = int(round(tau_q / spec.h))
+    last_lag_node = max(spec.lag_nodes, default=0)
     lam = p.lam
     M_est = operator_norm_bound(p)
     nl = spec.nonlinearity
@@ -290,8 +290,8 @@ def steering_target(
     rho0 = spec.history[-1]
     if spec.q:
         g0 = np.zeros_like(rho0)
-        for g, tau in zip(spec.gammas, spec.lags):
-            g0 += g * traj.values[traj.node_index(tau)]
+        for g, node in zip(spec.gammas, spec.lag_nodes):
+            g0 += g * traj.values[spec.n_r + node]
         z0_eff = rho0 - g0
     else:
         z0_eff = rho0
@@ -309,9 +309,8 @@ def steering_target(
     total[0] += (wt * e01 * sources).sum(axis=0)
     total[1] += (wt * e11 * sources).sum(axis=0)
 
-    for ev in spec.impulses:
-        node = traj.node_index(ev.time)
-        left = traj.left_values[node]
+    for ev, node in zip(spec.impulses, spec.impulse_nodes):
+        left = traj.left_values[spec.n_r + node]
         jump_row = ev.map.velocity_jump(ev.time, left, None)
         e00, e01, e10, e11 = propagator_entries_for(
             np.array([p.T - ev.time]), lam, p.c, p.d

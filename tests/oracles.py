@@ -25,10 +25,11 @@ a quadrature the package no longer uses.  `sampled_operator_norm` and
 `sampled_gamma_norm` are the certificate's former grid estimates of M and
 |Gamma| (the latter of the reference operator, built on `mode_gramian`);
 `interpolated_gamma_norm` samples the applied steering operator between
-its nodes.  `Segment`, `source_term`,
-`nonlocal_combination`, `segment_at`, the generator blocks, `expm2`, the
-adjoint propagator, the control arithmetic, `project` and `norm_half` are
-former package helpers that only the tests used.
+its nodes.  `Segment`, `source_term`, `nonlocal_combination`,
+`segment_at`, `node_index`, `trajectory_span` (the former `Trajectory.r`
+and `t_end`), the generator blocks, `expm2`, the adjoint propagator, the
+control arithmetic, `project` and `norm_half` are former package helpers
+that only the tests used.
 """
 
 from __future__ import annotations
@@ -217,11 +218,17 @@ def apply_blocks(blocks: np.ndarray, pair: np.ndarray) -> np.ndarray:
     )
 
 
+def trajectory_span(traj: Trajectory) -> tuple[float, float]:
+    """(r, T): the trajectory covers [-r, T]."""
+    return traj.step * traj.n_history, traj.step * (traj.n_nodes - 1 - traj.n_history)
+
+
 def trajectory_state(traj: Trajectory, t: float) -> StateZ:
     """Right-continuous value of a trajectory at t (grid nodes exactly, else linear)."""
-    if not -traj.r - 1e-12 <= t <= traj.t_end + 1e-12:
-        raise ValueError(f"time {t} outside [-{traj.r}, {traj.t_end}]")
-    pos = (t + traj.r) / traj.step
+    r, t_end = trajectory_span(traj)
+    if not -r - 1e-12 <= t <= t_end + 1e-12:
+        raise ValueError(f"time {t} outside [-{r}, {t_end}]")
+    pos = (t + r) / traj.step
     idx = int(round(pos))
     if abs(pos - idx) < _NODE_SNAP:
         return StateZ.from_pair(traj.values[min(max(idx, 0), traj.n_nodes - 1)])
@@ -229,6 +236,15 @@ def trajectory_state(traj: Trajectory, t: float) -> StateZ:
     a = pos - lo
     upper = traj.left_values.get(lo + 1, traj.values[lo + 1])
     return StateZ.from_pair((1.0 - a) * traj.values[lo] + a * upper)
+
+
+def node_index(traj: Trajectory, t: float) -> int:
+    """The index of the trajectory node at time t; ValueError if t is no node."""
+    pos = (t + trajectory_span(traj)[0]) / traj.step
+    idx = int(round(pos))
+    if abs(pos - idx) > _NODE_SNAP or not 0 <= idx < traj.n_nodes:
+        raise ValueError(f"time {t} is not a grid node")
+    return idx
 
 
 def control_value(u: ControlSignal, t: float) -> np.ndarray:
@@ -733,10 +749,11 @@ def segment_at(traj, t: float) -> Segment:
     over; off the grid the window is sampled by linear interpolation and
     interior jump information is lost.
     """
-    if not -1e-12 <= t <= traj.t_end + 1e-12:
-        raise ValueError(f"time {t} outside [0, {traj.t_end}]")
+    r, t_end = trajectory_span(traj)
+    if not -1e-12 <= t <= t_end + 1e-12:
+        raise ValueError(f"time {t} outside [0, {t_end}]")
     n_r = traj.n_history
-    pos = (t + traj.r) / traj.step
+    pos = (t + r) / traj.step
     idx = int(round(pos))
     if abs(pos - idx) < _NODE_SNAP:
         lo = idx - n_r
@@ -773,7 +790,7 @@ def full_pullback_experiment(spec, u, zstar, sigmas):
         tail_ts = p.T - sigma + spec.h * np.arange(n_tail + 1)
         e00, e01, e10, e11 = propagator_entries_for(p.T - tail_ts, lam, p.c, p.d)
         s_norms = weighted_block_norms(e00, e01, e10, e11, lam[None, :]).max(axis=1)
-        delay_nodes = [traj.node_index(t - p.r) for t in tail_ts]
+        delay_nodes = [node_index(traj, t - p.r) for t in tail_ts]
         seg_norms = np.array([pair_norm(traj.values[i], lam) for i in delay_nodes])
         envelope = np.array([nl.alpha1 * nl.envelope(s) + nl.beta1 for s in seg_norms])
         integrand = s_norms * envelope
@@ -795,8 +812,7 @@ def full_history_integrate(spec, u=None):
     measured over the whole trajectory.
     """
     controls = dynamics._control_nodes(u, spec)
-    rho_values = spec.history
-    n_r = len(rho_values) - 1
+    rho_values, n_r = spec.history, spec.n_r
     p = spec.params
     lam = p.lam
     kernel = dynamics._sweep_kernel(spec)
@@ -808,7 +824,7 @@ def full_history_integrate(spec, u=None):
     residual, ratio = np.inf, np.nan
     for iteration in range(1, spec.picard_max_iter + 1):
         values, marks, sources = dynamics._guarded_sweep(
-            spec, f"history sweep {iteration}", kernel, *controls, hist_values, hist_marks, n_r
+            spec, f"history sweep {iteration}", kernel, *controls, hist_values, hist_marks
         )
         if prev_values is not None:
             d = float(energy_norms(values - prev_values, lam).max())
@@ -817,7 +833,7 @@ def full_history_integrate(spec, u=None):
         if spec.q == 0:
             residual = 0.0
             break
-        gvals, gmarks = dynamics._nonlocal_on_history(values, marks, spec, n_r)
+        gvals, gmarks = dynamics._nonlocal_on_history(values, marks, spec)
         residual = float(energy_norms(values[: n_r + 1] + gvals - rho_values, lam).max())
         if residual <= spec.picard_tol:
             break
@@ -896,7 +912,7 @@ def loop_steering_target(traj, zstar, spec, sources=None) -> StateZ:
     if spec.q:
         g0 = np.zeros_like(rho0)
         for g, tau in zip(spec.gammas, spec.lags):
-            g0 += g * traj.values[traj.node_index(tau)]
+            g0 += g * traj.values[node_index(traj, tau)]
         z0_eff = rho0 - g0
     else:
         z0_eff = rho0
@@ -915,7 +931,7 @@ def loop_steering_target(traj, zstar, spec, sources=None) -> StateZ:
     total += acc
 
     for ev in spec.impulses:
-        node = traj.node_index(ev.time)
+        node = node_index(traj, ev.time)
         left = traj.left_values[node]
         jump_row = ev.map.velocity_jump(ev.time, left, None)
         e00, e01, e10, e11 = propagator_entries_for(np.array([p.T - ev.time]), lam, p.c, p.d)

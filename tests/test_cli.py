@@ -286,6 +286,41 @@ class TestCli:
                 "nonlocal.L_q",
                 id="L_q-negative",
             ),
+            # The checks `ProblemSpec` makes, keyed as the config names them.
+            pytest.param({"grids": {"h": 0.002, "G": 8}}, "grids.G", id="G-aliases"),
+            pytest.param(
+                {"delays": {"lags": [0.3]}, "nonlocal": {"gammas": [0.1]}},
+                "delays.lags[0]",
+                id="lag-past-r",
+            ),
+            pytest.param(
+                {"delays": {"lags": [0.1, 0.1]}, "nonlocal": {"gammas": [0.1, 0.1]}},
+                "delays.lags[1]",
+                id="lags-not-increasing",
+            ),
+            pytest.param(
+                {"delays": {"lags": [0.1]}, "nonlocal": {"gammas": [0.1, 0.2]}},
+                "nonlocal.gammas",
+                id="gamma-count",
+            ),
+            pytest.param(
+                {"impulses": [{"time": 1.25, "catalog": "velocity_kick", "params": {"amp": 0.1}}]},
+                "impulses[0].time",
+                id="impulse-past-T",
+            ),
+            # Times so large that t/h overflows, and a span that snaps onto T.
+            pytest.param(
+                {"delays": {"lags": [1e308]}, "nonlocal": {"gammas": [0.1]}},
+                "delays.lags[0]",
+                id="lag-overflows",
+            ),
+            pytest.param(
+                {"impulses": [{"time": 1e308, "catalog": "velocity_kick", "params": {"amp": 0.1}}]},
+                "impulses[0].time",
+                id="impulse-overflows",
+            ),
+            pytest.param({"model": {"r": 0.9999}}, "model.r", id="r-snaps-to-T"),
+            pytest.param({"grids": {"h": 1.0e-300}}, "grids.h", id="h-above-the-step-ceiling"),
         ],
     )
     def test_malformed_input_exits_2_at_load(self, tmp_path, capsys, fragment, key):
@@ -433,6 +468,33 @@ class TestCli:
         assert sorted(marks) == sorted(explicit.trajectory.left_values)
         for i, v in marks.items():
             assert v.tobytes() == explicit.trajectory.left_values[i].tobytes()
+
+    @pytest.mark.parametrize(
+        "command, experiment, key",
+        [
+            pytest.param("approx", {"sigmas": []}, "experiment.sigmas", id="no-windows"),
+            pytest.param("approx", {"sigmas": None}, "experiment.sigmas", id="null-windows"),
+            # The default windows 0.2..0.025 x min(T - t_m, r) = 0.25 at
+            # h = T/2000: the last one, 0.006, is 12 steps.
+            pytest.param("approx", {}, "experiment.sigmas[3]", id="default-windows-short"),
+            pytest.param("steer", {"t0": 0.995}, "experiment.t0", id="steer-window-short"),
+        ],
+    )
+    def test_window_below_the_step_floor_exits_2(self, tmp_path, capsys, command, experiment, key):
+        data = {
+            "model": {"n_modes": 4},
+            "grids": {"G": 65},
+            "targets": {"zstar_w": [0.1]},
+            "experiment": experiment,
+        }
+        out = tmp_path / "o"
+        rc = main([command, "--config", str(write_config(tmp_path, data)), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {key}: ")
+        assert err.count("\n") == 1
+        # The resolved echo is written before any command runs; nothing else is.
+        assert [path.name for path in out.iterdir()] == ["run_resolved_config.yaml"]
 
     def test_steer_without_target_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": {"c": 1.0, "d": 1.0, "k": 1.0}})

@@ -6,8 +6,10 @@ value that key must reject: a wrong type, a null where null means no
 default, or a number out of range.  Every such config must exit 2 at load
 with exactly one `error: config:` line on stderr, no traceback and no
 output.  The seed is fixed and the example database is off, so every run
-tries the same cases.  Sizes stay within the shipped configs' (n_modes,
-G and T/h are never raised), so no case allocates more than they do.
+tries the same cases.  Sizes stay within the shipped configs' (n_modes
+and G are never raised, and T/h only past the step ceiling, which is
+checked before anything is allocated), so no case allocates more than
+they do.
 """
 
 import contextlib
@@ -33,7 +35,8 @@ NOT_A_MAPPING = ["x", 3, True, [1]]
 # null does not stand for a default (an empty list, a derived constant or
 # an empty block).
 BAD = {
-    **{key: NOT_A_NUMBER + [None, 0, -1.0] for key in ("c", "d", "k", "h", "tol", "picard_tol")},
+    **{key: NOT_A_NUMBER + [None, 0, -1.0] for key in ("c", "d", "k", "tol", "picard_tol")},
+    "h": NOT_A_NUMBER + [None, 0, -1.0, 1.0e-300],  # T/h above the step ceiling
     "T": NOT_A_NUMBER + [None, 0, -1.0, 0.2],  # 0.2 < every shipped r
     "r": NOT_A_NUMBER + [None, 0, -0.1, 1.0, 2.0, 1e-9],
     "n_modes": ["4", 2.5, True, None, [4], 0, -1],

@@ -22,6 +22,7 @@ from oracles import (
     full_history_integrate,
     implicit_trapezoid_sweep,
     method_of_steps_rk4,
+    node_index,
     nonlocal_combination,
     one_node_sources,
     per_node_sources,
@@ -167,7 +168,7 @@ class TestSegmentAt:
         local = int(round((0.5 - 0.6 + p.r) / traj.step))
         assert local in seg.left_values
         seg_jump = seg.values[local] - seg.left_values[local]
-        node = traj.node_index(0.5)
+        node = node_index(traj, 0.5)
         traj_jump = traj.values[node] - traj.left_values[node]
         assert np.abs(seg_jump - traj_jump).max() <= 1e-12
 
@@ -204,7 +205,7 @@ class TestIntegrateMild:
             history=constant_history(p, 1000, w=[0.4], y=[0.2]),
         )
         traj = integrate_mild(spec).trajectory
-        node = traj.node_index(0.5)
+        node = node_index(traj, 0.5)
         left = traj.left_values[node]
         right = traj.values[node]
         expected_jump = imap.velocity_jump(0.5, left, None)
@@ -269,7 +270,7 @@ class TestIntegrateMild:
         lam = p.lam
         gvals = np.zeros((n_r + 1, 2, 4))
         for g, tau in zip(spec.gammas, spec.lags):
-            off = traj.node_index(tau) - n_r
+            off = node_index(traj, tau) - n_r
             gvals += g * traj.values[off : off + n_r + 1]
         resid = traj.values[: n_r + 1] + gvals - spec.history
         worst = max(pair_norm(resid[i], lam) for i in range(n_r + 1))
@@ -328,7 +329,7 @@ class TestIntegrateMild:
         )
         traj = integrate_mild(spec).trajectory
         lam = p.lam
-        jump_node = traj.node_index(0.5)
+        jump_node = node_index(traj, 0.5)
         rate = np.empty(traj.n_nodes - 1)
         for i in range(1, traj.n_nodes):
             prev = traj.left_values.get(i, traj.values[i])
@@ -360,7 +361,7 @@ class TestIntegrateMild:
         u2 = ControlSignal(0.0, 1.0, tampered)
         t1 = integrate_mild(spec, u1).trajectory
         t2 = integrate_mild(spec, u2).trajectory
-        upto = t1.node_index(t_prime)
+        upto = node_index(t1, t_prime)
         assert np.array_equal(t1.values[: upto + 1], t2.values[: upto + 1])
         assert not np.array_equal(t1.values, t2.values)
 
@@ -434,10 +435,11 @@ class TestExplicitSweep:
         spec, u = self._case(case, grid129, rng)
         explicit = integrate_mild(spec, u)
 
-        def implicit_sweep(spec, kernel, u_left, u_right, u_marks, prefix, marks, n_r, *_, last):
+        def implicit_sweep(spec, kernel, u_left, u_right, u_marks, prefix, marks, *_, last):
             # The implicit sweep always runs from the history in `prefix` to T
             # (a continuation repeats the converged sweep) and records no
             # source rows.
+            n_r = spec.n_r
             hist_marks = {i: v for i, v in marks.items() if i <= n_r}
             values, marks = implicit_trapezoid_sweep(
                 spec, u_left, u_right, u_marks, prefix[: n_r + 1], hist_marks, n_r
