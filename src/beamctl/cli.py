@@ -48,16 +48,31 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_target(cfg: RunConfig, what: str) -> StateZ:
-    if cfg.zstar is None:
-        raise ConfigError(f"command '{what}' needs targets.zstar_w / targets.zstar_y")
-    return cfg.zstar
-
-
 def _require_steps(n_steps: int, what: str, key: str) -> None:
     """A steering window needs the step floor of its Gramian set."""
     if n_steps < MIN_STEPS:
         raise ConfigError(f"{what} spans {n_steps} steps, fewer than {MIN_STEPS}", key)
+
+
+def _steer_steps(cfg: RunConfig) -> int:
+    return int(round((cfg.params.T - cfg.t0) / cfg.problem.h))
+
+
+def _check_command(command: str, cfg: RunConfig) -> None:
+    """What `command` needs beyond a valid config, checked before any output."""
+    if command in ("steer", "approx", "exact") and cfg.zstar is None:
+        raise ConfigError(f"command '{command}' needs targets.zstar_w / targets.zstar_y")
+    if command == "exact" and cfg.problem.u_dependent:
+        raise ConfigError("command 'exact' needs control-independent catalog entries")
+    if command == "steer":
+        window = f"steering window [{cfg.t0}, {cfg.params.T}]"
+        _require_steps(_steer_steps(cfg), window, "experiment.t0")
+    if command == "approx":
+        if not cfg.sigmas:
+            raise ConfigError("command 'approx' needs a pull-back window", "experiment.sigmas")
+        for j, sigma in enumerate(cfg.sigmas):
+            n_steps = round(sigma / cfg.problem.h)
+            _require_steps(n_steps, f"window {sigma}", f"experiment.sigmas[{j}]")
 
 
 def _cmd_simulate(cfg: RunConfig, out: Path, prefix: str, say) -> None:
@@ -93,18 +108,15 @@ def _cmd_gramian(cfg: RunConfig, out: Path, prefix: str, say) -> None:
     write_csv(
         out / f"{prefix}_gramian.csv",
         ["n", "W11", "W12", "W21", "W22", "cond"],
-        ([n, *w.ravel(), cond] for n, (w, cond) in enumerate(zip(blocks, conds), 1)),
+        [[n, *w.ravel(), cond] for n, (w, cond) in enumerate(zip(blocks, conds), 1)],
     )
 
 
 def _cmd_steer(cfg: RunConfig, out: Path, prefix: str, say) -> None:
     p = cfg.params
-    zstar = _require_target(cfg, "steer")
+    zstar = cfg.zstar
     z0 = cfg.z0 if cfg.z0 is not None else zero_state(p.n_modes)
-    h = cfg.problem.h
-    n_steps = int(round((p.T - cfg.t0) / h))
-    _require_steps(n_steps, f"steering window [{cfg.t0}, {p.T}]", "experiment.t0")
-    u = steering_control(z0, zstar, cfg.t0, p.T, p, n_steps)
+    u = steering_control(z0, zstar, cfg.t0, p.T, p, _steer_steps(cfg))
     states = integrate_linear(z0, u, p)
     terminal = StateZ.from_pair(states[-1])
     err = norm_z(terminal - zstar)
@@ -128,18 +140,13 @@ def _cmd_steer(cfg: RunConfig, out: Path, prefix: str, say) -> None:
 
 
 def _cmd_approx(cfg: RunConfig, out: Path, prefix: str, say) -> None:
-    zstar = _require_target(cfg, "approx")
-    if not cfg.sigmas:
-        raise ConfigError("command 'approx' needs a pull-back window", "experiment.sigmas")
-    for j, sigma in enumerate(cfg.sigmas):
-        _require_steps(round(sigma / cfg.problem.h), f"window {sigma}", f"experiment.sigmas[{j}]")
-    result = approx_experiment(cfg.problem, None, zstar, list(cfg.sigmas))
+    result = approx_experiment(cfg.problem, None, cfg.zstar, list(cfg.sigmas))
     for row in result.rows:
         say(f"sigma={row.sigma:g}: terminal error {row.terminal_error:.3e}")
     write_csv(
         out / f"{prefix}_approx.csv",
         ["sigma", "terminal_error", "bound_estimate"],
-        ([r.sigma, r.terminal_error, r.bound_estimate] for r in result.rows),
+        [[r.sigma, r.terminal_error, r.bound_estimate] for r in result.rows],
     )
     entries = [("command", "approx"), ("M_estimate", result.M_estimate)]
     for i, row in enumerate(result.rows):
@@ -149,8 +156,7 @@ def _cmd_approx(cfg: RunConfig, out: Path, prefix: str, say) -> None:
 
 
 def _cmd_exact(cfg: RunConfig, out: Path, prefix: str, say) -> None:
-    zstar = _require_target(cfg, "exact")
-    result = exact_fixed_point(cfg.problem, zstar, cfg.tol, cfg.max_iter)
+    result = exact_fixed_point(cfg.problem, cfg.zstar, cfg.tol, cfg.max_iter)
     say(
         f"converged in {len(result.iterations)} iterations, "
         f"terminal error {result.terminal_error:.3e}"
@@ -158,7 +164,7 @@ def _cmd_exact(cfg: RunConfig, out: Path, prefix: str, say) -> None:
     write_csv(
         out / f"{prefix}_iterations.csv",
         ["iter", "sup_diff", "ratio"],
-        ([row.index, row.sup_diff, row.ratio] for row in result.iterations),
+        [[row.index, row.sup_diff, row.ratio] for row in result.iterations],
     )
     write_csv(
         out / f"{prefix}_control.csv",
@@ -224,6 +230,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
+        _check_command(args.command, cfg)
         out = Path(args.out) if args.out else Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / f"{cfg.prefix}_resolved_config.yaml").write_text(resolved_config_text(cfg))

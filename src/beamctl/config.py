@@ -1,23 +1,26 @@
 """Run-configuration loading, validation, and resolution.
 
-Configurations are YAML with nested blocks, all read by one reader,
-`_Block`: its typed getters alone decide which keys exist, their defaults
-and checks, and the echo, for each getter records the value it read in
-read order.  Loading snaps impulse times, delay lags, the delay span, t0
-and the pull-back windows to the nearest node of the trajectory grid and
-writes the snapped and derived values back into the echo; a key that no
-getter read, at any level, is rejected when the reader leaves its block,
-and an unknown top-level block before any block is read.  What
+Configurations are YAML with nested blocks, parsed by libyaml where PyYAML
+has it; a key repeated in one mapping is rejected by name, and a syntax
+error is one line with its line and column.  All blocks are read by one
+reader, `_Block`: its typed getters alone decide which keys exist, their
+defaults and checks, and the echo, for each getter records the value it
+read in read order.  Loading snaps impulse times, delay lags, the delay
+span, t0 and the pull-back windows to the nearest node of the trajectory
+grid and writes the snapped and derived values back into the echo; a key
+that no getter read, at any level, is rejected when the reader leaves its
+block, and an unknown top-level block before any block is read.  What
 `ProblemSpec` checks (the de-aliasing bound on G, the lags, their weights
 and the impulse times) is checked there alone, under the key it concerns.
-The echo is the fully resolved configuration, written next to the outputs
-so a run can be reproduced from a single artifact; feeding it back
-produces byte-identical outputs.
+The echo is the fully resolved configuration, with the bytes of
+`yaml.safe_dump`, written next to the outputs so a run can be reproduced
+from a single artifact; feeding it back produces byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +38,51 @@ __all__ = ["RunConfig", "parse_config", "resolved_config_text"]
 
 # The most steps T/h may ask for, checked before any grid is allocated.
 MAX_STEPS = 10**7
+
+# libyaml's parser and emitter where PyYAML has them, around the same
+# pure-Python constructor, representer and resolver.
+_SafeLoader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+_SafeDumper = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+
+
+class _UniqueKeys:
+    """Loader mixin: a repeated mapping key, at any level, is a ConfigError naming it.
+
+    Each mapping and sequence records the key path of its children, so a
+    nested mapping, constructed after its parent, knows its own.  Merge
+    keys (`<<`) are left to the base constructor.
+    """
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.key_paths: dict = {}
+
+    def construct_sequence(self, node, deep=False):
+        path = self.key_paths.get(node, "")
+        for j, child in enumerate(node.value):
+            self.key_paths[child] = f"{path}[{j}]"
+        return super().construct_sequence(node, deep)
+
+    def construct_mapping(self, node, deep=False):
+        path = self.key_paths.get(node, "")
+        seen = set()
+        for key_node, value_node in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node)
+            name = f"{path}.{key}" if path else str(key)
+            self.key_paths[value_node] = name
+            if not isinstance(key, Hashable):
+                continue  # the base constructor reports it
+            if key in seen:
+                mark = key_node.start_mark
+                raise ConfigError(f"repeated key{_at(mark.line, mark.column)}", name)
+            seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
+class _Loader(_UniqueKeys, _SafeLoader):
+    pass
 
 
 @dataclass(frozen=True)
@@ -207,6 +255,25 @@ def _reject_non_finite(node, key: str) -> None:
             _reject_non_finite(v, f"{key}[{j}]")
 
 
+def _at(line: int, column: int) -> str:
+    return f" (line {line + 1}, column {column + 1})"
+
+
+def _yaml_problem(exc: yaml.YAMLError, text: str) -> str:
+    """The loader's problem and its line and column, on one line."""
+    if isinstance(exc, yaml.reader.ReaderError):
+        # The C reader counts bytes and the Python one characters: find the
+        # character, whose first occurrence is where either reader stopped.
+        pos = text.find(chr(exc.character))
+        problem = f"{exc.reason}: #x{exc.character:04x}"
+        where = _at(text.count("\n", 0, pos), pos - text.rfind("\n", 0, pos) - 1)
+    elif getattr(exc, "problem_mark", None) is not None:
+        problem, where = exc.problem, _at(exc.problem_mark.line, exc.problem_mark.column)
+    else:
+        problem, where = str(exc), ""
+    return " ".join(f"{problem}{where}".split())
+
+
 def _snap(t: float, h: float, what: str, key: str) -> int:
     """The index j of the grid node j*h nearest to t."""
     pos = t / h
@@ -238,9 +305,15 @@ def parse_config(path: str | Path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"configuration file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read configuration file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    try:
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"not parseable as YAML: {exc}") from exc
+        raise ConfigError(f"not parseable as YAML: {_yaml_problem(exc, text)}") from exc
     if raw is not None and not isinstance(raw, dict):
         raise ConfigError("top level must be a mapping")
     _reject_non_finite(raw, "")
@@ -395,4 +468,4 @@ def parse_config(path: str | Path) -> RunConfig:
 
 
 def resolved_config_text(cfg: RunConfig) -> str:
-    return yaml.safe_dump(cfg.resolved, sort_keys=False, default_flow_style=False)
+    return yaml.dump(cfg.resolved, Dumper=_SafeDumper, sort_keys=False, default_flow_style=False)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import yaml
 
+from beamctl import config
 from beamctl.semigroup import ModelParams
 from beamctl.spectral import SpatialGrid
 
@@ -23,3 +25,14 @@ def grid129():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(params=["c", "python"])
+def yaml_loader(request, monkeypatch):
+    """Load configs through libyaml, then through PyYAML's pure-Python parser."""
+    if request.param == "python":
+        from oracles import PythonLoader
+
+        monkeypatch.setattr(config, "_Loader", PythonLoader)
+    elif not yaml.__with_libyaml__:
+        pytest.skip("PyYAML without libyaml")

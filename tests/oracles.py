@@ -29,17 +29,24 @@ its nodes.  `Segment`, `source_term`, `nonlocal_combination`,
 `segment_at`, `node_index`, `trajectory_span` (the former `Trajectory.r`
 and `t_end`), the generator blocks, `expm2`, the adjoint propagator, the
 control arithmetic, `project` and `norm_half` are former package helpers
-that only the tests used.
+that only the tests used.  `reference_write_csv` and the
+`reference_*_rows` generators are the package's former CSV writer, which
+formatted every value with its own f-string, and its row-by-row table
+producers; they are the byte reference for the writer that streams a 2-D
+array through one row template.  `PythonLoader` is the config loader on
+PyYAML's pure-Python parser, the one used where libyaml is missing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+import yaml
 
-from beamctl import dynamics
+from beamctl import config, dynamics
 from beamctl.control import (
     ControlSignal,
     build_gramian_set,
@@ -64,6 +71,7 @@ from beamctl.spectral import (
     eigenvalues,
     energy_norms,
     pair_norm,
+    reconstruct,
 )
 from beamctl.synthesis import (
     FixedPointResult,
@@ -966,3 +974,53 @@ def cold_exact_fixed_point(spec, zstar, tol: float = 1e-8, max_iter: int = 50):
             terminal = pair_norm(current.trajectory.values[-1] - zstar.to_pair(), p.lam)
             return FixedPointResult(control, current, tuple(rows), report, float(terminal))
     raise NumericalError(f"fixed-point iteration did not converge in {max_iter} iterations")
+
+
+def reference_write_csv(path, header, rows) -> None:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{float(v):.17g}" for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _state_row(t, pair, norm) -> list:
+    return [t, *pair[0].tolist(), *pair[1].tolist(), float(norm)]
+
+
+def reference_trajectory_rows(traj: Trajectory):
+    """One row per node; jump nodes are emitted twice, left then right."""
+    lam = eigenvalues(traj.n_modes)
+    times = traj.times
+    norms = energy_norms(traj.values, lam)
+    for i in range(traj.n_nodes):
+        if i in traj.left_values:
+            left = traj.left_values[i]
+            yield _state_row(times[i], left, energy_norms(left, lam))
+        yield _state_row(times[i], traj.values[i], norms[i])
+
+
+def reference_snapshot_rows(traj: Trajectory, grid, n_snapshots: int = 11):
+    """Long-format physical snapshots: t, x, w(t, x), y(t, x)."""
+    idx = np.unique(
+        np.round(np.linspace(traj.n_history, traj.n_nodes - 1, n_snapshots)).astype(int)
+    )
+    xs = grid.nodes
+    times = traj.times
+    for i in idx:
+        w_phys = reconstruct(traj.values[i, 0], grid)
+        y_phys = reconstruct(traj.values[i, 1], grid)
+        for j in range(xs.size):
+            yield [times[i], xs[j], w_phys[j], y_phys[j]]
+
+
+def reference_control_rows(u: ControlSignal):
+    """One row per node; switch nodes are emitted twice, left then right."""
+    times = u.times
+    for i in range(u.n_nodes):
+        if i in u.left_values:
+            yield [times[i], *u.left_values[i].tolist()]
+        yield [times[i], *u.values[i].tolist()]
+
+
+class PythonLoader(config._UniqueKeys, yaml.SafeLoader):
+    pass

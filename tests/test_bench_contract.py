@@ -7,11 +7,12 @@ without failing any other test.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
-from beamctl import control, synthesis
+from beamctl import control, reporting, synthesis
 from beamctl.config import parse_config
 from beamctl.semigroup import ModelParams
 
@@ -37,6 +38,14 @@ def test_traced_function_resolves(module, name):
 @pytest.mark.parametrize("module, cls, method", tracer.COUNTED)
 def test_counted_method_resolves(module, cls, method):
     assert callable(getattr(getattr(importlib.import_module(f"beamctl.{module}"), cls), method))
+
+
+@pytest.mark.parametrize("writer", [reporting.write_csv, reporting.write_report])
+def test_file_writers_take_the_path_first(writer):
+    # `tracer._file_attrs` sizes the file named by argument 0, or `path`.
+    first = next(iter(inspect.signature(writer).parameters.values()))
+    assert first.name == "path"
+    assert first.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
 def test_simpson_node_count_reads_the_default_step():

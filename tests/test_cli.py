@@ -321,20 +321,82 @@ class TestCli:
             ),
             pytest.param({"model": {"r": 0.9999}}, "model.r", id="r-snaps-to-T"),
             pytest.param({"grids": {"h": 1.0e-300}}, "grids.h", id="h-above-the-step-ceiling"),
+            # A repeated key, given as text after the base blocks, at any level.
+            pytest.param("model: {c: 2.0}\n", "model", id="repeated-block"),
+            pytest.param("output: {dir: a, dir: b}\n", "output.dir", id="repeated-key"),
+            pytest.param(
+                "impulses:\n- {time: 0.5, catalog: velocity_kick, time: 0.6}\n",
+                "impulses[0].time",
+                id="repeated-key-in-a-list-entry",
+            ),
         ],
     )
     def test_malformed_input_exits_2_at_load(self, tmp_path, capsys, fragment, key):
         data = {
             "model": {"c": 1.0, "d": 1.0, "k": 1.0, "n_modes": 4, "T": 1.0, "r": 0.25},
             "grids": {"h": 0.002, "G": 65},
-            **fragment,
         }
+        if isinstance(fragment, str):
+            path = tmp_path / "cfg.yaml"
+            path.write_text(yaml.safe_dump(data) + fragment)
+        else:
+            path = write_config(tmp_path, {**data, **fragment})
         out = tmp_path / "o"
-        rc = main(["simulate", "--config", str(write_config(tmp_path, data)), "--out", str(out)])
+        rc = main(["simulate", "--config", str(path), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config: {key}: ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, problem, where",
+        [
+            pytest.param("model: [1, 2\n", "',' or ']'", "line 2, column 1", id="unclosed-list"),
+            pytest.param(
+                "model:\n\tc: 1.0\n", "cannot start any token", "line 2, column 1", id="tab"
+            ),
+            pytest.param(
+                "model: {c: 1\x07}\n", "#x0007", "line 1, column 13", id="control-character"
+            ),
+            # The C reader counts bytes, the Python one characters.
+            pytest.param(
+                "output: {dir: \u00e9t\u00e9\x07}\n",
+                "#x0007",
+                "line 1, column 18",
+                id="control-after-unicode",
+            ),
+            pytest.param(
+                "model: {c: 1.0}\n---\nmodel: {}\n",
+                "another document",
+                "line 2, column 1",
+                id="two-documents",
+            ),
+        ],
+    )
+    def test_unparseable_yaml_exits_2_on_one_line(
+        self, tmp_path, capsys, yaml_loader, text, problem, where
+    ):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: not parseable as YAML: ")
+        assert err.count("\n") == 1
+        assert problem in err and err.endswith(f"({where})\n")
+        assert not out.exists()
+
+    def test_unreadable_config_exits_2_on_one_line(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(b"model: {c: 1\xff}\n")
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: config: not UTF-8 text: invalid start byte at byte 12\n"
+        assert main(["check", "--config", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config: cannot read configuration file {tmp_path}: Is a directory\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -459,6 +521,7 @@ class TestCli:
             assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
         assert main(["exact", "--config", str(path), "--out", str(tmp_path / "exact")]) == 2
         assert "control-independent" in capsys.readouterr().err
+        assert not (tmp_path / "exact").exists()
         spec = parse_config(path).problem
         zero = ControlSignal(0.0, 1.0, np.zeros((spec.n_steps + 1, 4)))
         implicit, explicit = integrate_mild(spec, None), integrate_mild(spec, zero)
@@ -493,14 +556,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config: {key}: ")
         assert err.count("\n") == 1
-        # The resolved echo is written before any command runs; nothing else is.
-        assert [path.name for path in out.iterdir()] == ["run_resolved_config.yaml"]
+        # The command's checks run before the output directory is made.
+        assert not out.exists()
 
     def test_steer_without_target_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": {"c": 1.0, "d": 1.0, "k": 1.0}})
-        rc = main(["steer", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = main(["steer", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         assert "zstar" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # A saturating perturbation far beyond the certificate leaves the
