@@ -31,7 +31,7 @@ from .reporting import (
     write_report,
 )
 from .spectral import StateZ, norm_z, zero_state
-from .synthesis import approx_experiment, contraction_constants, exact_fixed_point
+from .synthesis import _window_steps, approx_experiment, contraction_constants, exact_fixed_point
 
 COMMANDS = ("simulate", "gramian", "steer", "approx", "exact", "check")
 
@@ -71,7 +71,7 @@ def _check_command(command: str, cfg: RunConfig) -> None:
         if not cfg.sigmas:
             raise ConfigError("command 'approx' needs a pull-back window", "experiment.sigmas")
         for j, sigma in enumerate(cfg.sigmas):
-            n_steps = round(sigma / cfg.problem.h)
+            n_steps = _window_steps(cfg.problem, sigma)
             _require_steps(n_steps, f"window {sigma}", f"experiment.sigmas[{j}]")
 
 

@@ -33,6 +33,7 @@ from .dynamics import ProblemSpec, history_segment
 from .errors import ConfigError
 from .semigroup import ModelParams
 from .spectral import SpatialGrid, StateZ
+from .synthesis import _sigma_limit
 
 __all__ = ["RunConfig", "parse_config", "resolved_config_text"]
 
@@ -435,8 +436,7 @@ def parse_config(path: str | Path) -> RunConfig:
         picard_max_iter=picard_max_iter,
     )
     nonlocal_block.set("L_q", problem.L_q)
-    t_m = events[-1].time if events else 0.0
-    sigma_limit = min(T - t_m, r)
+    sigma_limit = _sigma_limit(problem)
     if "sigmas" not in experiment.raw:
         windows = [f * sigma_limit for f in (0.2, 0.1, 0.05, 0.025)]
     sigmas = []

@@ -16,20 +16,35 @@ scheme reproduces the global trapezoid convolution of the sources exactly,
 which is what ties the integrator to the discrete Gramian of the control
 module.
 
-A sweep keeps each node as the row [w, y, h/2 (g + u)] and runs one fused
-kernel, built once per integration (`_sweep_kernel`): one product with the
-step matrix (`semigroup.propagator_matrix`) propagates the previous row,
-its opening half source folded into the velocity; one product samples the
-new position on the grid, `np.maximum` clips the samples, and one product
-with the projector (`spectral.positive_projector`, scaled by -k h/2) gives
-h/2 times the cable force, `positive_part`'s clip up to rounding.  Adding
-h/2 (p + f), then h/2 u, and closing the velocity are one add each.  The
-recorded source row of a node is h/2 g, without the control.  The load and
-the catalog term (`node_sources`) read the time, the control and the node
-at t - r, n_r = r/h steps back, so a sweep evaluates them for up to n_r
-nodes at once: every delayed node of such a block is final before the
-block starts, and the terms are elementwise in the node, so each row is
-bitwise the row of a node-by-node evaluation.
+A sweep keeps each node as the open row [w, y - s, m, e]: the velocity
+before the node's closing half source s = h/2 (g + u), the clipped grid
+samples m = max(S w, 0) of the position (S = `grid.basis`), and the
+exogenous half source e = h/2 (p + f) + h/2 u, so that s = P^T m + e with
+the cable projector P (`spectral.positive_projector`, scaled by -k h/2;
+`positive_part`'s clip up to rounding).  The step matrix F
+(`semigroup.propagator_matrix`) maps [w, y, s] to E(h) (w, y + s), its
+s-columns being its y-columns, so it equals K [w, y - s, m, e] with
+K = [F_w, F_y, 2 F_y P^T, 2 F_y], built once per integration
+(`_sweep_kernel`).  A node costs three numpy calls: the product with K
+steps the previous open row, one product samples the new position and
+`np.maximum` clips.  Only the position feeds the next node, so the
+velocity is closed a block of nodes at a time, outside the node loop:
+the rows e are written before the block, and after it c = P^T m (a stack
+of 1-row products, each bitwise the product of a node on its own), the
+recorded source rows h/2 g = c + h/2 (p + f), without the control, and
+y = (y - s) + (h/2 g + h/2 u).  The load and the catalog term
+(`node_sources`) read the time, the control and the node at t - r,
+n_r = r/h steps back, so a block holds at most n_r nodes: every delayed
+node it reads is closed before it starts, and the terms are elementwise in
+the node, so each row is bitwise the row of a node-by-node evaluation.
+
+Restart nodes close at once: the start node, every impulse, every control
+mark and the largest lag tau_q.  There the sweep applies the jump,
+evaluates the right-limit source again as a one-node block and takes the
+next step with F from the closed row [w, y, s].  Every sweep of a problem
+(a history sweep to tau_q, the continuation from there, a tail from a
+pull-back switch, which is a control mark, or one sweep over all of
+[0, T]) thus runs the same arithmetic at each node.
 
 The nonlocal initial condition prescribes the history only implicitly
 (through segments of the solution at the positive lag times), so the whole
@@ -50,7 +65,6 @@ needs fewer sweeps to meet the same residual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -71,6 +85,10 @@ __all__ = [
 ]
 
 _NODE_SNAP = 1e-9
+
+# The most nodes a sweep steps between two block closes: its buffer holds
+# that many rows of 3N + G entries.
+_BLOCK_NODES = 64
 
 # Each history catalog entry and the `params` keys it uses.
 HISTORY_KINDS = {"zero": (), "modal_constant": ("w", "y"), "file": ("path",)}
@@ -339,14 +357,30 @@ def node_sources(spec: ProblemSpec, values: np.ndarray):
 
 
 def _sweep_kernel(spec: ProblemSpec):
-    """(F, S, P): the sweep's step matrix, grid samples of the modes and cable projector.
+    """(F, K, S, P): the sweep's two step matrices, grid samples of the modes and cable projector.
 
     `np.dot(np.maximum(np.dot(S, w), 0), P)` is h/2 times the cable force
-    -k w+ of the position w, `positive_part`'s clip up to rounding.
+    -k w+ of the position w, `positive_part`'s clip up to rounding.  F
+    (`propagator_matrix`) steps a closed row [w, y, s]; K = [F_w, F_y,
+    2 F_y P^T, 2 F_y] steps the open row [w, y - s, m, e] with the same
+    s = P^T m + e, F's s-columns being its y-columns.
     """
-    p, h = spec.params, spec.h
-    P = positive_projector(spec.grid, p.n_modes, -0.5 * h * p.k)
-    return propagator_matrix(h, p.lam, p.c, p.d), spec.grid.basis(p.n_modes), P
+    p, h, n = spec.params, spec.h, spec.params.n_modes
+    F = propagator_matrix(h, p.lam, p.c, p.d)
+    P = positive_projector(spec.grid, n, -0.5 * h * p.k)
+    twice_fy = 2.0 * F[:, n : 2 * n]
+    K = np.hstack([F[:, : 2 * n], np.dot(twice_fy, P.T), twice_fy])
+    return F, K, spec.grid.basis(n), P
+
+
+def _cable_rows(m: np.ndarray, P: np.ndarray, out: np.ndarray) -> None:
+    """`out[k] = np.dot(m[k], P)` for each row of clipped samples m, bitwise.
+
+    One (n, G) @ (G, N) product would round differently from the 1-row
+    product of a node evaluated on its own; a stack of 1-row products does
+    not.
+    """
+    np.matmul(m[:, None, :], P, out=out[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -394,20 +428,18 @@ def _sweep(
     (j0 = 0); for a continuation or a tail, a run up to t_j0, whose source
     rows 0..j0 come in `prefix_sources`.  The pass ends at t_last = last*h
     (T by default) and leaves the node and source rows after it unfilled.
-    A second, one-node evaluation happens only where the right limit of the
-    source differs from its left limit: after an impulse jump and where the
-    control jumps.  Returns the nodes, their marks and the source rows h/2 g,
-    g taken with the left control and before any jump.
+    The nodes between restart nodes (module docstring) go in blocks of at
+    most min(n_r, `_BLOCK_NODES`); a restart node ends a block, and the next
+    one starts with the F-step from it.  Returns the nodes, their marks and
+    the source rows h/2 g, g taken with the left control and before any
+    jump.
     """
-    F, S, P = kernel
+    F, K, S, P = kernel
     h, n_r = spec.h, spec.n_r
     last = spec.n_steps if last is None else last
     j0 = prefix.shape[0] - n_r - 1
-    n = spec.params.n_modes
-    # Row i is [w, y, h/2 (g + u)]: node i and the half source it opens.
-    rows = np.empty((n_r + spec.n_steps + 1, 3 * n))
-    pairs, ws, ys, opens = rows[:, : 2 * n], rows[:, :n], rows[:, n : 2 * n], rows[:, 2 * n :]
-    values = pairs.reshape(-1, 2, n)
+    n, n_grid = spec.params.n_modes, S.shape[0]
+    values = np.empty((n_r + spec.n_steps + 1, 2, n))
     values[: n_r + j0 + 1] = prefix
     marks = dict(prefix_marks)
     sources = np.empty((spec.n_steps + 1, n))
@@ -415,49 +447,68 @@ def _sweep(
     half_u_left = np.multiply(u_left, 0.5 * h)
     half_u_right = half_u_left if u_right is u_left else np.multiply(u_right, 0.5 * h)
     jumps = dict(zip(spec.impulse_nodes, spec.impulses))
-    reopened = jumps.keys() | u_marks
-    samples = np.empty(S.shape[0])
-    floor = np.zeros_like(samples)  # `np.maximum` converts a scalar 0 on every call
+    restarts = {*jumps, *u_marks, *spec.lag_nodes[-1:], last}
+    restarts = sorted(j for j in restarts if j0 < j <= last)
+    # Buffer row k is the open row [w, y - s, m, e] of a block's k-th node,
+    # row 0 that of the node before the block; `opening` is the closed row
+    # [w, y, s] of a restart node.
+    block_nodes = min(n_r, _BLOCK_NODES)
+    buf = np.empty((block_nodes + 1, 3 * n + n_grid))
+    m_all, e_all = buf[:, 2 * n : -n], buf[:, -n:]
+    rows, pairs, ws, ms = list(buf), list(buf[:, : 2 * n]), list(buf[:, :n]), list(m_all)
+    opening = np.empty(3 * n)
+    floor = np.zeros(n_grid)  # `np.maximum` converts a scalar 0 on every call
 
     def reopen(j: int, out: np.ndarray) -> np.ndarray:
-        # h/2 g at node j with the right control, as a one-node block.
-        np.dot(S, ws[n_r + j], out=samples)
-        np.maximum(samples, floor, out=samples)
-        np.dot(samples, P, out=out)
+        # h/2 g at closed node j with the right control, as a one-node block.
+        opening[: 2 * n] = values[n_r + j].ravel()
+        np.dot(np.maximum(np.dot(S, values[n_r + j, 0]), floor), P, out=out)
         term = terms(n_r + j, 1, u_right[j : j + 1])
         if term is not None:
             np.add(out, term[0], out=out)
-        np.add(out, half_u_right[j], out=opens[n_r + j])
+        np.add(out, half_u_right[j], out=opening[2 * n :])
         return out
 
     # At t = 0 nothing jumps, so node 0's opening source is also its row.
-    opening = reopen(j0, np.empty(n))
-    sources[: j0 + 1] = prefix_sources if j0 else opening
-    # The terms that do not read the position come in blocks of at most
-    # n_r nodes: a block's delayed nodes, n_r steps back, are then final.
-    for first in range(j0 + 1, last + 1, n_r):
-        js = slice(first, min(first + n_r, last + 1))
-        at = slice(n_r + js.start, n_r + js.stop)
-        block = terms(at.start, js.stop - first, u_left[js])
-        block = repeat(None) if block is None else block
-        nodes = zip(rows[at.start - 1 :], pairs[at], ws[at], ys[at], opens[at])
-        inputs = zip(sources[js], half_u_left[js], block)
-        # F propagates node and opening source; S, max and P give h/2 (-k w+).
-        for j, ((prev, pair, w, y, s), (src, half_u, term)) in enumerate(zip(nodes, inputs), first):
-            np.dot(F, prev, out=pair)
-            np.dot(S, w, out=samples)
-            np.maximum(samples, floor, out=samples)
-            np.dot(samples, P, out=src)
+    right_src = reopen(j0, np.empty(n))
+    sources[: j0 + 1] = prefix_sources if j0 else right_src
+    first = j0 + 1
+    for end in restarts:
+        # The nodes after a restart node, up to the next one: the first
+        # steps with F from the closed row, the others with K.
+        np.dot(F, opening, out=pairs[1])
+        np.dot(S, ws[1], out=ms[1])
+        np.maximum(ms[1], floor, out=ms[1])
+        k = 2
+        while first <= end:
+            stop = min(first + block_nodes, end + 1)
+            count, js, at = stop - first, slice(first, stop), slice(n_r + first, n_r + stop)
+            term = terms(at.start, count, u_left[js])
+            if term is None:
+                e_all[1 : count + 1] = half_u_left[js]
+            else:
+                np.add(term, half_u_left[js], out=e_all[1 : count + 1])
+            for prev, pair, w, m in zip(rows[k - 1 : count], pairs[k:], ws[k:], ms[k:]):
+                np.dot(K, prev, out=pair)
+                np.dot(S, w, out=m)
+                np.maximum(m, floor, out=m)
+            # Close the block: source rows h/2 g = P^T m + h/2 (p + f), and
+            # y = (y - s) + (h/2 g + h/2 u).
+            src, block = sources[js], values[at]
+            _cable_rows(m_all[1 : count + 1], P, src)
             if term is not None:
                 np.add(src, term, out=src)
-            np.add(src, half_u, out=s)
-            np.add(y, s, out=y)
-            if j in reopened:
-                ev = jumps.get(j)
-                if ev is not None:
-                    marks[n_r + j] = values[n_r + j].copy()
-                    y += ev.map.velocity_jump(j * h, marks[n_r + j], u_right[j])
-                reopen(j, opening)
+            block[:, 0] = buf[1 : count + 1, :n]
+            np.add(src, half_u_left[js], out=block[:, 1])
+            np.add(buf[1 : count + 1, n : 2 * n], block[:, 1], out=block[:, 1])
+            buf[0] = buf[count]
+            first, k = stop, 1
+        ev = jumps.get(end)
+        if ev is not None:
+            marks[n_r + end] = values[n_r + end].copy()
+            values[n_r + end, 1] += ev.map.velocity_jump(end * h, marks[n_r + end], u_right[end])
+        if end < last:
+            reopen(end, right_src)
     return values, marks, sources
 
 

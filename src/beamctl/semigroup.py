@@ -121,11 +121,13 @@ def propagator_matrix(h: float, lam: np.ndarray, c: float, d: float) -> np.ndarr
 
     Returns the (2N, 3N) matrix F that maps a row [w, y, s] to the pair
     E(h) (w, y + s), flattened: the exact propagation of the state and of
-    the left half s = h/2 g of the trapezoid source, which F folds into the
-    velocity columns.  The caller closes the step by adding h/2 times the
-    source at the new node to the velocity, the same h/2 g that opens the
-    next step; summed over steps this is the trapezoid convolution of the
-    source against the propagator.
+    the left half s = h/2 g of the trapezoid source, so F's s-columns equal
+    its y-columns.  The step is closed by adding h/2 times the source at the
+    new node to the velocity, the same h/2 g that opens the next step;
+    summed over steps this is the trapezoid convolution of the source
+    against the propagator.  `control.integrate_linear` closes each step
+    at once; the mild-solution sweep closes a block of steps at a time and
+    steps with F's columns rearranged for that (`dynamics`).
     """
     e00, e01, e10, e11 = (e[0] for e in propagator_entries_for(np.array([h]), lam, c, d))
     return np.block([[np.diag(e) for e in (e00, e01, e01)], [np.diag(e) for e in (e10, e11, e11)]])

@@ -117,8 +117,28 @@ def contraction_constants(spec: ProblemSpec, gs: GramianSet) -> ContractionRepor
 
 
 def _sigma_limit(spec: ProblemSpec) -> float:
+    """The bound min(T - t_m, r) on a pull-back window, t_m the last impulse time (0 if none)."""
     t_m = spec.impulses[-1].time if spec.impulses else 0.0
     return min(spec.params.T - t_m, spec.params.r)
+
+
+def _window_steps(spec: ProblemSpec, sigma: float) -> int:
+    """The steps n_tail = sigma/h of a pull-back window, which starts at node n_steps - n_tail.
+
+    ValueError unless 0 < sigma < `_sigma_limit(spec)` and sigma sits on
+    the time grid.
+    """
+    limit = _sigma_limit(spec)
+    if not 0.0 < sigma < limit:
+        raise ValueError(
+            f"pull-back window sigma={sigma} must lie in (0, {limit}) "
+            "(the smaller of the post-impulse gap and the delay span)"
+        )
+    h = spec.h
+    n_tail = int(round(sigma / h))
+    if abs(n_tail * h - sigma) > 1e-9 * max(sigma, 1.0):
+        raise ValueError(f"sigma={sigma} does not sit on the time grid (h={h})")
+    return n_tail
 
 
 def pullback_control(
@@ -136,16 +156,7 @@ def pullback_control(
     [0, T - sigma] is exactly the nominal control.
     """
     p = spec.params
-    limit = _sigma_limit(spec)
-    if not 0.0 < sigma < limit:
-        raise ValueError(
-            f"pull-back window sigma={sigma} must lie in (0, {limit}) "
-            "(the smaller of the post-impulse gap and the delay span)"
-        )
-    h = spec.h
-    n_tail = int(round(sigma / h))
-    if abs(n_tail * h - sigma) > 1e-9 * max(sigma, 1.0):
-        raise ValueError(f"sigma={sigma} does not sit on the time grid (h={h})")
+    n_tail = _window_steps(spec, sigma)
     switch = spec.n_steps - n_tail
     gs_tail = build_gramian_set(p.T - sigma, p.T, p, n_tail)
     z_switch = StateZ.from_pair(traj.values[traj.n_history + switch])
@@ -202,26 +213,25 @@ def approx_experiment(
 ) -> PullbackResult:
     """Run the pull-back construction for each window size in `sigmas`.
 
-    Requires decreasing windows inside (0, min(T - t_m, r)).  Each run
-    integrates the nonlinear system under the switched control: from the
-    switch node on, starting from the nominal run's converged nodes, when
-    no delay lag reaches past the switch (`integrate_tail`, bitwise the
-    full run), and over all of [-r, T] otherwise, with a warning: the
-    nonlocal history then reads the switched tail, so the pull-back
-    identity behind the bound fails.  It reports the terminal miss together
-    with the trapezoid estimate of the envelope integral over the tail
-    window, evaluated on the nominal trajectory's delayed states.
+    Requires decreasing windows on the time grid inside (0, min(T - t_m,
+    r)), all checked before the nominal run.  Each run integrates the
+    nonlinear system under the switched control: from the switch node on,
+    starting from the nominal run's converged nodes, when no delay lag
+    reaches past the switch (`integrate_tail`, bitwise the full run), and
+    over all of [-r, T] otherwise, with a warning: the nonlocal history
+    then reads the switched tail, so the pull-back identity behind the
+    bound fails.  It reports the terminal miss together with the trapezoid
+    estimate of the envelope integral over the tail window, evaluated on
+    the nominal trajectory's delayed states.
     """
     p = spec.params
-    limit = _sigma_limit(spec)
     sigmas = [float(s) for s in sigmas]
     if not sigmas:
         raise ValueError("need at least one pull-back window")
     for a, b in zip(sigmas, sigmas[1:]):
         if not a > b:
             raise ValueError(f"pull-back windows must decrease, got {a} before {b}")
-    if not all(0.0 < s < limit for s in sigmas):
-        raise ValueError(f"every window must lie in (0, {limit}), got {sigmas}")
+    tails = [_window_steps(spec, sigma) for sigma in sigmas]
 
     nominal = integrate_mild(spec, u)
     traj = nominal.trajectory
@@ -231,9 +241,8 @@ def approx_experiment(
     M_est = operator_norm_bound(p)
     nl = spec.nonlinearity
     rows = []
-    for sigma in sigmas:
+    for sigma, n_tail in zip(sigmas, tails):
         u_s = pullback_control(u, traj, sigma, zstar, spec)
-        n_tail = int(round(sigma / spec.h))
         switch = spec.n_steps - n_tail
         if last_lag_node <= switch:
             switched = integrate_tail(spec, nominal, u_s, switch).trajectory

@@ -648,41 +648,53 @@ def implicit_trapezoid_sweep(spec, u_left, u_right, u_marks, hist_values, hist_m
     Each step resolves the trapezoid right endpoint by up to eight passes of
     an inner fixed point.  Kept as a bitwise reference for the explicit
     sweep in `beamctl.dynamics`, which must reproduce it exactly.  It steps
-    with the explicit sweep's kernel (`dynamics._sweep_kernel`: the step
-    matrix, the grid samples and the halved cable projector) and adds the
-    halved source terms in the same order, so the two differ only in how
-    they reach the endpoint, the jumps and the marks, not in rounding; the
-    signature is that of the old `_sweep`.
+    with the explicit sweep's kernel (`dynamics._sweep_kernel`) at the same
+    nodes: F from the closed node and its opening source after t = 0, an
+    impulse, a control mark and the largest lag, and K from the open row
+    [w, y - s, m, e] elsewhere; it adds the halved source terms in the same
+    order, so the two differ only in how they reach the endpoint, the jumps
+    and the marks, not in rounding; the signature is that of the old
+    `_sweep`.
     """
     p = spec.params
     h = spec.h
     half_h = 0.5 * h
     n_total = n_r + spec.n_steps + 1
-    F, S, P = dynamics._sweep_kernel(spec)
+    F, K, S, P = dynamics._sweep_kernel(spec)
 
     values = np.empty((n_total, 2, p.n_modes))
     values[: n_r + 1] = hist_values
     marks = dict(hist_marks)
-    impulse_nodes = {n_r + int(round(ev.time / h)): ev for ev in spec.impulses}
+    impulse_nodes = {int(round(ev.time / h)): ev for ev in spec.impulses}
+    lag_nodes = [int(round(tau / h)) for tau in spec.lags]
+    restarts = {0, *impulse_nodes, *u_marks, *lag_nodes[-1:]}
 
-    def rhs(t, node, current, u_val):
-        # h/2 times the velocity source with the control, at `current`.
-        seg = _SegmentView(values, marks, node, p.r, h, current)
-        row = np.dot(np.maximum(np.dot(S, current[0]), 0.0), P)
+    def terms(t, node, u_val):
+        # h/2 (p + f) at node `node`, or None when both are zero.
+        seg = _SegmentView(values, marks, node, p.r, h, None)
         terms = []
         if not spec.forcing.is_zero:
             terms.append(spec.forcing(t))
         if not spec.nonlinearity.is_zero:
             terms.append(spec.nonlinearity.evaluate(t, seg.value(-seg.span), u_val))
-        if terms:
-            row = row + sum(terms[1:], terms[0]) * half_h
+        return sum(terms[1:], terms[0]) * half_h if terms else None
+
+    def rhs(t, node, current, u_val):
+        # h/2 times the velocity source with the control, at `current`.
+        row = np.dot(np.maximum(np.dot(S, current[0]), 0.0), P)
+        term = terms(t, node, u_val)
+        if term is not None:
+            row = row + term
         return row + u_val * half_h
 
     g_prev = rhs(0.0, n_r, values[n_r], u_right[0])
     for j in range(1, spec.n_steps + 1):
         i = n_r + j
         t = j * h
-        base = np.dot(F, np.concatenate([values[i - 1].ravel(), g_prev])).reshape(2, -1)
+        if j - 1 in restarts:
+            base = np.dot(F, np.concatenate([values[i - 1].ravel(), g_prev])).reshape(2, -1)
+        else:
+            base = np.dot(K, open_row).reshape(2, -1)
         # Implicit trapezoid endpoint: only the velocity row moves, and the
         # contraction factor is h/2 times the state-Lipschitz bound of the
         # sources, so a couple of passes reach roundoff.
@@ -696,7 +708,13 @@ def implicit_trapezoid_sweep(spec, u_left, u_right, u_marks, hist_values, hist_m
             if delta <= 1e-13 * scale:
                 break
             row = rhs(t, i, current, u_left[j])
-        ev = impulse_nodes.get(i)
+        # The open row K steps from: the velocity before the closing source,
+        # the clipped samples and the exogenous half source.
+        term = terms(t, i, u_left[j])
+        e = u_left[j] * half_h if term is None else term + u_left[j] * half_h
+        m = np.maximum(np.dot(S, base[0]), 0.0)
+        open_row = np.concatenate([base[0], base[1], m, e])
+        ev = impulse_nodes.get(j)
         if ev is not None:
             marks[i] = current
             jumped = current.copy()
@@ -816,7 +834,9 @@ def full_history_integrate(spec, u=None):
 
     The package's former history loop, kept as the bitwise reference for
     the sweeps that stop at the largest lag: its values, marks, source rows,
-    sweep count and residual must be equal.  Its `picard_sup_diffs` are
+    sweep count and residual must be equal.  Each of its sweeps passes the
+    largest lag as a restart node (closed at once, the next step taken with
+    F), as the continuation from there starts.  Its `picard_sup_diffs` are
     measured over the whole trajectory.
     """
     controls = dynamics._control_nodes(u, spec)
@@ -889,12 +909,13 @@ def one_node_sources(spec, traj, u_rows=None):
     """The source rows h/2 g of a trajectory, each node evaluated on its own.
 
     Node j's row is the cable half source of its position through the
-    sweep's kernel (`dynamics._sweep_kernel`) plus `node_sources`' block of
-    one at the control row `u_rows[j]` (None when no entry reads the
-    control): the one-node evaluation that a sweep's recorded rows must
+    sweep's kernel (`dynamics._sweep_kernel`), a 1-row product with the
+    projector, plus `node_sources`' block of one at the control row
+    `u_rows[j]` (None when no entry reads the control): the one-node
+    evaluation that a sweep's recorded rows, closed a block at a time, must
     equal bitwise.
     """
-    _, S, P = dynamics._sweep_kernel(spec)
+    _, _, S, P = dynamics._sweep_kernel(spec)
     block = _node_sources(spec, traj.values)
     rows = np.empty((spec.n_steps + 1, spec.params.n_modes))
     for j, row in enumerate(rows):

@@ -492,6 +492,52 @@ class TestExplicitSweep:
                 for i in a.left_values:
                     assert np.array_equal(a.left_values[i], b.left_values[i])
 
+    @pytest.mark.parametrize("n_points", [65, 129, 257])
+    @pytest.mark.parametrize("n_modes", [1, 4, 8, 16, 48])
+    def test_block_cable_rows_are_one_node_products_bitwise(self, n_modes, n_points, rng):
+        # A sweep closes a block's source rows in one `_cable_rows` call; a
+        # restart node and `one_node_sources` take the 1-row product of one
+        # node's samples.  With OpenBLAS, numpy sends that 1-row product to
+        # gemv, which rounds differently from the rows of an (n >= 2, G)
+        # gemm.  Should a numpy or BLAS change break the stacked product,
+        # this fails here, and not only through the recorded source rows.
+        # P is built as `positive_projector` builds it; that function also
+        # rejects 48 modes on 65 points, which this product does not need.
+        grid = SpatialGrid(n_points)
+        S = grid.basis(n_modes)
+        P = S * (-0.5 * 5e-4 * grid.weight)
+        m = np.maximum(np.dot(rng.normal(size=(70, n_modes)), S.T), 0.0)
+        one_by_one = np.array([np.dot(row, P) for row in m])
+        for rows in (slice(0, 1), slice(3, 5), slice(5, 69), slice(0, 70)):
+            got = np.empty((rows.stop - rows.start, n_modes))
+            dynamics._cable_rows(m[rows], P, got)
+            assert np.array_equal(got, one_by_one[rows])
+
+    def test_only_restart_nodes_step_from_the_closed_node(self, grid129, rng, monkeypatch):
+        # The step matrix F steps from a closed node and its reopened source
+        # only after the start, an impulse, a control mark and the largest
+        # lag; every other node takes K from the open row.  This case has
+        # lags (0.1, 0.2), impulses at nodes 40 and 130 and control marks at
+        # nodes 40 and 130, so each history sweep (to node 40) takes F once,
+        # and the continuation from node 40 takes it there and at node 130.
+        spec, u = self._case("control_saturation+control_kick+marked_control", grid129, rng)
+        F, K, S, P = dynamics._sweep_kernel(spec)
+        steps, real_dot = [], np.dot
+
+        def dot(a, *args, **kwargs):
+            if a is F or a is K:
+                steps.append("F" if a is F else "K")
+            return real_dot(a, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_sweep_kernel", lambda spec: (F, K, S, P))
+        monkeypatch.setattr(dynamics.np, "dot", dot)
+        res = integrate_mild(spec, u)
+        monkeypatch.undo()
+        sweeps = res.picard_iterations
+        assert sweeps >= 2
+        assert steps.count("F") == sweeps + 2
+        assert len(steps) == sweeps * 40 + (spec.n_steps - 40)
+
     def test_cable_clip_goes_through_positive_part(self, grid129, rng):
         # The clip that test_spectral checks (and its strict xfail) through
         # `positive_part` is, to rounding, the one the sweep's kernel runs at
@@ -500,7 +546,7 @@ class TestExplicitSweep:
         # (test_recorded_sources_are_node_sources_bitwise).
         spec, u = self._case("harmonic+delayed_saturation+saturating_kick", grid129, rng)
         traj = integrate_mild(spec, u).trajectory
-        _, S, P = dynamics._sweep_kernel(spec)
+        _, _, S, P = dynamics._sweep_kernel(spec)
         scale = -0.5 * spec.h * spec.params.k
         n_points = spec.grid.n_points
         # Both sides differ only in where the weight and the scale are
