@@ -149,8 +149,6 @@ class Nonlinearity:
     def envelope(self, x: float) -> float:
         if self.envelope_kind == "zero":
             return 0.0
-        if self.envelope_kind == "identity":
-            return float(x)
         return float(min(x, self.envelope_cap))
 
     def evaluate(self, t, delayed: np.ndarray, u_val: np.ndarray | None) -> np.ndarray:

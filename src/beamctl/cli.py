@@ -31,7 +31,7 @@ from .reporting import (
     write_report,
 )
 from .spectral import StateZ, norm_z, zero_state
-from .synthesis import _window_steps, approx_experiment, contraction_constants, exact_fixed_point
+from .synthesis import approx_experiment, contraction_constants, exact_fixed_point
 
 COMMANDS = ("simulate", "gramian", "steer", "approx", "exact", "check")
 
@@ -54,10 +54,6 @@ def _require_steps(n_steps: int, what: str, key: str) -> None:
         raise ConfigError(f"{what} spans {n_steps} steps, fewer than {MIN_STEPS}", key)
 
 
-def _steer_steps(cfg: RunConfig) -> int:
-    return int(round((cfg.params.T - cfg.t0) / cfg.problem.h))
-
-
 def _check_command(command: str, cfg: RunConfig) -> None:
     """What `command` needs beyond a valid config, checked before any output."""
     if command in ("steer", "approx", "exact") and cfg.zstar is None:
@@ -66,12 +62,11 @@ def _check_command(command: str, cfg: RunConfig) -> None:
         raise ConfigError("command 'exact' needs control-independent catalog entries")
     if command == "steer":
         window = f"steering window [{cfg.t0}, {cfg.params.T}]"
-        _require_steps(_steer_steps(cfg), window, "experiment.t0")
+        _require_steps(cfg.steer_steps, window, "experiment.t0")
     if command == "approx":
         if not cfg.sigmas:
             raise ConfigError("command 'approx' needs a pull-back window", "experiment.sigmas")
-        for j, sigma in enumerate(cfg.sigmas):
-            n_steps = _window_steps(cfg.problem, sigma)
+        for j, (sigma, n_steps) in enumerate(zip(cfg.sigmas, cfg.window_steps)):
             _require_steps(n_steps, f"window {sigma}", f"experiment.sigmas[{j}]")
 
 
@@ -116,7 +111,7 @@ def _cmd_steer(cfg: RunConfig, out: Path, prefix: str, say) -> None:
     p = cfg.params
     zstar = cfg.zstar
     z0 = cfg.z0 if cfg.z0 is not None else zero_state(p.n_modes)
-    u = steering_control(z0, zstar, cfg.t0, p.T, p, _steer_steps(cfg))
+    u = steering_control(z0, zstar, cfg.t0, p.T, p, cfg.steer_steps)
     states = integrate_linear(z0, u, p)
     terminal = StateZ.from_pair(states[-1])
     err = norm_z(terminal - zstar)

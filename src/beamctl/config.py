@@ -10,8 +10,9 @@ span, t0 and the pull-back windows to the nearest node of the trajectory
 grid and writes the snapped and derived values back into the echo; a key
 that no getter read, at any level, is rejected when the reader leaves its
 block, and an unknown top-level block before any block is read.  What
-`ProblemSpec` checks (the de-aliasing bound on G, the lags, their weights
-and the impulse times) is checked there alone, under the key it concerns.
+`ProblemSpec` checks (the de-aliasing bound on G, the lags, their weights,
+the impulse times and the pull-back windows' steps, which `RunConfig`
+carries with steer's) is checked there alone, under the key it concerns.
 The echo is the fully resolved configuration, with the bytes of
 `yaml.safe_dump`, written next to the outputs so a run can be reproduced
 from a single artifact; feeding it back produces byte-identical outputs.
@@ -33,7 +34,6 @@ from .dynamics import ProblemSpec, history_segment
 from .errors import ConfigError
 from .semigroup import ModelParams
 from .spectral import SpatialGrid, StateZ
-from .synthesis import _sigma_limit
 
 __all__ = ["RunConfig", "parse_config", "resolved_config_text"]
 
@@ -94,7 +94,9 @@ class RunConfig:
     z0: StateZ | None
     zstar: StateZ | None
     sigmas: tuple[float, ...]
+    window_steps: tuple[int, ...]
     t0: float
+    steer_steps: int
     tol: float
     max_iter: int
     out_dir: str
@@ -408,13 +410,11 @@ def parse_config(path: str | Path) -> RunConfig:
     z0 = _state(targets, "z0", n_modes)
 
     experiment = top.block("experiment")
-    t0 = experiment.number("t0", 0.0)
-    if not 0.0 <= t0 < T:
-        raise ConfigError(f"t0 must lie in [0, T), got {t0}", "experiment.t0")
-    t0 = experiment.set("t0", _snap(t0, h, "steering start t0", "experiment.t0") * h)
-    # The windows' default and limit read the last impulse time, so they are
-    # snapped and checked once the spec has checked the impulses; reading
-    # them here keeps their place in the echo.
+    j0 = _snap(experiment.number("t0", 0.0), h, "steering start t0", "experiment.t0")
+    if not 0 <= j0 < n_steps:
+        raise ConfigError(f"t0 snaps to {j0 * h}, outside [0, T) (h={h})", "experiment.t0")
+    t0 = experiment.set("t0", j0 * h)
+    # The spec checks the windows; reading them here keeps their echo place.
     windows = experiment.numbers("sigmas")
     tol = experiment.number("tol", 1e-8, positive=True)
     max_iter = experiment.integer("max_iter", 50, minimum=1)
@@ -436,20 +436,14 @@ def parse_config(path: str | Path) -> RunConfig:
         picard_max_iter=picard_max_iter,
     )
     nonlocal_block.set("L_q", problem.L_q)
-    sigma_limit = _sigma_limit(problem)
     if "sigmas" not in experiment.raw:
-        windows = [f * sigma_limit for f in (0.2, 0.1, 0.05, 0.025)]
-    sigmas = []
-    for j, s in enumerate(windows):
-        s_snapped = _snap(s, h, "pull-back window", f"experiment.sigmas[{j}]") * h
-        if not 0.0 < s_snapped < sigma_limit:
-            raise ConfigError(
-                f"window {s_snapped} outside (0, min(T - t_m, r)) = (0, {sigma_limit})",
-                f"experiment.sigmas[{j}]",
-            )
-        if sigmas and s_snapped >= sigmas[-1]:
-            raise ConfigError("windows must be strictly decreasing", f"experiment.sigmas[{j}]")
-        sigmas.append(s_snapped)
+        t_m = events[-1].time if events else 0.0
+        windows = [f * min(T - t_m, r) for f in (0.2, 0.1, 0.05, 0.025)]
+    sigmas = [
+        _snap(s, h, "pull-back window", f"experiment.sigmas[{j}]") * h
+        for j, s in enumerate(windows)
+    ]
+    window_steps = problem.window_steps(sigmas)
     experiment.set("sigmas", sigmas)
 
     output = top.block("output")
@@ -458,7 +452,9 @@ def parse_config(path: str | Path) -> RunConfig:
         z0=z0,
         zstar=zstar,
         sigmas=tuple(sigmas),
+        window_steps=window_steps,
         t0=t0,
+        steer_steps=n_steps - j0,
         tol=tol,
         max_iter=max_iter,
         out_dir=output.text("dir", "out"),

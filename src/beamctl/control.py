@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .semigroup import ModelParams, propagator_entries_for, propagator_matrix
+from .semigroup import ModelParams, apply_semigroup, propagator_entries_for, propagator_matrix
 from .spectral import StateZ, eigenvalue
 
 __all__ = [
@@ -301,8 +301,6 @@ def steering_control(
     z0: StateZ, zstar: StateZ, t0: float, t1: float, p: ModelParams, n_steps: int
 ) -> ControlSignal:
     """Minimum-energy control steering the linear system from z0 at t0 to zstar at t1."""
-    from .semigroup import apply_semigroup
-
     gs = build_gramian_set(t0, t1, p, n_steps)
     xi = zstar - apply_semigroup(z0, t1 - t0, p)
     return minimum_energy_control(xi, gs, p)

@@ -64,11 +64,20 @@ needs fewer sweeps to meet the same residual.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalogs import Forcing, ImpulseEvent, Nonlinearity, entry_params, param_list
+from .catalogs import (
+    Forcing,
+    ImpulseEvent,
+    Nonlinearity,
+    entry_params,
+    make_forcing,
+    make_nonlinearity,
+    param_list,
+)
 from .control import MIN_STEPS, ControlSignal
 from .errors import ConfigError, NumericalError
 from .semigroup import ModelParams, propagator_matrix
@@ -165,8 +174,9 @@ class ProblemSpec:
     trajectory grid; configuration loading snaps them to the nearest node,
     so construction only verifies the alignment, and keeps their node
     indices: `n_r` = r/h, `lag_nodes` and `impulse_nodes`, counted from
-    t = 0.  Every reader takes its nodes from there.  The construction
-    checks raise ConfigError naming the configuration key they concern.
+    t = 0.  Every reader takes its nodes from there, and the pull-back
+    windows' steps from `window_steps`.  The construction checks raise
+    ConfigError naming the configuration key they concern.
     `history` is the prescribed history rho at the trajectory nodes of
     [-r, 0], a read-only (n_r + 1, 2, n_modes) array (zeros by default);
     `history[-1]` is rho(0).
@@ -189,8 +199,6 @@ class ProblemSpec:
     impulse_nodes: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        from .catalogs import make_forcing, make_nonlinearity
-
         p = self.params
         if self.forcing is None:
             object.__setattr__(self, "forcing", make_forcing("zero", p.n_modes))
@@ -252,6 +260,20 @@ class ProblemSpec:
     def u_dependent(self) -> bool:
         return self.nonlinearity.u_dependent or any(ev.map.u_dependent for ev in self.impulses)
 
+    def window_steps(self, sigmas) -> tuple[int, ...]:
+        """The steps sigma/h of pull-back windows, each starting at node n_steps - sigma/h.
+
+        ConfigError naming `experiment.sigmas[j]` unless the windows sit on the
+        grid and decrease strictly in (0, min(T - t_m, r)), compared in nodes.
+        """
+        h = self.h
+        end = min(self.n_steps - max(self.impulse_nodes, default=0), self.n_r)
+        rule = f"windows must decrease in (0, min(T - t_m, r)) = (0, {end * h:g}), {end} steps"
+        steps = [end]
+        for j, sigma in enumerate(sigmas):
+            steps += _grid_nodes([sigma], h, steps[-1], rule, f"experiment.sigmas[{j}]")
+        return tuple(steps[1:])
+
 
 def history_segment(
     kind: str, p: ModelParams, n_nodes: int, params: dict | None = None
@@ -262,7 +284,7 @@ def history_segment(
     'modal_constant', or 'file'.  A file samples [-r, 0] at uniformly
     spaced rows, any number of them; the rows are interpolated piecewise
     linearly onto the nodes, and a node within 1e-9 (in units of the row
-    spacing) of a row takes that row.
+    spacing) of a row takes that row.  Every row's energy norm must be finite.
     """
     params = entry_params("history", kind, params, HISTORY_KINDS)
     if n_nodes < 2:
@@ -286,9 +308,13 @@ def history_segment(
     if not path:
         raise ConfigError("history catalog 'file' needs a 'path'", "params.path")
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows: reported below
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read history file: {exc}", "params.path") from None
+    if data.size == 0:
+        raise ConfigError(f"history file {path} has no data rows", "params.path")
     if data.shape[1] != 1 + 2 * p.n_modes:
         raise ConfigError(
             f"history file {path} must have columns t, w_1..w_{p.n_modes}, "
@@ -299,12 +325,13 @@ def history_segment(
     if n < 2:
         raise ConfigError(f"history file {path} needs at least 2 rows", "params.path")
     ts = data[:, 0]
-    if abs(ts[0] + p.r) > 1e-9 or abs(ts[-1]) > 1e-9:
+    # Both checks are written so that a NaN time fails them.
+    if not (abs(ts[0] + p.r) <= 1e-9 and abs(ts[-1]) <= 1e-9):
         raise ConfigError(
             f"history file {path} must sample exactly [-r, 0] with r={p.r}", "params.path"
         )
     step = p.r / (n - 1)
-    if np.abs(np.diff(ts) - step).max() > 1e-9 * p.r:
+    if not np.abs(np.diff(ts) - step).max() <= 1e-9 * p.r:
         raise ConfigError(
             f"history file {path} must sample [-r, 0] at uniform spacing r/{n - 1}",
             "params.path",
@@ -312,6 +339,13 @@ def history_segment(
     rows = np.empty((n, 2, p.n_modes))
     rows[:, 0, :] = data[:, 1 : 1 + p.n_modes]
     rows[:, 1, :] = data[:, 1 + p.n_modes :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(energy_norms(rows, p.lam))
+    if not finite.all():
+        t_bad = ts[np.argmin(finite)]
+        raise ConfigError(
+            f"history file {path}: the energy norm at t = {t_bad:.6g} is not finite", "params.path"
+        )
     # Node times as the trajectory grid computes them, h = T/n_steps.
     n_r = n_nodes - 1
     h = p.T / round(p.T * n_r / p.r)

@@ -3,8 +3,10 @@
 Two drivers live here.  The pull-back experiment follows a nominal control
 until T - sigma and then switches to the linear minimum-energy control
 that steers the frozen state to the target over the remaining window.
-The switched run is the nominal run up to T - sigma, so only its tail is
-integrated again (the whole run when a delay lag reaches past the switch).
+Windows lie in (0, min(T - t_m, r)), t_m the last impulse time, and
+`ProblemSpec.window_steps` alone turns them into steps.  The switched run
+is the nominal run up to T - sigma, so only its tail is integrated again
+(the whole run when a delay lag reaches past the switch).
 The terminal miss is bounded by the integral of the declared growth
 envelope of the perturbation over that window, so it shrinks with sigma.
 The exact driver iterates trajectory -> steering target -> control ->
@@ -116,31 +118,6 @@ def contraction_constants(spec: ProblemSpec, gs: GramianSet) -> ContractionRepor
     )
 
 
-def _sigma_limit(spec: ProblemSpec) -> float:
-    """The bound min(T - t_m, r) on a pull-back window, t_m the last impulse time (0 if none)."""
-    t_m = spec.impulses[-1].time if spec.impulses else 0.0
-    return min(spec.params.T - t_m, spec.params.r)
-
-
-def _window_steps(spec: ProblemSpec, sigma: float) -> int:
-    """The steps n_tail = sigma/h of a pull-back window, which starts at node n_steps - n_tail.
-
-    ValueError unless 0 < sigma < `_sigma_limit(spec)` and sigma sits on
-    the time grid.
-    """
-    limit = _sigma_limit(spec)
-    if not 0.0 < sigma < limit:
-        raise ValueError(
-            f"pull-back window sigma={sigma} must lie in (0, {limit}) "
-            "(the smaller of the post-impulse gap and the delay span)"
-        )
-    h = spec.h
-    n_tail = int(round(sigma / h))
-    if abs(n_tail * h - sigma) > 1e-9 * max(sigma, 1.0):
-        raise ValueError(f"sigma={sigma} does not sit on the time grid (h={h})")
-    return n_tail
-
-
 def pullback_control(
     u: ControlSignal | None,
     traj: Trajectory,
@@ -153,10 +130,11 @@ def pullback_control(
     The tail is the linear minimum-energy control from the trajectory's
     state at T - sigma to the target over [T - sigma, T].  The switch node
     keeps the nominal value as its left limit, so the restriction to
-    [0, T - sigma] is exactly the nominal control.
+    [0, T - sigma] is exactly the nominal control.  ConfigError unless
+    sigma is a window `ProblemSpec.window_steps` accepts.
     """
     p = spec.params
-    n_tail = _window_steps(spec, sigma)
+    (n_tail,) = spec.window_steps([sigma])
     switch = spec.n_steps - n_tail
     gs_tail = build_gramian_set(p.T - sigma, p.T, p, n_tail)
     z_switch = StateZ.from_pair(traj.values[traj.n_history + switch])
@@ -214,24 +192,21 @@ def approx_experiment(
     """Run the pull-back construction for each window size in `sigmas`.
 
     Requires decreasing windows on the time grid inside (0, min(T - t_m,
-    r)), all checked before the nominal run.  Each run integrates the
-    nonlinear system under the switched control: from the switch node on,
-    starting from the nominal run's converged nodes, when no delay lag
-    reaches past the switch (`integrate_tail`, bitwise the full run), and
-    over all of [-r, T] otherwise, with a warning: the nonlocal history
-    then reads the switched tail, so the pull-back identity behind the
-    bound fails.  It reports the terminal miss together with the trapezoid
-    estimate of the envelope integral over the tail window, evaluated on
-    the nominal trajectory's delayed states.
+    r)), all checked (`ProblemSpec.window_steps`) before the nominal run.
+    Each run integrates the nonlinear system under the switched control:
+    from the switch node on, starting from the nominal run's converged
+    nodes, when no delay lag reaches past the switch (`integrate_tail`,
+    bitwise the full run), and over all of [-r, T] otherwise, with a
+    warning: the nonlocal history then reads the switched tail, so the
+    pull-back identity behind the bound fails.  It reports the terminal
+    miss together with the trapezoid estimate of the envelope integral over
+    the tail window, evaluated on the nominal trajectory's delayed states.
     """
     p = spec.params
     sigmas = [float(s) for s in sigmas]
     if not sigmas:
         raise ValueError("need at least one pull-back window")
-    for a, b in zip(sigmas, sigmas[1:]):
-        if not a > b:
-            raise ValueError(f"pull-back windows must decrease, got {a} before {b}")
-    tails = [_window_steps(spec, sigma) for sigma in sigmas]
+    tails = spec.window_steps(sigmas)
 
     nominal = integrate_mild(spec, u)
     traj = nominal.trajectory

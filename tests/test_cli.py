@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,17 @@ def write_config(tmp_path, data, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data))
     return path
+
+
+@dataclass(frozen=True)
+class HistoryFile:
+    """A `file` history block reading `text`, written next to the config."""
+
+    text: str
+
+
+# The header and the first row of a history file on [-0.25, 0] with 4 modes.
+HISTORY_HEAD = "t,w_1,w_2,w_3,w_4,y_1,y_2,y_3,y_4\n-0.25,0,0,0,0,0,0,0,0\n"
 
 
 def read_report(path):
@@ -249,6 +261,38 @@ class TestCli:
             pytest.param(
                 {"history": {"catalog": "file"}}, "history.params.path", id="history-file-no-path"
             ),
+            # History file contents: no data rows, or a state without a finite norm.
+            pytest.param(HistoryFile(""), "history.params.path", id="history-file-empty"),
+            pytest.param(
+                HistoryFile(HISTORY_HEAD.splitlines()[0] + "\n"),
+                "history.params.path",
+                id="history-file-header-only",
+            ),
+            pytest.param(
+                HistoryFile(HISTORY_HEAD + "0,nan,0,0,0,0,0,0,0\n"),
+                "history.params.path",
+                id="history-file-nan",
+            ),
+            pytest.param(
+                HistoryFile(HISTORY_HEAD + "0,0,0,0,0,inf,0,0,0\n"),
+                "history.params.path",
+                id="history-file-inf",
+            ),
+            pytest.param(
+                HistoryFile(HISTORY_HEAD + "0,0,0,-inf,0,0,0,0,0\n"),
+                "history.params.path",
+                id="history-file-minus-inf",
+            ),
+            pytest.param(
+                HistoryFile(HISTORY_HEAD + "0,1e308,0,0,0,0,0,0,0\n"),
+                "history.params.path",
+                id="history-file-norm-overflows",
+            ),
+            pytest.param(
+                HistoryFile(HISTORY_HEAD + "nan,0,0,0,0,0,0,0,0\n0,0,0,0,0,0,0,0,0\n"),
+                "history.params.path",
+                id="history-file-nan-time",
+            ),
             pytest.param({"output": {"dir": None}}, "output.dir", id="output-dir-null"),
             pytest.param({"output": {"prefix": ["a", "b"]}}, "output.prefix", id="prefix-list"),
             pytest.param(
@@ -320,6 +364,21 @@ class TestCli:
                 id="impulse-overflows",
             ),
             pytest.param({"model": {"r": 0.9999}}, "model.r", id="r-snaps-to-T"),
+            # A window equal to T - t_m = 141 h, though the float 1 - 59 h exceeds 141 h.
+            pytest.param(
+                {
+                    "model": {"T": 1, "r": 0.8, "n_modes": 2},
+                    "grids": {"h": 0.005, "G": 33},
+                    "impulses": [
+                        {"time": 0.295, "catalog": "velocity_kick", "params": {"amp": 0.1}}
+                    ],
+                    "delays": {"lags": [0.1]},
+                    "nonlocal": {"gammas": [0.05]},
+                    "experiment": {"sigmas": [0.705]},
+                },
+                "experiment.sigmas[0]",
+                id="window-on-the-post-impulse-gap",
+            ),
             pytest.param({"grids": {"h": 1.0e-300}}, "grids.h", id="h-above-the-step-ceiling"),
             # A repeated key, given as text after the base blocks, at any level.
             pytest.param("model: {c: 2.0}\n", "model", id="repeated-block"),
@@ -331,11 +390,17 @@ class TestCli:
             ),
         ],
     )
+    # A warning would print a second stderr line outside the test.
+    @pytest.mark.filterwarnings("error")
     def test_malformed_input_exits_2_at_load(self, tmp_path, capsys, fragment, key):
         data = {
             "model": {"c": 1.0, "d": 1.0, "k": 1.0, "n_modes": 4, "T": 1.0, "r": 0.25},
             "grids": {"h": 0.002, "G": 65},
         }
+        if isinstance(fragment, HistoryFile):
+            history = tmp_path / "history.csv"
+            history.write_text(fragment.text)
+            fragment = {"history": {"catalog": "file", "params": {"path": str(history)}}}
         if isinstance(fragment, str):
             path = tmp_path / "cfg.yaml"
             path.write_text(yaml.safe_dump(data) + fragment)
@@ -541,6 +606,10 @@ class TestCli:
             # h = T/2000: the last one, 0.006, is 12 steps.
             pytest.param("approx", {}, "experiment.sigmas[3]", id="default-windows-short"),
             pytest.param("steer", {"t0": 0.995}, "experiment.t0", id="steer-window-short"),
+            # t0 = 0.9999 < T snaps onto T: no steering window is left.
+            pytest.param("gramian", {"t0": 0.9999}, "experiment.t0", id="gramian-t0-snaps-to-T"),
+            pytest.param("steer", {"t0": 0.9999}, "experiment.t0", id="steer-t0-snaps-to-T"),
+            pytest.param("check", {"t0": 0.9999}, "experiment.t0", id="check-t0-snaps-to-T"),
         ],
     )
     def test_window_below_the_step_floor_exits_2(self, tmp_path, capsys, command, experiment, key):

@@ -14,6 +14,7 @@ from beamctl.control import (
     minimum_energy_control,
 )
 from beamctl.dynamics import ProblemSpec, Trajectory, history_segment, integrate_mild
+from beamctl.errors import ConfigError
 from beamctl.semigroup import ModelParams
 from beamctl.spectral import SpatialGrid, StateZ, norm_z, pair_norm, zero_state
 from beamctl.synthesis import (
@@ -78,6 +79,20 @@ def bounded_benchmark(grid129):
         nonlinearity=make_nonlinearity("bounded_wave", 4, {"amp": 0.5, "omega": 2.0}),
         history=constant_history(p, 2000, w=[0.3, 0.1], y=[0.1]),
         picard_tol=1e-11,
+    )
+
+
+def post_impulse_gap_spec():
+    """T = 1 on 200 steps, the last impulse at node 59 and r = 160 h past the gap."""
+    p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=2, T=1.0, r=0.8)
+    kick = make_impulse_map("velocity_kick", 2, {"amp": 0.1})
+    return ProblemSpec(
+        params=p,
+        grid=SpatialGrid(33),
+        n_steps=200,
+        impulses=(ImpulseEvent(59 * p.T / 200, kick),),
+        lags=(0.1,),
+        gammas=(0.05,),
     )
 
 
@@ -185,10 +200,27 @@ class TestPullbackControl:
         traj = integrate_mild(spec).trajectory
         zstar = StateZ(rng.normal(size=4), rng.normal(size=4))
         # min(T - t_m, r) = min(0.6, 0.4) = 0.4
-        with pytest.raises(ValueError, match="0.4"):
+        with pytest.raises(ConfigError, match="0.4") as exc:
             pullback_control(None, traj, 0.4, zstar, spec)
-        with pytest.raises(ValueError, match="0.4"):
+        assert exc.value.key == "experiment.sigmas[0]"
+        with pytest.raises(ConfigError, match="0.4"):
             pullback_control(None, traj, 0.5, zstar, spec)
+
+    def test_window_on_the_post_impulse_gap_rejected(self, rng):
+        # T - t_m = 141 h, whose float 1 - 59 h lies above 141 h: only the
+        # node count tells the window sigma = 141 h from one inside the gap.
+        spec = post_impulse_gap_spec()
+        sigma = 141 * spec.h
+        assert sigma < spec.params.T - spec.impulses[-1].time
+        assert spec.window_steps([140 * spec.h]) == (140,)
+        traj = integrate_mild(spec).trajectory
+        zstar = StateZ(rng.normal(size=2), rng.normal(size=2))
+        with pytest.raises(ConfigError, match="141 steps") as exc:
+            pullback_control(None, traj, sigma, zstar, spec)
+        assert exc.value.key == "experiment.sigmas[0]"
+        with pytest.raises(ConfigError, match="141 steps") as exc:
+            approx_experiment(spec, None, zstar, [sigma])
+        assert exc.value.key == "experiment.sigmas[0]"
 
     def test_restriction_is_bitwise_nominal(self, bounded_benchmark, rng):
         spec = bounded_benchmark
@@ -323,8 +355,9 @@ class TestApproxExperiment:
 
     def test_windows_must_decrease(self, bounded_benchmark, rng):
         zstar = StateZ(rng.normal(size=4), rng.normal(size=4))
-        with pytest.raises(ValueError, match="decrease"):
+        with pytest.raises(ConfigError, match="decrease") as exc:
             approx_experiment(bounded_benchmark, None, zstar, [0.02, 0.04])
+        assert exc.value.key == "experiment.sigmas[1]"
 
 
 class TestSteeringTarget:
@@ -479,7 +512,5 @@ class TestExactFixedPoint:
             n_steps=500,
             nonlinearity=make_nonlinearity("control_saturation", 4, {"amp": 0.1}),
         )
-        from beamctl.errors import ConfigError
-
         with pytest.raises(ConfigError, match="control-independent"):
             exact_fixed_point(spec, zero_state(4))
