@@ -146,10 +146,11 @@ class Nonlinearity:
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
-    def envelope(self, x: float) -> float:
+    def envelope(self, x):
+        """The envelope function at segment norms x, elementwise (a scalar or an array)."""
         if self.envelope_kind == "zero":
-            return 0.0
-        return float(min(x, self.envelope_cap))
+            return np.zeros(np.shape(x))
+        return np.minimum(x, self.envelope_cap)
 
     def evaluate(self, t, delayed: np.ndarray, u_val: np.ndarray | None) -> np.ndarray:
         """f at time t from `delayed`, the (2, N) right-limit state at t - r, and the control.

@@ -37,6 +37,8 @@ y = (y - s) + (h/2 g + h/2 u).  The load and the catalog term
 n_r = r/h steps back, so a block holds at most n_r nodes: every delayed
 node it reads is closed before it starts, and the terms are elementwise in
 the node, so each row is bitwise the row of a node-by-node evaluation.
+The rows are zeros when a problem has neither term, so every problem runs
+the same block code.
 
 Restart nodes close at once: the start node, every impulse, every control
 mark and the largest lag tau_q.  There the sweep applies the jump,
@@ -44,7 +46,10 @@ evaluates the right-limit source again as a one-node block and takes the
 next step with F from the closed row [w, y, s].  Every sweep of a problem
 (a history sweep to tau_q, the continuation from there, a tail from a
 pull-back switch, which is a control mark, or one sweep over all of
-[0, T]) thus runs the same arithmetic at each node.
+[0, T]) thus runs the same arithmetic at each node, and the same guard at
+its end: overflow inside a sweep is not warned about, and a node whose
+energy norm is not finite ends it with NumericalError naming the node's
+time and the sweep.
 
 The nonlocal initial condition prescribes the history only implicitly
 (through segments of the solution at the positive lag times), so the whole
@@ -54,12 +59,14 @@ residual instead of the whole-trajectory change keeps termination causal:
 nodes beyond the largest lag never influence the iteration count.  So the
 history sweeps stop at the largest lag tau_q, and once the residual is
 met the converged sweep continues from there to T, once; the sweep being
-causal, that is bitwise the full sweep.  Likewise a run whose control
-departs from a converged run's only after the largest lag repeats its
-history iteration exactly, and `integrate_tail` integrates just the part
-after the departure.  A run whose control is close to a converged run's
-can start its history iteration from that run's history (`warm`), which
-needs fewer sweeps to meet the same residual.
+causal, that is bitwise the full sweep.  Without lags the one history
+sweep runs to T and meets the residual, exactly 0, at once.  Likewise a
+run whose control departs from a converged run's only after the largest
+lag repeats its history iteration exactly, and `integrate_tail`
+integrates just the part after the departure.  A run whose control is
+close to a converged run's can start its history iteration from that
+run's history (`warm`), which needs fewer sweeps to meet the same
+residual.
 """
 
 from __future__ import annotations
@@ -331,7 +338,7 @@ def history_segment(
             f"history file {path} must sample exactly [-r, 0] with r={p.r}", "params.path"
         )
     step = p.r / (n - 1)
-    if not np.abs(np.diff(ts) - step).max() <= 1e-9 * p.r:
+    if not (np.isfinite(ts).all() and np.abs(np.diff(ts) - step).max() <= 1e-9 * p.r):
         raise ConfigError(
             f"history file {path} must sample [-r, 0] at uniform spacing r/{n - 1}",
             "params.path",
@@ -369,9 +376,10 @@ def node_sources(spec: ProblemSpec, values: np.ndarray):
     evaluates the load p(t) and the catalog term f, which reads the state
     `values[node - n_r]` at t - r and the control row `u_rows[k]` (None if no
     entry reads the control), for the n nodes first, ..., first + n - 1 at
-    once, as they are when it is called.  It returns the (n, N) rows, or None
-    when both terms are zero; a single node is a block of one with bitwise
-    the same row.  The cable force reads the node itself (`_sweep_kernel`).
+    once, as they are when it is called.  It returns the (n, N) rows, zeros
+    when both terms are zero (a zero term is never evaluated); a single node
+    is a block of one with bitwise the same row.  The cable force reads the
+    node itself (`_sweep_kernel`).
     """
     n_r = spec.n_r
     h = spec.h
@@ -379,13 +387,13 @@ def node_sources(spec: ProblemSpec, values: np.ndarray):
     forcing = None if spec.forcing.is_zero else spec.forcing
     nonlinearity = None if spec.nonlinearity.is_zero else spec.nonlinearity
 
-    def block(first: int, n: int, u_rows: np.ndarray | None) -> np.ndarray | None:
+    def block(first: int, n: int, u_rows: np.ndarray | None) -> np.ndarray:
         ts = h * np.arange(first - n_r, first - n_r + n)
         total = None if forcing is None else forcing(ts)
         if nonlinearity is not None:
             f = nonlinearity.evaluate(ts, values[first - n_r : first - n_r + n], u_rows)
             total = f if total is None else total + f
-        return None if total is None else total * half_h
+        return np.zeros((n, spec.params.n_modes)) if total is None else total * half_h
 
     return block
 
@@ -452,8 +460,19 @@ def _control_nodes(u: ControlSignal | None, spec: ProblemSpec):
     return left, right, frozenset(u.left_values)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sweep(
-    spec, kernel, u_left, u_right, u_marks, prefix, prefix_marks, prefix_sources=None, last=None
+    spec,
+    kernel,
+    u_left,
+    u_right,
+    u_marks,
+    prefix,
+    prefix_marks,
+    prefix_sources=None,
+    *,
+    last=None,
+    where,
 ):
     """One explicit exponential-trapezoid pass from the last node of `prefix` to t_last.
 
@@ -466,7 +485,9 @@ def _sweep(
     most min(n_r, `_BLOCK_NODES`); a restart node ends a block, and the next
     one starts with the F-step from it.  Returns the nodes, their marks and
     the source rows h/2 g, g taken with the left control and before any
-    jump.
+    jump.  Overflow is not warned about: a node up to t_last whose energy
+    norm is not finite ends the pass with NumericalError, which names the
+    first such time and the pass, `where`.
     """
     F, K, S, P = kernel
     h, n_r = spec.h, spec.n_r
@@ -497,9 +518,7 @@ def _sweep(
         # h/2 g at closed node j with the right control, as a one-node block.
         opening[: 2 * n] = values[n_r + j].ravel()
         np.dot(np.maximum(np.dot(S, values[n_r + j, 0]), floor), P, out=out)
-        term = terms(n_r + j, 1, u_right[j : j + 1])
-        if term is not None:
-            np.add(out, term[0], out=out)
+        np.add(out, terms(n_r + j, 1, u_right[j : j + 1])[0], out=out)
         np.add(out, half_u_right[j], out=opening[2 * n :])
         return out
 
@@ -518,10 +537,7 @@ def _sweep(
             stop = min(first + block_nodes, end + 1)
             count, js, at = stop - first, slice(first, stop), slice(n_r + first, n_r + stop)
             term = terms(at.start, count, u_left[js])
-            if term is None:
-                e_all[1 : count + 1] = half_u_left[js]
-            else:
-                np.add(term, half_u_left[js], out=e_all[1 : count + 1])
+            np.add(term, half_u_left[js], out=e_all[1 : count + 1])
             for prev, pair, w, m in zip(rows[k - 1 : count], pairs[k:], ws[k:], ms[k:]):
                 np.dot(K, prev, out=pair)
                 np.dot(S, w, out=m)
@@ -530,8 +546,7 @@ def _sweep(
             # y = (y - s) + (h/2 g + h/2 u).
             src, block = sources[js], values[at]
             _cable_rows(m_all[1 : count + 1], P, src)
-            if term is not None:
-                np.add(src, term, out=src)
+            np.add(src, term, out=src)
             block[:, 0] = buf[1 : count + 1, :n]
             np.add(src, half_u_left[js], out=block[:, 1])
             np.add(buf[1 : count + 1, n : 2 * n], block[:, 1], out=block[:, 1])
@@ -543,6 +558,11 @@ def _sweep(
             values[n_r + end, 1] += ev.map.velocity_jump(end * h, marks[n_r + end], u_right[end])
         if end < last:
             reopen(end, right_src)
+    # Overflow surfaces here, as a non-finite norm; the rows after t_last are unfilled.
+    finite = np.isfinite(energy_norms(values[: n_r + last + 1], spec.params.lam))
+    if not finite.all():
+        t_bad = (int(np.argmin(finite)) - n_r) * h
+        raise NumericalError(f"state is not finite at t = {t_bad:.6g} ({where})")
     return values, marks, sources
 
 
@@ -568,23 +588,6 @@ def _nonlocal_on_history(values, marks, spec: ProblemSpec):
             acc += g * src
         gmarks[loc] = acc
     return gvals, gmarks
-
-
-def _guarded_sweep(spec: ProblemSpec, where: str, *args, last: int | None = None):
-    """`_sweep` under the non-finite guard, which names the first bad time.
-
-    The guard reads the nodes up to t_last = last*h (T by default) only:
-    the rows after it are unfilled.
-    """
-    last = spec.n_steps if last is None else last
-    # Overflow surfaces as a non-finite norm, reported below as one error.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values, marks, sources = _sweep(spec, *args, last=last)
-        finite = np.isfinite(energy_norms(values[: spec.n_r + last + 1], spec.params.lam))
-    if not finite.all():
-        t_bad = (int(np.argmin(finite)) - spec.n_r) * spec.h
-        raise NumericalError(f"state is not finite at t = {t_bad:.6g} ({where})")
-    return values, marks, sources
 
 
 def _warm_history(spec: ProblemSpec, warm: IntegrationResult):
@@ -643,16 +646,13 @@ def integrate_mild(
     residual, ratio = np.inf, np.nan
     for iteration in range(1, spec.picard_max_iter + 1):
         where = f"history sweep {iteration}"
-        values, marks, sources = _guarded_sweep(
-            spec, where, kernel, *controls, hist_values, hist_marks, last=stop
+        values, marks, sources = _sweep(
+            spec, kernel, *controls, hist_values, hist_marks, last=stop, where=where
         )
         if prev_values is not None:
             d = float(energy_norms(values[:n_read] - prev_values[:n_read], lam).max())
             ratio = d / sup_diffs[-1] if sup_diffs and sup_diffs[-1] > 0 else np.nan
             sup_diffs.append(d)
-        if spec.q == 0:
-            residual = 0.0
-            break
         gvals, gmarks = _nonlocal_on_history(values, marks, spec)
         residual = float(energy_norms(values[: n_r + 1] + gvals - rho_values, lam).max())
         if residual <= spec.picard_tol:
@@ -673,8 +673,9 @@ def integrate_mild(
             f"last contraction ratio {ratio:.3f})"
         )
     if stop < spec.n_steps:
-        values, marks, sources = _guarded_sweep(
-            spec, where, kernel, *controls, values[:n_read], marks, sources[: stop + 1]
+        where = f"continuation from t = {stop * spec.h:.6g} after history sweep {iteration}"
+        values, marks, sources = _sweep(
+            spec, kernel, *controls, values[:n_read], marks, sources[: stop + 1], where=where
         )
     traj = Trajectory(spec.h, n_r, values, marks)
     return IntegrationResult(traj, iteration, residual, tuple(sup_diffs), sources)
@@ -699,14 +700,14 @@ def integrate_tail(
         raise ValueError(f"an impulse sits at t_start = {start * h:.6g}")
     traj = nominal.trajectory
     end = spec.n_r + start + 1
-    values, marks, sources = _guarded_sweep(
+    values, marks, sources = _sweep(
         spec,
-        f"tail from t = {start * h:.6g}",
         _sweep_kernel(spec),
         *_control_nodes(u, spec),
         traj.values[:end],
         {i: v for i, v in traj.left_values.items() if i < end},
         nominal.sources[: start + 1],
+        where=f"tail from t = {start * h:.6g}",
     )
     tail = Trajectory(h, spec.n_r, values, marks)
     return IntegrationResult(tail, nominal.picard_iterations, nominal.history_residual, (), sources)

@@ -242,8 +242,7 @@ def approx_experiment(
         # switch + j of the buffer, as `node_sources` reads it.
         delayed = slice(switch, switch + n_tail + 1)
         seg_norms = energy_norms(traj.values[delayed], lam)
-        envelope = np.array([nl.alpha1 * nl.envelope(s) + nl.beta1 for s in seg_norms])
-        integrand = s_norms * envelope
+        integrand = s_norms * (nl.alpha1 * nl.envelope(seg_norms) + nl.beta1)
         bound = float(spec.h * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1])))
 
         d_delay = energy_norms(switched.values[delayed] - traj.values[delayed], lam).max()
@@ -272,14 +271,10 @@ def steering_target(
     lam = p.lam
 
     rho0 = spec.history[-1]
-    if spec.q:
-        g0 = np.zeros_like(rho0)
-        for g, node in zip(spec.gammas, spec.lag_nodes):
-            g0 += g * traj.values[spec.n_r + node]
-        z0_eff = rho0 - g0
-    else:
-        z0_eff = rho0
-    total = apply_semigroup(StateZ.from_pair(z0_eff), p.T, p).to_pair()
+    g0 = np.zeros_like(rho0)
+    for g, node in zip(spec.gammas, spec.lag_nodes):
+        g0 += g * traj.values[spec.n_r + node]
+    total = apply_semigroup(StateZ.from_pair(rho0 - g0), p.T, p).to_pair()
 
     # Trapezoid convolution of the sources, one row h/2 g per node as the
     # integrator steps, so the weights h/2 at the ends and h inside are once

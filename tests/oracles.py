@@ -851,8 +851,8 @@ def full_history_integrate(spec, u=None):
     grow_streak = 0
     residual, ratio = np.inf, np.nan
     for iteration in range(1, spec.picard_max_iter + 1):
-        values, marks, sources = dynamics._guarded_sweep(
-            spec, f"history sweep {iteration}", kernel, *controls, hist_values, hist_marks
+        values, marks, sources = dynamics._sweep(
+            spec, kernel, *controls, hist_values, hist_marks, where=f"history sweep {iteration}"
         )
         if prev_values is not None:
             d = float(energy_norms(values - prev_values, lam).max())
@@ -899,8 +899,7 @@ def per_node_sources(spec, values):
 
     def one_by_one(first, n, u_rows):
         rows = [None if u_rows is None else u_rows[k : k + 1] for k in range(n)]
-        terms = [block(first + k, 1, row) for k, row in enumerate(rows)]
-        return None if terms[0] is None else np.concatenate(terms)
+        return np.concatenate([block(first + k, 1, row) for k, row in enumerate(rows)])
 
     return one_by_one
 
@@ -921,9 +920,7 @@ def one_node_sources(spec, traj, u_rows=None):
     for j, row in enumerate(rows):
         i = traj.n_history + j
         np.dot(np.maximum(np.dot(S, traj.values[i, 0]), 0.0), P, out=row)
-        term = block(i, 1, None if u_rows is None else u_rows[j : j + 1])
-        if term is not None:
-            np.add(row, term[0], out=row)
+        np.add(row, block(i, 1, None if u_rows is None else u_rows[j : j + 1])[0], out=row)
     return rows
 
 

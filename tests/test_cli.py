@@ -293,6 +293,11 @@ class TestCli:
                 "history.params.path",
                 id="history-file-nan-time",
             ),
+            pytest.param(
+                HistoryFile(HISTORY_HEAD + "inf,0,0,0,0,0,0,0,0\n" * 2 + "0,0,0,0,0,0,0,0,0\n"),
+                "history.params.path",
+                id="history-file-inf-times",
+            ),
             pytest.param({"output": {"dir": None}}, "output.dir", id="output-dir-null"),
             pytest.param({"output": {"prefix": ["a", "b"]}}, "output.prefix", id="prefix-list"),
             pytest.param(

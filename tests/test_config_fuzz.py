@@ -10,17 +10,28 @@ tries the same cases.  Sizes stay within the shipped configs' (n_modes
 and G are never raised, and T/h only past the step ceiling, which is
 checked before anything is allocated), so no case allocates more than
 they do.
+
+A second fuzz writes the contents of a `file` history for simulate_demo:
+0-6 rows at uniform, jittered, random, reversed or non-finite times, with
+at most one defect (a wrong column count, a NaN, infinite or overflowing
+value, a token that is not a number).  `check` must exit 0, or exit 2
+with one `error: config: history.params.path:` line, no traceback, no
+warning and no output.
 """
 
 import contextlib
 import copy
 import io
 import shutil
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 import yaml
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beamctl.cli import main
 
@@ -131,4 +142,79 @@ def test_bad_value_exits_2_at_load(tmp_path_factory, case):
     lines = err.getvalue().splitlines()
     assert rc == 2, (path, lines)
     assert len(lines) == 1 and lines[0].startswith("error: config: "), (path, lines)
+    assert not out.exists()
+
+
+# A `file` history for simulate_demo (4 modes, r = 0.3): columns t, w_1..w_4,
+# y_1..y_4 after one header line.
+HISTORY_R = SHIPPED["simulate_demo"]["model"]["r"]
+HISTORY_COLUMNS = 1 + 2 * SHIPPED["simulate_demo"]["model"]["n_modes"]
+NOT_A_FLOAT = ["x", "", "1.0.0", "--1", "0x10", "nan0", "1e", "[0]"]
+EXTREME = ["inf", "nan", "-inf", "1e308", "-1e308", "1e999", "NaN", "+inf"]
+
+
+@st.composite
+def history_files(draw):
+    """The text of a history file: its row count, its times and at most one defect vary."""
+    defect = draw(st.sampled_from(["none", "extreme", "token", "columns", "row-columns"]))
+    spacing = draw(st.sampled_from(["uniform", "jittered", "random", "reversed", "extreme"]))
+    n_rows = draw(st.integers(0, 6))
+    times = np.linspace(-HISTORY_R, 0.0, n_rows)
+    if spacing == "jittered":
+        scale = draw(st.sampled_from([1e-13, 1e-10, 1e-6, 1e-2]))
+        times = times + scale * draw(arrays(float, n_rows, elements=st.floats(-1, 1)))
+    elif spacing == "random":
+        times = np.sort(draw(arrays(float, n_rows, elements=st.floats(-HISTORY_R, 0.0))))
+    elif spacing == "reversed":
+        times = times[::-1]
+    values = draw(arrays(float, (n_rows, HISTORY_COLUMNS - 1), elements=st.floats(-1e3, 1e3)))
+    rows = [[repr(float(t)), *map(repr, row.tolist())] for t, row in zip(times, values)]
+    if spacing == "extreme":  # the interior times, with the end points kept
+        token = draw(st.sampled_from(EXTREME))
+        for row in rows[1:-1]:
+            row[0] = token
+    if rows and defect == "columns":
+        n_cols = draw(st.sampled_from([1, HISTORY_COLUMNS - 1, HISTORY_COLUMNS + 1]))
+        rows = [(row + ["0"])[:n_cols] for row in rows]
+    elif rows and defect == "row-columns":
+        row = rows[draw(st.integers(0, n_rows - 1))]
+        if draw(st.booleans()):
+            row.append("0")
+        else:
+            row.pop()
+    elif rows and defect in ("extreme", "token"):
+        row = rows[draw(st.integers(0, n_rows - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(
+            st.sampled_from(EXTREME if defect == "extreme" else NOT_A_FLOAT)
+        )
+    header = "t," + ",".join(f"c{j}" for j in range(1, HISTORY_COLUMNS))
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
+@seed(3)
+@settings(max_examples=150, database=None, deadline=None)
+@given(text=history_files())
+def test_history_file_exits_0_or_2_naming_the_path(tmp_path_factory, text):
+    base = tmp_path_factory.getbasetemp() / "history-fuzz"
+    base.mkdir(exist_ok=True)
+    history = base / "history.csv"
+    history.write_text(text)
+    data = copy.deepcopy(SHIPPED["simulate_demo"])
+    data["history"] = {"catalog": "file", "params": {"path": str(history)}}
+    config = base / "simulate_demo.yaml"
+    config.write_text(yaml.safe_dump(data))
+    out = base / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    # A numpy warning fails the case: it would print outside the error line.
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["check", "--config", str(config), "--out", str(out)])
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert lines == [], (text, lines)
+        return
+    assert rc == 2, (text, lines)
+    assert len(lines) == 1, (text, lines)
+    assert lines[0].startswith("error: config: history.params.path: "), (text, lines)
     assert not out.exists()

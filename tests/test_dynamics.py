@@ -51,6 +51,15 @@ def random_segment(rng, p, n_nodes=51):
 
 
 class TestSourceTerm:
+    def test_node_sources_without_terms_are_zero_rows(self, grid129):
+        # No load and no catalog term: a block of zero rows, which reads no
+        # node (the buffer holds NaN), for a block and for a block of one.
+        p = ModelParams(c=1.0, d=1.0, k=5.0, n_modes=4, T=1.0, r=0.25)
+        spec = ProblemSpec(params=p, grid=grid129, n_steps=200)
+        block = dynamics.node_sources(spec, np.full((spec.n_r + 201, 2, 4), np.nan))
+        for first, n in ((spec.n_r + 10, 7), (spec.n_r + 3, 1)):
+            assert np.array_equal(block(first, n, None), np.zeros((n, 4)))
+
     def test_zero_when_position_nonpositive(self, grid129):
         p = ModelParams(c=1.0, d=1.0, k=5.0, n_modes=4, T=1.0, r=0.25)
         spec = ProblemSpec(params=p, grid=grid129, n_steps=100)
@@ -435,7 +444,9 @@ class TestExplicitSweep:
         spec, u = self._case(case, grid129, rng)
         explicit = integrate_mild(spec, u)
 
-        def implicit_sweep(spec, kernel, u_left, u_right, u_marks, prefix, marks, *_, last):
+        def implicit_sweep(
+            spec, kernel, u_left, u_right, u_marks, prefix, marks, *_, last=None, where
+        ):
             # The implicit sweep always runs from the history in `prefix` to T
             # (a continuation repeats the converged sweep) and records no
             # source rows.
@@ -579,7 +590,8 @@ class TestExplicitSweep:
         # 1e300 overflows only the energy norm; a second 1e308 kick
         # overflows the state itself.  Either way: one error, no warning.
         # With lags, both kicks lie past the largest lag, where only the
-        # continuation of the converged history sweep reaches.
+        # continuation of the converged history sweep reaches, and the error
+        # names it.
         p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
         kicks = tuple(
             ImpulseEvent(t, _kick("velocity_kick", a)) for t, a in zip((0.5, 0.6), amps)
@@ -593,8 +605,37 @@ class TestExplicitSweep:
             gammas=gammas,
             history=constant_history(p, 200, w=[0.4], y=[0.2]),
         )
-        with pytest.raises(NumericalError, match=r"not finite at t = 0\.5 "):
+        where = "history sweep 1"
+        if lags:
+            where = r"continuation from t = 0\.2 after history sweep \d+"
+        with pytest.raises(NumericalError, match=rf"not finite at t = 0\.5 \({where}\)$"):
             integrate_mild(spec)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_control_names_the_pass_it_reaches(self, grid129):
+        # A control of 1e300 from t = 0.6 on, past the only lag 0.1: the
+        # history sweeps stop at 0.1 and stay finite, so the continuation
+        # after the last of them meets the overflow, as does a tail
+        # integrated from the switch.
+        p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
+        spec = ProblemSpec(
+            params=p,
+            grid=grid129,
+            n_steps=200,
+            lags=(0.1,),
+            gammas=(0.05,),
+            history=constant_history(p, 200, w=[0.4], y=[0.2]),
+        )
+        values = np.zeros((201, 4))
+        values[120:] = 1e300
+        u = ControlSignal(0.0, 1.0, values, {120: np.zeros(4)})
+        nominal = integrate_mild(spec)
+        where = rf"continuation from t = 0\.1 after history sweep {nominal.picard_iterations}"
+        with pytest.raises(NumericalError, match=rf"not finite at t = 0\.605 \({where}\)$"):
+            integrate_mild(spec, u)
+        where = r"tail from t = 0\.6"
+        with pytest.raises(NumericalError, match=rf"not finite at t = 0\.605 \({where}\)$"):
+            dynamics.integrate_tail(spec, nominal, u, 120)
 
     def test_diverging_history_stops_early(self, grid129, monkeypatch):
         p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
