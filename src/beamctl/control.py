@@ -342,7 +342,8 @@ def integrate_linear(z0: StateZ, u: ControlSignal, p: ModelParams) -> np.ndarray
     half_right = np.multiply(right, 0.5 * u.step, out=rows[:, 2 * n :])
     half_left = half_right if left is right else np.multiply(left, 0.5 * u.step)
     rows[0, : 2 * n] = z0.to_pair().ravel()
+    f_dot = F.dot  # bound: skips `np.dot`'s Python-level dispatch, same product
     for prev, pair, y, half_u in zip(rows, rows[1:, : 2 * n], rows[1:, n : 2 * n], half_left[1:]):
-        np.dot(F, prev, out=pair)
+        f_dot(prev, pair)
         np.add(y, half_u, out=y)
     return rows[:, : 2 * n].reshape(-1, 2, n)

@@ -513,11 +513,15 @@ def _sweep(
     rows, pairs, ws, ms = list(buf), list(buf[:, : 2 * n]), list(buf[:, :n]), list(m_all)
     opening = np.empty(3 * n)
     floor = np.zeros(n_grid)  # `np.maximum` converts a scalar 0 on every call
+    # Bound `ndarray.dot` skips `np.dot`'s Python-level dispatch and runs the
+    # same product.  `out` stays a keyword of `np.maximum`: positionally it
+    # is deprecated and takes the warning path.
+    f_dot, k_dot, s_dot, maximum = F.dot, K.dot, S.dot, np.maximum
 
     def reopen(j: int, out: np.ndarray) -> np.ndarray:
         # h/2 g at closed node j with the right control, as a one-node block.
         opening[: 2 * n] = values[n_r + j].ravel()
-        np.dot(np.maximum(np.dot(S, values[n_r + j, 0]), floor), P, out=out)
+        maximum(s_dot(values[n_r + j, 0]), floor).dot(P, out)
         np.add(out, terms(n_r + j, 1, u_right[j : j + 1])[0], out=out)
         np.add(out, half_u_right[j], out=opening[2 * n :])
         return out
@@ -529,9 +533,9 @@ def _sweep(
     for end in restarts:
         # The nodes after a restart node, up to the next one: the first
         # steps with F from the closed row, the others with K.
-        np.dot(F, opening, out=pairs[1])
-        np.dot(S, ws[1], out=ms[1])
-        np.maximum(ms[1], floor, out=ms[1])
+        f_dot(opening, pairs[1])
+        s_dot(ws[1], ms[1])
+        maximum(ms[1], floor, out=ms[1])
         k = 2
         while first <= end:
             stop = min(first + block_nodes, end + 1)
@@ -539,9 +543,9 @@ def _sweep(
             term = terms(at.start, count, u_left[js])
             np.add(term, half_u_left[js], out=e_all[1 : count + 1])
             for prev, pair, w, m in zip(rows[k - 1 : count], pairs[k:], ws[k:], ms[k:]):
-                np.dot(K, prev, out=pair)
-                np.dot(S, w, out=m)
-                np.maximum(m, floor, out=m)
+                k_dot(prev, pair)
+                s_dot(w, m)
+                maximum(m, floor, out=m)
             # Close the block: source rows h/2 g = P^T m + h/2 (p + f), and
             # y = (y - s) + (h/2 g + h/2 u).
             src, block = sources[js], values[at]
@@ -605,7 +609,11 @@ def _warm_history(spec: ProblemSpec, warm: IntegrationResult):
 
 
 def integrate_mild(
-    spec: ProblemSpec, u: ControlSignal | None = None, *, warm: IntegrationResult | None = None
+    spec: ProblemSpec,
+    u: ControlSignal | None = None,
+    *,
+    warm: IntegrationResult | None = None,
+    tol: float | None = None,
 ) -> IntegrationResult:
     """Resolve the mild solution on [-r, T] under the control u (None: zero).
 
@@ -615,8 +623,9 @@ def integrate_mild(
     nonlocal combination of its own lagged segments.  That implicit
     coupling is resolved by Picard iteration over candidate histories,
     starting from the history with the nonlocal term dropped, until the
-    history-consistency residual falls below `picard_tol`.  The residual and
-    the next candidate read no node past the largest lag tau_q, so each
+    history-consistency residual falls below `tol`: `spec.picard_tol` by
+    default, looser where `exact_fixed_point` needs no more.  The residual
+    and the next candidate read no node past the largest lag tau_q, so each
     history sweep stops there; the converged one then continues to T, once.
     The iteration stops with NumericalError when a sweep leaves the finite
     range or the successive sweep differences on [-r, tau_q] grow three
@@ -629,6 +638,7 @@ def integrate_mild(
     `warm` was run with the same control, its history already meets the
     residual and one sweep returns that run bit for bit.
     """
+    tol = spec.picard_tol if tol is None else tol
     controls = _control_nodes(u, spec)
     rho_values, n_r = spec.history, spec.n_r
     lam = spec.params.lam
@@ -655,7 +665,7 @@ def integrate_mild(
             sup_diffs.append(d)
         gvals, gmarks = _nonlocal_on_history(values, marks, spec)
         residual = float(energy_norms(values[: n_r + 1] + gvals - rho_values, lam).max())
-        if residual <= spec.picard_tol:
+        if residual <= tol:
             break
         grow_streak = grow_streak + 1 if np.isfinite(ratio) and ratio > 1.0 else 0
         if grow_streak >= 3:
@@ -668,7 +678,7 @@ def integrate_mild(
         prev_values = values
     else:
         raise NumericalError(
-            f"history iteration did not reach tol={spec.picard_tol} in "
+            f"history iteration did not reach tol={tol} in "
             f"{spec.picard_max_iter} sweeps (residual {residual:.3e}, "
             f"last contraction ratio {ratio:.3f})"
         )

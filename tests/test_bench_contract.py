@@ -72,4 +72,6 @@ def test_exact_integrations_go_through_the_traced_name(monkeypatch):
     out = synthesis.exact_fixed_point(cfg.problem, cfg.zstar, cfg.tol, cfg.max_iter)
     assert len(out.iterations) == 6
     assert [warm for warm, _ in calls] == [False] + [True] * 6
-    assert sum(sweeps for _, sweeps in calls) == 32
+    # The inner solves are only as tight as the outer change needs: 16
+    # history sweeps where solving each to `picard_tol` takes 32.
+    assert sum(sweeps for _, sweeps in calls) == 16

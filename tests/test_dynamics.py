@@ -531,17 +531,20 @@ class TestExplicitSweep:
         # lags (0.1, 0.2), impulses at nodes 40 and 130 and control marks at
         # nodes 40 and 130, so each history sweep (to node 40) takes F once,
         # and the continuation from node 40 takes it there and at node 130.
+        # The sweep binds `F.dot` and `K.dot`, so the step matrices are
+        # handed to it as views whose `dot` records the call.
         spec, u = self._case("control_saturation+control_kick+marked_control", grid129, rng)
         F, K, S, P = dynamics._sweep_kernel(spec)
-        steps, real_dot = [], np.dot
+        steps = []
 
-        def dot(a, *args, **kwargs):
-            if a is F or a is K:
-                steps.append("F" if a is F else "K")
-            return real_dot(a, *args, **kwargs)
+        class Counted(np.ndarray):
+            def dot(self, *args, **kwargs):
+                steps.append(self.label)
+                return super().dot(*args, **kwargs)
 
+        F, K = F.view(Counted), K.view(Counted)
+        F.label, K.label = "F", "K"
         monkeypatch.setattr(dynamics, "_sweep_kernel", lambda spec: (F, K, S, P))
-        monkeypatch.setattr(dynamics.np, "dot", dot)
         res = integrate_mild(spec, u)
         monkeypatch.undo()
         sweeps = res.picard_iterations

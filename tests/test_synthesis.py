@@ -504,6 +504,15 @@ class TestExactFixedPoint:
         assert warm.result.history_residual <= spec.picard_tol
         assert warm.terminal_error <= 1e-6
 
+    @pytest.mark.parametrize("tol", [1e-5, 1e-6])
+    def test_loose_outer_tolerance_still_returns_a_resolved_history(self, tol):
+        # A loose outer tolerance stops while the inner solves are still
+        # loose; the returned iterate is resolved to `picard_tol` all the
+        # same (without a final solve it reads 1.3e-9 at tol 1e-5).
+        cfg = parse_config(CONFIGS / "exact_benchmark.yaml")
+        out = exact_fixed_point(cfg.problem, cfg.zstar, tol=tol, max_iter=50)
+        assert out.result.history_residual <= cfg.problem.picard_tol
+
     def test_control_dependent_entries_rejected(self, grid129, rng):
         p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
         spec = ProblemSpec(
