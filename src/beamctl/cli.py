@@ -98,8 +98,8 @@ def _cmd_simulate(cfg: RunConfig, out: Path, prefix: str, say) -> None:
 def _cmd_gramian(cfg: RunConfig, out: Path, prefix: str, say) -> None:
     p = cfg.params
     blocks = [mode_gramian(n, cfg.t0, p.T, p) for n in range(1, p.n_modes + 1)]
-    conds = [weighted_cond(w, lam) for w, lam in zip(blocks, p.lam)]
-    say(f"worst weighted condition number: {max(conds):.6g}")
+    conds = weighted_cond(blocks, p.lam)
+    say(f"worst weighted condition number: {conds.max():.6g}")
     write_csv(
         out / f"{prefix}_gramian.csv",
         ["n", "W11", "W12", "W21", "W22", "cond"],

@@ -183,18 +183,17 @@ def mode_gramian(n: int, t0: float, t1: float, p: ModelParams) -> np.ndarray:
     return np.array([[lam * i00, i01], [lam * i01, i11]])
 
 
-def weighted_cond(w: np.ndarray, lam: float) -> float:
-    """Condition number of the Gramian block in the energy inner product."""
+def weighted_cond(w, lam) -> np.ndarray:
+    """Energy-weighted condition numbers of (..., 2, 2) Gramian blocks; inf if not definite."""
+    w = np.asarray(w, dtype=float)
     rl = np.sqrt(lam)
-    s01 = rl * w[0, 1]
-    tr = w[0, 0] + w[1, 1]
-    det = w[0, 0] * w[1, 1] - s01 * (w[1, 0] / rl)
-    gap = np.sqrt(max(tr * tr - 4.0 * det, 0.0))
+    w00, w01, w10, w11 = w[..., 0, 0], w[..., 0, 1], w[..., 1, 0], w[..., 1, 1]
+    tr = w00 + w11
+    det = w00 * w11 - (rl * w01) * (w10 / rl)
+    gap = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
     emax = 0.5 * (tr + gap)
     emin = 0.5 * (tr - gap)
-    if emin <= 0:
-        return np.inf
-    return float(emax / emin)
+    return np.divide(emax, emin, out=np.full_like(emax, np.inf), where=emin > 0)
 
 
 @dataclass(frozen=True)
@@ -203,8 +202,9 @@ class GramianSet:
 
     `steering` is the control-grid trapezoid rule applied to the force
     column (`e01`, `e11`) of the propagator at t1 - t_i, tabulated at the
-    control nodes t_i, one column per mode.  `cond` is the energy-weighted
-    condition number of each steering block.
+    control nodes t_i, one column per mode: the one force-column table of
+    the window, which the steering target over [0, T] reads too.  `cond`
+    is the energy-weighted condition number of each steering block.
     """
 
     t0: float
@@ -248,8 +248,7 @@ def build_gramian_set(t0: float, t1: float, p: ModelParams, n_steps: int) -> Gra
     W[:, 1, 0] = lam * W[:, 0, 1]
     W[:, 1, 1] = np.sum(w[:, None] * e11**2, axis=0)
 
-    cond = np.array([weighted_cond(W[i], lam[i]) for i in range(p.n_modes)])
-    return GramianSet(t0, t1, W, _invert_blocks(W), cond, e01, e11)
+    return GramianSet(t0, t1, W, _invert_blocks(W), weighted_cond(W, lam), e01, e11)
 
 
 def controllability_map(u: ControlSignal, p: ModelParams) -> StateZ:

@@ -67,31 +67,28 @@ def _branch_coefficients(shift, det, t):
     """Pair (C0, C1) with exp(Mt) = exp(shift*t) * (C0*I + C1*(M - shift*I)).
 
     Valid for any real 2x2 M with trace 2*shift and determinant det, since
-    (M - shift*I)^2 = (shift^2 - det) * I by Cayley-Hamilton.  Arguments
-    broadcast; `t` may be an array.
+    (M - shift*I)^2 = q*I, q = shift^2 - det, by Cayley-Hamilton.  Each
+    entry's branch is decided by its own q and evaluated on its entries only:
+    (1, t) where |q| is under the threshold or 0, cosh/sinh of sqrt(q)*t
+    where q > 0, cos/sin otherwise.  Arguments broadcast; `t` may be an array.
     """
     shift = np.asarray(shift, dtype=float)
     det = np.asarray(det, dtype=float)
     t = np.asarray(t, dtype=float)
     quarter_disc = shift**2 - det
     thresh = _DISC_RTOL * np.maximum(shift**2, np.abs(det))
+    repeated = (np.abs(quarter_disc) < thresh) | (quarter_disc == 0)
+    hyperbolic = (quarter_disc > 0) & ~repeated
+    oscillatory = ~(repeated | hyperbolic)
 
     omega = np.sqrt(np.abs(quarter_disc))
-    # np.where evaluates both sides, so mask the hyperbolic arguments to
-    # zero on oscillatory entries (cosh would overflow at their omega) and
-    # guard the 0/0 of the repeated-root limit.
-    safe = np.where(omega > 0, omega, 1.0)
-    hyperbolic = quarter_disc >= 0
     wt = omega * t
-    wt_hyp = np.where(hyperbolic, wt, 0.0)
-    osc_c0 = np.cos(wt)
-    osc_c1 = np.sin(wt) / safe
-    hyp_c0 = np.cosh(wt_hyp)
-    hyp_c1 = np.sinh(wt_hyp) / safe
-
-    repeated = np.abs(quarter_disc) < thresh
-    c0 = np.where(repeated, 1.0, np.where(hyperbolic, hyp_c0, osc_c0))
-    c1 = np.where(repeated, t * np.ones_like(wt), np.where(hyperbolic, hyp_c1, osc_c1))
+    c0 = np.ones(wt.shape)
+    c1 = np.array(np.broadcast_to(t, wt.shape))
+    for on, even, odd in ((oscillatory, np.cos, np.sin), (hyperbolic, np.cosh, np.sinh)):
+        even(wt, out=c0, where=on)
+        odd(wt, out=c1, where=on)
+        np.divide(c1, omega, out=c1, where=on)
     return c0, c1
 
 

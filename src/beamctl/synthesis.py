@@ -259,21 +259,24 @@ def approx_experiment(
 
 
 def steering_target(
-    traj: Trajectory, zstar: StateZ, spec: ProblemSpec, sources: np.ndarray
+    traj: Trajectory, zstar: StateZ, spec: ProblemSpec, sources: np.ndarray, gs: GramianSet
 ) -> StateZ:
     """What the control channel must deliver for the trajectory to end at zstar.
 
     Subtracts from the target the propagated effective initial state, the
     convolved perturbation, and the propagated impulse jumps, all evaluated
     on the given trajectory.  `sources` holds the trajectory's per-node
-    source rows h/2 g, as `IntegrationResult.sources` records them.
-    Requires control-independent catalogs.
+    source rows h/2 g, as `IntegrationResult.sources` records them; they are
+    convolved against the force column of `gs`, the steering Gramian set
+    over [0, T] on the same grid.  Requires control-independent catalogs.
     """
     if spec.u_dependent:
         raise ConfigError(
             "steering target needs control-independent perturbation and impulse entries"
         )
     p = spec.params
+    if (gs.t0, gs.t1, gs.e01.shape) != (0.0, p.T, (spec.n_steps + 1, p.n_modes)):
+        raise ValueError("steering target needs the Gramian set over [0, T] on the run's grid")
     lam = p.lam
 
     rho0 = spec.history[-1]
@@ -287,12 +290,10 @@ def steering_target(
     # and twice a row; impulse nodes need no second row, since the source
     # reads the position, which does not jump.  The sum over axis 0 adds the
     # rows in node order, as a loop over the nodes would.
-    h = spec.h
-    _, e01, _, e11 = propagator_entries_for(p.T - h * np.arange(spec.n_steps + 1), lam, p.c, p.d)
     wt = np.full((spec.n_steps + 1, 1), 2.0)
     wt[0] = wt[-1] = 1.0
-    total[0] += (wt * e01 * sources).sum(axis=0)
-    total[1] += (wt * e11 * sources).sum(axis=0)
+    total[0] += (wt * gs.e01 * sources).sum(axis=0)
+    total[1] += (wt * gs.e11 * sources).sum(axis=0)
 
     for ev, node in zip(spec.impulses, spec.impulse_nodes):
         left = traj.left_values[spec.n_r + node]
@@ -367,7 +368,7 @@ def exact_fixed_point(
     diffs: list[float] = []
     grow_streak = 0
     for it in range(1, max_iter + 1):
-        xi = steering_target(prev.trajectory, zstar, spec, prev.sources)
+        xi = steering_target(prev.trajectory, zstar, spec, prev.sources, gs)
         control = minimum_energy_control(xi, gs, p)
         current = integrate_mild(spec, control, warm=prev, tol=inner_tol)
         d = current.trajectory.sup_diff(prev.trajectory)

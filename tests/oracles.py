@@ -17,9 +17,12 @@ package did before it warm-started them, and `loop_steering_target` sums
 the steering target's source convolution one node at a time, as the package
 did before it summed it in one pass, and `one_node_sources` evaluates the
 source rows node by node, as the steering target did before it took the
-rows that the integration records.  `resample_history` samples a
-history `Segment` at the trajectory nodes, as the package did on every
-integration before the history became a node array fixed at load.
+rows that the integration records.  `where_branch_coefficients` is the
+propagator's former branch formula, which evaluated all three branches on
+every entry and picked one with nested `np.where`; it is the bitwise
+reference for the per-entry branch that replaced it.  `resample_history`
+samples a history `Segment` at the trajectory nodes, as the package did on
+every integration before the history became a node array fixed at load.
 `simpson_gramian` integrates the package's own propagator entries, but by
 a quadrature the package no longer uses.  `sampled_operator_norm` and
 `sampled_gamma_norm` are the certificate's former grid estimates of M and
@@ -57,6 +60,7 @@ from beamctl.control import (
 from beamctl.dynamics import IntegrationResult, Trajectory, integrate_mild
 from beamctl.errors import NumericalError
 from beamctl.semigroup import (
+    _DISC_RTOL,
     _branch_coefficients,
     apply_semigroup,
     operator_norm_bound,
@@ -180,6 +184,38 @@ def expm2(a: np.ndarray, t: float) -> np.ndarray:
     scale = np.exp(shift * t)
     b = a - shift * np.eye(2)
     return scale * (float(c0) * np.eye(2) + float(c1) * b)
+
+
+def where_branch_coefficients(shift, det, t):
+    """`semigroup._branch_coefficients` as it evaluated all three branches everywhere.
+
+    Takes the same broadcasting arguments; it differs from the package only
+    at q = shift^2 - det = 0 under a zero threshold, which it sends to the
+    hyperbolic branch (C1 = sinh(0)/1 = 0) instead of the repeated root.
+    """
+    shift = np.asarray(shift, dtype=float)
+    det = np.asarray(det, dtype=float)
+    t = np.asarray(t, dtype=float)
+    quarter_disc = shift**2 - det
+    thresh = _DISC_RTOL * np.maximum(shift**2, np.abs(det))
+
+    omega = np.sqrt(np.abs(quarter_disc))
+    # np.where evaluates both sides, so mask the hyperbolic arguments to
+    # zero on oscillatory entries (cosh would overflow at their omega) and
+    # guard the 0/0 of the repeated-root limit.
+    safe = np.where(omega > 0, omega, 1.0)
+    hyperbolic = quarter_disc >= 0
+    wt = omega * t
+    wt_hyp = np.where(hyperbolic, wt, 0.0)
+    osc_c0 = np.cos(wt)
+    osc_c1 = np.sin(wt) / safe
+    hyp_c0 = np.cosh(wt_hyp)
+    hyp_c1 = np.sinh(wt_hyp) / safe
+
+    repeated = np.abs(quarter_disc) < thresh
+    c0 = np.where(repeated, 1.0, np.where(hyperbolic, hyp_c0, osc_c0))
+    c1 = np.where(repeated, t * np.ones_like(wt), np.where(hyperbolic, hyp_c1, osc_c1))
+    return c0, c1
 
 
 def adjoint_blocks(t: float, p) -> np.ndarray:
@@ -928,9 +964,11 @@ def loop_steering_target(traj, zstar, spec, sources=None) -> StateZ:
     """`steering_target` with the source convolution summed one node at a time.
 
     The package's former loop, kept as the bitwise reference for the
-    one-pass sum that replaced it; missing source rows h/2 g are evaluated
-    one node at a time (`one_node_sources`), as the package's own fallback
-    did before the recorded rows became the only input.
+    one-pass sum that replaced it; it tabulates the force column itself, as
+    the package did before the steering target read its Gramian set's.
+    Missing source rows h/2 g are evaluated one node at a time
+    (`one_node_sources`), as the package's own fallback did before the
+    recorded rows became the only input.
     """
     p = spec.params
     lam = p.lam
@@ -980,7 +1018,7 @@ def cold_exact_fixed_point(spec, zstar, tol: float = 1e-8, max_iter: int = 50):
     prev = integrate_mild(spec, None)
     rows, diffs = [], []
     for it in range(1, max_iter + 1):
-        xi = steering_target(prev.trajectory, zstar, spec, prev.sources)
+        xi = steering_target(prev.trajectory, zstar, spec, prev.sources, gs)
         control = minimum_energy_control(xi, gs, p)
         current = integrate_mild(spec, control)
         d = current.trajectory.sup_diff(prev.trajectory)

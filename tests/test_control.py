@@ -10,6 +10,7 @@ from beamctl.control import (
     minimum_energy_control,
     mode_gramian,
     steering_control,
+    weighted_cond,
 )
 from beamctl.errors import NumericalError
 from beamctl.semigroup import ModelParams, apply_semigroup, propagator_entries_for
@@ -158,6 +159,20 @@ class TestGramianSet:
         err_coarse = np.abs(coarse.steering - reference).max()
         err_fine = np.abs(fine.steering - reference).max()
         assert err_fine < err_coarse / 50.0
+
+    def test_cond_reads_stacked_blocks(self, p8):
+        # One call on the stack gives each block's own condition number, the
+        # ratio of the symmetrized block's eigenvalues; a block that is not
+        # positive definite reads inf (and warns of nothing: Tier-1 makes a
+        # RuntimeWarning an error).
+        gs = build_gramian_set(0.0, 1.0, p8, 2000)
+        lam = eigenvalues(8)
+        for i in range(8):
+            assert weighted_cond(gs.steering[i], lam[i]) == gs.cond[i]
+            ev = np.linalg.eigvalsh(symmetrized(gs.steering[i], lam[i]))
+            assert gs.cond[i] == pytest.approx(ev[1] / ev[0], rel=1e-6)
+        singular = np.array([[[1.0, 0.0], [0.0, 0.0]], [[-1.0, 0.0], [0.0, -2.0]], np.eye(2)])
+        assert np.array_equal(weighted_cond(singular, lam[:3]), [np.inf, np.inf, 1.0])
 
     def test_table_is_the_force_column(self, p8):
         # The set keeps the propagator's force column at t1 - t_i, the

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from beamctl.semigroup import ModelParams, apply_semigroup, operator_norm_bound
+from beamctl.semigroup import (
+    ModelParams,
+    _branch_coefficients,
+    apply_semigroup,
+    operator_norm_bound,
+)
 from beamctl.spectral import StateZ, eigenvalue, eigenvalues, norm_z
 
 from oracles import (
@@ -13,6 +18,7 @@ from oracles import (
     sampled_operator_norm,
     semigroup_blocks,
     taylor_expm,
+    where_branch_coefficients,
 )
 
 
@@ -105,6 +111,42 @@ class TestExpm2:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             expm2(np.zeros((3, 3)), 1.0)
+
+    def test_nilpotent_block(self):
+        # q = shift^2 - det = 0 under a zero threshold: exp(Mt) = I + tM.
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for t in (0.3, -0.2):
+            assert np.array_equal(expm2(a, t), np.array([[1.0, t], [0.0, 1.0]]))
+
+
+def _branch_cases():
+    """(shift, det, t) for every branch, its edges and the broadcasting shapes."""
+    t = np.linspace(-1.0, 1.0, 201)[:, None]
+    lam = eigenvalues(48)[None, :]
+    # Oscillatory (c/d = 1/1, 30/4), overdamped low modes (200/1, 500/0.01,
+    # 60/0.001), exactly critical mode 1 (2 pi^2/1), and nearly undamped.
+    for c, d in [(1.0, 1.0), (30.0, 4.0), (200.0, 1.0), (2 * np.pi**2, 1.0),
+                 (1e-3, 1.0), (500.0, 0.01), (60.0, 0.001)]:
+        yield pytest.param(-0.5 * c, d * lam, t, id=f"c={c:.6g},d={d:g}")
+    # Relative offsets of c around critical damping of mode 1, on both sides
+    # of the repeated-root threshold 1e-9.
+    lam1 = eigenvalue(1)
+    for rel in (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-9, -1e-9, 1e-8, -1e-8):
+        yield pytest.param(-np.sqrt(lam1) * (1.0 + rel), lam1, t[:, 0], id=f"critical{rel:+g}")
+    yield pytest.param(-0.5, 2.0, 0.3, id="scalar")
+    b_shift, b_det = np.array([-1.0, 0.0, 2.0]), np.array([[1.0], [3.0]])
+    yield pytest.param(b_shift, b_det, np.array(0.7), id="broadcast")
+
+
+@pytest.mark.parametrize("shift,det,t", _branch_cases())
+def test_branch_matches_the_where_formula_bitwise(shift, det, t):
+    # Each entry runs the same sqrt, product and libm call as the formula
+    # that evaluated every branch everywhere, so the bytes agree.
+    got = _branch_coefficients(shift, det, t)
+    ref = where_branch_coefficients(shift, det, t)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape
+        assert g.tobytes() == r.tobytes()
 
 
 class TestGroup:

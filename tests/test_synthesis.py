@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamctl import synthesis
+from beamctl import control, synthesis
 from beamctl.catalogs import ImpulseEvent, make_forcing, make_impulse_map, make_nonlinearity
 from beamctl.config import parse_config
 from beamctl.control import (
@@ -38,6 +38,12 @@ def certificate(spec, n_steps=None):
     """The contraction certificate with the steering set of n_steps (default the spec's)."""
     p = spec.params
     return contraction_constants(spec, build_gramian_set(0.0, p.T, p, n_steps or spec.n_steps))
+
+
+def steering_set(spec):
+    """The steering set over [0, T] on the spec's grid, as `exact_fixed_point` builds it."""
+    p = spec.params
+    return build_gramian_set(0.0, p.T, p, spec.n_steps)
 
 
 def constant_history(p, n_steps, w=(), y=()):
@@ -366,7 +372,7 @@ class TestSteeringTarget:
         spec = ProblemSpec(params=p, grid=grid129, n_steps=500)
         res = integrate_mild(spec)
         zstar = StateZ(rng.normal(size=4), rng.normal(size=4))
-        out = steering_target(res.trajectory, zstar, spec, res.sources)
+        out = steering_target(res.trajectory, zstar, spec, res.sources, steering_set(spec))
         assert norm_z(out - zstar) <= 1e-12 * norm_z(zstar)
 
     def test_shift_linearity_in_target(self, exact_benchmark, rng):
@@ -374,8 +380,9 @@ class TestSteeringTarget:
         res = integrate_mild(spec)
         z1 = StateZ(rng.normal(size=4), rng.normal(size=4))
         delta = StateZ(rng.normal(size=4), rng.normal(size=4))
-        a = steering_target(res.trajectory, z1, spec, res.sources)
-        b = steering_target(res.trajectory, z1 + delta, spec, res.sources)
+        gs = steering_set(spec)
+        a = steering_target(res.trajectory, z1, spec, res.sources, gs)
+        b = steering_target(res.trajectory, z1 + delta, spec, res.sources, gs)
         assert norm_z((b - a) - delta) <= 1e-12 * norm_z(delta)
 
     def test_recorded_sources_give_the_same_target_bitwise(self, exact_benchmark, rng):
@@ -383,7 +390,8 @@ class TestSteeringTarget:
         zstar = StateZ(rng.normal(size=4), rng.normal(size=4))
         # The loop evaluates every row on its own, one node at a time.
         a = loop_steering_target(res.trajectory, zstar, exact_benchmark)
-        b = steering_target(res.trajectory, zstar, exact_benchmark, res.sources)
+        gs = steering_set(exact_benchmark)
+        b = steering_target(res.trajectory, zstar, exact_benchmark, res.sources, gs)
         assert np.array_equal(a.to_pair(), b.to_pair())
 
     @pytest.mark.parametrize("problem", ["exact_benchmark", "impulses+forcing"])
@@ -413,11 +421,24 @@ class TestSteeringTarget:
             u = ControlSignal(0.0, 1.0, rng.normal(size=(spec.n_steps + 1, 4)))
         res = integrate_mild(spec, u)
         zstar = StateZ(rng.normal(size=4), rng.normal(size=4))
-        got = steering_target(res.trajectory, zstar, spec, res.sources).to_pair()
+        gs = steering_set(spec)
+        got = steering_target(res.trajectory, zstar, spec, res.sources, gs).to_pair()
         for sources in (None, res.sources):
             ref = loop_steering_target(res.trajectory, zstar, spec, sources).to_pair()
             # Bytes, not values: the sign of zero must agree too.
             assert got.tobytes() == ref.tobytes()
+
+    def test_rejects_a_set_off_the_run_window(self, exact_benchmark, rng):
+        spec = exact_benchmark
+        p = spec.params
+        res = integrate_mild(spec)
+        zstar = StateZ(rng.normal(size=4), rng.normal(size=4))
+        for gs in (
+            build_gramian_set(0.5, p.T, p, spec.n_steps),
+            build_gramian_set(0.0, p.T, p, spec.n_steps // 2),
+        ):
+            with pytest.raises(ValueError, match="over \\[0, T\\]"):
+                steering_target(res.trajectory, zstar, spec, res.sources, gs)
 
     def test_lipschitz_against_certificate(self, exact_benchmark, rng):
         spec = exact_benchmark
@@ -473,15 +494,34 @@ class TestExactFixedPoint:
         for row in out.iterations[1:]:
             assert row.ratio <= bound
         # one more pass through the map moves the iterate by at most 2 tol
-        xi = steering_target(out.result.trajectory, zstar, spec, out.result.sources)
-        gs = build_gramian_set(0.0, spec.params.T, spec.params, spec.n_steps)
+        gs = steering_set(spec)
+        xi = steering_target(out.result.trajectory, zstar, spec, out.result.sources, gs)
         once_more = integrate_mild(spec, minimum_energy_control(xi, gs, spec.params))
         assert once_more.trajectory.sup_diff(out.result.trajectory) <= 2e-9
+
+    def test_tabulates_the_force_column_once(self, exact_benchmark, monkeypatch):
+        # Every outer iteration convolves against the [0, T] force column;
+        # the Gramian set holds it, so it is tabulated once per run.
+        spec = exact_benchmark
+        full_tables = []
+        for module in (control, synthesis):
+            def counted(ts, *args, _inner=module.propagator_entries_for):
+                if np.size(ts) == spec.n_steps + 1:
+                    full_tables.append(ts)
+                return _inner(ts, *args)
+
+            monkeypatch.setattr(module, "propagator_entries_for", counted)
+        rng = np.random.default_rng(1234)
+        zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4) * 0.5)
+        out = exact_fixed_point(spec, zstar, tol=1e-9, max_iter=50)
+        assert len(out.iterations) > 1
+        assert len(full_tables) == 1
 
     def test_reached_target_matches_steering_identity(self, benchmark_run):
         spec, zstar, out = benchmark_run
         gu = controllability_map(out.control, spec.params)
-        lz = steering_target(out.result.trajectory, zstar, spec, out.result.sources)
+        gs = steering_set(spec)
+        lz = steering_target(out.result.trajectory, zstar, spec, out.result.sources, gs)
         assert norm_z(gu - lz) <= 1e-9 * max(1.0, norm_z(lz))
 
     @pytest.mark.parametrize("problem", ["config", "criterion_7"])
