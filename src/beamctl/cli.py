@@ -112,8 +112,7 @@ def _cmd_steer(cfg: RunConfig, out: Path, prefix: str, say) -> None:
     zstar = cfg.zstar
     z0 = cfg.z0 if cfg.z0 is not None else zero_state(p.n_modes)
     u = steering_control(z0, zstar, cfg.t0, p.T, p, cfg.steer_steps)
-    states = integrate_linear(z0, u, p)
-    terminal = StateZ.from_pair(states[-1])
+    terminal = StateZ.from_pair(integrate_linear(z0, u, p))
     err = norm_z(terminal - zstar)
     rel = err / norm_z(zstar) if norm_z(zstar) > 0 else err
     say(f"steered to relative error {rel:.3e}")

@@ -324,25 +324,39 @@ def gamma_norm_estimate(gs: GramianSet, p: ModelParams) -> float:
     return float(np.sqrt(m0**2 / lam + m1**2).max())
 
 
+# Rows in `integrate_linear`'s buffer.
+_LINEAR_BLOCK = 256
+
+
 def integrate_linear(z0: StateZ, u: ControlSignal, p: ModelParams) -> np.ndarray:
-    """March the unperturbed controlled system over the control grid.
+    """March the unperturbed controlled system over the control grid to its last node.
 
     Exponential-trapezoid stepping with the control as the only source: the
     sweep's step matrix (`propagator_matrix`) with no cable force, the row
     [w, y, h/2 u] carrying the left half of the control.  Returns the
-    (n_nodes, 2, n_modes) array of states.
+    (2, n_modes) state at the last node.  The rows go through a buffer of
+    `_LINEAR_BLOCK` nodes whose last row starts the next block, so the
+    march keeps no array of all nodes.
     """
     if z0.n_modes != p.n_modes:
         raise ValueError(f"state has {z0.n_modes} modes, params expect {p.n_modes}")
     n = p.n_modes
     F = propagator_matrix(u.step, p.lam, p.c, p.d)
     left, right = u.node_values()
-    rows = np.empty((u.n_nodes, 3 * n))
-    half_right = np.multiply(right, 0.5 * u.step, out=rows[:, 2 * n :])
-    half_left = half_right if left is right else np.multiply(left, 0.5 * u.step)
+    half_step = 0.5 * u.step
+    rows = np.empty((min(u.n_nodes, _LINEAR_BLOCK), 3 * n))
     rows[0, : 2 * n] = z0.to_pair().ravel()
     f_dot = F.dot  # bound: skips `np.dot`'s Python-level dispatch, same product
-    for prev, pair, y, half_u in zip(rows, rows[1:, : 2 * n], rows[1:, n : 2 * n], half_left[1:]):
-        f_dot(prev, pair)
-        np.add(y, half_u, out=y)
-    return rows[:, : 2 * n].reshape(-1, 2, n)
+    start = 0  # the node in rows[0]
+    while True:
+        stop = min(start + len(rows), u.n_nodes)
+        block = rows[: stop - start]
+        half_right = np.multiply(right[start:stop], half_step, out=block[:, 2 * n :])
+        half_left = half_right if left is right else np.multiply(left[start:stop], half_step)
+        for prev, pair, y, half_u in zip(block, block[1:, : 2 * n], block[1:, n : 2 * n], half_left[1:]):
+            f_dot(prev, pair)
+            np.add(y, half_u, out=y)
+        if stop == u.n_nodes:
+            return block[-1, : 2 * n].reshape(2, n)
+        rows[0, : 2 * n] = block[-1, : 2 * n]
+        start = stop - 1

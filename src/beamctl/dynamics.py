@@ -71,6 +71,7 @@ residual.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -562,11 +563,18 @@ def _sweep(
             values[n_r + end, 1] += ev.map.velocity_jump(end * h, marks[n_r + end], u_right[end])
         if end < last:
             reopen(end, right_src)
-    # Overflow surfaces here, as a non-finite norm; the rows after t_last are unfilled.
-    finite = np.isfinite(energy_norms(values[: n_r + last + 1], spec.params.lam))
-    if not finite.all():
-        t_bad = (int(np.argmin(finite)) - n_r) * h
-        raise NumericalError(f"state is not finite at t = {t_bad:.6g} ({where})")
+    # Overflow surfaces here, as a non-finite norm; the rows after t_last are
+    # unfilled.  A state whose coefficients are all at most `bound` in
+    # magnitude has a finite norm, N (lambda_N + 1) bound**2 being 1e307, so
+    # the norms are only computed when a value exceeds it (or is NaN).
+    lam = spec.params.lam
+    bound = math.sqrt(1e307 / (lam.size * (lam[-1] + 1.0)))
+    done = values[: n_r + last + 1]
+    if not (done.max() <= bound and done.min() >= -bound):
+        finite = np.isfinite(energy_norms(done, lam))
+        if not finite.all():
+            t_bad = (int(np.argmin(finite)) - n_r) * h
+            raise NumericalError(f"state is not finite at t = {t_bad:.6g} ({where})")
     return values, marks, sources
 
 

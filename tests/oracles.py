@@ -65,6 +65,7 @@ from beamctl.semigroup import (
     apply_semigroup,
     operator_norm_bound,
     propagator_entries_for,
+    propagator_matrix,
     weighted_block_norms,
 )
 from beamctl.spectral import (
@@ -302,6 +303,26 @@ def control_value(u: ControlSignal, t: float) -> np.ndarray:
         return u.values[i].copy()
     upper = u.left_values.get(i + 1, u.values[i + 1])
     return (1.0 - frac) * u.values[i] + frac * upper
+
+
+def linear_states(z0: StateZ, u: ControlSignal, p) -> np.ndarray:
+    """The former `control.integrate_linear`: every state of its march, (n_nodes, 2, n_modes).
+
+    It keeps one row [w, y, h/2 u] per node; `integrate_linear` keeps a
+    block of rows and returns the last state, which must equal this
+    array's last row bitwise.
+    """
+    n = p.n_modes
+    F = propagator_matrix(u.step, p.lam, p.c, p.d)
+    left, right = u.node_values()
+    rows = np.empty((u.n_nodes, 3 * n))
+    half_right = np.multiply(right, 0.5 * u.step, out=rows[:, 2 * n :])
+    half_left = half_right if left is right else np.multiply(left, 0.5 * u.step)
+    rows[0, : 2 * n] = z0.to_pair().ravel()
+    for prev, pair, y, half_u in zip(rows, rows[1:, : 2 * n], rows[1:, n : 2 * n], half_left[1:]):
+        F.dot(prev, pair)
+        np.add(y, half_u, out=y)
+    return rows[:, : 2 * n].reshape(-1, 2, n)
 
 
 def zero_control(t0: float, t1: float, n_steps: int, n_modes: int) -> ControlSignal:

@@ -146,7 +146,7 @@ def test_criterion_3_linear_exact_controllability(p8):
             z0 = StateZ(0.3 * rng.normal(size=8), rng.normal(size=8))
             zstar = StateZ(0.3 * rng.normal(size=8), rng.normal(size=8))
             u = steering_control(z0, zstar, 0.0, 1.0, p8, 2000)
-            zT = StateZ.from_pair(integrate_linear(z0, u, p8)[-1])
+            zT = StateZ.from_pair(integrate_linear(z0, u, p8))
             assert norm_z(zT - zstar) <= 1e-6 * norm_z(zstar)
 
 

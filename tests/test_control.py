@@ -20,6 +20,7 @@ from oracles import (
     control_sum,
     control_value,
     interpolated_gamma_norm,
+    linear_states,
     mode_matrix,
     rk4_forced_response,
     sampled_gamma_norm,
@@ -309,9 +310,20 @@ class TestSteering:
         z0 = random_state(rng, 8)
         zstar = random_state(rng, 8)
         u = steering_control(z0, zstar, 0.0, 1.0, p8, 2000)
-        states = integrate_linear(z0, u, p8)
-        zT = StateZ.from_pair(states[-1])
+        zT = StateZ.from_pair(integrate_linear(z0, u, p8))
         assert norm_z(zT - zstar) <= 1e-9 * norm_z(zstar)
+
+    @pytest.mark.parametrize("n_nodes", [2, 3, 255, 256, 257, 511, 512, 2001])
+    def test_terminal_state_is_the_full_march_bitwise(self, p8, rng, n_nodes):
+        # integrate_linear marches through a buffer of _LINEAR_BLOCK = 256 rows
+        # whose last row starts the next block; the node counts straddle that
+        # size, and a switch node gives the left and right limits apart.
+        z0 = random_state(rng, 8)
+        for marks in ({}, {n_nodes // 2: rng.normal(size=8)} if n_nodes > 2 else {}):
+            u = ControlSignal(0.0, 1.0, rng.normal(size=(n_nodes, 8)), marks)
+            last = integrate_linear(z0, u, p8)
+            assert last.shape == (2, 8)
+            np.testing.assert_array_equal(last, linear_states(z0, u, p8)[-1])
 
 
 class TestControlSignal:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -613,6 +615,21 @@ class TestExplicitSweep:
             where = r"continuation from t = 0\.2 after history sweep \d+"
         with pytest.raises(NumericalError, match=rf"not finite at t = 0\.5 \({where}\)$"):
             integrate_mild(spec)
+
+    def test_finite_state_above_the_guard_bound_passes(self, grid129):
+        # The sweep is positively homogeneous, so a history scaled by 2**503
+        # scales every node exactly.  Its values pass the guard's bound
+        # (about 1e151 for N = 4) while every energy norm stays finite: the
+        # guard computes the norms and raises nothing.
+        p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
+        unit = constant_history(p, 200, w=[0.4], y=[0.2])
+        specs = [
+            ProblemSpec(params=p, grid=grid129, n_steps=200, history=scale * unit)
+            for scale in (1.0, 2.0**503)
+        ]
+        small, large = (integrate_mild(spec).trajectory.values for spec in specs)
+        assert np.abs(large).max() > math.sqrt(1e307 / (4 * (p.lam[-1] + 1.0)))
+        np.testing.assert_array_equal(large, 2.0**503 * small)
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_control_names_the_pass_it_reaches(self, grid129):
