@@ -53,8 +53,11 @@ time and the sweep.
 
 The nonlocal initial condition prescribes the history only implicitly
 (through segments of the solution at the positive lag times), so the whole
-trajectory is resolved by an outer Picard iteration over candidate
-histories, terminated on the history-consistency residual.  Measuring the
+trajectory is resolved by an outer iteration over candidate histories,
+terminated on the history-consistency residual.  Its update is a chord
+step x + P^-1 (H(x) - x) on the history map H, whose fixed Jacobian P is
+the map's linear part in closed form (module `chord`); a history window
+with jump marks takes the plain Picard step H(x) instead.  Measuring the
 residual instead of the whole-trajectory change keeps termination causal:
 nodes beyond the largest lag never influence the iteration count.  So the
 history sweeps stop at the largest lag tau_q, and once the residual is
@@ -77,6 +80,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import chord
 from .catalogs import (
     Forcing,
     ImpulseEvent,
@@ -413,7 +417,10 @@ def _sweep_kernel(spec: ProblemSpec):
     P = positive_projector(spec.grid, n, -0.5 * h * p.k)
     twice_fy = 2.0 * F[:, n : 2 * n]
     K = np.hstack([F[:, : 2 * n], np.dot(twice_fy, P.T), twice_fy])
-    return F, K, spec.grid.basis(n), P
+    # Column-major S and P take BLAS's cheaper path for the node's `S.dot(w)`
+    # and the rows' `m.dot(P)`; the products agree with the row-major ones
+    # to rounding.
+    return F, K, np.asfortranarray(spec.grid.basis(n)), np.asfortranarray(P)
 
 
 def _cable_rows(m: np.ndarray, P: np.ndarray, out: np.ndarray) -> None:
@@ -628,20 +635,30 @@ def integrate_mild(
     On [0, T] the state follows the variation-of-constants formula with
     the group propagator, jump updates at the impulse times, and the
     delayed sources; on [-r, 0] it equals the prescribed history minus the
-    nonlocal combination of its own lagged segments.  That implicit
-    coupling is resolved by Picard iteration over candidate histories,
+    nonlocal combination of its own lagged segments, x = H(x) with
+    H(x)(theta) = rho(theta) - sum_j gamma_j z(theta + tau_j).  That
+    implicit coupling is resolved by iteration over candidate histories,
     starting from the history with the nonlocal term dropped, until the
-    history-consistency residual falls below `tol`: `spec.picard_tol` by
-    default, looser where `exact_fixed_point` needs no more.  The residual
-    and the next candidate read no node past the largest lag tau_q, so each
-    history sweep stops there; the converged one then continues to T, once.
+    history-consistency residual |x - H(x)| falls below `tol`:
+    `spec.picard_tol` by default, looser where `exact_fixed_point` needs no
+    more.  Each update is the chord step x - P^-1 (x - H(x)) of module
+    `chord`, P the linear part of x - H(x); where the history window
+    carries jump marks (an impulse at or before tau_q), it is plain Picard,
+    x <- H(x), which carries the marks.  The residual and the next candidate
+    read no node past the largest lag tau_q, so each history sweep stops
+    there; the converged one then continues to T, once.
+
     The iteration stops with NumericalError when a sweep leaves the finite
-    range or the successive sweep differences on [-r, tau_q] grow three
-    times in a row.
+    range; when the successive sweep differences on [-r, tau_q] grow three
+    times in a row ("diverging": under the chord, P^-1 amplifies the
+    nonlinear remainder past 1; under Picard, the nonlocal term is too
+    strong); or when a mode's I + sum_j gamma_j E_n(tau_j) is singular
+    (its inverse would amplify the energy norm by 1e12 or more: the
+    nonlocal condition then does not determine the history at t = 0).
 
     `warm`, a run of the same problem on the same grid (any control),
     replaces the first candidate: its history nodes on [-r, 0] and their
-    marks.  The Picard map contracts, so the fixed point and every stopping
+    marks.  The iteration contracts, so the fixed point and every stopping
     rule are as for a cold start; only the number of sweeps changes.  When
     `warm` was run with the same control, its history already meets the
     residual and one sweep returns that run bit for bit.
@@ -658,7 +675,7 @@ def integrate_mild(
         hist_values, hist_marks = rho_values, {}
     else:
         hist_values, hist_marks = _warm_history(spec, warm)
-    prev_values = None
+    prev_values, tables = None, None
     sup_diffs: list[float] = []
     grow_streak = 0
     residual, ratio = np.inf, np.nan
@@ -672,7 +689,8 @@ def integrate_mild(
             ratio = d / sup_diffs[-1] if sup_diffs and sup_diffs[-1] > 0 else np.nan
             sup_diffs.append(d)
         gvals, gmarks = _nonlocal_on_history(values, marks, spec)
-        residual = float(energy_norms(values[: n_r + 1] + gvals - rho_values, lam).max())
+        res = values[: n_r + 1] + gvals - rho_values
+        residual = float(energy_norms(res, lam).max())
         if residual <= tol:
             break
         grow_streak = grow_streak + 1 if np.isfinite(ratio) and ratio > 1.0 else 0
@@ -681,8 +699,13 @@ def integrate_mild(
                 f"history iteration diverging: sweep-difference ratio {ratio:.3f} > 1 "
                 f"for three consecutive sweeps (sweep {iteration}, residual {residual:.3e})"
             )
-        hist_values = rho_values - gvals
-        hist_marks = {i: rho_values[i] - g_left for i, g_left in gmarks.items()}
+        if gmarks:
+            hist_values = rho_values - gvals
+            hist_marks = {i: rho_values[i] - g_left for i, g_left in gmarks.items()}
+        else:
+            # Built at the first chord step, once per integration.
+            tables = tables or chord.linear_part(spec)
+            hist_values = hist_values - chord.correction(res, tables, spec)
         prev_values = values
     else:
         raise NumericalError(

@@ -50,6 +50,8 @@ import numpy as np
 import yaml
 
 from beamctl import config, dynamics
+from beamctl.chord import correction as chord_correction
+from beamctl.chord import linear_part as chord_linear_part
 from beamctl.control import (
     ControlSignal,
     build_gramian_set,
@@ -886,7 +888,7 @@ def full_pullback_experiment(spec, u, zstar, sigmas):
     return PullbackResult(tuple(rows), M_est), runs
 
 
-def full_history_integrate(spec, u=None):
+def full_history_integrate(spec, u=None, *, chord=True):
     """`integrate_mild` with every history sweep over all of [0, T].
 
     The package's former history loop, kept as the bitwise reference for
@@ -894,7 +896,10 @@ def full_history_integrate(spec, u=None):
     sweep count and residual must be equal.  Each of its sweeps passes the
     largest lag as a restart node (closed at once, the next step taken with
     F), as the continuation from there starts.  Its `picard_sup_diffs` are
-    measured over the whole trajectory.
+    measured over the whole trajectory.  With `chord=False` every update is
+    the plain Picard one, the next candidate rho - sum_j gamma_j z(. + tau_j):
+    the independent reference for the chord correction, which must reach
+    the same history within tolerance.
     """
     controls = dynamics._control_nodes(u, spec)
     rho_values, n_r = spec.history, spec.n_r
@@ -903,7 +908,7 @@ def full_history_integrate(spec, u=None):
     kernel = dynamics._sweep_kernel(spec)
 
     hist_values, hist_marks = rho_values, {}
-    prev_values = None
+    prev_values, tables = None, None
     sup_diffs: list[float] = []
     grow_streak = 0
     residual, ratio = np.inf, np.nan
@@ -919,7 +924,8 @@ def full_history_integrate(spec, u=None):
             residual = 0.0
             break
         gvals, gmarks = dynamics._nonlocal_on_history(values, marks, spec)
-        residual = float(energy_norms(values[: n_r + 1] + gvals - rho_values, lam).max())
+        res = values[: n_r + 1] + gvals - rho_values
+        residual = float(energy_norms(res, lam).max())
         if residual <= spec.picard_tol:
             break
         grow_streak = grow_streak + 1 if np.isfinite(ratio) and ratio > 1.0 else 0
@@ -928,8 +934,12 @@ def full_history_integrate(spec, u=None):
                 f"history iteration diverging: sweep-difference ratio {ratio:.3f} > 1 "
                 f"for three consecutive sweeps (sweep {iteration}, residual {residual:.3e})"
             )
-        hist_values = rho_values - gvals
-        hist_marks = {i: rho_values[i] - g_left for i, g_left in gmarks.items()}
+        if chord and not gmarks:
+            tables = tables or chord_linear_part(spec)
+            hist_values = hist_values - chord_correction(res, tables, spec)
+        else:
+            hist_values = rho_values - gvals
+            hist_marks = {i: rho_values[i] - g_left for i, g_left in gmarks.items()}
         prev_values = values
     else:
         raise NumericalError(
@@ -1030,13 +1040,14 @@ def cold_exact_fixed_point(spec, zstar, tol: float = 1e-8, max_iter: int = 50):
 
     The package's former outer loop, before each integration was
     warm-started from the previous iterate's converged history; the same
-    certificate, steering target and minimum-energy control, without the
-    divergence stop.
+    certificate, first control (the linear steering control from rho(0)),
+    steering target and minimum-energy control, without the divergence stop.
     """
     p = spec.params
     gs = build_gramian_set(0.0, p.T, p, spec.n_steps)
     report = contraction_constants(spec, gs)
-    prev = integrate_mild(spec, None)
+    target = zstar - apply_semigroup(StateZ.from_pair(spec.history[-1]), p.T, p)
+    prev = integrate_mild(spec, minimum_energy_control(target, gs, p))
     rows, diffs = [], []
     for it in range(1, max_iter + 1):
         xi = steering_target(prev.trajectory, zstar, spec, prev.sources, gs)

@@ -70,8 +70,10 @@ def test_exact_integrations_go_through_the_traced_name(monkeypatch):
 
     monkeypatch.setattr(synthesis, "integrate_mild", counted)
     out = synthesis.exact_fixed_point(cfg.problem, cfg.zstar, cfg.tol, cfg.max_iter)
-    assert len(out.iterations) == 6
-    assert [warm for warm, _ in calls] == [False] + [True] * 6
-    # The inner solves are only as tight as the outer change needs: 16
-    # history sweeps where solving each to `picard_tol` takes 32.
-    assert sum(sweeps for _, sweeps in calls) == 16
+    # The first iterate is the linear steering control, and the chord steps
+    # of the history iteration need 2 sweeps or fewer for each integration.
+    assert len(out.iterations) == 5
+    assert [warm for warm, _ in calls] == [False] + [True] * 5
+    # The inner solves are only as tight as the outer change needs: 10
+    # history sweeps where solving each to `picard_tol` takes 15.
+    assert sum(sweeps for _, sweeps in calls) == 10

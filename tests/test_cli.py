@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -679,6 +680,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical:")
         assert "t = 0.5 " in err
+        assert not list(out.glob("*.csv"))
+
+    def test_singular_history_iteration_exits_3_naming_the_mode(self, tmp_path, capsys):
+        # d puts mode 1 half a period on in the lag 0.1 (omega tau = pi), and
+        # gamma = exp(c tau / 2) cancels its decay, so I + gamma E_1(tau) = 0:
+        # the nonlocal condition does not determine the history at t = 0.
+        d = float(((math.pi / 0.1) ** 2 + 0.25) / eigenvalues(1)[0])
+        cfg = write_config(
+            tmp_path,
+            {
+                "model": {"c": 1.0, "d": d, "k": 1.0, "n_modes": 4, "T": 1.0, "r": 0.25},
+                "grids": {"h": 0.005, "G": 65},
+                "delays": {"lags": [0.1]},
+                "nonlocal": {"gammas": [math.exp(0.05)]},
+                "history": {"catalog": "modal_constant", "params": {"w": [0.4], "y": [0.2]}},
+            },
+        )
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:")
+        assert "singular in mode 1 " in err
         assert not list(out.glob("*.csv"))
 
     def test_approx_non_finite_tail_exits_3_without_csv(self, tmp_path, capsys):

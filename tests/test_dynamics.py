@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from beamctl import dynamics
 from beamctl.catalogs import ImpulseEvent, make_forcing, make_impulse_map, make_nonlinearity
+from beamctl.config import parse_config
 from beamctl.control import ControlSignal
 from beamctl.dynamics import ProblemSpec, history_segment, integrate_mild
 from beamctl.errors import ConfigError, NumericalError
@@ -34,6 +37,9 @@ from oracles import (
     source_term,
     trajectory_state,
 )
+
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 def tiny_cable(n_modes=4, T=1.0, r=0.25):
@@ -288,6 +294,10 @@ class TestIntegrateMild:
         assert worst <= 1e-10
 
     def test_picard_contraction_ratio(self, grid129):
+        # Plain Picard contracts by about the nonlocal term's size, at most
+        # L_q * q.  The chord inverts that linear part, which is the whole
+        # history map here (the cable is 1e-15): one correction meets the
+        # residual, and the next sweep confirms it.
         p = tiny_cable(T=1.0, r=0.25)
         spec = ProblemSpec(
             params=p,
@@ -298,12 +308,15 @@ class TestIntegrateMild:
             history=constant_history(p, 1000, w=[0.5, 0.2], y=[0.3]),
             picard_tol=1e-12,
         )
-        res = integrate_mild(spec)
-        diffs = res.picard_sup_diffs
+        plain = full_history_integrate(spec, chord=False)
+        diffs = plain.picard_sup_diffs
         assert len(diffs) >= 3
         bound = spec.L_q * spec.q + 0.05
         for a, b in zip(diffs[1:], diffs[2:]):
             assert b / a <= bound
+        res = integrate_mild(spec)
+        assert res.picard_iterations == 2
+        assert res.history_residual <= spec.picard_tol
 
     def test_step_halving_improves_terminal_error(self, grid129):
         # Smooth impulse-free problem; the stepping is second order.
@@ -375,6 +388,20 @@ class TestIntegrateMild:
         upto = node_index(t1, t_prime)
         assert np.array_equal(t1.values[: upto + 1], t2.values[: upto + 1])
         assert not np.array_equal(t1.values, t2.values)
+
+
+def diverging_spec(grid, gammas):
+    """One lag at 0.1 and a velocity kick at 0.05, which marks the history window."""
+    p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
+    return ProblemSpec(
+        params=p,
+        grid=grid,
+        n_steps=200,
+        impulses=(ImpulseEvent(0.05, _kick("velocity_kick")),),
+        lags=(0.1,),
+        gammas=gammas,
+        history=constant_history(p, 200, w=[0.4], y=[0.2]),
+    )
 
 
 def _kick(kind, amp=0.3):
@@ -514,11 +541,12 @@ class TestExplicitSweep:
         # gemv, which rounds differently from the rows of an (n >= 2, G)
         # gemm.  Should a numpy or BLAS change break the stacked product,
         # this fails here, and not only through the recorded source rows.
-        # P is built as `positive_projector` builds it; that function also
-        # rejects 48 modes on 65 points, which this product does not need.
+        # P is built as `positive_projector` builds it, column-major as
+        # `_sweep_kernel` stores it; that function also rejects 48 modes on
+        # 65 points, which this product does not need.
         grid = SpatialGrid(n_points)
         S = grid.basis(n_modes)
-        P = S * (-0.5 * 5e-4 * grid.weight)
+        P = np.asfortranarray(S * (-0.5 * 5e-4 * grid.weight))
         m = np.maximum(np.dot(rng.normal(size=(70, n_modes)), S.T), 0.0)
         one_by_one = np.array([np.dot(row, P) for row in m])
         for rows in (slice(0, 1), slice(3, 5), slice(5, 69), slice(0, 70)):
@@ -658,15 +686,10 @@ class TestExplicitSweep:
             dynamics.integrate_tail(spec, nominal, u, 120)
 
     def test_diverging_history_stops_early(self, grid129, monkeypatch):
-        p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
-        spec = ProblemSpec(
-            params=p,
-            grid=grid129,
-            n_steps=200,
-            lags=(0.1,),
-            gammas=(1.5,),
-            history=constant_history(p, 200, w=[0.4], y=[0.2]),
-        )
+        # The impulse before the lag puts a mark in the history window, so
+        # the iteration takes plain Picard steps, which gamma = 1.5 makes
+        # diverge.  (Without it the chord solves this problem in 5 sweeps.)
+        spec = diverging_spec(grid129, gammas=(1.5,))
         sweeps = []
         real_sweep = dynamics._sweep
 
@@ -780,16 +803,8 @@ class TestWarmStart:
             integrate_mild(spec, warm=coarse)
 
     def test_diverging_history_stops_with_a_warm_start(self, grid129, monkeypatch):
-        p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
-        kwargs = dict(
-            params=p,
-            grid=grid129,
-            n_steps=200,
-            lags=(0.1,),
-            history=constant_history(p, 200, w=[0.4], y=[0.2]),
-        )
-        converged = integrate_mild(ProblemSpec(gammas=(0.1,), **kwargs))
-        spec = ProblemSpec(gammas=(1.5,), **kwargs)
+        converged = integrate_mild(diverging_spec(grid129, gammas=(0.1,)))
+        spec = diverging_spec(grid129, gammas=(1.5,))
         sweeps = []
         real_sweep = dynamics._sweep
 
@@ -801,6 +816,35 @@ class TestWarmStart:
         with pytest.raises(NumericalError, match="diverging"):
             integrate_mild(spec, warm=converged)
         assert len(sweeps) < spec.picard_max_iter
+
+
+class TestChordIteration:
+    """The history iteration's chord steps against plain Picard."""
+
+    @pytest.mark.parametrize(
+        "config, modes, gammas, most_sweeps",
+        [
+            ("simulate_demo", None, None, 5),
+            ("approx_bounded", None, None, 2),
+            ("exact_benchmark", None, None, 4),
+            # perfbench's history-heavy workload: simulate_demo at N = 16
+            # with a strong coupling, 39 plain Picard sweeps.
+            ("simulate_demo", 16, [0.4, 0.3], 8),
+        ],
+    )
+    def test_matches_plain_picard(self, config, modes, gammas, most_sweeps, tmp_path):
+        data = yaml.safe_load((CONFIGS / f"{config}.yaml").read_text())
+        if modes is not None:
+            data["model"]["n_modes"], data["nonlocal"]["gammas"] = modes, gammas
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(data))
+        spec = parse_config(path).problem
+        chord = integrate_mild(spec)
+        plain = full_history_integrate(spec, chord=False)
+        assert chord.picard_iterations <= most_sweeps < plain.picard_iterations
+        assert chord.history_residual <= spec.picard_tol
+        scale = energy_norms(plain.trajectory.values, spec.params.lam).max()
+        assert chord.trajectory.sup_diff(plain.trajectory) <= 1e-9 * scale
 
 
 class TestIntegrateTail:
