@@ -26,7 +26,6 @@ from .control import (
     integrate_linear,
     minimum_energy_control,
     mode_gramian,
-    steering_control,
 )
 from .dynamics import (
     IntegrationResult,

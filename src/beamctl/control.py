@@ -7,11 +7,13 @@ of its two Gramians has its own readers:
 * `GramianSet` holds the *steering* Gramian of a window, accumulated by
   the trapezoid rule on the control grid that `controllability_map` uses,
   and the force-column table it is built from.  Everything that steers or
-  certifies reads it: `minimum_energy_control` applies its inverse, and
+  certifies reads it: `minimum_energy_control` applies its inverse,
   `gamma_norm_estimate` takes the norm of exactly that applied operator
-  for the contraction certificate.  Because the map and the Gramian share
-  one discrete quadrature, the right-inverse identity (map after steering
-  equals the target) holds to machine precision on every grid.
+  for the contraction certificate, and `GramianSet.response` gives the
+  state a control on the window's grid reaches, by the one trapezoid sum
+  that `controllability_map` takes too.  Because the map and the Gramian
+  share one discrete quadrature, the right-inverse identity (map after
+  steering equals the target) holds to machine precision on every grid.
 * `mode_gramian` is the exact Gramian of the continuous system, in closed
   form from one propagator evaluation at the window length; only the
   `gramian` command reports it.  The gap between the two Gramians is the
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .semigroup import ModelParams, apply_semigroup, propagator_entries_for, propagator_matrix
+from .semigroup import ModelParams, force_column, propagator_matrix
 from .spectral import StateZ, eigenvalue
 
 __all__ = [
@@ -35,7 +37,6 @@ __all__ = [
     "build_gramian_set",
     "controllability_map",
     "minimum_energy_control",
-    "steering_control",
     "gamma_norm_estimate",
     "integrate_linear",
     "weighted_cond",
@@ -171,11 +172,11 @@ def mode_gramian(n: int, t0: float, t1: float, p: ModelParams) -> np.ndarray:
     dlam = p.d * lam
     if max(np.sqrt(dlam), p.c) * length <= 1.0:
         tau = 0.5 * length * (_GL_NODES + 1.0)
-        _, e01, _, e11 = propagator_entries_for(tau, np.array([lam]), p.c, p.d)
+        e01, e11 = force_column(tau, np.array([lam]), p.c, p.d)
         wts, a, b = 0.5 * length * _GL_WEIGHTS, e01[:, 0], e11[:, 0]
         i00, i01, i11 = wts @ (a * a), wts @ (a * b), wts @ (b * b)
     else:
-        _, e01, _, e11 = propagator_entries_for(np.array([length]), np.array([lam]), p.c, p.d)
+        e01, e11 = force_column(np.array([length]), np.array([lam]), p.c, p.d)
         a, b = float(e01[0, 0]), float(e11[0, 0])
         i01 = 0.5 * a * a
         i11 = (1.0 - b * b - dlam * a * a) / (2.0 * p.c)
@@ -219,6 +220,16 @@ class GramianSet:
     def n_modes(self) -> int:
         return self.steering.shape[0]
 
+    def response(self, u: ControlSignal) -> StateZ:
+        """State reached at t1 from rest by a control on this window's grid.
+
+        The set's force column is the table `controllability_map` would
+        tabulate for u, so this is that map, read without a new table.
+        """
+        if (u.t0, u.t1, u.values.shape) != (self.t0, self.t1, self.e01.shape):
+            raise ValueError("control is not on the Gramian set's grid")
+        return _force_response(self.e01, self.e11, u)
+
 
 def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
     det = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
@@ -239,35 +250,52 @@ def build_gramian_set(t0: float, t1: float, p: ModelParams, n_steps: int) -> Gra
     lam = p.lam
     h = (t1 - t0) / n_steps
     ts = t0 + h * np.arange(n_steps + 1)
-    _, e01, _, e11 = propagator_entries_for(t1 - ts, lam, p.c, p.d)
+    e01, e11 = force_column(t1 - ts, lam, p.c, p.d)
     w = np.full(n_steps + 1, h)
     w[0] = w[-1] = 0.5 * h
+    w = w[:, None]
+    # The products w*e01^2, (w*e01)*e11 and w*e11^2 take turns in one
+    # buffer and are summed down the nodes.
+    buf = np.empty(e01.shape)
     W = np.empty((p.n_modes, 2, 2))
-    W[:, 0, 0] = lam * np.sum(w[:, None] * e01**2, axis=0)
-    W[:, 0, 1] = np.sum(w[:, None] * e01 * e11, axis=0)
+    W[:, 0, 0] = lam * np.multiply(w, np.square(e01, out=buf), out=buf).sum(axis=0)
+    W[:, 0, 1] = np.multiply(np.multiply(w, e01, out=buf), e11, out=buf).sum(axis=0)
     W[:, 1, 0] = lam * W[:, 0, 1]
-    W[:, 1, 1] = np.sum(w[:, None] * e11**2, axis=0)
+    W[:, 1, 1] = np.multiply(w, np.square(e11, out=buf), out=buf).sum(axis=0)
 
     return GramianSet(t0, t1, W, _invert_blocks(W), weighted_cond(W, lam), e01, e11)
+
+
+def _force_response(e01: np.ndarray, e11: np.ndarray, u: ControlSignal) -> StateZ:
+    """Trapezoid convolution of u against the force column at t1 - t_i of its nodes.
+
+    Marked nodes contribute their left and right values with half weight
+    each, mirroring the stepping of the integrators.  Both components go
+    through one (n_nodes, n_modes) buffer.
+    """
+    wts, extra = u.quadrature_weights()
+    wts = wts[:, None]
+    buf = np.empty(u.values.shape)
+    w_comp, y_comp = (
+        np.multiply(np.multiply(wts, e, out=buf), u.values, out=buf).sum(axis=0) for e in (e01, e11)
+    )
+    for i, wi in extra.items():
+        w_comp += wi * e01[i] * u.left_values[i]
+        y_comp += wi * e11[i] * u.left_values[i]
+    return StateZ(w_comp, y_comp)
 
 
 def controllability_map(u: ControlSignal, p: ModelParams) -> StateZ:
     """State reached at t1 from rest by the control alone.
 
     Trapezoid rule on the control grid applied to the propagated force
-    channel; marked nodes contribute their left and right values with half
-    weight each, mirroring the stepping of the integrators.
+    channel, tabulated for u's nodes (`GramianSet.response` reads a
+    window's table instead).
     """
     if u.n_modes != p.n_modes:
         raise ValueError(f"control has {u.n_modes} modes, params expect {p.n_modes}")
-    _, e01, _, e11 = propagator_entries_for(u.t1 - u.times, p.lam, p.c, p.d)
-    wts, extra = u.quadrature_weights()
-    w_comp = np.sum(wts[:, None] * e01 * u.values, axis=0)
-    y_comp = np.sum(wts[:, None] * e11 * u.values, axis=0)
-    for i, wi in extra.items():
-        w_comp += wi * e01[i] * u.left_values[i]
-        y_comp += wi * e11[i] * u.left_values[i]
-    return StateZ(w_comp, y_comp)
+    e01, e11 = force_column(u.t1 - u.times, p.lam, p.c, p.d)
+    return _force_response(e01, e11, u)
 
 
 def _require_conditioned(gs: GramianSet) -> None:
@@ -296,15 +324,6 @@ def minimum_energy_control(xi: StateZ, gs: GramianSet, p: ModelParams) -> Contro
     return ControlSignal(gs.t0, gs.t1, values)
 
 
-def steering_control(
-    z0: StateZ, zstar: StateZ, t0: float, t1: float, p: ModelParams, n_steps: int
-) -> ControlSignal:
-    """Minimum-energy control steering the linear system from z0 at t0 to zstar at t1."""
-    gs = build_gramian_set(t0, t1, p, n_steps)
-    xi = zstar - apply_semigroup(z0, t1 - t0, p)
-    return minimum_energy_control(xi, gs, p)
-
-
 def gamma_norm_estimate(gs: GramianSet, p: ModelParams) -> float:
     """Norm of the steering operator xi -> u that `minimum_energy_control` applies.
 
@@ -330,6 +349,11 @@ _LINEAR_BLOCK = 256
 
 def integrate_linear(z0: StateZ, u: ControlSignal, p: ModelParams) -> np.ndarray:
     """March the unperturbed controlled system over the control grid to its last node.
+
+    No command calls it: `steer` reads its terminal state from the window's
+    force-column table (`GramianSet.response`).  It stays because the
+    benchmark's tracer (`perfbench/tracer.py`) wraps it by name, and goes
+    with the next change to the benchmark.
 
     Exponential-trapezoid stepping with the control as the only source: the
     sweep's step matrix (`propagator_matrix`) with no cable force, the row

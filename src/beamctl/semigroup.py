@@ -17,6 +17,7 @@ from .spectral import StateZ, eigenvalues
 
 __all__ = [
     "ModelParams",
+    "force_column",
     "propagator_entries_for",
     "propagator_matrix",
     "apply_semigroup",
@@ -92,6 +93,35 @@ def _branch_coefficients(shift, det, t):
     return c0, c1
 
 
+def _scaled_coefficients(ts, lam, c: float, d: float):
+    """(scale, C0, C1) of exp(A_n * t), shapes (len(ts), 1) and (len(ts), len(lam)).
+
+    exp(A_n * t) = scale * (C0*I + C1*(A_n + c/2*I)) with scale = exp(-c*t/2).
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    c0, c1 = _branch_coefficients(-0.5 * c, (d * lam)[None, :], ts[:, None])
+    return np.exp(-0.5 * c * ts)[:, None], c0, c1
+
+
+def _force_entries(scale, c0, c1, c: float):
+    """(e01, e11) from the scaled coefficients; overwrites c0 and c1."""
+    e01 = scale * c1
+    c1 *= 0.5 * c
+    e11 = np.subtract(c0, c1, out=c0)
+    e11 *= scale
+    return e01, e11
+
+
+def force_column(ts: np.ndarray, lam: np.ndarray, c: float, d: float):
+    """The force column (e01, e11) of exp(A_n * t): the response to a unit velocity.
+
+    Returns two arrays of shape (len(ts), len(lam)), bitwise those of
+    `propagator_entries_for`, without tabulating e00 and e10.
+    """
+    return _force_entries(*_scaled_coefficients(ts, lam, c, d), c)
+
+
 def propagator_entries_for(ts: np.ndarray, lam: np.ndarray, c: float, d: float):
     """Entries of exp(A_n * t) for the given eigenvalues and times.
 
@@ -100,16 +130,11 @@ def propagator_entries_for(ts: np.ndarray, lam: np.ndarray, c: float, d: float):
     D = diag(lambda_n, 1), reuses them: same diagonal, off-diagonals
     e10/lambda_n and e01*lambda_n.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    det = d * lam
-    c0, c1 = _branch_coefficients(-0.5 * c, det[None, :], ts[:, None])
-    scale = np.exp(-0.5 * c * ts)[:, None]
-    half_c = 0.5 * c
-    e00 = scale * (c0 + half_c * c1)
-    e01 = scale * c1
+    scale, c0, c1 = _scaled_coefficients(ts, lam, c, d)
+    e00 = scale * (c0 + 0.5 * c * c1)
     e10 = scale * (-d * lam[None, :] * c1)
-    e11 = scale * (c0 - half_c * c1)
+    e01, e11 = _force_entries(scale, c0, c1, c)
     return e00, e01, e10, e11
 
 
@@ -122,9 +147,11 @@ def propagator_matrix(h: float, lam: np.ndarray, c: float, d: float) -> np.ndarr
     its y-columns.  The step is closed by adding h/2 times the source at the
     new node to the velocity, the same h/2 g that opens the next step;
     summed over steps this is the trapezoid convolution of the source
-    against the propagator.  `control.integrate_linear` closes each step
-    at once; the mild-solution sweep closes a block of steps at a time and
-    steps with F's columns rearranged for that (`dynamics`).
+    against the propagator.  The mild-solution sweep closes a block of
+    steps at a time and steps with F's columns rearranged for that
+    (`dynamics`); `control.integrate_linear`, which no command calls,
+    closes each step at once.  A control alone needs no march: its
+    convolution is one sum against the `force_column` table.
     """
     e00, e01, e10, e11 = (e[0] for e in propagator_entries_for(np.array([h]), lam, c, d))
     return np.block([[np.diag(e) for e in (e00, e01, e01)], [np.diag(e) for e in (e10, e11, e11)]])

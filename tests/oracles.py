@@ -43,13 +43,14 @@ PyYAML's pure-Python parser, the one used where libyaml is missing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from beamctl import config, dynamics
+from beamctl import config, dynamics, semigroup
 from beamctl.chord import correction as chord_correction
 from beamctl.chord import linear_part as chord_linear_part
 from beamctl.control import (
@@ -305,6 +306,39 @@ def control_value(u: ControlSignal, t: float) -> np.ndarray:
         return u.values[i].copy()
     upper = u.left_values.get(i + 1, u.values[i + 1])
     return (1.0 - frac) * u.values[i] + frac * upper
+
+
+def steering_control(z0: StateZ, zstar: StateZ, t0: float, t1: float, p, n_steps: int) -> ControlSignal:
+    """Minimum-energy control steering the linear system from z0 at t0 to zstar at t1.
+
+    The recipe of the `steer` command, which also reads the reached state
+    from the same Gramian set.
+    """
+    gs = build_gramian_set(t0, t1, p, n_steps)
+    xi = zstar - apply_semigroup(z0, t1 - t0, p)
+    return minimum_energy_control(xi, gs, p)
+
+
+def count_propagator_tables(monkeypatch) -> list[int]:
+    """Sizes of the propagator tables the package tabulates from now on.
+
+    Wraps `force_column` and `propagator_entries_for` in every package
+    module that holds them; the returned list gets the number of times of
+    each table as it is made.
+    """
+    sizes = []
+    tabulators = (semigroup.force_column, semigroup.propagator_entries_for)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "beamctl"]
+    for fn in tabulators:
+        def counted(ts, *args, _inner=fn):
+            sizes.append(int(np.size(ts)))
+            return _inner(ts, *args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return sizes
 
 
 def linear_states(z0: StateZ, u: ControlSignal, p) -> np.ndarray:

@@ -18,7 +18,6 @@ from beamctl.control import (
     integrate_linear,
     minimum_energy_control,
     mode_gramian,
-    steering_control,
 )
 from beamctl.dynamics import ProblemSpec, history_segment, integrate_mild
 from beamctl.semigroup import (
@@ -30,7 +29,7 @@ from beamctl.semigroup import (
 from beamctl.spectral import SpatialGrid, StateZ, eigenvalues, norm_z, pair_norm
 from beamctl.synthesis import approx_experiment, contraction_constants, exact_fixed_point
 
-from oracles import method_of_steps_rk4, node_index, semigroup_blocks
+from oracles import method_of_steps_rk4, node_index, semigroup_blocks, steering_control
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 

@@ -8,11 +8,14 @@ import yaml
 
 from beamctl.cli import main
 from beamctl.config import parse_config
-from beamctl.control import ControlSignal
+from beamctl.control import ControlSignal, build_gramian_set
 from beamctl.dynamics import Trajectory, integrate_mild
 from beamctl.errors import ConfigError
 from beamctl.reporting import trajectory_rows
-from beamctl.spectral import eigenvalues, energy_norms
+from beamctl.semigroup import apply_semigroup
+from beamctl.spectral import StateZ, eigenvalues, energy_norms, norm_z
+
+from oracles import count_propagator_tables, linear_states, steering_control
 
 ROOT = Path(__file__).parents[1]
 CONFIGS = ROOT / "configs"
@@ -148,6 +151,11 @@ class TestCli:
         assert rc == 2
         assert "usage" in capsys.readouterr().err
 
+    def test_parser_is_reused_across_calls(self, capsys):
+        for _ in range(2):
+            assert main(["transmogrify", "--config", "x.yaml"]) == 2
+            assert "invalid choice: 'transmogrify'" in capsys.readouterr().err
+
     def test_config_error_exits_2(self, tmp_path, capsys):
         bad = write_config(tmp_path, {"model": {"c": -1.0}})
         rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
@@ -168,6 +176,50 @@ class TestCli:
         assert rc == 0
         report = read_report(tmp_path / "steer_linear_report.txt")
         assert float(report["terminal_error_relative"]) <= 1e-6
+
+    @pytest.mark.parametrize("n_modes", [8, 48])
+    def test_steer_terminal_state_is_the_march(self, tmp_path, n_modes):
+        # steer reads the reached state from its window's force-column table;
+        # it is the state the exponential-trapezoid march reaches, to rounding.
+        if n_modes == 8:
+            path = CONFIGS / "steer_linear.yaml"
+        else:
+            rng = np.random.default_rng(48)
+            draw = lambda scale: rng.uniform(-scale, scale, n_modes).tolist()  # noqa: E731
+            path = write_config(
+                tmp_path,
+                {
+                    "model": {"c": 1.0, "d": 1.0, "k": 1.0, "n_modes": n_modes, "T": 1.0, "r": 0.25},
+                    "grids": {"h": 5.0e-4},
+                    "targets": {
+                        "z0_w": draw(0.2), "z0_y": draw(0.9),
+                        "zstar_w": draw(0.15), "zstar_y": draw(0.35),
+                    },
+                    "output": {"prefix": "steer_linear"},
+                },
+            )
+        cfg = parse_config(path)
+        p, z0, zstar = cfg.params, cfg.z0, cfg.zstar
+        u = steering_control(z0, zstar, cfg.t0, p.T, p, cfg.steer_steps)
+        gs = build_gramian_set(cfg.t0, p.T, p, cfg.steer_steps)
+        terminal = apply_semigroup(z0, p.T - cfg.t0, p) + gs.response(u)
+        march = StateZ.from_pair(linear_states(z0, u, p)[-1])
+        assert norm_z(terminal - march) <= 1e-12 * norm_z(march)
+
+        out = tmp_path / "o"
+        assert main(["steer", "--config", str(path), "--out", str(out)]) == 0
+        written = np.loadtxt(out / "steer_linear_control.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(written[:, 1:], u.values)
+        report = read_report(out / "steer_linear_report.txt")
+        assert float(report["terminal_error"]) == norm_z(terminal - zstar)
+
+    def test_steer_tabulates_one_window_table(self, tmp_path, monkeypatch):
+        # The Gramian, the control and the reached state share one table;
+        # the only other table is the free flight's single time.
+        path = CONFIGS / "steer_linear.yaml"
+        sizes = count_propagator_tables(monkeypatch)
+        assert main(["steer", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert sorted(sizes) == [1, parse_config(path).steer_steps + 1]
 
     @pytest.mark.parametrize(
         "command, data, key",

@@ -9,7 +9,6 @@ from beamctl.control import (
     integrate_linear,
     minimum_energy_control,
     mode_gramian,
-    steering_control,
     weighted_cond,
 )
 from beamctl.errors import NumericalError
@@ -26,6 +25,7 @@ from oracles import (
     sampled_gamma_norm,
     scaled_control,
     simpson_gramian,
+    steering_control,
     zero_control,
 )
 
@@ -209,6 +209,18 @@ class TestControllabilityMap:
         lhs = controllability_map(control_sum(scaled_control(u1, alpha), u2), p8)
         rhs = alpha * controllability_map(u1, p8) + controllability_map(u2, p8)
         assert norm_z(lhs - rhs) <= 1e-10 * max(1.0, norm_z(rhs))
+
+    @pytest.mark.parametrize("t0", [0.0, 0.3])
+    def test_gramian_set_response_is_the_map_bitwise(self, p8, rng, t0):
+        # The set's table is the one the map tabulates for a control on its
+        # grid, so reading it gives the same bytes, marks included.
+        gs = build_gramian_set(t0, 1.0, p8, 400)
+        for marks in ({}, {150: rng.normal(size=8)}):
+            u = ControlSignal(t0, 1.0, rng.normal(size=(401, 8)), marks)
+            got, want = gs.response(u), controllability_map(u, p8)
+            assert np.array_equal(got.w, want.w) and np.array_equal(got.y, want.y)
+        with pytest.raises(ValueError, match="grid"):
+            gs.response(ControlSignal(t0, 1.0, rng.normal(size=(201, 8))))
 
 
 class TestMinimumEnergyControl:

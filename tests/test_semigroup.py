@@ -5,7 +5,9 @@ from beamctl.semigroup import (
     ModelParams,
     _branch_coefficients,
     apply_semigroup,
+    force_column,
     operator_norm_bound,
+    propagator_entries_for,
 )
 from beamctl.spectral import StateZ, eigenvalue, eigenvalues, norm_z
 
@@ -147,6 +149,38 @@ def test_branch_matches_the_where_formula_bitwise(shift, det, t):
     for g, r in zip(got, ref):
         assert g.shape == r.shape
         assert g.tobytes() == r.tobytes()
+
+
+# (c, d) of the force-column cases at N = 48: every mode oscillatory,
+# overdamped low modes, mode 1 exactly critical, and both branches in one
+# table (modes 1-3 overdamped).
+FORCE_CASES = {
+    "oscillatory": (1.0, 1.0),
+    "overdamped-low-modes": (500.0, 0.01),
+    "repeated-root-mode-1": (2 * np.pi**2, 1.0),
+    "mixed-branches": (200.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", FORCE_CASES)
+@pytest.mark.parametrize("ts", [np.linspace(1.0, 0.0, 201), 0.3], ids=["array", "scalar"])
+def test_force_column_is_the_entries_bitwise(case, ts):
+    # The steering tables read only (e01, e11); they must be the bytes the
+    # full propagator gives, whichever branch each entry takes.
+    c, d = FORCE_CASES[case]
+    lam = eigenvalues(48)
+    got = force_column(ts, lam, c, d)
+    _, e01, _, e11 = propagator_entries_for(ts, lam, c, d)
+    assert got[0].shape == got[1].shape == (np.size(ts), 48)
+    assert np.array_equal(got[0], e01) and np.array_equal(got[1], e11)
+
+
+def test_force_column_cases_reach_their_branches():
+    quarter = {case: (0.5 * c) ** 2 - d * eigenvalues(48) for case, (c, d) in FORCE_CASES.items()}
+    assert (quarter["oscillatory"] < 0).all()
+    assert (quarter["overdamped-low-modes"][:4] > 0).all()
+    assert abs(quarter["repeated-root-mode-1"][0]) <= 1e-9 * eigenvalue(1)
+    assert (quarter["mixed-branches"][:3] > 0).all() and (quarter["mixed-branches"][3:] < 0).all()
 
 
 class TestGroup:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamctl import control, synthesis
+from beamctl import synthesis
 from beamctl.catalogs import ImpulseEvent, make_forcing, make_impulse_map, make_nonlinearity
 from beamctl.config import parse_config
 from beamctl.control import (
@@ -27,6 +27,7 @@ from beamctl.synthesis import (
 
 from oracles import (
     cold_exact_fixed_point,
+    count_propagator_tables,
     full_pullback_experiment,
     loop_steering_target,
 )
@@ -503,19 +504,12 @@ class TestExactFixedPoint:
         # Every outer iteration convolves against the [0, T] force column;
         # the Gramian set holds it, so it is tabulated once per run.
         spec = exact_benchmark
-        full_tables = []
-        for module in (control, synthesis):
-            def counted(ts, *args, _inner=module.propagator_entries_for):
-                if np.size(ts) == spec.n_steps + 1:
-                    full_tables.append(ts)
-                return _inner(ts, *args)
-
-            monkeypatch.setattr(module, "propagator_entries_for", counted)
+        sizes = count_propagator_tables(monkeypatch)
         rng = np.random.default_rng(1234)
         zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4) * 0.5)
         out = exact_fixed_point(spec, zstar, tol=1e-9, max_iter=50)
         assert len(out.iterations) > 1
-        assert len(full_tables) == 1
+        assert sizes.count(spec.n_steps + 1) == 1
 
     def test_reached_target_matches_steering_identity(self, benchmark_run):
         spec, zstar, out = benchmark_run
