@@ -149,11 +149,9 @@ def _cmd_approx(cfg: RunConfig, out: Path, prefix: str, say) -> None:
         ["sigma", "terminal_error", "bound_estimate"],
         [[r.sigma, r.terminal_error, r.bound_estimate] for r in result.rows],
     )
-    entries = [("command", "approx"), ("M_estimate", result.M_estimate)]
-    for i, row in enumerate(result.rows):
-        entries.append((f"delay_identity_sup_{i}", row.delay_identity_sup))
-        entries.append((f"overlap_sup_{i}", row.overlap_sup))
-    write_report(out / f"{prefix}_report.txt", entries)
+    write_report(
+        out / f"{prefix}_report.txt", [("command", "approx"), ("M_estimate", result.M_estimate)]
+    )
 
 
 def _cmd_exact(cfg: RunConfig, out: Path, prefix: str, say) -> None:

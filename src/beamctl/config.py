@@ -437,8 +437,7 @@ def parse_config(path: str | Path) -> RunConfig:
     )
     nonlocal_block.set("L_q", problem.L_q)
     if "sigmas" not in experiment.raw:
-        t_m = events[-1].time if events else 0.0
-        windows = [f * min(T - t_m, r) for f in (0.2, 0.1, 0.05, 0.025)]
+        windows = [f * (problem.window_end * h) for f in (0.2, 0.1, 0.05, 0.025)]
     sigmas = [
         _snap(s, h, "pull-back window", f"experiment.sigmas[{j}]") * h
         for j, s in enumerate(windows)

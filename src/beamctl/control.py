@@ -332,15 +332,16 @@ def gamma_norm_estimate(gs: GramianSet, p: ModelParams) -> float:
     and u is linear between nodes.  The norm of an affine function is
     convex, so sup_t |u(t)| is reached at a node, and the operator norm is
     the maximum over the nodes and modes of the dual energy norm of m_i,
-    with no sampling.  Raises NumericalError on an ill-conditioned block,
-    as steering with it would.
+    with no sampling; sqrt is monotone and correctly rounded, so it is
+    taken once, of the largest square.  Raises NumericalError on an
+    ill-conditioned block, as steering with it would.
     """
     _require_conditioned(gs)
     lam, inv = p.lam, gs.steering_inv
     lam_e01 = lam * gs.e01
     m0 = lam_e01 * inv[:, 0, 0] + gs.e11 * inv[:, 1, 0]
     m1 = lam_e01 * inv[:, 0, 1] + gs.e11 * inv[:, 1, 1]
-    return float(np.sqrt(m0**2 / lam + m1**2).max())
+    return float(np.sqrt((m0**2 / lam + m1**2).max()))
 
 
 # Rows in `integrate_linear`'s buffer.

@@ -272,15 +272,26 @@ class ProblemSpec:
     def u_dependent(self) -> bool:
         return self.nonlinearity.u_dependent or any(ev.map.u_dependent for ev in self.impulses)
 
+    @property
+    def window_end(self) -> int:
+        """Pull-back windows take fewer steps: sigma < min(T - t_m, r) and T - sigma >= tau_q."""
+        n = self.n_steps
+        last = n + 1 - max(self.lag_nodes, default=0)
+        return min(n - max(self.impulse_nodes, default=0), self.n_r, last)
+
     def window_steps(self, sigmas) -> tuple[int, ...]:
         """The steps sigma/h of pull-back windows, each starting at node n_steps - sigma/h.
 
         ConfigError naming `experiment.sigmas[j]` unless the windows sit on the
-        grid and decrease strictly in (0, min(T - t_m, r)), compared in nodes.
+        grid and decrease strictly in (0, min(T - t_m, r)) with their switch
+        T - sigma at or after the last lag tau_q, compared in nodes.
         """
         h = self.h
-        end = min(self.n_steps - max(self.impulse_nodes, default=0), self.n_r)
-        rule = f"windows must decrease in (0, min(T - t_m, r)) = (0, {end * h:g}), {end} steps"
+        end = self.window_end
+        rule = (
+            "windows must decrease in (0, min(T - t_m, r)) and switch at T - sigma >= tau_q: "
+            f"below {end} steps ({end * h:g})"
+        )
         steps = [end]
         for j, sigma in enumerate(sigmas):
             steps += _grid_nodes([sigma], h, steps[-1], rule, f"experiment.sigmas[{j}]")

@@ -4,9 +4,11 @@ Two drivers live here.  The pull-back experiment follows a nominal control
 until T - sigma and then switches to the linear minimum-energy control
 that steers the frozen state to the target over the remaining window.
 Windows lie in (0, min(T - t_m, r)), t_m the last impulse time, and
-`ProblemSpec.window_steps` alone turns them into steps.  The switched run
-is the nominal run up to T - sigma, so only its tail is integrated again
-(the whole run when a delay lag reaches past the switch).
+switch at T - sigma at or after the last lag tau_q;
+`ProblemSpec.window_steps` alone checks them and turns them into steps.
+So the switched run is the nominal run up to T - sigma, the nonlocal
+history never reads the switched tail, and only the tail is integrated
+again.
 The terminal miss is bounded by the integral of the declared growth
 envelope of the perturbation over that window, so it shrinks with sigma.
 The exact driver iterates trajectory -> steering target -> control ->
@@ -166,22 +168,11 @@ def pullback_control(
 
 @dataclass(frozen=True)
 class PullbackRow:
-    """One pull-back run: the window, the terminal miss, and its envelope bound.
-
-    `delay_identity_sup` is the largest deviation between the delayed
-    arguments of the switched and nominal runs over the tail window (they
-    agree exactly in theory because the delay reaches behind the switch);
-    `overlap_sup` is the largest node deviation on [-r, T - sigma].  Both
-    are zero by construction when the switched run reuses the nominal
-    prefix (`integrate_tail`); they measure something only for runs that
-    are integrated in full.
-    """
+    """One pull-back run: the window, the terminal miss, and its envelope bound."""
 
     sigma: float
     terminal_error: float
     bound_estimate: float
-    delay_identity_sup: float
-    overlap_sup: float
 
 
 @dataclass(frozen=True)
@@ -199,13 +190,11 @@ def approx_experiment(
     """Run the pull-back construction for each window size in `sigmas`.
 
     Requires decreasing windows on the time grid inside (0, min(T - t_m,
-    r)), all checked (`ProblemSpec.window_steps`) before the nominal run.
-    Each run integrates the nonlinear system under the switched control:
-    from the switch node on, starting from the nominal run's converged
-    nodes, when no delay lag reaches past the switch (`integrate_tail`,
-    bitwise the full run), and over all of [-r, T] otherwise, with a
-    warning: the nonlocal history then reads the switched tail, so the
-    pull-back identity behind the bound fails.  It reports the terminal
+    r)) that switch at or after the last lag, all checked
+    (`ProblemSpec.window_steps`) before the nominal run.  Each run
+    integrates the nonlinear system under the switched control from the
+    switch node on, starting from the nominal run's converged nodes
+    (`integrate_tail`, bitwise the full run).  It reports the terminal
     miss together with the trapezoid estimate of the envelope integral over
     the tail window, evaluated on the nominal trajectory's delayed states.
     """
@@ -217,8 +206,6 @@ def approx_experiment(
 
     nominal = integrate_mild(spec, u)
     traj = nominal.trajectory
-    tau_q = max(spec.lags, default=0.0)
-    last_lag_node = max(spec.lag_nodes, default=0)
     lam = p.lam
     M_est = operator_norm_bound(p)
     nl = spec.nonlinearity
@@ -226,21 +213,9 @@ def approx_experiment(
     for sigma, n_tail in zip(sigmas, tails):
         u_s = pullback_control(u, traj, sigma, zstar, spec)
         switch = spec.n_steps - n_tail
-        if last_lag_node <= switch:
-            switched = integrate_tail(spec, nominal, u_s, switch).trajectory
-        else:
-            logger.warning(
-                "pull-back window sigma = %.6g switches at T - sigma = %.6g, before the "
-                "largest lag tau_q = %.6g: the nonlocal history reads the switched tail, "
-                "so the pull-back identity and the error bound need not hold",
-                sigma,
-                p.T - sigma,
-                tau_q,
-            )
-            switched = integrate_mild(spec, u_s).trajectory
+        switched = integrate_tail(spec, nominal, u_s, switch).trajectory
         terminal_error = pair_norm(switched.values[-1] - zstar.to_pair(), lam)
 
-        switch_node = traj.n_history + switch
         tail_ts = p.T - sigma + spec.h * np.arange(n_tail + 1)
         e00, e01, e10, e11 = propagator_entries_for(p.T - tail_ts, lam, p.c, p.d)
         s_norms = weighted_block_norms(e00, e01, e10, e11, lam[None, :]).max(axis=1)
@@ -251,11 +226,7 @@ def approx_experiment(
         seg_norms = energy_norms(traj.values[delayed], lam)
         integrand = s_norms * (nl.alpha1 * nl.envelope(seg_norms) + nl.beta1)
         bound = float(spec.h * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1])))
-
-        d_delay = energy_norms(switched.values[delayed] - traj.values[delayed], lam).max()
-        overlap = switched.values[: switch_node + 1] - traj.values[: switch_node + 1]
-        d_overlap = float(energy_norms(overlap, lam).max())
-        rows.append(PullbackRow(sigma, float(terminal_error), bound, float(d_delay), d_overlap))
+        rows.append(PullbackRow(sigma, float(terminal_error), bound))
     return PullbackResult(tuple(rows), M_est)
 
 

@@ -905,7 +905,6 @@ def full_pullback_experiment(spec, u, zstar, sigmas):
         terminal_error = pair_norm(switched.values[-1] - zstar.to_pair(), lam)
 
         n_tail = int(round(sigma / spec.h))
-        switch_node = traj.n_nodes - 1 - n_tail
         tail_ts = p.T - sigma + spec.h * np.arange(n_tail + 1)
         e00, e01, e10, e11 = propagator_entries_for(p.T - tail_ts, lam, p.c, p.d)
         s_norms = weighted_block_norms(e00, e01, e10, e11, lam[None, :]).max(axis=1)
@@ -914,11 +913,7 @@ def full_pullback_experiment(spec, u, zstar, sigmas):
         envelope = np.array([nl.alpha1 * nl.envelope(s) + nl.beta1 for s in seg_norms])
         integrand = s_norms * envelope
         bound = float(spec.h * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1])))
-
-        d_delay = max(pair_norm(switched.values[i] - traj.values[i], lam) for i in delay_nodes)
-        overlap = switched.values[: switch_node + 1] - traj.values[: switch_node + 1]
-        d_overlap = float(energy_norms(overlap, lam).max())
-        rows.append(PullbackRow(sigma, float(terminal_error), bound, float(d_delay), d_overlap))
+        rows.append(PullbackRow(sigma, float(terminal_error), bound))
     return PullbackResult(tuple(rows), M_est), runs
 
 

@@ -26,10 +26,16 @@ from beamctl.semigroup import (
     operator_norm_bound,
     propagator_entries_for,
 )
-from beamctl.spectral import SpatialGrid, StateZ, eigenvalues, norm_z, pair_norm
+from beamctl.spectral import SpatialGrid, StateZ, eigenvalues, energy_norms, norm_z, pair_norm
 from beamctl.synthesis import approx_experiment, contraction_constants, exact_fixed_point
 
-from oracles import method_of_steps_rk4, node_index, semigroup_blocks, steering_control
+from oracles import (
+    full_pullback_experiment,
+    method_of_steps_rk4,
+    node_index,
+    semigroup_blocks,
+    steering_control,
+)
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -212,8 +218,13 @@ def test_criterion_6_approximate_controllability():
         errs = [row.terminal_error for row in result.rows]
         for row in result.rows:
             assert row.terminal_error <= M * beta1 * row.sigma + 1e-6
-            assert row.delay_identity_sup <= 1e-9
         assert all(a >= b for a, b in zip(errs, errs[1:]))
+        # The pull-back identity: each switched run, integrated in full over
+        # [-r, T], reads at t - r, t in [T - sigma, T], the nominal run's states.
+        nominal = integrate_mild(spec).trajectory.values
+        for sigma, run in zip(sigmas, full_pullback_experiment(spec, None, zstar, sigmas)[1]):
+            delayed = slice(spec.n_steps - round(sigma / spec.h), spec.n_steps + 1)
+            assert energy_norms(run.values[delayed] - nominal[delayed], p.lam).max() <= 1e-9
 
 
 def test_criterion_7_exact_controllability_fixed_point(grid129):

@@ -34,6 +34,13 @@ class HistoryFile:
     text: str
 
 
+# r + tau_q > T: windows longer than T - tau_q = 0.15 switch before the last lag.
+LATE_LAG = {
+    "model": {"c": 1.0, "d": 1.0, "k": 1.0, "n_modes": 4, "T": 1.0, "r": 0.9},
+    "delays": {"lags": [0.85]},
+    "nonlocal": {"gammas": [0.05]},
+}
+
 # The header and the first row of a history file on [-0.25, 0] with 4 modes.
 HISTORY_HEAD = "t,w_1,w_2,w_3,w_4,y_1,y_2,y_3,y_4\n-0.25,0,0,0,0,0,0,0,0\n"
 
@@ -437,6 +444,11 @@ class TestCli:
                 "experiment.sigmas[0]",
                 id="window-on-the-post-impulse-gap",
             ),
+            pytest.param(
+                {**LATE_LAG, "experiment": {"sigmas": [0.2]}},
+                "experiment.sigmas[0]",
+                id="window-switching-before-the-last-lag",
+            ),
             pytest.param({"grids": {"h": 1.0e-300}}, "grids.h", id="h-above-the-step-ceiling"),
             # A repeated key, given as text after the base blocks, at any level.
             pytest.param("model: {c: 2.0}\n", "model", id="repeated-block"),
@@ -685,6 +697,17 @@ class TestCli:
         assert err.count("\n") == 1
         # The command's checks run before the output directory is made.
         assert not out.exists()
+
+    def test_window_switching_at_the_last_lag_runs(self, tmp_path):
+        data = {**LATE_LAG, "grids": {"h": 0.002, "G": 65}, "targets": {"zstar_w": [0.1]}}
+        path = write_config(tmp_path, {**data, "experiment": {"sigmas": [0.15]}})
+        assert main(["approx", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        # Without windows the defaults, 0.2..0.025 of the window end, obey
+        # the rule, where 0.2 x min(T - t_m, r) = 0.18 would not.
+        cfg = parse_config(write_config(tmp_path, data))
+        spec = cfg.problem
+        assert cfg.window_steps == (15, 8, 4, 2)
+        assert all(spec.n_steps - n >= max(spec.lag_nodes) for n in cfg.window_steps)
 
     def test_steer_without_target_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": {"c": 1.0, "d": 1.0, "k": 1.0}})

@@ -16,6 +16,7 @@ from beamctl.semigroup import ModelParams, apply_semigroup, propagator_entries_f
 from beamctl.spectral import StateZ, eigenvalues, norm_z, zero_state
 
 from oracles import (
+    _dual_norms,
     control_sum,
     control_value,
     interpolated_gamma_norm,
@@ -287,6 +288,16 @@ class TestMinimumEnergyControl:
         gs = build_gramian_set(t0, 1.0, p, n_steps)
         got = gamma_norm_estimate(gs, p)
         assert got == pytest.approx(interpolated_gamma_norm(gs, p, refine=10), rel=1e-14)
+
+    @pytest.mark.parametrize("n_modes", [4, 32, 48])
+    def test_gamma_norm_is_the_largest_node_norm_bitwise(self, n_modes):
+        # The root of the largest square is the largest root, bit for bit.
+        p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=n_modes, T=1.0, r=0.25)
+        gs = build_gramian_set(0.0, 1.0, p, 2000)
+        inv = gs.steering_inv
+        m0 = p.lam * gs.e01 * inv[:, 0, 0] + gs.e11 * inv[:, 1, 0]
+        m1 = p.lam * gs.e01 * inv[:, 0, 1] + gs.e11 * inv[:, 1, 1]
+        assert gamma_norm_estimate(gs, p) == float(_dual_norms(m0, m1, p.lam).max())
 
     def test_gamma_norm_ill_conditioned_names_the_mode(self, p8):
         gs = build_gramian_set(0.0, 2e-7, p8, 16)

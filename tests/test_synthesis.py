@@ -103,20 +103,10 @@ def post_impulse_gap_spec():
     )
 
 
-def fallback_spec(grid, gammas=(0.05, 0.05)):
-    """Pull-back problem whose last lag, 0.35, reaches past every switch T - sigma <= 0.3."""
+def late_lag_spec(grid):
+    """Pull-back problem whose last lag, 0.35, leaves windows of at most T - tau_q = 0.15."""
     p = ModelParams(c=1.0, d=1.0, k=1e-9, n_modes=4, T=0.5, r=0.4)
-    return ProblemSpec(
-        params=p,
-        grid=grid,
-        n_steps=1000,
-        impulses=(ImpulseEvent(0.1, make_impulse_map("constant_kick", 4, {"coeffs": [0.0, 0.2]})),),
-        lags=(0.1, 0.35),
-        gammas=gammas,
-        nonlinearity=make_nonlinearity("bounded_wave", 4, {"amp": 0.5, "omega": 2.0}),
-        history=constant_history(p, 1000, w=[0.3, 0.1], y=[0.1]),
-        picard_tol=1e-11,
-    )
+    return ProblemSpec(params=p, grid=grid, n_steps=1000, lags=(0.1, 0.35), gammas=(0.05, 0.05))
 
 
 def saturation_spec(grid):
@@ -271,43 +261,22 @@ class TestApproxExperiment:
             assert row.terminal_error <= row.bound_estimate + 1e-6
         assert all(a >= b for a, b in zip(errs, errs[1:]))
 
-    def test_delay_identity_and_locality(self, bounded_benchmark, grid129, rng, monkeypatch):
-        # On the bounded benchmark the switched runs reuse the nominal prefix,
-        # so both deviations are zero by construction.  The fallback problem's
-        # last lag reaches past the switch, so each run is integrated in full;
-        # that lag carries no weight, so the pull-back identity still holds.
-        cases = [
-            (bounded_benchmark, [0.08, 0.02], 1),
-            (fallback_spec(grid129, (0.05, 0.0)), [0.3, 0.2], 3),
-        ]
-        for spec, sigmas, integrations in cases:
-            zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4) * 0.4)
-            result, mild_calls, _ = spied_approx_experiment(monkeypatch, spec, None, zstar, sigmas)
-            assert mild_calls == integrations
-            for row in result.rows:
-                assert row.delay_identity_sup <= 1e-9
-                assert row.overlap_sup <= 1e-9
-
-    def test_windows_switching_before_the_last_lag_warn(
+    def test_windows_switching_before_the_last_lag_are_rejected(
         self, bounded_benchmark, grid129, rng, caplog
     ):
-        # Fallback problem: both switches, T - sigma = 0.2 and 0.3, come
+        # Late-lag problem: both switches, T - sigma = 0.2 and 0.3, come
         # before tau_q = 0.35.  The bounded benchmark is the problem of
         # approx_bounded.yaml, whose switches all follow tau_q = 0.2.
         zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4) * 0.4)
-        with caplog.at_level(logging.WARNING, logger="beamctl.synthesis"):
-            approx_experiment(fallback_spec(grid129), None, zstar, [0.3, 0.2])
-        messages = [rec.getMessage() for rec in caplog.records]
-        assert [rec.levelno for rec in caplog.records] == [logging.WARNING] * 2
-        for sigma, message in zip((0.3, 0.2), messages):
-            assert f"sigma = {sigma:g} " in message
-            assert "tau_q = 0.35:" in message
-        caplog.clear()
+        with pytest.raises(ConfigError, match=r"T - sigma >= tau_q") as err:
+            approx_experiment(late_lag_spec(grid129), None, zstar, [0.3, 0.2])
+        assert err.value.key == "experiment.sigmas[0]"
+        assert late_lag_spec(grid129).window_steps([0.15]) == (300,)
         with caplog.at_level(logging.DEBUG):
             approx_experiment(bounded_benchmark, None, zstar, [0.08, 0.04, 0.02, 0.01])
         assert not caplog.records
 
-    @pytest.mark.parametrize("case", ["bounded", "marked-nominal", "fallback", "saturation"])
+    @pytest.mark.parametrize("case", ["bounded", "marked-nominal", "saturation"])
     def test_matches_full_reintegration_bitwise(
         self, case, bounded_benchmark, grid129, rng, monkeypatch
     ):
@@ -316,14 +285,12 @@ class TestApproxExperiment:
             # The mark at t = 0.5 sits before every switch.
             u = ControlSignal(0.0, 1.0, rng.normal(size=(2001, 4)), {1000: rng.normal(size=4)})
             sigmas = [0.08, 0.02]
-        elif case == "fallback":
-            spec, sigmas = fallback_spec(grid129), [0.3, 0.2]
         elif case == "saturation":
             spec, sigmas = saturation_spec(grid129), [0.08, 0.02]
         zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4) * 0.4)
         result, mild_calls, runs = spied_approx_experiment(monkeypatch, spec, u, zstar, sigmas)
         oracle, oracle_runs = full_pullback_experiment(spec, u, zstar, sigmas)
-        assert mild_calls == (1 + len(sigmas) if case == "fallback" else 1)
+        assert mild_calls == 1
         assert result == oracle
         assert len(runs) == len(oracle_runs) == len(sigmas)
         for a, b in zip(runs, oracle_runs):
