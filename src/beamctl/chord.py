@@ -9,7 +9,9 @@ The chord method (Kelley, *Iterative Methods for Linear and Nonlinear
 Equations*, SIAM 1995, ch. 5) takes P as a fixed Jacobian, so each update
 is x - P^-1 (x - H(x)), and only the cable, the catalog term and the kicks
 are left to iterate.  P^-1 is in closed form: `linear_part` tabulates it
-once per integration and `correction` applies it.
+once per integration and `correction` applies it.  The iterate is the node
+values alone, jumps in the history window or not: no sweep reads the
+history's left limits, which `dynamics` solves once from the converged sweep.
 """
 
 from __future__ import annotations

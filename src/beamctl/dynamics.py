@@ -56,20 +56,21 @@ The nonlocal initial condition prescribes the history only implicitly
 trajectory is resolved by an outer iteration over candidate histories,
 terminated on the history-consistency residual.  Its update is a chord
 step x + P^-1 (H(x) - x) on the history map H, whose fixed Jacobian P is
-the map's linear part in closed form (module `chord`); a history window
-with jump marks takes the plain Picard step H(x) instead.  Measuring the
+the map's linear part in closed form (module `chord`).  Measuring the
 residual instead of the whole-trajectory change keeps termination causal:
 nodes beyond the largest lag never influence the iteration count.  So the
 history sweeps stop at the largest lag tau_q, and once the residual is
 met the converged sweep continues from there to T, once; the sweep being
-causal, that is bitwise the full sweep.  Without lags the one history
-sweep runs to T and meets the residual, exactly 0, at once.  Likewise a
-run whose control departs from a converged run's only after the largest
-lag repeats its history iteration exactly, and `integrate_tail`
-integrates just the part after the departure.  A run whose control is
-close to a converged run's can start its history iteration from that
-run's history (`warm`), which needs fewer sweeps to meet the same
-residual.
+causal, that is bitwise the full sweep.  No sweep, residual or step reads
+the history's jump marks (an impulse at or before tau_q carried back), so
+they are solved once, from the converged sweep.  Without lags the one
+history sweep runs to T and meets the residual, exactly 0, at once.
+Likewise a run whose control departs from a converged run's only after
+the largest lag repeats its history iteration exactly, and
+`integrate_tail` integrates just the part after the departure.  A run
+whose control is close to a converged run's can start its history
+iteration from that run's history (`warm`), which needs fewer sweeps to
+meet the same residual.
 """
 
 from __future__ import annotations
@@ -287,13 +288,12 @@ class ProblemSpec:
         T - sigma at or after the last lag tau_q, compared in nodes.
         """
         h = self.h
-        end = self.window_end
-        rule = (
-            "windows must decrease in (0, min(T - t_m, r)) and switch at T - sigma >= tau_q: "
-            f"below {end} steps ({end * h:g})"
-        )
-        steps = [end]
+        steps = [self.window_end]
         for j, sigma in enumerate(sigmas):
+            rule = (
+                "windows must decrease in (0, min(T - t_m, r)) and switch at T - sigma >= tau_q: "
+                f"below {steps[-1]} steps ({steps[-1] * h:g})"
+            )
             steps += _grid_nodes([sigma], h, steps[-1], rule, f"experiment.sigmas[{j}]")
         return tuple(steps[1:])
 
@@ -596,32 +596,33 @@ def _sweep(
     return values, marks, sources
 
 
-def _nonlocal_on_history(values, marks, spec: ProblemSpec):
-    """Evaluate the nonlocal combination of the lagged windows on [-r, 0]."""
-    n_r, offsets = spec.n_r, spec.lag_nodes
-    gvals = np.zeros((n_r + 1, 2, spec.params.n_modes))
-    gmarks: dict[int, np.ndarray] = {}
-    for g, off in zip(spec.gammas, offsets):
-        gvals += g * values[off : off + n_r + 1]
-    mark_targets = sorted(
-        {
-            i - off
-            for off in offsets
-            for i in marks
-            if 0 <= i - off <= n_r
-        }
-    )
-    for loc in mark_targets:
-        acc = np.zeros_like(gvals[0])
+def _nonlocal_on_history(values, spec: ProblemSpec):
+    """The nonlocal combination sum_j gamma_j z(theta + tau_j) at the nodes of [-r, 0]."""
+    n_r = spec.n_r
+    return sum(g * values[off : off + n_r + 1] for g, off in zip(spec.gammas, spec.lag_nodes))
+
+
+def _history_marks(values, marks, spec: ProblemSpec) -> None:
+    """Add to `marks` the left limits x(theta-) = rho(theta) - sum_j gamma_j z((theta + tau_j)-).
+
+    They sit a lag or more back from a jump mark of the sweep, and are solved
+    latest first, each from later left limits (P^-1 applied to them):
+    O(marks q) work, none without marks.
+    """
+    n_r, offsets, rho = spec.n_r, spec.lag_nodes, spec.history
+    found, new = set(), set(marks)
+    while new:
+        new = {i - off for i in new for off in offsets if 0 <= i - off <= n_r} - found
+        found |= new
+    for loc in sorted(found, reverse=True):
+        acc = np.zeros_like(rho[loc])
         for g, off in zip(spec.gammas, offsets):
-            src = marks.get(loc + off, values[loc + off])
-            acc += g * src
-        gmarks[loc] = acc
-    return gvals, gmarks
+            acc += g * marks.get(loc + off, values[loc + off])
+        marks[loc] = rho[loc] - acc
 
 
 def _warm_history(spec: ProblemSpec, warm: IntegrationResult):
-    """The history nodes [-r, 0] of a run on the grid of `spec`, plus their marks."""
+    """The history nodes [-r, 0] of a run on the grid of `spec`."""
     traj, n_r = warm.trajectory, spec.n_r
     shape = (n_r + spec.n_steps + 1, 2, spec.params.n_modes)
     same_grid = traj.n_history == n_r and abs(traj.step - spec.h) <= 1e-12 * spec.h
@@ -631,7 +632,7 @@ def _warm_history(spec: ProblemSpec, warm: IntegrationResult):
             f"the trajectory grid {shape} of step {spec.h:.6g}; "
             "warm starts must live on the trajectory grid"
         )
-    return traj.values[: n_r + 1], {i: v for i, v in traj.left_values.items() if i <= n_r}
+    return traj.values[: n_r + 1]
 
 
 def integrate_mild(
@@ -653,26 +654,26 @@ def integrate_mild(
     history-consistency residual |x - H(x)| falls below `tol`:
     `spec.picard_tol` by default, looser where `exact_fixed_point` needs no
     more.  Each update is the chord step x - P^-1 (x - H(x)) of module
-    `chord`, P the linear part of x - H(x); where the history window
-    carries jump marks (an impulse at or before tau_q), it is plain Picard,
-    x <- H(x), which carries the marks.  The residual and the next candidate
-    read no node past the largest lag tau_q, so each history sweep stops
-    there; the converged one then continues to T, once.
+    `chord` on the node values, P the linear part of x - H(x).  The residual
+    and the next candidate read no node past the largest lag tau_q, so each
+    history sweep stops there.  The history's left limits at its jump marks
+    (an impulse at or before tau_q) are then solved from the converged
+    sweep, and it continues to T, once.
 
     The iteration stops with NumericalError when a sweep leaves the finite
     range; when the successive sweep differences on [-r, tau_q] grow three
-    times in a row ("diverging": under the chord, P^-1 amplifies the
-    nonlinear remainder past 1; under Picard, the nonlocal term is too
-    strong); or when a mode's I + sum_j gamma_j E_n(tau_j) is singular
-    (its inverse would amplify the energy norm by 1e12 or more: the
-    nonlocal condition then does not determine the history at t = 0).
+    times in a row ("diverging": P^-1 amplifies what P leaves out, the
+    cable, the catalog term and the kicks, past 1); or when a mode's
+    I + sum_j gamma_j E_n(tau_j) is singular (its inverse would amplify the
+    energy norm by 1e12 or more: the nonlocal condition then does not
+    determine the history at t = 0).
 
     `warm`, a run of the same problem on the same grid (any control),
-    replaces the first candidate: its history nodes on [-r, 0] and their
-    marks.  The iteration contracts, so the fixed point and every stopping
-    rule are as for a cold start; only the number of sweeps changes.  When
-    `warm` was run with the same control, its history already meets the
-    residual and one sweep returns that run bit for bit.
+    replaces the first candidate with its history nodes on [-r, 0].  The
+    iteration contracts, so the fixed point and every stopping rule are as
+    for a cold start; only the number of sweeps changes.  When `warm` was
+    run with the same control, its history already meets the residual and
+    one sweep returns that run bit for bit.
     """
     tol = spec.picard_tol if tol is None else tol
     controls = _control_nodes(u, spec)
@@ -682,25 +683,20 @@ def integrate_mild(
     stop = max(spec.lag_nodes, default=spec.n_steps)
     n_read = n_r + stop + 1
 
-    if warm is None:
-        hist_values, hist_marks = rho_values, {}
-    else:
-        hist_values, hist_marks = _warm_history(spec, warm)
+    hist_values = rho_values if warm is None else _warm_history(spec, warm)
     prev_values, tables = None, None
     sup_diffs: list[float] = []
     grow_streak = 0
     residual, ratio = np.inf, np.nan
     for iteration in range(1, spec.picard_max_iter + 1):
-        where = f"history sweep {iteration}"
         values, marks, sources = _sweep(
-            spec, kernel, *controls, hist_values, hist_marks, last=stop, where=where
+            spec, kernel, *controls, hist_values, {}, last=stop, where=f"history sweep {iteration}"
         )
         if prev_values is not None:
             d = float(energy_norms(values[:n_read] - prev_values[:n_read], lam).max())
             ratio = d / sup_diffs[-1] if sup_diffs and sup_diffs[-1] > 0 else np.nan
             sup_diffs.append(d)
-        gvals, gmarks = _nonlocal_on_history(values, marks, spec)
-        res = values[: n_r + 1] + gvals - rho_values
+        res = values[: n_r + 1] + _nonlocal_on_history(values, spec) - rho_values
         residual = float(energy_norms(res, lam).max())
         if residual <= tol:
             break
@@ -710,13 +706,9 @@ def integrate_mild(
                 f"history iteration diverging: sweep-difference ratio {ratio:.3f} > 1 "
                 f"for three consecutive sweeps (sweep {iteration}, residual {residual:.3e})"
             )
-        if gmarks:
-            hist_values = rho_values - gvals
-            hist_marks = {i: rho_values[i] - g_left for i, g_left in gmarks.items()}
-        else:
-            # Built at the first chord step, once per integration.
-            tables = tables or chord.linear_part(spec)
-            hist_values = hist_values - chord.correction(res, tables, spec)
+        # Built at the first chord step, once per integration.
+        tables = tables or chord.linear_part(spec)
+        hist_values = hist_values - chord.correction(res, tables, spec)
         prev_values = values
     else:
         raise NumericalError(
@@ -724,6 +716,7 @@ def integrate_mild(
             f"{spec.picard_max_iter} sweeps (residual {residual:.3e}, "
             f"last contraction ratio {ratio:.3f})"
         )
+    _history_marks(values, marks, spec)
     if stop < spec.n_steps:
         where = f"continuation from t = {stop * spec.h:.6g} after history sweep {iteration}"
         values, marks, sources = _sweep(

@@ -917,6 +917,25 @@ def full_pullback_experiment(spec, u, zstar, sigmas):
     return PullbackResult(tuple(rows), M_est), runs
 
 
+def history_left_limits(spec, values, marks) -> dict:
+    """The history's jump marks solved from a trajectory, node by node.
+
+    x(theta-) = rho(theta) - sum_j gamma_j z((theta + tau_j)-), the nodes of
+    [-r, 0] scanned from t = 0 back: a node is marked when one of the left
+    limits it reads is, an impulse mark in `marks` after t = 0 or a history
+    mark already solved.  Returns the marks on [-r, 0].
+    """
+    n_r, offsets = spec.n_r, spec.lag_nodes
+    left = {i: v for i, v in marks.items() if i > n_r}
+    for loc in range(n_r, -1, -1):
+        if any(loc + off in left for off in offsets):
+            acc = np.zeros_like(values[0])
+            for g, off in zip(spec.gammas, offsets):
+                acc += g * left.get(loc + off, values[loc + off])
+            left[loc] = spec.history[loc] - acc
+    return {i: v for i, v in left.items() if i <= n_r}
+
+
 def full_history_integrate(spec, u=None, *, chord=True):
     """`integrate_mild` with every history sweep over all of [0, T].
 
@@ -925,10 +944,13 @@ def full_history_integrate(spec, u=None, *, chord=True):
     sweep count and residual must be equal.  Each of its sweeps passes the
     largest lag as a restart node (closed at once, the next step taken with
     F), as the continuation from there starts.  Its `picard_sup_diffs` are
-    measured over the whole trajectory.  With `chord=False` every update is
-    the plain Picard one, the next candidate rho - sum_j gamma_j z(. + tau_j):
-    the independent reference for the chord correction, which must reach
-    the same history within tolerance.
+    measured over the whole trajectory.  With `chord=True` the history's
+    jump marks are solved once from the converged sweep
+    (`history_left_limits`).  With `chord=False` every update is the plain
+    Picard one, the next candidate rho - sum_j gamma_j z(. + tau_j) with its
+    marks carried from sweep to sweep: the independent reference for the
+    chord correction and the marks, which must reach the same history
+    within tolerance.
     """
     controls = dynamics._control_nodes(u, spec)
     rho_values, n_r = spec.history, spec.n_r
@@ -952,7 +974,7 @@ def full_history_integrate(spec, u=None, *, chord=True):
         if spec.q == 0:
             residual = 0.0
             break
-        gvals, gmarks = dynamics._nonlocal_on_history(values, marks, spec)
+        gvals = dynamics._nonlocal_on_history(values, spec)
         res = values[: n_r + 1] + gvals - rho_values
         residual = float(energy_norms(res, lam).max())
         if residual <= spec.picard_tol:
@@ -963,12 +985,18 @@ def full_history_integrate(spec, u=None, *, chord=True):
                 f"history iteration diverging: sweep-difference ratio {ratio:.3f} > 1 "
                 f"for three consecutive sweeps (sweep {iteration}, residual {residual:.3e})"
             )
-        if chord and not gmarks:
+        if chord:
             tables = tables or chord_linear_part(spec)
             hist_values = hist_values - chord_correction(res, tables, spec)
         else:
             hist_values = rho_values - gvals
-            hist_marks = {i: rho_values[i] - g_left for i, g_left in gmarks.items()}
+            targets = {i - off for off in spec.lag_nodes for i in marks if 0 <= i - off <= n_r}
+            hist_marks = {}
+            for loc in sorted(targets):
+                acc = np.zeros_like(gvals[0])
+                for g, off in zip(spec.gammas, spec.lag_nodes):
+                    acc += g * marks.get(loc + off, values[loc + off])
+                hist_marks[loc] = rho_values[loc] - acc
         prev_values = values
     else:
         raise NumericalError(
@@ -976,6 +1004,8 @@ def full_history_integrate(spec, u=None, *, chord=True):
             f"{spec.picard_max_iter} sweeps (residual {residual:.3e}, "
             f"last contraction ratio {ratio:.3f})"
         )
+    if chord:
+        marks.update(history_left_limits(spec, values, marks))
     traj = Trajectory(spec.h, n_r, values, marks)
     return IntegrationResult(traj, iteration, residual, tuple(sup_diffs), sources)
 

@@ -449,6 +449,11 @@ class TestCli:
                 "experiment.sigmas[0]",
                 id="window-switching-before-the-last-lag",
             ),
+            pytest.param(
+                {"experiment": {"sigmas": [0.08, 0.08]}},
+                "experiment.sigmas[1]",
+                id="windows-not-decreasing",
+            ),
             pytest.param({"grids": {"h": 1.0e-300}}, "grids.h", id="h-above-the-step-ceiling"),
             # A repeated key, given as text after the base blocks, at any level.
             pytest.param("model: {c: 2.0}\n", "model", id="repeated-block"),
@@ -696,6 +701,19 @@ class TestCli:
         assert err.startswith(f"error: config: {key}: ")
         assert err.count("\n") == 1
         # The command's checks run before the output directory is made.
+        assert not out.exists()
+
+    def test_window_not_below_the_previous_one_names_it(self, tmp_path, capsys):
+        # approx_bounded's bound is min(T - t_m, r) = 0.4, 800 steps; the
+        # second window must lie below the first, 160 steps.
+        data = yaml.safe_load((CONFIGS / "approx_bounded.yaml").read_text())
+        data["experiment"]["sigmas"] = [0.08, 0.08]
+        out = tmp_path / "o"
+        rc = main(["approx", "--config", str(write_config(tmp_path, data)), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: experiment.sigmas[1]: ")
+        assert err.endswith(": below 160 steps (0.08); got 0.08\n")
         assert not out.exists()
 
     def test_window_switching_at_the_last_lag_runs(self, tmp_path):

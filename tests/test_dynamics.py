@@ -25,6 +25,7 @@ from beamctl.spectral import (
 from oracles import (
     Segment,
     full_history_integrate,
+    history_left_limits,
     implicit_trapezoid_sweep,
     method_of_steps_rk4,
     node_index,
@@ -390,14 +391,14 @@ class TestIntegrateMild:
         assert not np.array_equal(t1.values, t2.values)
 
 
-def diverging_spec(grid, gammas):
+def diverging_spec(grid, gammas, amp=0.3):
     """One lag at 0.1 and a velocity kick at 0.05, which marks the history window."""
     p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
     return ProblemSpec(
         params=p,
         grid=grid,
         n_steps=200,
-        impulses=(ImpulseEvent(0.05, _kick("velocity_kick")),),
+        impulses=(ImpulseEvent(0.05, _kick("velocity_kick", amp)),),
         lags=(0.1,),
         gammas=gammas,
         history=constant_history(p, 200, w=[0.4], y=[0.2]),
@@ -686,10 +687,10 @@ class TestExplicitSweep:
             dynamics.integrate_tail(spec, nominal, u, 120)
 
     def test_diverging_history_stops_early(self, grid129, monkeypatch):
-        # The impulse before the lag puts a mark in the history window, so
-        # the iteration takes plain Picard steps, which gamma = 1.5 makes
-        # diverge.  (Without it the chord solves this problem in 5 sweeps.)
-        spec = diverging_spec(grid129, gammas=(1.5,))
+        # The chord's P leaves the kicks out, and with gamma = 1.5 its P^-1
+        # amplifies a kick of amplitude 3 at 0.05: the sweep differences grow
+        # by about 1.8.  (With amplitude 0.3 the chord solves it in 16 sweeps.)
+        spec = diverging_spec(grid129, gammas=(1.5,), amp=3.0)
         sweeps = []
         real_sweep = dynamics._sweep
 
@@ -803,8 +804,8 @@ class TestWarmStart:
             integrate_mild(spec, warm=coarse)
 
     def test_diverging_history_stops_with_a_warm_start(self, grid129, monkeypatch):
-        converged = integrate_mild(diverging_spec(grid129, gammas=(0.1,)))
-        spec = diverging_spec(grid129, gammas=(1.5,))
+        converged = integrate_mild(diverging_spec(grid129, gammas=(0.1,), amp=3.0))
+        spec = diverging_spec(grid129, gammas=(1.5,), amp=3.0)
         sweeps = []
         real_sweep = dynamics._sweep
 
@@ -816,6 +817,18 @@ class TestWarmStart:
         with pytest.raises(NumericalError, match="diverging"):
             integrate_mild(spec, warm=converged)
         assert len(sweeps) < spec.picard_max_iter
+
+
+# History windows that carry jump marks: every sweep case with lags
+# (0.3, 0.6) and r = 0.7, each with an impulse at or before tau_q, and the
+# kick at 0.05 before the one lag 0.1 with gamma = 0.5.
+MARKED_WINDOWS = [*sorted(SWEEP_CASES), "kick-before-the-lag"]
+
+
+def marked_window_case(case, grid, rng):
+    if case == "kick-before-the-lag":
+        return diverging_spec(grid, gammas=(0.5,)), None
+    return TestExplicitSweep._case(case, grid, rng, lags=(0.3, 0.6), r=0.7)
 
 
 class TestChordIteration:
@@ -845,6 +858,45 @@ class TestChordIteration:
         assert chord.history_residual <= spec.picard_tol
         scale = energy_norms(plain.trajectory.values, spec.params.lam).max()
         assert chord.trajectory.sup_diff(plain.trajectory) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("case", MARKED_WINDOWS)
+    def test_marked_window_matches_plain_picard(self, case, grid129, rng):
+        spec, u = marked_window_case(case, grid129, rng)
+        chord = integrate_mild(spec, u)
+        plain = full_history_integrate(spec, u, chord=False)
+        assert chord.picard_iterations < plain.picard_iterations
+        assert chord.history_residual <= spec.picard_tol
+        lam = spec.params.lam
+        scale = energy_norms(plain.trajectory.values, lam).max()
+        assert chord.trajectory.sup_diff(plain.trajectory) <= 1e-9 * scale
+        a, b = chord.trajectory.left_values, plain.trajectory.left_values
+        assert sorted(a) == sorted(b)
+        assert any(i <= spec.n_r for i in a), "the case marks no history node"
+        for i in a:
+            assert pair_norm(a[i] - b[i], lam) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("case", MARKED_WINDOWS)
+    def test_history_marks_are_the_substitution_bitwise(self, case, grid129, rng):
+        # x(theta-) = rho(theta) - sum_j gamma_j z((theta + tau_j)-), read
+        # off the returned trajectory node by node: the identity holds
+        # exactly, with no marks left over from an earlier sweep.
+        spec, u = marked_window_case(case, grid129, rng)
+        traj = integrate_mild(spec, u).trajectory
+        got = {i: v for i, v in traj.left_values.items() if i <= spec.n_r}
+        want = history_left_limits(spec, traj.values, traj.left_values)
+        assert got and sorted(got) == sorted(want)
+        for i in got:
+            assert np.array_equal(got[i], want[i])
+
+    def test_strong_negative_coupling_converges(self, grid129):
+        # gamma = -0.9 with the kick before the lag: plain Picard stalls at a
+        # contraction ratio about 1.05, the chord converges.
+        spec = diverging_spec(grid129, gammas=(-0.9,))
+        with pytest.raises(NumericalError, match="did not reach"):
+            full_history_integrate(spec, chord=False)
+        res = integrate_mild(spec)
+        assert res.picard_iterations < spec.picard_max_iter
+        assert res.history_residual <= spec.picard_tol
 
 
 class TestIntegrateTail:
