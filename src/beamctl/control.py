@@ -5,15 +5,16 @@ controllability machinery decouples into per-mode 2x2 Gramians.  Each
 of its two Gramians has its own readers:
 
 * `GramianSet` holds the *steering* Gramian of a window, accumulated by
-  the trapezoid rule on the control grid that `controllability_map` uses,
-  and the force-column table it is built from.  Everything that steers or
-  certifies reads it: `minimum_energy_control` applies its inverse,
-  `gamma_norm_estimate` takes the norm of exactly that applied operator
-  for the contraction certificate, and `GramianSet.response` gives the
-  state a control on the window's grid reaches, by the one trapezoid sum
-  that `controllability_map` takes too.  Because the map and the Gramian
-  share one discrete quadrature, the right-inverse identity (map after
-  steering equals the target) holds to machine precision on every grid.
+  the trapezoid rule on the control grid, and the force-column table it
+  is built from.  Everything that steers or certifies reads it:
+  `minimum_energy_control` applies its inverse, `gamma_norm_estimate`
+  takes the norm of exactly that applied operator for the contraction
+  certificate, and `GramianSet.response` gives the state a control on
+  the window's grid reaches, by the trapezoid sum on the same table.
+  Because the map and the Gramian share one discrete quadrature, the
+  right-inverse identity (map after steering equals the target) holds to
+  machine precision on every grid.  Its reference is
+  `tests/oracles.controllability_map`, the same map on its own table.
 * `mode_gramian` is the exact Gramian of the continuous system, in closed
   form from one propagator evaluation at the window length; only the
   `gramian` command reports it.  The gap between the two Gramians is the
@@ -35,7 +36,6 @@ __all__ = [
     "GramianSet",
     "mode_gramian",
     "build_gramian_set",
-    "controllability_map",
     "minimum_energy_control",
     "gamma_norm_estimate",
     "integrate_linear",
@@ -223,12 +223,24 @@ class GramianSet:
     def response(self, u: ControlSignal) -> StateZ:
         """State reached at t1 from rest by a control on this window's grid.
 
-        The set's force column is the table `controllability_map` would
-        tabulate for u, so this is that map, read without a new table.
+        The trapezoid convolution of u against the set's force column at
+        t1 - t_i of its nodes; marked nodes contribute their left and right
+        values with half weight each, mirroring the stepping of the
+        integrators.  Both components go through one buffer.
         """
         if (u.t0, u.t1, u.values.shape) != (self.t0, self.t1, self.e01.shape):
             raise ValueError("control is not on the Gramian set's grid")
-        return _force_response(self.e01, self.e11, u)
+        wts, extra = u.quadrature_weights()
+        wts = wts[:, None]
+        buf = np.empty(u.values.shape)
+        w_comp, y_comp = (
+            np.multiply(np.multiply(wts, e, out=buf), u.values, out=buf).sum(axis=0)
+            for e in (self.e01, self.e11)
+        )
+        for i, wi in extra.items():
+            w_comp += wi * self.e01[i] * u.left_values[i]
+            y_comp += wi * self.e11[i] * u.left_values[i]
+        return StateZ(w_comp, y_comp)
 
 
 def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -266,38 +278,6 @@ def build_gramian_set(t0: float, t1: float, p: ModelParams, n_steps: int) -> Gra
     return GramianSet(t0, t1, W, _invert_blocks(W), weighted_cond(W, lam), e01, e11)
 
 
-def _force_response(e01: np.ndarray, e11: np.ndarray, u: ControlSignal) -> StateZ:
-    """Trapezoid convolution of u against the force column at t1 - t_i of its nodes.
-
-    Marked nodes contribute their left and right values with half weight
-    each, mirroring the stepping of the integrators.  Both components go
-    through one (n_nodes, n_modes) buffer.
-    """
-    wts, extra = u.quadrature_weights()
-    wts = wts[:, None]
-    buf = np.empty(u.values.shape)
-    w_comp, y_comp = (
-        np.multiply(np.multiply(wts, e, out=buf), u.values, out=buf).sum(axis=0) for e in (e01, e11)
-    )
-    for i, wi in extra.items():
-        w_comp += wi * e01[i] * u.left_values[i]
-        y_comp += wi * e11[i] * u.left_values[i]
-    return StateZ(w_comp, y_comp)
-
-
-def controllability_map(u: ControlSignal, p: ModelParams) -> StateZ:
-    """State reached at t1 from rest by the control alone.
-
-    Trapezoid rule on the control grid applied to the propagated force
-    channel, tabulated for u's nodes (`GramianSet.response` reads a
-    window's table instead).
-    """
-    if u.n_modes != p.n_modes:
-        raise ValueError(f"control has {u.n_modes} modes, params expect {p.n_modes}")
-    e01, e11 = force_column(u.t1 - u.times, p.lam, p.c, p.d)
-    return _force_response(e01, e11, u)
-
-
 def _require_conditioned(gs: GramianSet) -> None:
     """Raise NumericalError naming the first mode whose steering block is ill-conditioned."""
     bad = np.nonzero(gs.cond > CONDITION_LIMIT)[0]
@@ -312,7 +292,7 @@ def minimum_energy_control(xi: StateZ, gs: GramianSet, p: ModelParams) -> Contro
     """Control of least trapezoid-L2 norm steering 0 to `xi` over [t0, t1].
 
     Per mode the nodal values are b* E*(t1 - t) W^-1 xi; composed with
-    `controllability_map` on the same grid this reproduces xi to machine
+    `GramianSet.response` on the same set this reproduces xi to machine
     precision.
     """
     if xi.n_modes != gs.n_modes:

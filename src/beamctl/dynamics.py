@@ -21,8 +21,8 @@ before the node's closing half source s = h/2 (g + u), the clipped grid
 samples m = max(S w, 0) of the position (S = `grid.basis`), and the
 exogenous half source e = h/2 (p + f) + h/2 u, so that s = P^T m + e with
 the cable projector P (`spectral.positive_projector`, scaled by -k h/2;
-`positive_part`'s clip up to rounding).  The step matrix F
-(`semigroup.propagator_matrix`) maps [w, y, s] to E(h) (w, y + s), its
+the reference clip `tests/oracles.positive_part` up to rounding).  The
+step matrix F (`semigroup.propagator_matrix`) maps [w, y, s] to E(h) (w, y + s), its
 s-columns being its y-columns, so it equals K [w, y - s, m, e] with
 K = [F_w, F_y, 2 F_y P^T, 2 F_y], built once per integration
 (`_sweep_kernel`).  A node costs three numpy calls: the product with K
@@ -418,10 +418,10 @@ def _sweep_kernel(spec: ProblemSpec):
     """(F, K, S, P): the sweep's two step matrices, grid samples of the modes and cable projector.
 
     `np.dot(np.maximum(np.dot(S, w), 0), P)` is h/2 times the cable force
-    -k w+ of the position w, `positive_part`'s clip up to rounding.  F
-    (`propagator_matrix`) steps a closed row [w, y, s]; K = [F_w, F_y,
-    2 F_y P^T, 2 F_y] steps the open row [w, y - s, m, e] with the same
-    s = P^T m + e, F's s-columns being its y-columns.
+    -k w+ of the position w, the reference clip `tests/oracles.positive_part`
+    up to rounding.  F (`propagator_matrix`) steps a closed row [w, y, s];
+    K = [F_w, F_y, 2 F_y P^T, 2 F_y] steps the open row [w, y - s, m, e]
+    with the same s = P^T m + e, F's s-columns being its y-columns.
     """
     p, h, n = spec.params, spec.h, spec.params.n_modes
     F = propagator_matrix(h, p.lam, p.c, p.d)

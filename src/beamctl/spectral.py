@@ -21,7 +21,6 @@ __all__ = [
     "eigenvalue",
     "eigenvalues",
     "reconstruct",
-    "positive_part",
     "positive_projector",
     "norm_z",
     "energy_norms",
@@ -95,31 +94,17 @@ def reconstruct(coeffs: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 
 
 def positive_projector(grid: SpatialGrid, n_modes: int, scale: float = 1.0) -> np.ndarray:
-    """The projection of `positive_part` for `n_modes` modes on `grid`, times `scale`.
+    """The cable projector: modal projection of clipped grid samples, times `scale`.
 
     Checks the anti-aliasing bound G >= 2N + 1 and returns the (G, N)
     matrix P = basis * (scale * weight): for clipped grid samples
-    s = max(basis @ c, 0), `np.dot(s, P)` is `scale * positive_part(c, grid)`
-    up to rounding, the quadrature weight and the scale folded into one
-    product.
+    s = max(basis @ c, 0), `np.dot(s, P)` is `scale` times the modal
+    coefficients of max(f, 0), evaluated pseudo-spectrally (reference:
+    `tests/oracles.positive_part`), up to rounding, the quadrature weight
+    and the scale folded into one product.
     """
     _require_resolution(grid, n_modes)
     return grid.basis(n_modes) * (scale * grid.weight)
-
-
-def positive_part(coeffs: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Modal coefficients of max(f, 0) evaluated pseudo-spectrally.
-
-    Reconstructs on the grid, clips negative values, and projects back to
-    the same number of modes.  The grid must satisfy the anti-aliasing
-    bound G >= 2N + 1.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    n_modes = coeffs.shape[-1]
-    _require_resolution(grid, n_modes)
-    basis = grid.basis(n_modes)
-    # `np.dot` runs the same BLAS products as `@` with less call overhead.
-    return np.dot(np.maximum(np.dot(basis, coeffs), 0.0), basis) * grid.weight
 
 
 def energy_norms(values: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -240,7 +240,8 @@ def steering_target(
     on the given trajectory.  `sources` holds the trajectory's per-node
     source rows h/2 g, as `IntegrationResult.sources` records them; they are
     convolved against the force column of `gs`, the steering Gramian set
-    over [0, T] on the same grid.  Requires control-independent catalogs.
+    over [0, T] on the same grid, and each impulse jump is propagated by
+    that column at its node.  Requires control-independent catalogs.
     """
     if spec.u_dependent:
         raise ConfigError(
@@ -249,7 +250,6 @@ def steering_target(
     p = spec.params
     if (gs.t0, gs.t1, gs.e01.shape) != (0.0, p.T, (spec.n_steps + 1, p.n_modes)):
         raise ValueError("steering target needs the Gramian set over [0, T] on the run's grid")
-    lam = p.lam
 
     rho0 = spec.history[-1]
     g0 = np.zeros_like(rho0)
@@ -270,11 +270,8 @@ def steering_target(
     for ev, node in zip(spec.impulses, spec.impulse_nodes):
         left = traj.left_values[spec.n_r + node]
         jump_row = ev.map.velocity_jump(ev.time, left, None)
-        e00, e01, e10, e11 = propagator_entries_for(
-            np.array([p.T - ev.time]), lam, p.c, p.d
-        )
-        total[0] += e01[0] * jump_row
-        total[1] += e11[0] * jump_row
+        total[0] += gs.e01[node] * jump_row
+        total[1] += gs.e11[node] * jump_row
 
     return StateZ(zstar.w - total[0], zstar.y - total[1])
 

@@ -28,10 +28,13 @@ a quadrature the package no longer uses.  `sampled_operator_norm` and
 `sampled_gamma_norm` are the certificate's former grid estimates of M and
 |Gamma| (the latter of the reference operator, built on `mode_gramian`);
 `interpolated_gamma_norm` samples the applied steering operator between
-its nodes.  `Segment`, `source_term`, `nonlocal_combination`,
-`segment_at`, `node_index`, `trajectory_span` (the former `Trajectory.r`
-and `t_end`), the generator blocks, `expm2`, the adjoint propagator, the
-control arithmetic, `project` and `norm_half` are former package helpers
+its nodes.  `controllability_map` is the trapezoid map on a force-column
+table of its own, the reference for `GramianSet.response`, which reads a
+window's table; `positive_part` is the pseudo-spectral clip, the reference
+for the cable projector the sweep's kernel runs.  `Segment`,
+`source_term`, `nonlocal_combination`, `segment_at`, `node_index`,
+`trajectory_span` (the former `Trajectory.r` and `t_end`), the generator
+blocks, `expm2`, the adjoint propagator, the control arithmetic, `project` and `norm_half` are former package helpers
 that only the tests used.  `reference_write_csv` and the
 `reference_*_rows` generators are the package's former CSV writer, which
 formatted every value with its own f-string, and its row-by-row table
@@ -66,6 +69,7 @@ from beamctl.semigroup import (
     _DISC_RTOL,
     _branch_coefficients,
     apply_semigroup,
+    force_column,
     operator_norm_bound,
     propagator_entries_for,
     propagator_matrix,
@@ -319,6 +323,30 @@ def steering_control(z0: StateZ, zstar: StateZ, t0: float, t1: float, p, n_steps
     return minimum_energy_control(xi, gs, p)
 
 
+def controllability_map(u: ControlSignal, p) -> StateZ:
+    """State reached at t1 from rest by the control alone.
+
+    The package's former map, kept as the reference for the trapezoid map
+    that `GramianSet.response` takes on a window's table: the trapezoid
+    rule on the control grid applied to the force column at t1 - t_i,
+    tabulated here for u's nodes, with the response's arithmetic.  Marked
+    nodes contribute their left and right values with half weight each.
+    """
+    if u.n_modes != p.n_modes:
+        raise ValueError(f"control has {u.n_modes} modes, params expect {p.n_modes}")
+    e01, e11 = force_column(u.t1 - u.times, p.lam, p.c, p.d)
+    wts, extra = u.quadrature_weights()
+    wts = wts[:, None]
+    buf = np.empty(u.values.shape)
+    w_comp, y_comp = (
+        np.multiply(np.multiply(wts, e, out=buf), u.values, out=buf).sum(axis=0) for e in (e01, e11)
+    )
+    for i, wi in extra.items():
+        w_comp += wi * e01[i] * u.left_values[i]
+        y_comp += wi * e11[i] * u.left_values[i]
+    return StateZ(w_comp, y_comp)
+
+
 def count_propagator_tables(monkeypatch) -> list[int]:
     """Sizes of the propagator tables the package tabulates from now on.
 
@@ -390,6 +418,22 @@ def project(samples: np.ndarray, n_modes: int, grid: SpatialGrid) -> np.ndarray:
         raise ValueError(f"expected {grid.n_points} samples, got {samples.shape[-1]}")
     _require_resolution(grid, n_modes)
     return grid.weight * (samples @ grid.basis(n_modes))
+
+
+def positive_part(coeffs: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Modal coefficients of max(f, 0) evaluated pseudo-spectrally.
+
+    The package's former clip, kept as the reference for the cable
+    projector (`spectral.positive_projector`) that the sweep's kernel runs:
+    reconstructs on the grid, clips negative values, and projects back to
+    the same number of modes.  The grid must satisfy the anti-aliasing
+    bound G >= 2N + 1.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    n_modes = coeffs.shape[-1]
+    _require_resolution(grid, n_modes)
+    basis = grid.basis(n_modes)
+    return np.dot(np.maximum(np.dot(basis, coeffs), 0.0), basis) * grid.weight
 
 
 def norm_half(w: np.ndarray) -> float:
@@ -1088,7 +1132,10 @@ def loop_steering_target(traj, zstar, spec, sources=None) -> StateZ:
         node = node_index(traj, ev.time)
         left = traj.left_values[node]
         jump_row = ev.map.velocity_jump(ev.time, left, None)
-        e00, e01, e10, e11 = propagator_entries_for(np.array([p.T - ev.time]), lam, p.c, p.d)
+        # From the jump's node, the time the sweep applies it at; an
+        # unsnapped event time differs from it by rounding.
+        at = np.array([p.T - h * (node - traj.n_history)])
+        e00, e01, e10, e11 = propagator_entries_for(at, lam, p.c, p.d)
         total[0] += e01[0] * jump_row
         total[1] += e11[0] * jump_row
     return StateZ(zstar.w - total[0], zstar.y - total[1])

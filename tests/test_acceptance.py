@@ -14,7 +14,6 @@ from beamctl.catalogs import ImpulseEvent, make_impulse_map, make_nonlinearity
 from beamctl.cli import main as cli_main
 from beamctl.control import (
     build_gramian_set,
-    controllability_map,
     integrate_linear,
     minimum_energy_control,
     mode_gramian,
@@ -30,6 +29,7 @@ from beamctl.spectral import SpatialGrid, StateZ, eigenvalues, energy_norms, nor
 from beamctl.synthesis import approx_experiment, contraction_constants, exact_fixed_point
 
 from oracles import (
+    controllability_map,
     full_pullback_experiment,
     method_of_steps_rk4,
     node_index,

@@ -4,7 +4,6 @@ import pytest
 from beamctl.control import (
     ControlSignal,
     build_gramian_set,
-    controllability_map,
     gamma_norm_estimate,
     integrate_linear,
     minimum_energy_control,
@@ -19,6 +18,7 @@ from oracles import (
     _dual_norms,
     control_sum,
     control_value,
+    controllability_map,
     interpolated_gamma_norm,
     linear_states,
     mode_matrix,

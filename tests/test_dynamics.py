@@ -19,7 +19,6 @@ from beamctl.spectral import (
     energy_norms,
     norm_z,
     pair_norm,
-    positive_part,
 )
 
 from oracles import (
@@ -32,6 +31,7 @@ from oracles import (
     nonlocal_combination,
     one_node_sources,
     per_node_sources,
+    positive_part,
     project,
     resample_history,
     segment_at,

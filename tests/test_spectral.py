@@ -8,12 +8,11 @@ from beamctl.spectral import (
     eigenvalues,
     energy_norms,
     norm_z,
-    positive_part,
     reconstruct,
     zero_state,
 )
 
-from oracles import norm_half, project, sine_coefficients_simpson
+from oracles import norm_half, positive_part, project, sine_coefficients_simpson
 
 
 class TestEigenvalues:

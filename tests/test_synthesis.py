@@ -7,12 +7,7 @@ import pytest
 from beamctl import synthesis
 from beamctl.catalogs import ImpulseEvent, make_forcing, make_impulse_map, make_nonlinearity
 from beamctl.config import parse_config
-from beamctl.control import (
-    ControlSignal,
-    build_gramian_set,
-    controllability_map,
-    minimum_energy_control,
-)
+from beamctl.control import ControlSignal, build_gramian_set, minimum_energy_control
 from beamctl.dynamics import ProblemSpec, Trajectory, history_segment, integrate_mild
 from beamctl.errors import ConfigError
 from beamctl.semigroup import ModelParams
@@ -27,6 +22,7 @@ from beamctl.synthesis import (
 
 from oracles import (
     cold_exact_fixed_point,
+    controllability_map,
     count_propagator_tables,
     full_pullback_experiment,
     loop_steering_target,
