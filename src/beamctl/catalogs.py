@@ -106,8 +106,6 @@ class Forcing:
 
     def __call__(self, t) -> np.ndarray:
         """p(t) for a time, (N,), or for a block of times (n,), (n, N)."""
-        if self.is_zero:
-            return np.zeros(np.shape(t) + self.profile.shape)
         return np.multiply.outer(np.cos(self.omega * t + self.phase), self.profile)
 
 
@@ -247,7 +245,7 @@ class ImpulseMap:
     d_k: float
     u_dependent: bool = False
 
-    def velocity_jump(self, t: float, pair: np.ndarray, u_val: np.ndarray | None) -> np.ndarray:
+    def velocity_jump(self, pair: np.ndarray, u_val: np.ndarray | None) -> np.ndarray:
         if self.kind == "constant_kick":
             return self.profile.copy()
         if self.kind == "velocity_kick":

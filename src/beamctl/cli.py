@@ -141,7 +141,7 @@ def _cmd_steer(cfg: RunConfig, out: Path, prefix: str, say) -> None:
 
 
 def _cmd_approx(cfg: RunConfig, out: Path, prefix: str, say) -> None:
-    result = approx_experiment(cfg.problem, None, cfg.zstar, list(cfg.sigmas))
+    result = approx_experiment(cfg.problem, cfg.zstar, list(cfg.sigmas))
     for row in result.rows:
         say(f"sigma={row.sigma:g}: terminal error {row.terminal_error:.3e}")
     write_csv(

@@ -578,7 +578,7 @@ def _sweep(
         ev = jumps.get(end)
         if ev is not None:
             marks[n_r + end] = values[n_r + end].copy()
-            values[n_r + end, 1] += ev.map.velocity_jump(end * h, marks[n_r + end], u_right[end])
+            values[n_r + end, 1] += ev.map.velocity_jump(marks[n_r + end], u_right[end])
         if end < last:
             reopen(end, right_src)
     # Overflow surfaces here, as a non-finite norm; the rows after t_last are

@@ -34,6 +34,9 @@ __all__ = [
     "write_report",
 ]
 
+# How many snapshot times `snapshot_rows` spreads evenly over [0, T].
+_SNAPSHOTS = 11
+
 
 def fmt(x) -> str:
     return f"{float(x):.17g}"
@@ -266,11 +269,11 @@ def trajectory_rows(traj: Trajectory) -> np.ndarray:
     return np.column_stack([times, pairs.reshape(len(pairs), -1), norms])
 
 
-def snapshot_rows(traj: Trajectory, grid, n_snapshots: int = 11) -> np.ndarray:
+def snapshot_rows(traj: Trajectory, grid) -> np.ndarray:
     """Long-format physical snapshots: t, x, w(t, x), y(t, x)."""
     # The distinct nodes in ascending order, as np.unique gives them; np.unique
     # itself would import numpy.ma (about 0.9 MB) for its mask check.
-    nodes = np.round(np.linspace(traj.n_history, traj.n_nodes - 1, n_snapshots)).astype(int)
+    nodes = np.round(np.linspace(traj.n_history, traj.n_nodes - 1, _SNAPSHOTS)).astype(int)
     idx = np.array(sorted(set(nodes.tolist())))
     table = np.empty((idx.size, grid.nodes.size, 4))
     table[:, :, 0] = traj.times[idx, None]

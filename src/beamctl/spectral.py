@@ -93,7 +93,7 @@ def reconstruct(coeffs: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return grid.basis(coeffs.shape[-1]) @ coeffs
 
 
-def positive_projector(grid: SpatialGrid, n_modes: int, scale: float = 1.0) -> np.ndarray:
+def positive_projector(grid: SpatialGrid, n_modes: int, scale: float) -> np.ndarray:
     """The cable projector: modal projection of clipped grid samples, times `scale`.
 
     Checks the anti-aliasing bound G >= 2N + 1 and returns the (G, N)

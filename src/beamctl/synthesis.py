@@ -1,12 +1,12 @@
 """Controllability experiments on the nonlinear system.
 
-Two drivers live here.  The pull-back experiment follows a nominal control
+Two drivers live here.  The pull-back experiment follows the free run
 until T - sigma and then switches to the linear minimum-energy control
 that steers the frozen state to the target over the remaining window.
 Windows lie in (0, min(T - t_m, r)), t_m the last impulse time, and
 switch at T - sigma at or after the last lag tau_q;
 `ProblemSpec.window_steps` alone checks them and turns them into steps.
-So the switched run is the nominal run up to T - sigma, the nonlocal
+So the switched run is the free run up to T - sigma, the nonlocal
 history never reads the switched tail, and only the tail is integrated
 again.
 The terminal miss is bounded by the integral of the declared growth
@@ -128,18 +128,14 @@ def contraction_constants(spec: ProblemSpec, gs: GramianSet) -> ContractionRepor
 
 
 def pullback_control(
-    u: ControlSignal | None,
-    traj: Trajectory,
-    sigma: float,
-    zstar: StateZ,
-    spec: ProblemSpec,
+    traj: Trajectory, sigma: float, zstar: StateZ, spec: ProblemSpec
 ) -> ControlSignal:
-    """Nominal control switched to the tail steering control after T - sigma.
+    """The free run's zero control, switched to tail steering after T - sigma.
 
     The tail is the linear minimum-energy control from the trajectory's
     state at T - sigma to the target over [T - sigma, T].  The switch node
-    keeps the nominal value as its left limit, so the restriction to
-    [0, T - sigma] is exactly the nominal control.  ConfigError unless
+    is the one mark, with left limit 0, so the restriction to
+    [0, T - sigma] is exactly the free run's control.  ConfigError unless
     sigma is a window `ProblemSpec.window_steps` accepts.
     """
     p = spec.params
@@ -150,20 +146,9 @@ def pullback_control(
     xi = zstar - apply_semigroup(z_switch, sigma, p)
     tail = minimum_energy_control(xi, gs_tail, p)
 
-    if u is None:
-        values = np.zeros((spec.n_steps + 1, p.n_modes))
-        marks: dict[int, np.ndarray] = {}
-    else:
-        if u.n_nodes != spec.n_steps + 1 or abs(u.t0) > 1e-12:
-            raise ValueError("nominal control must live on the trajectory grid")
-        values = u.values.copy()
-        marks = {i: v for i, v in u.left_values.items() if i < switch}
-    left_at_switch = marks.pop(switch, None)
-    if left_at_switch is None:
-        left_at_switch = values[switch].copy()
+    values = np.zeros((spec.n_steps + 1, p.n_modes))
     values[switch:] = tail.values
-    marks[switch] = left_at_switch
-    return ControlSignal(0.0, p.T, values, marks)
+    return ControlSignal(0.0, p.T, values, {switch: np.zeros(p.n_modes)})
 
 
 @dataclass(frozen=True)
@@ -181,22 +166,17 @@ class PullbackResult:
     M_estimate: float
 
 
-def approx_experiment(
-    spec: ProblemSpec,
-    u: ControlSignal | None,
-    zstar: StateZ,
-    sigmas,
-) -> PullbackResult:
+def approx_experiment(spec: ProblemSpec, zstar: StateZ, sigmas) -> PullbackResult:
     """Run the pull-back construction for each window size in `sigmas`.
 
     Requires decreasing windows on the time grid inside (0, min(T - t_m,
     r)) that switch at or after the last lag, all checked
-    (`ProblemSpec.window_steps`) before the nominal run.  Each run
+    (`ProblemSpec.window_steps`) before the free run.  Each run
     integrates the nonlinear system under the switched control from the
-    switch node on, starting from the nominal run's converged nodes
+    switch node on, starting from the free run's converged nodes
     (`integrate_tail`, bitwise the full run).  It reports the terminal
     miss together with the trapezoid estimate of the envelope integral over
-    the tail window, evaluated on the nominal trajectory's delayed states.
+    the tail window, evaluated on the free trajectory's delayed states.
     """
     p = spec.params
     sigmas = [float(s) for s in sigmas]
@@ -204,23 +184,23 @@ def approx_experiment(
         raise ValueError("need at least one pull-back window")
     tails = spec.window_steps(sigmas)
 
-    nominal = integrate_mild(spec, u)
-    traj = nominal.trajectory
+    free = integrate_mild(spec)
+    traj = free.trajectory
     lam = p.lam
     M_est = operator_norm_bound(p)
     nl = spec.nonlinearity
     rows = []
     for sigma, n_tail in zip(sigmas, tails):
-        u_s = pullback_control(u, traj, sigma, zstar, spec)
+        u_s = pullback_control(traj, sigma, zstar, spec)
         switch = spec.n_steps - n_tail
-        switched = integrate_tail(spec, nominal, u_s, switch).trajectory
+        switched = integrate_tail(spec, free, u_s, switch).trajectory
         terminal_error = pair_norm(switched.values[-1] - zstar.to_pair(), lam)
 
         tail_ts = p.T - sigma + spec.h * np.arange(n_tail + 1)
         e00, e01, e10, e11 = propagator_entries_for(p.T - tail_ts, lam, p.c, p.d)
         s_norms = weighted_block_norms(e00, e01, e10, e11, lam[None, :]).max(axis=1)
         # Delayed argument of the perturbation along the tail, taken from
-        # the nominal trajectory per the pull-back identity: t - r at node
+        # the free trajectory per the pull-back identity: t - r at node
         # switch + j of the buffer, as `node_sources` reads it.
         delayed = slice(switch, switch + n_tail + 1)
         seg_norms = energy_norms(traj.values[delayed], lam)
@@ -269,7 +249,7 @@ def steering_target(
 
     for ev, node in zip(spec.impulses, spec.impulse_nodes):
         left = traj.left_values[spec.n_r + node]
-        jump_row = ev.map.velocity_jump(ev.time, left, None)
+        jump_row = ev.map.velocity_jump(left, None)
         total[0] += gs.e01[node] * jump_row
         total[1] += gs.e11[node] * jump_row
 

@@ -9,7 +9,7 @@ implicit-endpoint sweep, kept as a bitwise reference for the explicit sweep
 that replaced it (on the explicit sweep's kernel, so that only the endpoint
 treatment differs); likewise `full_pullback_experiment`
 re-integrates every switched pull-back run in full, as the package did
-before it reused the nominal prefix, and `full_history_integrate` runs
+before it reused the free run's prefix, and `full_history_integrate` runs
 every history sweep over all of [0, T], as the package did before its
 history sweeps stopped at the largest lag.  `cold_exact_fixed_point` starts
 every integration of the exact driver from the prescribed history, as the
@@ -706,7 +706,7 @@ def method_of_steps_rk4(
             ev = imp_nodes.get(i + 1)
             if ev is not None:
                 znew = znew.copy()
-                znew[1] = znew[1] + ev.map.velocity_jump(t + h, znew, end[0])
+                znew[1] = znew[1] + ev.map.velocity_jump(znew, end[0])
             ys[i + 1] = znew
             fs[i + 1] = rhs(znew, end)
         return ys
@@ -855,7 +855,7 @@ def implicit_trapezoid_sweep(spec, u_left, u_right, u_marks, hist_values, hist_m
         if ev is not None:
             marks[i] = current
             jumped = current.copy()
-            jumped[1] = jumped[1] + ev.map.velocity_jump(t, current, u_right[j])
+            jumped[1] = jumped[1] + ev.map.velocity_jump(current, u_right[j])
             values[i] = jumped
             g_prev = rhs(t, i, jumped, u_right[j])
         else:
@@ -928,22 +928,21 @@ def segment_at(traj, t: float) -> Segment:
     return Segment(traj.step, values)
 
 
-def full_pullback_experiment(spec, u, zstar, sigmas):
+def full_pullback_experiment(spec, zstar, sigmas):
     """The pull-back experiment with every switched run integrated over [-r, T].
 
-    The loop of `approx_experiment` before it reused the nominal prefix
+    The loop of `approx_experiment` before it reused the free run's prefix
     (windows are not validated here).  Returns the `PullbackResult` and the
     switched trajectories, one per window.
     """
     p = spec.params
-    nominal = integrate_mild(spec, u)
-    traj = nominal.trajectory
+    traj = integrate_mild(spec).trajectory
     lam = p.lam
     M_est = operator_norm_bound(p)
     nl = spec.nonlinearity
     rows, runs = [], []
     for sigma in [float(s) for s in sigmas]:
-        u_s = pullback_control(u, traj, sigma, zstar, spec)
+        u_s = pullback_control(traj, sigma, zstar, spec)
         switched = integrate_mild(spec, u_s).trajectory
         runs.append(switched)
         terminal_error = pair_norm(switched.values[-1] - zstar.to_pair(), lam)
@@ -1131,7 +1130,7 @@ def loop_steering_target(traj, zstar, spec, sources=None) -> StateZ:
     for ev in spec.impulses:
         node = node_index(traj, ev.time)
         left = traj.left_values[node]
-        jump_row = ev.map.velocity_jump(ev.time, left, None)
+        jump_row = ev.map.velocity_jump(left, None)
         # From the jump's node, the time the sweep applies it at; an
         # unsnapped event time differs from it by rounding.
         at = np.array([p.T - h * (node - traj.n_history)])

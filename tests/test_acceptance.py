@@ -177,7 +177,7 @@ def test_criterion_5_impulse_and_history_exactness():
             node = node_index(traj, ev.time)
             left = traj.left_values[node]
             right = traj.values[node]
-            jump = ev.map.velocity_jump(ev.time, left, None)
+            jump = ev.map.velocity_jump(left, None)
             assert np.abs((right[1] - left[1]) - jump).max() <= 1e-12
             assert np.array_equal(right[0], left[0])
         assert res.history_residual <= 1e-10
@@ -212,7 +212,7 @@ def test_criterion_6_approximate_controllability():
         rng = np.random.default_rng(66)
         zstar = StateZ(0.2 * rng.normal(size=4), 0.4 * rng.normal(size=4))
         sigmas = [f * 0.4 for f in (0.2, 0.1, 0.05, 0.025)]
-        result = approx_experiment(spec, None, zstar, sigmas)
+        result = approx_experiment(spec, zstar, sigmas)
         M = operator_norm_bound(p)
         beta1 = spec.nonlinearity.beta1
         errs = [row.terminal_error for row in result.rows]
@@ -222,7 +222,7 @@ def test_criterion_6_approximate_controllability():
         # The pull-back identity: each switched run, integrated in full over
         # [-r, T], reads at t - r, t in [T - sigma, T], the nominal run's states.
         nominal = integrate_mild(spec).trajectory.values
-        for sigma, run in zip(sigmas, full_pullback_experiment(spec, None, zstar, sigmas)[1]):
+        for sigma, run in zip(sigmas, full_pullback_experiment(spec, zstar, sigmas)[1]):
             delayed = slice(spec.n_steps - round(sigma / spec.h), spec.n_steps + 1)
             assert energy_norms(run.values[delayed] - nominal[delayed], p.lam).max() <= 1e-9
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from beamctl import control, reporting, synthesis
+from beamctl import control, dynamics, reporting, synthesis
 from beamctl.config import parse_config
 from beamctl.semigroup import ModelParams
 
@@ -53,6 +53,18 @@ def test_simpson_node_count_reads_the_default_step():
     assert control.default_gramian_step(8, 0.0, 1.0, p) > 0.0
     # The tracer calls it with the arguments of `mode_gramian(n, t0, t1, p)`.
     assert tracer.simpson_nodes(8, 0.0, 1.0, p) > tracer.simpson_nodes(1, 0.0, 1.0, p) > 0
+
+
+def test_pullback_tail_is_read_from_the_switch_mark():
+    # `tracer._pullback_attrs` takes the switch node to be the last marked
+    # node of the switched control and counts the tail from it to T.
+    cfg = parse_config(ROOT / "configs" / "approx_bounded.yaml")
+    spec = cfg.problem
+    traj = dynamics.integrate_mild(spec).trajectory
+    args = (traj, 0.04, cfg.zstar, spec)
+    u_s = synthesis.pullback_control(*args)
+    assert tracer._pullback_attrs(tracer.Tracer(), args, {}, u_s) == {"tail_steps": 80}
+    assert list(u_s.left_values) == [spec.n_steps - 80]
 
 
 def test_exact_integrations_go_through_the_traced_name(monkeypatch):

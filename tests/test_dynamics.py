@@ -226,7 +226,7 @@ class TestIntegrateMild:
         node = node_index(traj, 0.5)
         left = traj.left_values[node]
         right = traj.values[node]
-        expected_jump = imap.velocity_jump(0.5, left, None)
+        expected_jump = imap.velocity_jump(left, None)
         assert np.abs((right[1] - left[1]) - expected_jump).max() <= 1e-12
         assert np.array_equal(right[0], left[0])
 

@@ -120,7 +120,7 @@ def saturation_spec(grid):
     )
 
 
-def spied_approx_experiment(monkeypatch, spec, u, zstar, sigmas):
+def spied_approx_experiment(monkeypatch, spec, zstar, sigmas):
     """`approx_experiment` plus its `integrate_mild` call count and switched runs."""
     mild_calls, runs = [], []
 
@@ -137,7 +137,7 @@ def spied_approx_experiment(monkeypatch, spec, u, zstar, sigmas):
     with monkeypatch.context() as m:
         m.setattr(synthesis, "integrate_mild", spy(synthesis.integrate_mild, mild_calls))
         m.setattr(synthesis, "integrate_tail", spy(synthesis.integrate_tail))
-        result = approx_experiment(spec, u, zstar, sigmas)
+        result = approx_experiment(spec, zstar, sigmas)
     return result, len(mild_calls), runs[1:]
 
 
@@ -194,10 +194,10 @@ class TestPullbackControl:
         zstar = StateZ(rng.normal(size=4), rng.normal(size=4))
         # min(T - t_m, r) = min(0.6, 0.4) = 0.4
         with pytest.raises(ConfigError, match="0.4") as exc:
-            pullback_control(None, traj, 0.4, zstar, spec)
+            pullback_control(traj, 0.4, zstar, spec)
         assert exc.value.key == "experiment.sigmas[0]"
         with pytest.raises(ConfigError, match="0.4"):
-            pullback_control(None, traj, 0.5, zstar, spec)
+            pullback_control(traj, 0.5, zstar, spec)
 
     def test_window_on_the_post_impulse_gap_rejected(self, rng):
         # T - t_m = 141 h, whose float 1 - 59 h lies above 141 h: only the
@@ -209,24 +209,22 @@ class TestPullbackControl:
         traj = integrate_mild(spec).trajectory
         zstar = StateZ(rng.normal(size=2), rng.normal(size=2))
         with pytest.raises(ConfigError, match="141 steps") as exc:
-            pullback_control(None, traj, sigma, zstar, spec)
+            pullback_control(traj, sigma, zstar, spec)
         assert exc.value.key == "experiment.sigmas[0]"
         with pytest.raises(ConfigError, match="141 steps") as exc:
-            approx_experiment(spec, None, zstar, [sigma])
+            approx_experiment(spec, zstar, [sigma])
         assert exc.value.key == "experiment.sigmas[0]"
 
-    def test_restriction_is_bitwise_nominal(self, bounded_benchmark, rng):
+    def test_restriction_is_bitwise_zero(self, bounded_benchmark, rng):
         spec = bounded_benchmark
-        from beamctl.control import ControlSignal
-
-        u = ControlSignal(0.0, 1.0, rng.normal(size=(2001, 4)))
-        traj = integrate_mild(spec, u).trajectory
+        traj = integrate_mild(spec).trajectory
         zstar = StateZ(rng.normal(size=4) * 0.1, rng.normal(size=4))
         sigma = 0.05
-        u_s = pullback_control(u, traj, sigma, zstar, spec)
+        u_s = pullback_control(traj, sigma, zstar, spec)
         switch = 2000 - int(round(sigma / spec.h))
-        assert np.array_equal(u_s.values[:switch], u.values[:switch])
-        assert np.array_equal(u_s.left_values[switch], u.values[switch])
+        assert np.array_equal(u_s.values[:switch], np.zeros((switch, 4)))
+        assert list(u_s.left_values) == [switch]
+        assert np.array_equal(u_s.left_values[switch], np.zeros(4))
 
     def test_linear_tail_steers_exactly(self, grid129, rng):
         p = ModelParams(c=1.0, d=1.0, k=1e-15, n_modes=4, T=1.0, r=0.4)
@@ -239,7 +237,7 @@ class TestPullbackControl:
         zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4))
         traj = integrate_mild(spec).trajectory
         for sigma in (0.2, 0.05):
-            u_s = pullback_control(None, traj, sigma, zstar, spec)
+            u_s = pullback_control(traj, sigma, zstar, spec)
             final = integrate_mild(spec, u_s).trajectory.terminal_state()
             assert norm_z(final - zstar) <= 1e-6
 
@@ -248,7 +246,7 @@ class TestApproxExperiment:
     def test_bounded_benchmark_error_bound(self, bounded_benchmark, rng):
         spec = bounded_benchmark
         zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4) * 0.4)
-        result = approx_experiment(spec, None, zstar, [0.08, 0.04, 0.02, 0.01])
+        result = approx_experiment(spec, zstar, [0.08, 0.04, 0.02, 0.01])
         beta1 = spec.nonlinearity.beta1
         assert beta1 == 0.5
         errs = [row.terminal_error for row in result.rows]
@@ -265,27 +263,23 @@ class TestApproxExperiment:
         # approx_bounded.yaml, whose switches all follow tau_q = 0.2.
         zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4) * 0.4)
         with pytest.raises(ConfigError, match=r"T - sigma >= tau_q") as err:
-            approx_experiment(late_lag_spec(grid129), None, zstar, [0.3, 0.2])
+            approx_experiment(late_lag_spec(grid129), zstar, [0.3, 0.2])
         assert err.value.key == "experiment.sigmas[0]"
         assert late_lag_spec(grid129).window_steps([0.15]) == (300,)
         with caplog.at_level(logging.DEBUG):
-            approx_experiment(bounded_benchmark, None, zstar, [0.08, 0.04, 0.02, 0.01])
+            approx_experiment(bounded_benchmark, zstar, [0.08, 0.04, 0.02, 0.01])
         assert not caplog.records
 
-    @pytest.mark.parametrize("case", ["bounded", "marked-nominal", "saturation"])
+    @pytest.mark.parametrize("case", ["bounded", "saturation"])
     def test_matches_full_reintegration_bitwise(
         self, case, bounded_benchmark, grid129, rng, monkeypatch
     ):
-        spec, u, sigmas = bounded_benchmark, None, [0.08, 0.04, 0.02, 0.01]
-        if case == "marked-nominal":
-            # The mark at t = 0.5 sits before every switch.
-            u = ControlSignal(0.0, 1.0, rng.normal(size=(2001, 4)), {1000: rng.normal(size=4)})
-            sigmas = [0.08, 0.02]
-        elif case == "saturation":
+        spec, sigmas = bounded_benchmark, [0.08, 0.04, 0.02, 0.01]
+        if case == "saturation":
             spec, sigmas = saturation_spec(grid129), [0.08, 0.02]
         zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4) * 0.4)
-        result, mild_calls, runs = spied_approx_experiment(monkeypatch, spec, u, zstar, sigmas)
-        oracle, oracle_runs = full_pullback_experiment(spec, u, zstar, sigmas)
+        result, mild_calls, runs = spied_approx_experiment(monkeypatch, spec, zstar, sigmas)
+        oracle, oracle_runs = full_pullback_experiment(spec, zstar, sigmas)
         assert mild_calls == 1
         assert result == oracle
         assert len(runs) == len(oracle_runs) == len(sigmas)
@@ -309,7 +303,7 @@ class TestApproxExperiment:
         )
         zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4) * 0.4)
         sigmas = [f * 0.4 for f in (0.2, 0.1, 0.05, 0.025)]
-        result = approx_experiment(spec, None, zstar, sigmas)
+        result = approx_experiment(spec, zstar, sigmas)
         errs = [row.terminal_error for row in result.rows]
         assert all(a >= b for a, b in zip(errs, errs[1:]))
 
@@ -319,14 +313,14 @@ class TestApproxExperiment:
             params=p, grid=grid129, n_steps=2000, history=constant_history(p, 2000, w=[0.2])
         )
         zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4))
-        result = approx_experiment(spec, None, zstar, [0.08, 0.04, 0.02])
+        result = approx_experiment(spec, zstar, [0.08, 0.04, 0.02])
         for row in result.rows:
             assert row.terminal_error <= 1e-6
 
     def test_windows_must_decrease(self, bounded_benchmark, rng):
         zstar = StateZ(rng.normal(size=4), rng.normal(size=4))
         with pytest.raises(ConfigError, match="decrease") as exc:
-            approx_experiment(bounded_benchmark, None, zstar, [0.02, 0.04])
+            approx_experiment(bounded_benchmark, zstar, [0.02, 0.04])
         assert exc.value.key == "experiment.sigmas[1]"
 
 
