@@ -12,6 +12,8 @@ import functools
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig, parse_config, resolved_config_text
 from .control import (
     MIN_STEPS,
@@ -101,6 +103,9 @@ def _cmd_simulate(cfg: RunConfig, out: Path, prefix: str, say) -> None:
 def _cmd_gramian(cfg: RunConfig, out: Path, prefix: str, say) -> None:
     p = cfg.params
     blocks = [mode_gramian(n, cfg.t0, p.T, p) for n in range(1, p.n_modes + 1)]
+    for n, w in enumerate(blocks, 1):
+        if not np.isfinite(w).all():
+            raise NumericalError(f"Gramian for mode {n} is not finite")
     conds = weighted_cond(blocks, p.lam)
     say(f"worst weighted condition number: {conds.max():.6g}")
     write_csv(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .semigroup import ModelParams, force_column, propagator_matrix
+from .semigroup import ModelParams, force_column, force_column_on_grid, propagator_matrix
 from .spectral import StateZ, eigenvalue
 
 __all__ = [
@@ -202,10 +202,12 @@ class GramianSet:
     """Per-mode steering Gramians over [t0, t1], their inverses and condition numbers.
 
     `steering` is the control-grid trapezoid rule applied to the force
-    column (`e01`, `e11`) of the propagator at t1 - t_i, tabulated at the
-    control nodes t_i, one column per mode: the one force-column table of
-    the window, which the steering target over [0, T] reads too.  `cond`
-    is the energy-weighted condition number of each steering block.
+    column (`e01`, `e11`) of the propagator at (n - i)*h, the time left
+    from node i of the window's n-step grid, one row per node and one
+    column per mode, composed from knots by `force_column_on_grid`: the one
+    force-column table of the window, which the steering target over
+    [0, T] reads too.  `cond` is the energy-weighted condition number of
+    each steering block.
     """
 
     t0: float
@@ -224,7 +226,7 @@ class GramianSet:
         """State reached at t1 from rest by a control on this window's grid.
 
         The trapezoid convolution of u against the set's force column at
-        t1 - t_i of its nodes; marked nodes contribute their left and right
+        (n - i)*h of its nodes i; marked nodes contribute their left and right
         values with half weight each, mirroring the stepping of the
         integrators.  Both components go through one buffer.
         """
@@ -254,15 +256,18 @@ def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
 
 
 def build_gramian_set(t0: float, t1: float, p: ModelParams, n_steps: int) -> GramianSet:
-    """Assemble the steering Gramian of every mode from its force-column table."""
+    """Assemble the steering Gramian of every mode from its force-column table.
+
+    The table holds the force column at (n - i)*h in node order i, composed
+    from knots by the semigroup law (`force_column_on_grid`).
+    """
     if not 0 <= t0 < t1:
         raise ValueError(f"need 0 <= t0 < t1, got [{t0}, {t1}]")
     if n_steps < MIN_STEPS:
         raise ValueError(f"control grid too coarse: {n_steps} steps")
     lam = p.lam
     h = (t1 - t0) / n_steps
-    ts = t0 + h * np.arange(n_steps + 1)
-    e01, e11 = force_column(t1 - ts, lam, p.c, p.d)
+    e01, e11 = force_column_on_grid(n_steps, h, lam, p.c, p.d)
     w = np.full(n_steps + 1, h)
     w[0] = w[-1] = 0.5 * h
     w = w[:, None]

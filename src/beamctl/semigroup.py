@@ -9,6 +9,7 @@ scaling-and-squaring methods degrade.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .spectral import StateZ, eigenvalues
 __all__ = [
     "ModelParams",
     "force_column",
+    "force_column_on_grid",
     "propagator_entries_for",
     "propagator_matrix",
     "apply_semigroup",
@@ -65,13 +67,20 @@ class ModelParams:
 
 
 def _branch_coefficients(shift, det, t):
-    """Pair (C0, C1) with exp(Mt) = exp(shift*t) * (C0*I + C1*(M - shift*I)).
+    """Triple (S, C0, C1) with exp(Mt) = S * (C0*I + C1*(M - shift*I)).
 
     Valid for any real 2x2 M with trace 2*shift and determinant det, since
     (M - shift*I)^2 = q*I, q = shift^2 - det, by Cayley-Hamilton.  Each
     entry's branch is decided by its own q and evaluated on its entries only:
-    (1, t) where |q| is under the threshold or 0, cosh/sinh of sqrt(q)*t
-    where q > 0, cos/sin otherwise.  Arguments broadcast; `t` may be an array.
+    (1, t) where |q| is under the threshold or 0, cos/sin of omega*t,
+    omega = sqrt(|q|), where q < 0; on both, S = exp(shift*t).  Where q > 0
+    the exponential is folded into the coefficients and S = 1:
+    C0 = 1/2 e^((omega+shift)t) (1 + e^(-2 omega t)) and
+    C1 = -1/2 e^((omega+shift)t) expm1(-2 omega t) / omega, which are
+    exp(shift*t) cosh(omega*t) and exp(shift*t) sinh(omega*t)/omega without
+    the overflow of cosh and sinh once omega*t > 710.  Arguments broadcast;
+    `t` may be an array.  S has the shape of shift*t, or the coefficients'
+    shape where some entry is hyperbolic.
     """
     shift = np.asarray(shift, dtype=float)
     det = np.asarray(det, dtype=float)
@@ -84,24 +93,33 @@ def _branch_coefficients(shift, det, t):
 
     omega = np.sqrt(np.abs(quarter_disc))
     wt = omega * t
+    scale = np.exp(shift * t)
     c0 = np.ones(wt.shape)
     c1 = np.array(np.broadcast_to(t, wt.shape))
-    for on, even, odd in ((oscillatory, np.cos, np.sin), (hyperbolic, np.cosh, np.sinh)):
-        even(wt, out=c0, where=on)
-        odd(wt, out=c1, where=on)
-        np.divide(c1, omega, out=c1, where=on)
-    return c0, c1
+    np.cos(wt, out=c0, where=oscillatory)
+    np.sin(wt, out=c1, where=oscillatory)
+    np.divide(c1, omega, out=c1, where=oscillatory)
+    if hyperbolic.any():
+        scale = np.where(hyperbolic, 1.0, scale)
+        half = np.exp((omega + shift) * t, out=np.zeros(wt.shape), where=hyperbolic)
+        half *= 0.5
+        fold = np.expm1(-2.0 * wt, out=np.zeros(wt.shape), where=hyperbolic)
+        np.multiply(half, 2.0 + fold, out=c0, where=hyperbolic)
+        np.multiply(half, fold, out=c1, where=hyperbolic)
+        np.divide(c1, -omega, out=c1, where=hyperbolic)
+    return scale, c0, c1
 
 
 def _scaled_coefficients(ts, lam, c: float, d: float):
-    """(scale, C0, C1) of exp(A_n * t), shapes (len(ts), 1) and (len(ts), len(lam)).
+    """(S, C0, C1) of exp(A_n * t) at times ts, the coefficients of shape (len(ts), len(lam)).
 
-    exp(A_n * t) = scale * (C0*I + C1*(A_n + c/2*I)) with scale = exp(-c*t/2).
+    exp(A_n * t) = S * (C0*I + C1*(A_n + c/2*I)).  S = exp(-c*t/2), of
+    shape (len(ts), 1), unless a mode is overdamped: its entries carry the
+    exponential in C0 and C1 and S = 1 there (`_branch_coefficients`).
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    c0, c1 = _branch_coefficients(-0.5 * c, (d * lam)[None, :], ts[:, None])
-    return np.exp(-0.5 * c * ts)[:, None], c0, c1
+    return _branch_coefficients(-0.5 * c, (d * lam)[None, :], ts[:, None])
 
 
 def _force_entries(scale, c0, c1, c: float):
@@ -120,6 +138,45 @@ def force_column(ts: np.ndarray, lam: np.ndarray, c: float, d: float):
     `propagator_entries_for`, without tabulating e00 and e10.
     """
     return _force_entries(*_scaled_coefficients(ts, lam, c, d), c)
+
+
+def force_column_on_grid(n: int, h: float, lam: np.ndarray, c: float, d: float):
+    """The force column (e01, e11) at t = (n - i)*h for i = 0..n, by the semigroup law.
+
+    Row i is the time left from node i to the end of an n-step grid of
+    step h, so the rows run in node order.  With the stride
+    s = ceil(sqrt(n + 1)), the last (n + 1) mod s rows are closed-form
+    `force_column` rows, and every block of s rows above them is
+    E(q*h) (e01, e11)(j*h), j = s - 1 .. 0: one closed-form propagator at
+    the block's knot q*h, its last row's time, applied to the s closed-form
+    fine rows.  The knot rows and the rows below the blocks are
+    `force_column` at their times, bitwise but for the sign of an
+    underflowed zero; the others differ from it by rounding.
+    About 2 sqrt(n) rows take a transcendental call, instead of all n + 1,
+    and the stride minimises that count.  Returns two C-contiguous arrays
+    of shape (n + 1, len(lam)).
+    """
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    stride = math.isqrt(n) + 1  # ceil(sqrt(n + 1))
+    blocks, rest = divmod(n + 1, stride)
+    fine = np.stack(force_column(h * np.arange(stride - 1, -1, -1), lam, c, d))
+    knots = propagator_entries_for(h * (rest + stride * np.arange(blocks - 1, -1, -1)), lam, c, d)
+    # Two arrays of their own, not views of one: a single (2, n + 1, N)
+    # table raised wide-steer's peak RSS by 1.5 MB (2-vCPU Linux host).
+    column = []
+    for entry, knot_row in enumerate((knots[:2], knots[2:])):
+        table = np.empty((n + 1, lam.size))
+        table[blocks * stride :] = fine[entry, stride - rest :]
+        # Block a, row j: knot_row[0] * e01 + knot_row[1] * e11, the entry
+        # of E(q_a*h) applied to fine row j.
+        np.einsum(
+            "apn,pjn->ajn",
+            np.stack(knot_row, axis=1),
+            fine,
+            out=table[: blocks * stride].reshape(blocks, stride, lam.size),
+        )
+        column.append(table)
+    return column[0], column[1]
 
 
 def propagator_entries_for(ts: np.ndarray, lam: np.ndarray, c: float, d: float):

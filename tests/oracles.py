@@ -69,7 +69,7 @@ from beamctl.semigroup import (
     _DISC_RTOL,
     _branch_coefficients,
     apply_semigroup,
-    force_column,
+    force_column_on_grid,
     operator_norm_bound,
     propagator_entries_for,
     propagator_matrix,
@@ -188,18 +188,19 @@ def expm2(a: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
     shift = 0.5 * (a[0, 0] + a[1, 1])
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    c0, c1 = _branch_coefficients(np.array(shift), np.array(det), t)
-    scale = np.exp(shift * t)
+    scale, c0, c1 = _branch_coefficients(np.array(shift), np.array(det), t)
     b = a - shift * np.eye(2)
-    return scale * (float(c0) * np.eye(2) + float(c1) * b)
+    return float(scale) * (float(c0) * np.eye(2) + float(c1) * b)
 
 
 def where_branch_coefficients(shift, det, t):
     """`semigroup._branch_coefficients` as it evaluated all three branches everywhere.
 
-    Takes the same broadcasting arguments; it differs from the package only
-    at q = shift^2 - det = 0 under a zero threshold, which it sends to the
-    hyperbolic branch (C1 = sinh(0)/1 = 0) instead of the repeated root.
+    Takes the same broadcasting arguments and returns the same (S, C0, C1),
+    S at the coefficients' shape; it differs from the package only at
+    q = shift^2 - det = 0 under a zero threshold, which it sends to the
+    hyperbolic branch (S = 1, C0 = exp(shift*t), C1 = 0) instead of the
+    repeated root.
     """
     shift = np.asarray(shift, dtype=float)
     det = np.asarray(det, dtype=float)
@@ -209,21 +210,28 @@ def where_branch_coefficients(shift, det, t):
 
     omega = np.sqrt(np.abs(quarter_disc))
     # np.where evaluates both sides, so mask the hyperbolic arguments to
-    # zero on oscillatory entries (cosh would overflow at their omega) and
-    # guard the 0/0 of the repeated-root limit.
+    # zero on oscillatory entries (their exponentials would overflow at
+    # their omega) and guard the 0/0 of the repeated-root limit.
     safe = np.where(omega > 0, omega, 1.0)
     hyperbolic = quarter_disc >= 0
     wt = omega * t
     wt_hyp = np.where(hyperbolic, wt, 0.0)
+    grow_hyp = np.where(hyperbolic, (omega + shift) * t, 0.0)
+    osc_scale = np.exp(shift * t) * np.ones_like(wt)
     osc_c0 = np.cos(wt)
     osc_c1 = np.sin(wt) / safe
-    hyp_c0 = np.cosh(wt_hyp)
-    hyp_c1 = np.sinh(wt_hyp) / safe
+    # exp(shift*t) cosh(omega*t) and exp(shift*t) sinh(omega*t)/omega,
+    # with the exponential folded in.
+    half = 0.5 * np.exp(grow_hyp)
+    fold = np.expm1(-2.0 * wt_hyp)
+    hyp_c0 = half * (2.0 + fold)
+    hyp_c1 = half * fold / -safe
 
     repeated = np.abs(quarter_disc) < thresh
+    scale = np.where(repeated, osc_scale, np.where(hyperbolic, 1.0, osc_scale))
     c0 = np.where(repeated, 1.0, np.where(hyperbolic, hyp_c0, osc_c0))
     c1 = np.where(repeated, t * np.ones_like(wt), np.where(hyperbolic, hyp_c1, osc_c1))
-    return c0, c1
+    return scale, c0, c1
 
 
 def adjoint_blocks(t: float, p) -> np.ndarray:
@@ -328,13 +336,14 @@ def controllability_map(u: ControlSignal, p) -> StateZ:
 
     The package's former map, kept as the reference for the trapezoid map
     that `GramianSet.response` takes on a window's table: the trapezoid
-    rule on the control grid applied to the force column at t1 - t_i,
-    tabulated here for u's nodes, with the response's arithmetic.  Marked
-    nodes contribute their left and right values with half weight each.
+    rule on the control grid applied to the force column at (n - i)*h,
+    tabulated here for u's nodes by `force_column_on_grid`, with the
+    response's arithmetic.  Marked nodes contribute their left and right
+    values with half weight each.
     """
     if u.n_modes != p.n_modes:
         raise ValueError(f"control has {u.n_modes} modes, params expect {p.n_modes}")
-    e01, e11 = force_column(u.t1 - u.times, p.lam, p.c, p.d)
+    e01, e11 = force_column_on_grid(u.n_nodes - 1, u.step, p.lam, p.c, p.d)
     wts, extra = u.quadrature_weights()
     wts = wts[:, None]
     buf = np.empty(u.values.shape)
@@ -350,17 +359,28 @@ def controllability_map(u: ControlSignal, p) -> StateZ:
 def count_propagator_tables(monkeypatch) -> list[int]:
     """Sizes of the propagator tables the package tabulates from now on.
 
-    Wraps `force_column` and `propagator_entries_for` in every package
-    module that holds them; the returned list gets the number of times of
-    each table as it is made.
+    Wraps `force_column`, `propagator_entries_for` and
+    `force_column_on_grid` in every package module that holds them; the
+    returned list gets the number of times of each table as it is made.  A
+    grid table counts once, with its n + 1 rows; the knot and fine rows it
+    is composed from are not counted.
     """
-    sizes = []
-    tabulators = (semigroup.force_column, semigroup.propagator_entries_for)
+    sizes, inside = [], []
+    tabulators = {
+        semigroup.force_column: np.size,
+        semigroup.propagator_entries_for: np.size,
+        semigroup.force_column_on_grid: lambda n: n + 1,
+    }
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "beamctl"]
-    for fn in tabulators:
-        def counted(ts, *args, _inner=fn):
-            sizes.append(int(np.size(ts)))
-            return _inner(ts, *args)
+    for fn, rows in tabulators.items():
+        def counted(first, *args, _inner=fn, _rows=rows):
+            if not inside:
+                sizes.append(int(_rows(first)))
+            inside.append(_inner)
+            try:
+                return _inner(first, *args)
+            finally:
+                inside.pop()
 
         for module in modules:
             for attr, value in list(vars(module).items()):
@@ -1097,8 +1117,10 @@ def loop_steering_target(traj, zstar, spec, sources=None) -> StateZ:
     """`steering_target` with the source convolution summed one node at a time.
 
     The package's former loop, kept as the bitwise reference for the
-    one-pass sum that replaced it; it tabulates the force column itself, as
-    the package did before the steering target read its Gramian set's.
+    one-pass sum that replaced it; it tabulates the force column itself by
+    `force_column_on_grid`, as the package did before the steering target
+    read its Gramian set's, and propagates each impulse jump by its node's
+    row.
     Missing source rows h/2 g are evaluated one node at a time
     (`one_node_sources`), as the package's own fallback did before the
     recorded rows became the only input.
@@ -1118,7 +1140,7 @@ def loop_steering_target(traj, zstar, spec, sources=None) -> StateZ:
     h = spec.h
     if sources is None:
         sources = one_node_sources(spec, traj)
-    _, e01, _, e11 = propagator_entries_for(p.T - h * np.arange(spec.n_steps + 1), lam, p.c, p.d)
+    e01, e11 = force_column_on_grid(spec.n_steps, h, lam, p.c, p.d)
     acc = np.zeros((2, p.n_modes))
     for j, row in enumerate(sources):
         # Trapezoid weights h inside and h/2 at the ends: twice and once h/2 g.
@@ -1131,12 +1153,11 @@ def loop_steering_target(traj, zstar, spec, sources=None) -> StateZ:
         node = node_index(traj, ev.time)
         left = traj.left_values[node]
         jump_row = ev.map.velocity_jump(left, None)
-        # From the jump's node, the time the sweep applies it at; an
-        # unsnapped event time differs from it by rounding.
-        at = np.array([p.T - h * (node - traj.n_history)])
-        e00, e01, e10, e11 = propagator_entries_for(at, lam, p.c, p.d)
-        total[0] += e01[0] * jump_row
-        total[1] += e11[0] * jump_row
+        # The jump's node, where the sweep applies it; an unsnapped event
+        # time differs from the node's time by rounding.
+        j = node - traj.n_history
+        total[0] += e01[j] * jump_row
+        total[1] += e11[j] * jump_row
     return StateZ(zstar.w - total[0], zstar.y - total[1])
 
 
@@ -1217,3 +1238,31 @@ def reference_control_rows(u: ControlSignal):
 
 class PythonLoader(config._UniqueKeys, yaml.SafeLoader):
     pass
+
+
+def mp_force_column(h: float, ks, lam, c: float, d: float, dps: int = 40):
+    """Force column (e01, e11) of exp(A_n * k*h) to `dps` digits, rounded to floats.
+
+    The times are the exact products k*h of the float step.  With
+    omega = sqrt(|c^2/4 - d*lam|), e01 = e^(-ct/2) sin(omega t)/omega and
+    e11 = e^(-ct/2) cos(omega t) - c/2 e01, with sinh and cosh where
+    c^2/4 > d*lam and the limits e01 = t e^(-ct/2) where they are equal;
+    mpmath's exponent range has no overflow.  Returns two arrays of shape
+    (len(ks), len(lam)).
+    """
+    import mpmath
+
+    out = np.empty((2, len(ks), len(lam)))
+    with mpmath.workdps(dps):
+        half = mpmath.mpf(c) / 2
+        for j, lam_j in enumerate(lam):
+            q = half**2 - mpmath.mpf(d) * mpmath.mpf(float(lam_j))
+            omega = mpmath.sqrt(abs(q))
+            even, odd = (mpmath.cosh, mpmath.sinh) if q > 0 else (mpmath.cos, mpmath.sin)
+            for i, k in enumerate(ks):
+                t = mpmath.mpf(h) * int(k)
+                decay = mpmath.exp(-half * t)
+                e01 = decay * (odd(omega * t) / omega if q != 0 else t)
+                e11 = decay * (even(omega * t) if q != 0 else 1) - half * e01
+                out[0, i, j], out[1, i, j] = float(e01), float(e11)
+    return out[0], out[1]

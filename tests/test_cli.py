@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 import yaml
 
+from beamctl import control
 from beamctl.cli import main
 from beamctl.config import parse_config
 from beamctl.control import ControlSignal, build_gramian_set
 from beamctl.dynamics import Trajectory, integrate_mild
 from beamctl.errors import ConfigError
 from beamctl.reporting import trajectory_rows
-from beamctl.semigroup import apply_semigroup
+from beamctl.semigroup import apply_semigroup, force_column
 from beamctl.spectral import StateZ, eigenvalues, energy_norms, norm_z
 
 from oracles import count_propagator_tables, linear_states, steering_control
@@ -810,6 +811,46 @@ class TestCli:
         assert err.startswith("error: numerical:")
         assert "t = 0.9205 " in err
         assert not list(out.glob("*_approx.csv"))
+
+    @pytest.mark.parametrize("c", [1450.0, 2000.0])
+    @pytest.mark.parametrize(
+        "command, written",
+        [("gramian", ["gramian.csv"]), ("steer", ["control.csv", "report.txt"]), ("check", ["report.txt"])],
+    )
+    def test_heavily_damped_beam_exits_0_with_finite_outputs(self, tmp_path, command, written, c):
+        # At c*T > 1420 the overdamped modes' cosh and sinh overflowed while
+        # exp(-c*t/2) underflowed: gramian wrote nan, steer raised, check
+        # reported an infinite condition number.
+        data = yaml.safe_load((CONFIGS / "steer_linear.yaml").read_text())
+        data["model"]["c"] = c
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 0
+        for name in written:
+            path = out / f"steer_linear_{name}"
+            if name.endswith(".csv"):
+                assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all()
+            else:
+                values = [v for k, v in read_report(path).items() if k not in ("command", "satisfied")]
+                assert values and np.isfinite([float(v) for v in values]).all()
+        if command == "steer":
+            assert float(read_report(out / "steer_linear_report.txt")["terminal_error_relative"]) <= 1e-12
+
+    def test_gramian_not_finite_exits_3_naming_the_mode(self, tmp_path, capsys, monkeypatch):
+        # A non-finite Gramian is a numerical failure, not a row of nan.
+        def nan_in_mode_3(ts, lam, c, d):
+            e01, e11 = force_column(ts, lam, c, d)
+            if lam[0] == eigenvalues(3)[2]:
+                e01[:] = np.nan
+            return e01, e11
+
+        monkeypatch.setattr(control, "force_column", nan_in_mode_3)
+        out = tmp_path / "o"
+        rc = main(["gramian", "--config", str(CONFIGS / "gramian_n8.yaml"), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:")
+        assert "Gramian for mode 3 is not finite" in err
+        assert not list(out.glob("*.csv"))
 
     def test_simulate_emits_double_rows_at_impulse(self, tmp_path):
         rc = main(

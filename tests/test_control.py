@@ -11,7 +11,7 @@ from beamctl.control import (
     weighted_cond,
 )
 from beamctl.errors import NumericalError
-from beamctl.semigroup import ModelParams, apply_semigroup, propagator_entries_for
+from beamctl.semigroup import ModelParams, apply_semigroup, force_column_on_grid, propagator_entries_for
 from beamctl.spectral import StateZ, eigenvalues, norm_z, zero_state
 
 from oracles import (
@@ -177,13 +177,24 @@ class TestGramianSet:
         assert np.array_equal(weighted_cond(singular, lam[:3]), [np.inf, np.inf, 1.0])
 
     def test_table_is_the_force_column(self, p8):
-        # The set keeps the propagator's force column at t1 - t_i, the
-        # table its Gramian and every steering control are built from.
+        # The set keeps the propagator's force column at (n - i)*h, composed
+        # on the window's grid, the table its Gramian and every steering
+        # control are built from.
+        gs = build_gramian_set(0.25, 1.0, p8, 300)
+        e01, e11 = force_column_on_grid(300, (1.0 - 0.25) / 300, eigenvalues(8), p8.c, p8.d)
+        assert np.array_equal(gs.e01, e01)
+        assert np.array_equal(gs.e11, e11)
+
+    def test_table_is_stored_in_node_order(self, p8):
+        # Row i is the time t1 - t_i left from node i, in C order with
+        # positive strides: no reversed view of a table in time order.
         gs = build_gramian_set(0.25, 1.0, p8, 300)
         ts = 0.25 + (1.0 - 0.25) / 300 * np.arange(301)
         _, e01, _, e11 = propagator_entries_for(1.0 - ts, eigenvalues(8), p8.c, p8.d)
-        assert np.array_equal(gs.e01, e01)
-        assert np.array_equal(gs.e11, e11)
+        for got, ref in ((gs.e01, e01), (gs.e11, e11)):
+            assert got.flags.c_contiguous and got.strides == (8 * 8, 8)
+            assert np.abs(got - ref).max() <= 1e-12
+        assert np.array_equal(gs.e01[-1], np.zeros(8)) and np.array_equal(gs.e11[-1], np.ones(8))
 
 
 class TestControllabilityMap:

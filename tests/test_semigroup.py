@@ -6,6 +6,7 @@ from beamctl.semigroup import (
     _branch_coefficients,
     apply_semigroup,
     force_column,
+    force_column_on_grid,
     operator_norm_bound,
     propagator_entries_for,
 )
@@ -15,6 +16,7 @@ from oracles import (
     apply_adjoint_semigroup,
     expm2,
     mode_adjoint_matrix,
+    mp_force_column,
     mode_matrix,
     rk4_matrix_exp,
     sampled_operator_norm,
@@ -143,8 +145,10 @@ def _branch_cases():
 @pytest.mark.parametrize("shift,det,t", _branch_cases())
 def test_branch_matches_the_where_formula_bitwise(shift, det, t):
     # Each entry runs the same sqrt, product and libm call as the formula
-    # that evaluated every branch everywhere, so the bytes agree.
-    got = _branch_coefficients(shift, det, t)
+    # that evaluated every branch everywhere, so the bytes agree.  The scale
+    # S may come at the shape of shift*t; it is compared on every entry.
+    scale, c0, c1 = _branch_coefficients(shift, det, t)
+    got = (np.broadcast_to(scale, c0.shape), c0, c1)
     ref = where_branch_coefficients(shift, det, t)
     for g, r in zip(got, ref):
         assert g.shape == r.shape
@@ -181,6 +185,74 @@ def test_force_column_cases_reach_their_branches():
     assert (quarter["overdamped-low-modes"][:4] > 0).all()
     assert abs(quarter["repeated-root-mode-1"][0]) <= 1e-9 * eigenvalue(1)
     assert (quarter["mixed-branches"][:3] > 0).all() and (quarter["mixed-branches"][3:] < 0).all()
+
+
+# The force-column cases plus c = 2000, where c*T passes 1420 and the
+# overdamped modes 1-10 need the exponential folded into cosh and sinh.
+GRID_CASES = {**FORCE_CASES, "heavily-overdamped": (2000.0, 1.0)}
+
+# Grid sizes n: the fewest steps of a control grid, n + 1 one short of, at
+# and one past a square (stride s = ceil(sqrt(n + 1)); the rows below the
+# blocks number s - 1, 0 and 2), and long grids.
+GRID_STEPS = (16, 62, 63, 64, 2000, 20000)
+
+
+@pytest.mark.parametrize("n", GRID_STEPS)
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_grid_knot_rows_are_the_closed_form(case, n):
+    # Row i holds the time (n - i)*h.  Each block's last row is its knot,
+    # E(q*h) applied to (e01, e11)(0) = (0, 1); the rows below the blocks
+    # are the closed-form fine rows themselves.  Equal as numbers: where
+    # exp(-c*t/2) underflows (c = 2000), a knot's -0.0 comes out as 0.0.
+    c, d = GRID_CASES[case]
+    lam, h = eigenvalues(48), 1.0 / n
+    e01, e11 = force_column_on_grid(n, h, lam, c, d)
+    stride = int(np.ceil(np.sqrt(n + 1)))
+    blocks, rest = divmod(n + 1, stride)
+    assert (stride - 1) ** 2 < n + 1 <= stride**2
+    rows = np.concatenate((np.arange(stride - 1, blocks * stride, stride), np.arange(blocks * stride, n + 1)))
+    assert rows.size == blocks + rest
+    ref01, ref11 = force_column(h * (n - rows), lam, c, d)
+    assert np.array_equal(e01[rows], ref01) and np.array_equal(e11[rows], ref11)
+    assert np.isfinite(e01).all() and np.isfinite(e11).all()
+    for e in (e01, e11):
+        assert e.shape == (n + 1, 48) and e.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", GRID_STEPS)
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_grid_rows_are_as_accurate_as_the_closed_form(case, n):
+    # Against 40 digits, energy-weighted (sqrt(lam)*|de01| and |de11|), the
+    # composed rows are off by at most twice what the closed form is off by
+    # on the same rows: both errors come from rounding omega*t.
+    c, d = GRID_CASES[case]
+    lam, h = eigenvalues(48), 1.0 / n
+    rng = np.random.default_rng(n)
+    rows = np.unique(np.concatenate((np.linspace(0, n, 25).round(), rng.integers(0, n + 1, 16)))).astype(int)
+    ref = mp_force_column(h, n - rows, lam, c, d)
+    composed = (e[rows] for e in force_column_on_grid(n, h, lam, c, d))
+    direct = force_column(h * (n - rows), lam, c, d)
+    weight = np.sqrt(lam), 1.0
+
+    def error(table):
+        return max((w * np.abs(e - r)).max() for w, e, r in zip(weight, table, ref))
+
+    assert error(composed) <= 2.0 * error(direct)
+
+
+@pytest.mark.parametrize("c", [1450.0, 2000.0, 10000.0])
+def test_heavily_damped_entries_are_finite_and_match_mpmath(c):
+    # Once omega*t > 710 on an overdamped mode (c*t > 1420 for mode 1),
+    # cosh and sinh overflow while exp(-c*t/2) underflows; folded into one
+    # exponential, every entry is finite and, energy-weighted, within 1e-14
+    # of a 40-digit evaluation.
+    lam, h = eigenvalues(48), 1.0 / 2000
+    ks = np.arange(0, 2001, 50)
+    entries = propagator_entries_for(h * ks, lam, c, 1.0)
+    assert all(np.isfinite(e).all() for e in entries)
+    ref01, ref11 = mp_force_column(h, ks, lam, c, 1.0)
+    assert (np.sqrt(lam) * np.abs(entries[1] - ref01)).max() <= 1e-14
+    assert np.abs(entries[3] - ref11).max() <= 1e-14
 
 
 class TestGroup:
