@@ -1,11 +1,12 @@
 """Catalog entries for forcing terms, nonlinear perturbations, and impulse maps.
 
-Every entry declares the constants the synthesis module consumes: a
-Lipschitz bound with respect to the sup norm of the delay segment, a
-growth envelope (alpha1, beta1, and a scalar envelope function), and
-whether the entry reads the instantaneous control value.  A perturbation
-reads the delay segment at most at its endpoint, the state at t - r, in
-which the growth envelope is stated too, so it receives that state alone.
+Every entry derives from its parameters the constants the synthesis
+module consumes: a Lipschitz bound with respect to the sup norm of the
+delay segment, a growth envelope (alpha1, beta1, and a scalar envelope
+function), and whether the entry reads the instantaneous control value.
+A perturbation reads the delay segment at most at its endpoint, the state
+at t - r, in which the growth envelope is stated too, so it receives that
+state alone.
 Entries that depend on the control are rejected by the
 exact-controllability driver, which requires state-only perturbations.
 Each entry names the `params` keys it uses; any other key is rejected.
@@ -13,7 +14,7 @@ Each entry names the `params` keys it uses; any other key is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,20 +170,13 @@ class Nonlinearity:
         return self.amp * np.tanh(u_val)
 
 
-def make_nonlinearity(
-    kind: str,
-    n_modes: int,
-    params: dict | None = None,
-    lipschitz: float | None = None,
-    alpha1: float | None = None,
-    beta1: float | None = None,
-) -> Nonlinearity:
-    """Build a catalog entry; explicit constants override the derived defaults."""
+def make_nonlinearity(kind: str, n_modes: int, params: dict | None = None) -> Nonlinearity:
+    """Build a catalog entry with the constants derived from its parameters."""
     params = entry_params("nonlinearity", kind, params, NONLINEARITY_KINDS)
     amp = _param(params, "amp")
     if kind == "zero":
-        entry = Nonlinearity("zero", 0.0)
-    elif kind == "bounded_wave":
+        return Nonlinearity("zero", 0.0)
+    if kind == "bounded_wave":
         profile = _profile(params, n_modes) if "coeffs" in params else None
         if profile is None:
             profile = np.zeros(n_modes)
@@ -190,7 +184,7 @@ def make_nonlinearity(
         norm = np.linalg.norm(profile)
         if norm == 0:
             raise ConfigError("bounded_wave profile must be nonzero")
-        entry = Nonlinearity(
+        return Nonlinearity(
             "bounded_wave",
             amp,
             profile / norm,
@@ -201,9 +195,9 @@ def make_nonlinearity(
             beta1=abs(amp),
             envelope_kind="zero",
         )
-    elif kind == "delayed_saturation":
+    if kind == "delayed_saturation":
         # tanh is 1-Lipschitz and bounded by sqrt(N) in the coefficient norm.
-        entry = Nonlinearity(
+        return Nonlinearity(
             "delayed_saturation",
             amp,
             lipschitz=abs(amp),
@@ -212,22 +206,16 @@ def make_nonlinearity(
             envelope_kind="clip",
             envelope_cap=float(np.sqrt(n_modes)),
         )
-    else:  # control_saturation
-        entry = Nonlinearity(
-            "control_saturation",
-            amp,
-            lipschitz=0.0,
-            alpha1=0.0,
-            beta1=abs(amp) * float(np.sqrt(n_modes)),
-            envelope_kind="zero",
-            u_dependent=True,
-        )
-    overrides = {
-        name: float(value)
-        for name, value in (("lipschitz", lipschitz), ("alpha1", alpha1), ("beta1", beta1))
-        if value is not None
-    }
-    return replace(entry, **overrides) if overrides else entry
+    # control_saturation
+    return Nonlinearity(
+        "control_saturation",
+        amp,
+        lipschitz=0.0,
+        alpha1=0.0,
+        beta1=abs(amp) * float(np.sqrt(n_modes)),
+        envelope_kind="zero",
+        u_dependent=True,
+    )
 
 
 @dataclass(frozen=True)
@@ -235,7 +223,7 @@ class ImpulseMap:
     """Instantaneous velocity jump applied when the trajectory crosses t_k.
 
     `velocity_jump` consumes the left-limit state (a (2, N) pair) and the
-    control value at the impulse time; `d_k` is the declared Lipschitz
+    control value at the impulse time; `d_k` is the derived Lipschitz
     bound of the jump with respect to the state in the energy norm.
     """
 
@@ -258,20 +246,17 @@ class ImpulseMap:
         return self.amp * u_val
 
 
-def make_impulse_map(
-    kind: str, n_modes: int, params: dict | None = None, d_k: float | None = None
-) -> ImpulseMap:
+def make_impulse_map(kind: str, n_modes: int, params: dict | None = None) -> ImpulseMap:
     params = entry_params("impulse", kind, params, IMPULSE_KINDS)
     amp = _param(params, "amp")
     if kind == "constant_kick":
-        entry = ImpulseMap("constant_kick", 0.0, _profile(params, n_modes), d_k=0.0)
-    elif kind == "velocity_kick":
-        entry = ImpulseMap("velocity_kick", amp, None, d_k=abs(amp))
-    elif kind == "saturating_kick":
-        entry = ImpulseMap("saturating_kick", amp, None, d_k=abs(amp))
-    else:  # control_kick
-        entry = ImpulseMap("control_kick", amp, None, d_k=0.0, u_dependent=True)
-    return entry if d_k is None else replace(entry, d_k=float(d_k))
+        return ImpulseMap("constant_kick", 0.0, _profile(params, n_modes), d_k=0.0)
+    if kind == "velocity_kick":
+        return ImpulseMap("velocity_kick", amp, None, d_k=abs(amp))
+    if kind == "saturating_kick":
+        return ImpulseMap("saturating_kick", amp, None, d_k=abs(amp))
+    # control_kick
+    return ImpulseMap("control_kick", amp, None, d_k=0.0, u_dependent=True)
 
 
 @dataclass(frozen=True)

@@ -163,15 +163,6 @@ class _Block:
             raise ConfigError(f"must be positive, got {value}", self.key(name))
         return self.set(name, float(value))
 
-    def optional_number(self, name: str) -> float | None:
-        """A declared constant (>= 0) whose absence (or null) means a derived value."""
-        if self.raw.get(name) is None:
-            return self.set(name, None)
-        value = self.number(name)
-        if value < 0:
-            raise ConfigError(f"must be >= 0, got {value}", self.key(name))
-        return value
-
     def integer(self, name: str, default: int, minimum: int) -> int:
         value = self.raw.get(name, default)
         if value is None:
@@ -355,15 +346,7 @@ def parse_config(path: str | Path) -> RunConfig:
         kind = entry.get("catalog")
         if not kind:
             raise ConfigError("missing catalog entry name", entry.key("catalog"))
-        imap = _catalog(
-            entry.path,
-            make_impulse_map,
-            kind,
-            n_modes,
-            entry.params(),
-            entry.optional_number("d_k"),
-        )
-        entry.set("d_k", imap.d_k)
+        imap = _catalog(entry.path, make_impulse_map, kind, n_modes, entry.params())
         events.append(ImpulseEvent(t_k, imap))
 
     delays = top.block("delays")
@@ -375,7 +358,6 @@ def parse_config(path: str | Path) -> RunConfig:
 
     nonlocal_block = top.block("nonlocal")
     gammas = nonlocal_block.numbers("gammas")
-    L_q_declared = nonlocal_block.optional_number("L_q")
 
     forcing_block = top.block("forcing")
     forcing = _catalog(
@@ -389,11 +371,7 @@ def parse_config(path: str | Path) -> RunConfig:
         nl_block.get("catalog", "zero"),
         n_modes,
         nl_block.params(),
-        *(nl_block.optional_number(key) for key in ("l_f", "alpha1", "beta1")),
     )
-    nl_block.set("l_f", nonlinearity.lipschitz)
-    nl_block.set("alpha1", nonlinearity.alpha1)
-    nl_block.set("beta1", nonlinearity.beta1)
 
     history_block = top.block("history")
     history = _catalog(
@@ -431,11 +409,9 @@ def parse_config(path: str | Path) -> RunConfig:
         forcing=forcing,
         nonlinearity=nonlinearity,
         history=history,
-        L_q_declared=L_q_declared,
         picard_tol=picard_tol,
         picard_max_iter=picard_max_iter,
     )
-    nonlocal_block.set("L_q", problem.L_q)
     if "sigmas" not in experiment.raw:
         windows = [f * (problem.window_end * h) for f in (0.2, 0.1, 0.05, 0.025)]
     sigmas = [

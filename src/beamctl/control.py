@@ -284,7 +284,10 @@ def build_gramian_set(t0: float, t1: float, p: ModelParams, n_steps: int) -> Gra
 
 
 def _require_conditioned(gs: GramianSet) -> None:
-    """Raise NumericalError naming the first mode whose steering block is ill-conditioned."""
+    """Raise NumericalError naming the first non-finite, else ill-conditioned, steering block."""
+    bad = np.nonzero(~np.isfinite(gs.steering).all(axis=(1, 2)))[0]
+    if bad.size:
+        raise NumericalError(f"Gramian for mode {int(bad[0]) + 1} is not finite")
     bad = np.nonzero(gs.cond > CONDITION_LIMIT)[0]
     if bad.size:
         raise NumericalError(

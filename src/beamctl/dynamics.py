@@ -204,7 +204,6 @@ class ProblemSpec:
     forcing: Forcing = None
     nonlinearity: Nonlinearity = None
     history: np.ndarray | None = None
-    L_q_declared: float | None = None
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
     n_r: int = field(init=False, repr=False)
@@ -265,8 +264,6 @@ class ProblemSpec:
 
     @property
     def L_q(self) -> float:
-        if self.L_q_declared is not None:
-            return self.L_q_declared
         return max((abs(g) for g in self.gammas), default=0.0)
 
     @property

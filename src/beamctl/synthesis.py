@@ -9,7 +9,7 @@ switch at T - sigma at or after the last lag tau_q;
 So the switched run is the free run up to T - sigma, the nonlocal
 history never reads the switched tail, and only the tail is integrated
 again.
-The terminal miss is bounded by the integral of the declared growth
+The terminal miss is bounded by the integral of the derived growth
 envelope of the perturbation over that window, so it shrinks with sigma.
 The exact driver iterates trajectory -> steering target -> control ->
 trajectory to a fixed point; the contraction certificate assembled by

@@ -13,7 +13,7 @@ from beamctl.control import ControlSignal, build_gramian_set
 from beamctl.dynamics import Trajectory, integrate_mild
 from beamctl.errors import ConfigError
 from beamctl.reporting import trajectory_rows
-from beamctl.semigroup import apply_semigroup, force_column
+from beamctl.semigroup import apply_semigroup, force_column, force_column_on_grid
 from beamctl.spectral import StateZ, eigenvalues, energy_norms, norm_z
 
 from oracles import count_propagator_tables, linear_states, steering_control
@@ -366,7 +366,7 @@ class TestCli:
                 "delays.lag",
                 id="misspelt-before-a-check",
             ),
-            # A negative declared constant would lower the certificate's lhs.
+            # The retired declared constants: any value is an unknown key.
             pytest.param(
                 {"nonlinearity": {"catalog": "delayed_saturation", "params": {"amp": 0.1}, "l_f": -5}},
                 "nonlinearity.l_f",
@@ -549,6 +549,12 @@ class TestCli:
             pytest.param(("grids", "h_r"), "grids.h_r", id="grids-h_r"),
             pytest.param(("grids", "norm_step"), "grids.norm_step", id="grids-norm_step"),
             pytest.param(("grids", "gamma_samples"), "grids.gamma_samples", id="grids-gamma_samples"),
+            # The certificate's constants come from the catalog entries alone.
+            pytest.param(("impulses", 0, "d_k"), "impulses[0].d_k", id="impulse-d_k"),
+            pytest.param(("nonlocal", "L_q"), "nonlocal.L_q", id="nonlocal-L_q"),
+            pytest.param(("nonlinearity", "l_f"), "nonlinearity.l_f", id="nonlinearity-l_f"),
+            pytest.param(("nonlinearity", "alpha1"), "nonlinearity.alpha1", id="nonlinearity-alpha1"),
+            pytest.param(("nonlinearity", "beta1"), "nonlinearity.beta1", id="nonlinearity-beta1"),
             pytest.param(("impulses", 0, "dk"), "impulses[0].dk", id="impulse-entry"),
             pytest.param(("delays", "lag"), "delays.lag", id="delays"),
             pytest.param(("nonlocal", "Lq"), "nonlocal.Lq", id="nonlocal"),
@@ -609,17 +615,24 @@ class TestCli:
         exact = read_report(tmp_path / "exact" / "exact_benchmark_report.txt")
         assert exact["contraction_lhs"] == check["lhs"]
 
-    def test_zero_declared_constants_load(self, tmp_path):
-        data = {
-            "impulses": [{"time": 0.5, "catalog": "velocity_kick", "params": {"amp": 0.1}, "d_k": 0}],
-            "delays": {"lags": [0.1]},
-            "nonlocal": {"gammas": [0.1], "L_q": 0},
-            "nonlinearity": {"catalog": "delayed_saturation", "l_f": 0, "alpha1": 0.0, "beta1": 0},
-        }
-        cfg = parse_config(write_config(tmp_path, data))
-        nl = cfg.problem.nonlinearity
-        assert (nl.lipschitz, nl.alpha1, nl.beta1, cfg.problem.L_q) == (0.0, 0.0, 0.0, 0.0)
-        assert cfg.problem.impulses[0].d_k == 0.0
+    def test_declared_constants_cannot_lower_the_certificate(self, tmp_path, capsys):
+        # exact_benchmark with a stronger saturation fails the certificate;
+        # zero constants declared next to it once certified it (lhs 0.423).
+        data = yaml.safe_load((CONFIGS / "exact_benchmark.yaml").read_text())
+        data["nonlinearity"]["params"]["amp"] = 0.3
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 0
+        report = read_report(out / "exact_benchmark_report.txt")
+        assert report["lhs"] == "1.8841797917426801"
+        assert report["satisfied"] == "false"
+        data["nonlinearity"]["l_f"] = 0
+        data["nonlocal"]["L_q"] = 0
+        data["impulses"][0]["d_k"] = 0
+        capsys.readouterr()
+        rc = main(["check", "--config", str(write_config(tmp_path, data)), "--out", str(out / "zero")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: config: impulses[0].d_k: unknown key\n"
+        assert not (out / "zero").exists()
 
     def test_stiff_damped_probe_prints_unsatisfied(self, tmp_path):
         # check_zero on a stiffer, more damped beam with a small cable: the
@@ -851,6 +864,27 @@ class TestCli:
         assert err.startswith("error: numerical:")
         assert "Gramian for mode 3 is not finite" in err
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [("check", "check_zero"), ("steer", "steer_linear"), ("exact", "exact_benchmark")],
+    )
+    def test_steering_gramian_not_finite_exits_3_naming_the_mode(
+        self, tmp_path, capsys, monkeypatch, command, config
+    ):
+        # A non-finite steering block is named as such, not as ill-conditioned.
+        def nan_in_mode_3(n, h, lam, c, d):
+            e01, e11 = force_column_on_grid(n, h, lam, c, d)
+            e01[:, 2] = np.nan
+            return e01, e11
+
+        monkeypatch.setattr(control, "force_column_on_grid", nan_in_mode_3)
+        out = tmp_path / "o"
+        rc = main([command, "--config", str(CONFIGS / f"{config}.yaml"), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "error: numerical: Gramian for mode 3 is not finite\n"
+        assert [f.name for f in out.iterdir()] == [f"{config}_resolved_config.yaml"]
 
     def test_simulate_emits_double_rows_at_impulse(self, tmp_path):
         rc = main(
