@@ -53,10 +53,10 @@ class ControlSignal:
     """Piecewise-linear control on a uniform time grid over [t0, t1].
 
     `values[i]` is the right limit at node i; a node listed in
-    `left_values` carries a distinct left limit (used when a steering
-    control is switched in mid-run).  The L2-in-time norm uses the
-    trapezoid rule on the same grid, with marked nodes contributing half
-    weight from each side.
+    `left_values` carries a distinct left limit.  Only a pull-back switch
+    is marked (`pullback_control`), and only `integrate_tail` and
+    `control_rows` read marks: every other reader raises ValueError on a
+    marked control.  The L2-in-time norm is the trapezoid rule on the grid.
     """
 
     t0: float
@@ -99,33 +99,20 @@ class ControlSignal:
     def times(self) -> np.ndarray:
         return self.t0 + self.step * np.arange(self.n_nodes)
 
-    def node_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """(left, right) value arrays per node; they differ only at marks."""
-        right = self.values
-        if not self.left_values:
-            return right, right
-        left = right.copy()
-        for i, v in self.left_values.items():
-            left[i] = v
-        return left, right
+    def require_unmarked(self, reader: str) -> None:
+        """Raise ValueError if a node carries a left limit, which `reader` would ignore."""
+        if self.left_values:
+            raise ValueError(f"{reader} reads no left limits; marks at {sorted(self.left_values)}")
 
-    def quadrature_weights(self) -> tuple[np.ndarray, dict[int, float]]:
-        """Trapezoid weights for the canonical values plus extra mark weights."""
-        h = self.step
-        w = np.full(self.n_nodes, h)
-        w[0] = w[-1] = 0.5 * h
-        extra = {}
-        for i in self.left_values:
-            w[i] = 0.5 * h
-            extra[i] = 0.5 * h
-        return w, extra
+    def quadrature_weights(self) -> np.ndarray:
+        """Trapezoid weights of the control grid's nodes."""
+        w = np.full(self.n_nodes, self.step)
+        w[0] = w[-1] = 0.5 * self.step
+        return w
 
     def l2_norm(self) -> float:
-        w, extra = self.quadrature_weights()
-        total = float(np.sum(w * np.sum(self.values**2, axis=1)))
-        for i, wi in extra.items():
-            total += wi * float(np.sum(self.left_values[i] ** 2))
-        return float(np.sqrt(total))
+        self.require_unmarked("l2_norm")
+        return float(np.sqrt(np.sum(self.quadrature_weights() * np.sum(self.values**2, axis=1))))
 
 
 def default_gramian_step(n: int, t0: float, t1: float, p: ModelParams) -> float:
@@ -226,22 +213,17 @@ class GramianSet:
         """State reached at t1 from rest by a control on this window's grid.
 
         The trapezoid convolution of u against the set's force column at
-        (n - i)*h of its nodes i; marked nodes contribute their left and right
-        values with half weight each, mirroring the stepping of the
-        integrators.  Both components go through one buffer.
+        (n - i)*h of its nodes i.  Both components go through one buffer.
         """
         if (u.t0, u.t1, u.values.shape) != (self.t0, self.t1, self.e01.shape):
             raise ValueError("control is not on the Gramian set's grid")
-        wts, extra = u.quadrature_weights()
-        wts = wts[:, None]
+        u.require_unmarked("GramianSet.response")
+        wts = u.quadrature_weights()[:, None]
         buf = np.empty(u.values.shape)
         w_comp, y_comp = (
             np.multiply(np.multiply(wts, e, out=buf), u.values, out=buf).sum(axis=0)
             for e in (self.e01, self.e11)
         )
-        for i, wi in extra.items():
-            w_comp += wi * self.e01[i] * u.left_values[i]
-            y_comp += wi * self.e11[i] * u.left_values[i]
         return StateZ(w_comp, y_comp)
 
 
@@ -345,17 +327,17 @@ def integrate_linear(z0: StateZ, u: ControlSignal, p: ModelParams) -> np.ndarray
     with the next change to the benchmark.
 
     Exponential-trapezoid stepping with the control as the only source: the
-    sweep's step matrix (`propagator_matrix`) with no cable force, the row
-    [w, y, h/2 u] carrying the left half of the control.  Returns the
-    (2, n_modes) state at the last node.  The rows go through a buffer of
+    sweep's step matrix (`propagator_matrix`) with no cable force, applied
+    to the row [w, y, h/2 u].  Returns the (2, n_modes) state at the last
+    node.  The rows go through a buffer of
     `_LINEAR_BLOCK` nodes whose last row starts the next block, so the
     march keeps no array of all nodes.
     """
     if z0.n_modes != p.n_modes:
         raise ValueError(f"state has {z0.n_modes} modes, params expect {p.n_modes}")
+    u.require_unmarked("integrate_linear")
     n = p.n_modes
     F = propagator_matrix(u.step, p.lam, p.c, p.d)
-    left, right = u.node_values()
     half_step = 0.5 * u.step
     rows = np.empty((min(u.n_nodes, _LINEAR_BLOCK), 3 * n))
     rows[0, : 2 * n] = z0.to_pair().ravel()
@@ -364,9 +346,8 @@ def integrate_linear(z0: StateZ, u: ControlSignal, p: ModelParams) -> np.ndarray
     while True:
         stop = min(start + len(rows), u.n_nodes)
         block = rows[: stop - start]
-        half_right = np.multiply(right[start:stop], half_step, out=block[:, 2 * n :])
-        half_left = half_right if left is right else np.multiply(left[start:stop], half_step)
-        for prev, pair, y, half_u in zip(block, block[1:, : 2 * n], block[1:, n : 2 * n], half_left[1:]):
+        halves = np.multiply(u.values[start:stop], half_step, out=block[:, 2 * n :])
+        for prev, pair, y, half_u in zip(block, block[1:, : 2 * n], block[1:, n : 2 * n], halves[1:]):
             f_dot(prev, pair)
             np.add(y, half_u, out=y)
         if stop == u.n_nodes:

@@ -40,16 +40,16 @@ the node, so each row is bitwise the row of a node-by-node evaluation.
 The rows are zeros when a problem has neither term, so every problem runs
 the same block code.
 
-Restart nodes close at once: the start node, every impulse, every control
-mark and the largest lag tau_q.  There the sweep applies the jump,
-evaluates the right-limit source again as a one-node block and takes the
-next step with F from the closed row [w, y, s].  Every sweep of a problem
-(a history sweep to tau_q, the continuation from there, a tail from a
-pull-back switch, which is a control mark, or one sweep over all of
-[0, T]) thus runs the same arithmetic at each node, and the same guard at
-its end: overflow inside a sweep is not warned about, and a node whose
-energy norm is not finite ends it with NumericalError naming the node's
-time and the sweep.
+Restart nodes close at once: the start node, every impulse and the
+largest lag tau_q.  There the sweep applies the jump, evaluates the
+right-limit source again as a one-node block and takes the next step with
+F from the closed row [w, y, s].  The control enters as one array of node
+values, with no left limits.  Every sweep of a problem (a history sweep to
+tau_q, the continuation from there, a tail from a pull-back switch, or one
+sweep over all of [0, T]) thus runs the same arithmetic at each node, and
+the same guard at its end: overflow inside a sweep is not warned about,
+and a node whose energy norm is not finite ends it with NumericalError
+naming the node's time and the sweep.
 
 The nonlocal initial condition prescribes the history only implicitly
 (through segments of the solution at the positive lag times), so the whole
@@ -446,10 +446,10 @@ class IntegrationResult:
     """A resolved trajectory plus the outer-iteration diagnostics.
 
     `sources[j]` is h/2 times the final sweep's velocity source
-    p(t) - k*w+ + f at t_j = j*h, without the control channel, taken with
-    the left control value.  `picard_sup_diffs` holds the energy sup
-    norms of successive history-sweep differences over [-r, tau_q], the part
-    of the trajectory that the nonlocal history map feeds back.
+    p(t) - k*w+ + f at t_j = j*h, without the control channel.
+    `picard_sup_diffs` holds the energy sup norms of successive
+    history-sweep differences over [-r, tau_q], the part of the trajectory
+    that the nonlocal history map feeds back.
     """
 
     trajectory: Trajectory
@@ -459,12 +459,11 @@ class IntegrationResult:
     sources: np.ndarray
 
 
-def _control_nodes(u: ControlSignal | None, spec: ProblemSpec):
-    """(left, right, jump-node set) arrays of the control on the trajectory grid."""
+def _control_nodes(u: ControlSignal | None, spec: ProblemSpec) -> np.ndarray:
+    """The control's node values on the trajectory grid (zeros for None)."""
     n = spec.n_steps + 1
     if u is None:
-        zeros = np.zeros((n, spec.params.n_modes))
-        return zeros, zeros, frozenset()
+        return np.zeros((n, spec.params.n_modes))
     if abs(u.t0) > 1e-12 or abs(u.t1 - spec.params.T) > 1e-9:
         raise ValueError(f"control covers [{u.t0}, {u.t1}], expected [0, {spec.params.T}]")
     if u.n_nodes != n:
@@ -472,24 +471,11 @@ def _control_nodes(u: ControlSignal | None, spec: ProblemSpec):
             f"control has {u.n_nodes} nodes, the trajectory grid has {n}; "
             "controls must live on the trajectory grid"
         )
-    left, right = u.node_values()
-    return left, right, frozenset(u.left_values)
+    return u.values
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _sweep(
-    spec,
-    kernel,
-    u_left,
-    u_right,
-    u_marks,
-    prefix,
-    prefix_marks,
-    prefix_sources=None,
-    *,
-    last=None,
-    where,
-):
+def _sweep(spec, kernel, u, prefix, prefix_marks, prefix_sources=None, *, last=None, where):
     """One explicit exponential-trapezoid pass from the last node of `prefix` to t_last.
 
     `prefix` holds the nodes from -r up to t_j0 = j0*h and `prefix_marks`
@@ -499,11 +485,12 @@ def _sweep(
     (T by default) and leaves the node and source rows after it unfilled.
     The nodes between restart nodes (module docstring) go in blocks of at
     most min(n_r, `_BLOCK_NODES`); a restart node ends a block, and the next
-    one starts with the F-step from it.  Returns the nodes, their marks and
-    the source rows h/2 g, g taken with the left control and before any
-    jump.  Overflow is not warned about: a node up to t_last whose energy
-    norm is not finite ends the pass with NumericalError, which names the
-    first such time and the pass, `where`.
+    one starts with the F-step from it.  `u` holds the control at every
+    node, and an impulse reads it at its own.  Returns the nodes, their
+    marks and the source rows h/2 g, g taken before any jump.  Overflow is
+    not warned about: a node up to t_last whose energy norm is not finite
+    ends the pass with NumericalError, which names the first such time and
+    the pass, `where`.
     """
     F, K, S, P = kernel
     h, n_r = spec.h, spec.n_r
@@ -515,10 +502,9 @@ def _sweep(
     marks = dict(prefix_marks)
     sources = np.empty((spec.n_steps + 1, n))
     terms = node_sources(spec, values)
-    half_u_left = np.multiply(u_left, 0.5 * h)
-    half_u_right = half_u_left if u_right is u_left else np.multiply(u_right, 0.5 * h)
+    half_u = np.multiply(u, 0.5 * h)
     jumps = dict(zip(spec.impulse_nodes, spec.impulses))
-    restarts = {*jumps, *u_marks, *spec.lag_nodes[-1:], last}
+    restarts = {*jumps, *spec.lag_nodes[-1:], last}
     restarts = sorted(j for j in restarts if j0 < j <= last)
     # Buffer row k is the open row [w, y - s, m, e] of a block's k-th node,
     # row 0 that of the node before the block; `opening` is the closed row
@@ -535,11 +521,11 @@ def _sweep(
     f_dot, k_dot, s_dot, maximum = F.dot, K.dot, S.dot, np.maximum
 
     def reopen(j: int, out: np.ndarray) -> np.ndarray:
-        # h/2 g at closed node j with the right control, as a one-node block.
+        # h/2 g at closed node j, as a one-node block.
         opening[: 2 * n] = values[n_r + j].ravel()
         maximum(s_dot(values[n_r + j, 0]), floor).dot(P, out)
-        np.add(out, terms(n_r + j, 1, u_right[j : j + 1])[0], out=out)
-        np.add(out, half_u_right[j], out=opening[2 * n :])
+        np.add(out, terms(n_r + j, 1, u[j : j + 1])[0], out=out)
+        np.add(out, half_u[j], out=opening[2 * n :])
         return out
 
     # At t = 0 nothing jumps, so node 0's opening source is also its row.
@@ -556,8 +542,8 @@ def _sweep(
         while first <= end:
             stop = min(first + block_nodes, end + 1)
             count, js, at = stop - first, slice(first, stop), slice(n_r + first, n_r + stop)
-            term = terms(at.start, count, u_left[js])
-            np.add(term, half_u_left[js], out=e_all[1 : count + 1])
+            term = terms(at.start, count, u[js])
+            np.add(term, half_u[js], out=e_all[1 : count + 1])
             for prev, pair, w, m in zip(rows[k - 1 : count], pairs[k:], ws[k:], ms[k:]):
                 k_dot(prev, pair)
                 s_dot(w, m)
@@ -568,14 +554,14 @@ def _sweep(
             _cable_rows(m_all[1 : count + 1], P, src)
             np.add(src, term, out=src)
             block[:, 0] = buf[1 : count + 1, :n]
-            np.add(src, half_u_left[js], out=block[:, 1])
+            np.add(src, half_u[js], out=block[:, 1])
             np.add(buf[1 : count + 1, n : 2 * n], block[:, 1], out=block[:, 1])
             buf[0] = buf[count]
             first, k = stop, 1
         ev = jumps.get(end)
         if ev is not None:
             marks[n_r + end] = values[n_r + end].copy()
-            values[n_r + end, 1] += ev.map.velocity_jump(marks[n_r + end], u_right[end])
+            values[n_r + end, 1] += ev.map.velocity_jump(marks[n_r + end], u[end])
         if end < last:
             reopen(end, right_src)
     # Overflow surfaces here, as a non-finite norm; the rows after t_last are
@@ -639,7 +625,7 @@ def integrate_mild(
     warm: IntegrationResult | None = None,
     tol: float | None = None,
 ) -> IntegrationResult:
-    """Resolve the mild solution on [-r, T] under the control u (None: zero).
+    """Resolve the mild solution on [-r, T] under the unmarked control u (None: zero).
 
     On [0, T] the state follows the variation-of-constants formula with
     the group propagator, jump updates at the impulse times, and the
@@ -673,7 +659,9 @@ def integrate_mild(
     one sweep returns that run bit for bit.
     """
     tol = spec.picard_tol if tol is None else tol
-    controls = _control_nodes(u, spec)
+    if u is not None:
+        u.require_unmarked("integrate_mild (a pull-back switch runs through integrate_tail)")
+    u_nodes = _control_nodes(u, spec)
     rho_values, n_r = spec.history, spec.n_r
     lam = spec.params.lam
     kernel = _sweep_kernel(spec)
@@ -687,7 +675,7 @@ def integrate_mild(
     residual, ratio = np.inf, np.nan
     for iteration in range(1, spec.picard_max_iter + 1):
         values, marks, sources = _sweep(
-            spec, kernel, *controls, hist_values, {}, last=stop, where=f"history sweep {iteration}"
+            spec, kernel, u_nodes, hist_values, {}, last=stop, where=f"history sweep {iteration}"
         )
         if prev_values is not None:
             d = float(energy_norms(values[:n_read] - prev_values[:n_read], lam).max())
@@ -717,24 +705,27 @@ def integrate_mild(
     if stop < spec.n_steps:
         where = f"continuation from t = {stop * spec.h:.6g} after history sweep {iteration}"
         values, marks, sources = _sweep(
-            spec, kernel, *controls, values[:n_read], marks, sources[: stop + 1], where=where
+            spec, kernel, u_nodes, values[:n_read], marks, sources[: stop + 1], where=where
         )
     traj = Trajectory(spec.h, n_r, values, marks)
     return IntegrationResult(traj, iteration, residual, tuple(sup_diffs), sources)
 
 
 def integrate_tail(
-    spec: ProblemSpec, nominal: IntegrationResult, u: ControlSignal, start: int
+    spec: ProblemSpec, nominal: IntegrationResult, u: ControlSignal
 ) -> IntegrationResult:
-    """Bitwise `integrate_mild(spec, u)` for u switched from the nominal control at start*h.
+    """`spec` under the pull-back control u, whose one mark is its switch node `start`.
 
-    u must equal the nominal control before t_start = start*h and keep its
-    value as the left limit there (a pull-back switch), no impulse may sit
-    at t_start and no lag exceed it.  The history iteration then reads only
-    nodes the two runs share, so it is the nominal's, which has already
-    passed the divergence guard; only the tail after t_start is integrated,
-    under the non-finite guard.  `picard_sup_diffs` is left empty.
+    Before t_start = start*h u must equal the nominal run's control, its
+    left limit there included; no impulse may sit at t_start and no lag
+    exceed it.  The history iteration then reads only nodes the two runs
+    share, so it is the nominal's, which has already passed the divergence
+    guard; only the tail after t_start is integrated, under the non-finite
+    guard.  `picard_sup_diffs` is left empty.
     """
+    if len(u.left_values) != 1:
+        raise ValueError(f"a tail needs one control mark, its switch; got {sorted(u.left_values)}")
+    (start,) = u.left_values
     h = spec.h
     if max(spec.lag_nodes, default=0) > start:
         raise ValueError(f"a delay lag reaches past t_start = {start * h:.6g}")
@@ -745,7 +736,7 @@ def integrate_tail(
     values, marks, sources = _sweep(
         spec,
         _sweep_kernel(spec),
-        *_control_nodes(u, spec),
+        _control_nodes(u, spec),
         traj.values[:end],
         {i: v for i, v in traj.left_values.items() if i < end},
         nominal.sources[: start + 1],

@@ -200,11 +200,12 @@ def propagator_matrix(h: float, lam: np.ndarray, c: float, d: float) -> np.ndarr
 
     Returns the (2N, 3N) matrix F that maps a row [w, y, s] to the pair
     E(h) (w, y + s), flattened: the exact propagation of the state and of
-    the left half s = h/2 g of the trapezoid source, so F's s-columns equal
-    its y-columns.  The step is closed by adding h/2 times the source at the
-    new node to the velocity, the same h/2 g that opens the next step;
-    summed over steps this is the trapezoid convolution of the source
-    against the propagator.  The mild-solution sweep closes a block of
+    s = h/2 g, the trapezoid term of the source at the step's first node,
+    so F's s-columns equal its y-columns.  The step is closed by adding h/2
+    times the source at the new node to the velocity, the same h/2 g that
+    opens the next step, so each node has one source value, the control's
+    included; summed over steps this is the trapezoid convolution of the
+    source against the propagator.  The mild-solution sweep closes a block of
     steps at a time and steps with F's columns rearranged for that
     (`dynamics`); `control.integrate_linear`, which no command calls,
     closes each step at once.  A control alone needs no march: its

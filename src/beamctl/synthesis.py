@@ -135,8 +135,9 @@ def pullback_control(
     The tail is the linear minimum-energy control from the trajectory's
     state at T - sigma to the target over [T - sigma, T].  The switch node
     is the one mark, with left limit 0, so the restriction to
-    [0, T - sigma] is exactly the free run's control.  ConfigError unless
-    sigma is a window `ProblemSpec.window_steps` accepts.
+    [0, T - sigma] is exactly the free run's control, and `integrate_tail`
+    starts from it.  ConfigError unless sigma is a window
+    `ProblemSpec.window_steps` accepts.
     """
     p = spec.params
     (n_tail,) = spec.window_steps([sigma])
@@ -193,7 +194,7 @@ def approx_experiment(spec: ProblemSpec, zstar: StateZ, sigmas) -> PullbackResul
     for sigma, n_tail in zip(sigmas, tails):
         u_s = pullback_control(traj, sigma, zstar, spec)
         switch = spec.n_steps - n_tail
-        switched = integrate_tail(spec, free, u_s, switch).trajectory
+        switched = integrate_tail(spec, free, u_s).trajectory
         terminal_error = pair_norm(switched.values[-1] - zstar.to_pair(), lam)
 
         tail_ts = p.T - sigma + spec.h * np.arange(n_tail + 1)

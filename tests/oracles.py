@@ -7,15 +7,18 @@ from a method-of-steps RK4 with cubic-Hermite dense output.  The one
 exception is `implicit_trapezoid_sweep`, the integrator's former
 implicit-endpoint sweep, kept as a bitwise reference for the explicit sweep
 that replaced it (on the explicit sweep's kernel, so that only the endpoint
-treatment differs); likewise `full_pullback_experiment`
-re-integrates every switched pull-back run in full, as the package did
-before it reused the free run's prefix, and `full_history_integrate` runs
-every history sweep over all of [0, T], as the package did before its
-history sweeps stopped at the largest lag.  `cold_exact_fixed_point` starts
-every integration of the exact driver from the prescribed history, as the
-package did before it warm-started them, and `loop_steering_target` sums
-the steering target's source convolution one node at a time, as the package
-did before it summed it in one pass, and `one_node_sources` evaluates the
+treatment differs; after a history iteration under the control's left
+limits, it is also the full run under a pull-back control,
+`switched_full_run`); likewise `full_pullback_experiment` resolves every
+switched pull-back run in full, as
+the package did before it reused the free run's prefix, and
+`full_history_integrate` runs every history sweep over all of [0, T], as
+the package did before its history sweeps stopped at the largest lag.
+`cold_exact_fixed_point` starts every integration of the exact driver from
+the prescribed history, as the package did before it warm-started them,
+and `loop_steering_target` sums the steering target's source convolution
+one node at a time, as the package did before it summed it in one pass,
+and `one_node_sources` evaluates the
 source rows node by node, as the steering target did before it took the
 rows that the integration records.  `where_branch_coefficients` is the
 propagator's former branch formula, which evaluated all three branches on
@@ -34,8 +37,10 @@ window's table; `positive_part` is the pseudo-spectral clip, the reference
 for the cable projector the sweep's kernel runs.  `Segment`,
 `source_term`, `nonlocal_combination`, `segment_at`, `node_index`,
 `trajectory_span` (the former `Trajectory.r` and `t_end`), the generator
-blocks, `expm2`, the adjoint propagator, the control arithmetic, `project` and `norm_half` are former package helpers
-that only the tests used.  `reference_write_csv` and the
+blocks, `expm2`, the adjoint propagator, the control arithmetic,
+`left_limits` (the left array of the former `ControlSignal.node_values`),
+`project` and `norm_half` are former package helpers that only the tests
+used.  `reference_write_csv` and the
 `reference_*_rows` generators are the package's former CSV writer, which
 formatted every value with its own f-string, and its row-by-row table
 producers; they are the byte reference for the writer that streams a 2-D
@@ -338,21 +343,18 @@ def controllability_map(u: ControlSignal, p) -> StateZ:
     that `GramianSet.response` takes on a window's table: the trapezoid
     rule on the control grid applied to the force column at (n - i)*h,
     tabulated here for u's nodes by `force_column_on_grid`, with the
-    response's arithmetic.  Marked nodes contribute their left and right
-    values with half weight each.
+    response's arithmetic.  Like the response, it reads no left limits and
+    rejects a marked control.
     """
     if u.n_modes != p.n_modes:
         raise ValueError(f"control has {u.n_modes} modes, params expect {p.n_modes}")
+    u.require_unmarked("controllability_map")
     e01, e11 = force_column_on_grid(u.n_nodes - 1, u.step, p.lam, p.c, p.d)
-    wts, extra = u.quadrature_weights()
-    wts = wts[:, None]
+    wts = u.quadrature_weights()[:, None]
     buf = np.empty(u.values.shape)
     w_comp, y_comp = (
         np.multiply(np.multiply(wts, e, out=buf), u.values, out=buf).sum(axis=0) for e in (e01, e11)
     )
-    for i, wi in extra.items():
-        w_comp += wi * e01[i] * u.left_values[i]
-        y_comp += wi * e11[i] * u.left_values[i]
     return StateZ(w_comp, y_comp)
 
 
@@ -398,12 +400,10 @@ def linear_states(z0: StateZ, u: ControlSignal, p) -> np.ndarray:
     """
     n = p.n_modes
     F = propagator_matrix(u.step, p.lam, p.c, p.d)
-    left, right = u.node_values()
     rows = np.empty((u.n_nodes, 3 * n))
-    half_right = np.multiply(right, 0.5 * u.step, out=rows[:, 2 * n :])
-    half_left = half_right if left is right else np.multiply(left, 0.5 * u.step)
+    halves = np.multiply(u.values, 0.5 * u.step, out=rows[:, 2 * n :])
     rows[0, : 2 * n] = z0.to_pair().ravel()
-    for prev, pair, y, half_u in zip(rows, rows[1:, : 2 * n], rows[1:, n : 2 * n], half_left[1:]):
+    for prev, pair, y, half_u in zip(rows, rows[1:, : 2 * n], rows[1:, n : 2 * n], halves[1:]):
         F.dot(prev, pair)
         np.add(y, half_u, out=y)
     return rows[:, : 2 * n].reshape(-1, 2, n)
@@ -417,11 +417,22 @@ def scaled_control(u: ControlSignal, a: float) -> ControlSignal:
     return ControlSignal(u.t0, u.t1, a * u.values, {i: a * v for i, v in u.left_values.items()})
 
 
+def left_limits(u: ControlSignal) -> np.ndarray:
+    """The control's left limit at every node: `values` with each mark's left value.
+
+    A tail's source rows up to its switch, the switch node's included, are
+    the nominal run's, which took the left limit there.
+    """
+    left = u.values.copy()
+    for i, v in u.left_values.items():
+        left[i] = v
+    return left
+
+
 def control_sum(u: ControlSignal, v: ControlSignal) -> ControlSignal:
     if v.n_nodes != u.n_nodes or v.t0 != u.t0 or v.t1 != u.t1:
         raise ValueError("control grids do not match")
-    ul, _ = u.node_values()
-    vl, _ = v.node_values()
+    ul, vl = left_limits(u), left_limits(v)
     marks = set(u.left_values) | set(v.left_values)
     return ControlSignal(u.t0, u.t1, u.values + v.values, {i: ul[i] + vl[i] for i in marks})
 
@@ -810,8 +821,9 @@ def implicit_trapezoid_sweep(spec, u_left, u_right, u_marks, hist_values, hist_m
     impulse, a control mark and the largest lag, and K from the open row
     [w, y - s, m, e] elsewhere; it adds the halved source terms in the same
     order, so the two differ only in how they reach the endpoint, the jumps
-    and the marks, not in rounding; the signature is that of the old
-    `_sweep`.
+    and the marks, not in rounding.  It takes the control's left and right
+    node values and its marks, and restarts at each mark; the explicit
+    sweep takes one array and no marks.
     """
     p = spec.params
     h = spec.h
@@ -948,12 +960,36 @@ def segment_at(traj, t: float) -> Segment:
     return Segment(traj.step, values)
 
 
+def switched_full_run(spec, u):
+    """The run of `spec` under a pull-back control u, resolved in full on [-r, T].
+
+    The reference for `integrate_tail`, which sweeps only from u's switch.
+    The history iteration is `integrate_mild`'s under u's left limits: its
+    sweeps stop at the largest lag, at or before the switch, so they read
+    only left values, as a marked run's history sweeps did.  From that
+    converged history and its marks on [-r, 0], `implicit_trapezoid_sweep`
+    sweeps [0, T] with u's left and right values, restarting at its mark;
+    on an unmarked control this is `integrate_mild`'s run bitwise
+    (`TestExplicitSweep`).  Returns the trajectory and the left-limit run,
+    whose iteration count and residual are the switched run's.
+    """
+    n_r, left = spec.n_r, left_limits(u)
+    head = integrate_mild(spec, ControlSignal(u.t0, u.t1, left))
+    traj = head.trajectory
+    hist_marks = {i: v for i, v in traj.left_values.items() if i <= n_r}
+    values, marks = implicit_trapezoid_sweep(
+        spec, left, u.values, set(u.left_values), traj.values[: n_r + 1], hist_marks, n_r
+    )
+    return Trajectory(spec.h, n_r, values, marks), head
+
+
 def full_pullback_experiment(spec, zstar, sigmas):
-    """The pull-back experiment with every switched run integrated over [-r, T].
+    """The pull-back experiment with every switched run resolved over [-r, T].
 
     The loop of `approx_experiment` before it reused the free run's prefix
-    (windows are not validated here).  Returns the `PullbackResult` and the
-    switched trajectories, one per window.
+    (windows are not validated here), each switched run taken by
+    `switched_full_run`.  Returns the `PullbackResult` and the switched
+    trajectories, one per window.
     """
     p = spec.params
     traj = integrate_mild(spec).trajectory
@@ -963,7 +999,7 @@ def full_pullback_experiment(spec, zstar, sigmas):
     rows, runs = [], []
     for sigma in [float(s) for s in sigmas]:
         u_s = pullback_control(traj, sigma, zstar, spec)
-        switched = integrate_mild(spec, u_s).trajectory
+        switched = switched_full_run(spec, u_s)[0]
         runs.append(switched)
         terminal_error = pair_norm(switched.values[-1] - zstar.to_pair(), lam)
 
@@ -1015,7 +1051,9 @@ def full_history_integrate(spec, u=None, *, chord=True):
     chord correction and the marks, which must reach the same history
     within tolerance.
     """
-    controls = dynamics._control_nodes(u, spec)
+    if u is not None:
+        u.require_unmarked("full_history_integrate")
+    u_nodes = dynamics._control_nodes(u, spec)
     rho_values, n_r = spec.history, spec.n_r
     p = spec.params
     lam = p.lam
@@ -1028,7 +1066,7 @@ def full_history_integrate(spec, u=None, *, chord=True):
     residual, ratio = np.inf, np.nan
     for iteration in range(1, spec.picard_max_iter + 1):
         values, marks, sources = dynamics._sweep(
-            spec, kernel, *controls, hist_values, hist_marks, where=f"history sweep {iteration}"
+            spec, kernel, u_nodes, hist_values, hist_marks, where=f"history sweep {iteration}"
         )
         if prev_values is not None:
             d = float(energy_norms(values - prev_values, lam).max())

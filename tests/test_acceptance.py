@@ -219,8 +219,9 @@ def test_criterion_6_approximate_controllability():
         for row in result.rows:
             assert row.terminal_error <= M * beta1 * row.sigma + 1e-6
         assert all(a >= b for a, b in zip(errs, errs[1:]))
-        # The pull-back identity: each switched run, integrated in full over
-        # [-r, T], reads at t - r, t in [T - sigma, T], the nominal run's states.
+        # The pull-back identity: each switched run, resolved in full over
+        # [-r, T] (`switched_full_run`), reads at t - r, t in [T - sigma, T],
+        # the nominal run's states.
         nominal = integrate_mild(spec).trajectory.values
         for sigma, run in zip(sigmas, full_pullback_experiment(spec, zstar, sigmas)[1]):
             delayed = slice(spec.n_steps - round(sigma / spec.h), spec.n_steps + 1)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -6,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from beamctl import control
+from beamctl import control, synthesis
 from beamctl.cli import main
 from beamctl.config import parse_config
 from beamctl.control import ControlSignal, build_gramian_set
@@ -41,6 +44,9 @@ LATE_LAG = {
     "delays": {"lags": [0.85]},
     "nonlocal": {"gammas": [0.05]},
 }
+
+# approx_bounded's pull-back windows.
+WINDOWS = (0.08, 0.04, 0.02, 0.01)
 
 # The header and the first row of a history file on [-0.25, 0] with 4 modes.
 HISTORY_HEAD = "t,w_1,w_2,w_3,w_4,y_1,y_2,y_3,y_4\n-0.25,0,0,0,0,0,0,0,0\n"
@@ -885,6 +891,87 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: numerical: Gramian for mode 3 is not finite\n"
         assert [f.name for f in out.iterdir()] == [f"{config}_resolved_config.yaml"]
+
+    def test_exact_stops_at_max_iter_exits_3(self, tmp_path, capsys):
+        # exact_benchmark converges in 5 outer iterations; 2 are not enough.
+        data = yaml.safe_load((CONFIGS / "exact_benchmark.yaml").read_text())
+        data["experiment"]["max_iter"] = 2
+        out = tmp_path / "o"
+        cfg = str(write_config(tmp_path, data))
+        assert main(["exact", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: numerical: fixed-point iteration did not converge in 2 iterations (last change "
+        )
+        assert err.count("\n") == 1
+        assert [f.name for f in out.iterdir()] == ["exact_benchmark_resolved_config.yaml"]
+
+    def test_exact_stops_a_diverging_iteration_exits_3(self, tmp_path, capsys, monkeypatch):
+        # A steering target ten times larger at each call moves every
+        # trajectory further from the last: the successive differences grow
+        # three times in a row, which takes four outer iterations.
+        real, calls = synthesis.steering_target, []
+
+        def growing(*args):
+            calls.append(None)
+            return 10.0 ** len(calls) * real(*args)
+
+        monkeypatch.setattr(synthesis, "steering_target", growing)
+        out = tmp_path / "o"
+        rc = main(["exact", "--config", str(CONFIGS / "exact_benchmark.yaml"), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical: fixed-point iteration diverging: ")
+        assert err.endswith(" > 1 for three consecutive iterations\n")
+        assert len(calls) == 4
+        assert [f.name for f in out.iterdir()] == ["exact_benchmark_resolved_config.yaml"]
+
+    def test_exact_warns_of_a_violated_certificate_and_iterates(self, tmp_path):
+        # exact_benchmark with a stronger saturation fails the certificate
+        # (lhs 1.88); the iteration still converges, and the report says
+        # the certificate does not hold.  The warning goes through logging,
+        # which pytest captures in process, so the command runs as a user
+        # runs it.
+        data = yaml.safe_load((CONFIGS / "exact_benchmark.yaml").read_text())
+        data["nonlinearity"]["params"]["amp"] = 0.3
+        cfg, out = write_config(tmp_path, data), tmp_path / "o"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        args = ["-m", "beamctl.cli", "exact", "--config", str(cfg), "--out", str(out)]
+        run = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+        assert run.returncode == 0
+        assert run.stdout == ""
+        assert run.stderr == (
+            "contraction certificate violated (lhs = 1.88418 >= 1); "
+            "iterating without a convergence guarantee\n"
+        )
+        report = read_report(out / "exact_benchmark_report.txt")
+        assert report["iterations"] == "7"
+        assert report["contraction_satisfied"] == "false"
+
+    @pytest.mark.parametrize(
+        "command, config, lines",
+        [
+            ("check", "check_zero", ["contraction lhs = "]),
+            ("gramian", "gramian_n8", ["worst weighted condition number: "]),
+            ("steer", "steer_linear", ["steered to relative error "]),
+            ("simulate", "simulate_demo", ["integrated 2601 nodes, history iterations "]),
+            ("approx", "approx_bounded", [f"sigma={s}: terminal error " for s in WINDOWS]),
+            ("exact", "exact_benchmark", ["converged in 5 iterations, terminal error "]),
+        ],
+    )
+    def test_verbose_prints_progress_and_quiet_prints_nothing(
+        self, tmp_path, capsys, command, config, lines
+    ):
+        # --verbose prints the command's progress line (one per window for
+        # approx) to stdout; without it a run prints nothing there.
+        args = [command, "--config", str(CONFIGS / f"{config}.yaml"), "--out"]
+        assert main([*args, str(tmp_path / "quiet")]) == 0
+        assert capsys.readouterr().out == ""
+        assert main([*args, str(tmp_path / "verbose"), "--verbose"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == len(lines)
+        for line, start in zip(printed, lines):
+            assert line.startswith(start)
 
     def test_simulate_emits_double_rows_at_impulse(self, tmp_path):
         rc = main(

@@ -43,8 +43,7 @@ NOT_A_LIST = ["x", 0.5, True, {"a": 1}, [0.1, "a"], [True]]
 NOT_A_MAPPING = ["x", 3, True, [1]]
 
 # Values each key must reject, by key name.  None is listed only where a
-# null does not stand for a default (an empty list, a derived constant or
-# an empty block).
+# null does not stand for a default (an empty list or an empty block).
 BAD = {
     **{key: NOT_A_NUMBER + [None, 0, -1.0] for key in ("c", "d", "k", "tol", "picard_tol")},
     "h": NOT_A_NUMBER + [None, 0, -1.0, 1.0e-300],  # T/h above the step ceiling
@@ -54,7 +53,6 @@ BAD = {
     "G": ["65", 2.5, True, None, [65], 2, 8, 0],  # 8 < 2N + 1 for N >= 4
     "max_iter": ["5", 2.5, True, None, 0, -3],
     "picard_max_iter": ["5", 2.5, True, None, 0, -3],
-    **{key: NOT_A_NUMBER + [-1.0, -1e-9] for key in ("d_k", "L_q", "l_f", "alpha1", "beta1")},
     **{key: NOT_A_NUMBER + [None] for key in ("amp", "omega", "phase")},
     "coeffs": NOT_A_LIST + [None, [], [0.1] * 9],
     "w": NOT_A_LIST + [None, [0.1] * 9],
@@ -76,13 +74,11 @@ BAD = {
                     "history", "targets", "experiment", "output", "params")
     },
 }
-# Keys a shipped config may leave out that the fuzz also sets, under a
-# block the config has (or, for experiment and grids, any config).
+# Keys a shipped config may leave out that the fuzz also sets, in every
+# config.
 OPTIONAL = {
     "experiment": ("t0", "sigmas", "tol", "max_iter", "picard_tol", "picard_max_iter"),
     "grids": ("G",),
-    "nonlocal": ("L_q",),
-    "nonlinearity": ("l_f", "alpha1", "beta1"),
 }
 
 
@@ -100,11 +96,7 @@ def _paths(node, prefix=()):
 
 def _mutable(config):
     paths = set(_paths(config))
-    for block, keys in OPTIONAL.items():
-        if block in config or block in ("experiment", "grids"):
-            paths.update((block, key) for key in keys)
-    for j in range(len(config.get("impulses") or [])):
-        paths.add(("impulses", j, "d_k"))
+    paths.update((block, key) for block, keys in OPTIONAL.items() for key in keys)
     return sorted(paths, key=str)
 
 

@@ -225,12 +225,11 @@ class TestControllabilityMap:
     @pytest.mark.parametrize("t0", [0.0, 0.3])
     def test_gramian_set_response_is_the_map_bitwise(self, p8, rng, t0):
         # The set's table is the one the map tabulates for a control on its
-        # grid, so reading it gives the same bytes, marks included.
+        # grid, so reading it gives the same bytes.
         gs = build_gramian_set(t0, 1.0, p8, 400)
-        for marks in ({}, {150: rng.normal(size=8)}):
-            u = ControlSignal(t0, 1.0, rng.normal(size=(401, 8)), marks)
-            got, want = gs.response(u), controllability_map(u, p8)
-            assert np.array_equal(got.w, want.w) and np.array_equal(got.y, want.y)
+        u = ControlSignal(t0, 1.0, rng.normal(size=(401, 8)))
+        got, want = gs.response(u), controllability_map(u, p8)
+        assert np.array_equal(got.w, want.w) and np.array_equal(got.y, want.y)
         with pytest.raises(ValueError, match="grid"):
             gs.response(ControlSignal(t0, 1.0, rng.normal(size=(201, 8))))
 
@@ -351,13 +350,12 @@ class TestSteering:
     def test_terminal_state_is_the_full_march_bitwise(self, p8, rng, n_nodes):
         # integrate_linear marches through a buffer of _LINEAR_BLOCK = 256 rows
         # whose last row starts the next block; the node counts straddle that
-        # size, and a switch node gives the left and right limits apart.
+        # size.
         z0 = random_state(rng, 8)
-        for marks in ({}, {n_nodes // 2: rng.normal(size=8)} if n_nodes > 2 else {}):
-            u = ControlSignal(0.0, 1.0, rng.normal(size=(n_nodes, 8)), marks)
-            last = integrate_linear(z0, u, p8)
-            assert last.shape == (2, 8)
-            np.testing.assert_array_equal(last, linear_states(z0, u, p8)[-1])
+        u = ControlSignal(0.0, 1.0, rng.normal(size=(n_nodes, 8)))
+        last = integrate_linear(z0, u, p8)
+        assert last.shape == (2, 8)
+        np.testing.assert_array_equal(last, linear_states(z0, u, p8)[-1])
 
 
 class TestControlSignal:
@@ -380,6 +378,19 @@ class TestControlSignal:
             ControlSignal(0.0, 0.0, np.zeros((3, 2)))
         with pytest.raises(ValueError):
             ControlSignal(0.0, 1.0, np.zeros((1, 2)))
+
+    def test_readers_of_node_values_reject_a_marked_control(self, p8, rng):
+        # Each of them would drop the left limit: the trapezoid norm, the
+        # window's response and the linear march read `values` alone.
+        marked = ControlSignal(0.0, 1.0, rng.normal(size=(401, 8)), {150: rng.normal(size=8)})
+        gs = build_gramian_set(0.0, 1.0, p8, 400)
+        for name, read in (
+            ("l2_norm", marked.l2_norm),
+            ("GramianSet.response", lambda: gs.response(marked)),
+            ("integrate_linear", lambda: integrate_linear(zero_state(8), marked, p8)),
+        ):
+            with pytest.raises(ValueError, match=rf"^{name} reads no left limits; marks at \[150"):
+                read()
 
     def test_boundary_marks_rejected(self):
         with pytest.raises(ValueError, match="interior"):

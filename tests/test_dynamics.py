@@ -26,6 +26,7 @@ from oracles import (
     full_history_integrate,
     history_left_limits,
     implicit_trapezoid_sweep,
+    left_limits,
     method_of_steps_rk4,
     node_index,
     nonlocal_combination,
@@ -36,6 +37,7 @@ from oracles import (
     resample_history,
     segment_at,
     source_term,
+    switched_full_run,
     trajectory_state,
 )
 
@@ -410,14 +412,14 @@ def _kick(kind, amp=0.3):
     return make_impulse_map(kind, 4, params)
 
 
-def _marked_control(rng, n_steps, marks=(40, 130)):
-    values = rng.normal(size=(n_steps + 1, 4))
-    return ControlSignal(0.0, 1.0, values, {i: rng.normal(size=4) for i in marks})
+def _control(rng, n_steps):
+    return ControlSignal(0.0, 1.0, rng.normal(size=(n_steps + 1, 4)))
 
 
-# Each case: (problem keyword arguments, whether the run takes a control with
-# left-limit marks).  Together they cover every forcing, nonlinearity and
-# impulse catalog entry.
+# Each case: (problem keyword arguments, whether the run takes a control).
+# Together they cover every forcing, nonlinearity and impulse catalog entry.
+# In an id, `marked_control` names a case that takes a control; the tail
+# tests mark it at their switch, and the full runs take it unmarked.
 SWEEP_CASES = {
     "harmonic+delayed_saturation+saturating_kick": (
         dict(
@@ -456,7 +458,7 @@ class TestExplicitSweep:
 
     @staticmethod
     def _case(case, grid, rng, lags=(0.1, 0.2), gammas=(0.1, 0.05), r=0.25):
-        kwargs, marked = SWEEP_CASES[case]
+        kwargs, controlled = SWEEP_CASES[case]
         p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=r)
         spec = ProblemSpec(
             params=p,
@@ -467,23 +469,21 @@ class TestExplicitSweep:
             history=constant_history(p, 200, w=[0.4, 0.15], y=[0.0, 0.1]),
             **kwargs,
         )
-        return spec, _marked_control(rng, spec.n_steps) if marked else None
+        return spec, _control(rng, spec.n_steps) if controlled else None
 
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_matches_implicit_sweep_bitwise(self, case, grid129, rng, monkeypatch):
         spec, u = self._case(case, grid129, rng)
         explicit = integrate_mild(spec, u)
 
-        def implicit_sweep(
-            spec, kernel, u_left, u_right, u_marks, prefix, marks, *_, last=None, where
-        ):
+        def implicit_sweep(spec, kernel, u, prefix, marks, *_, last=None, where):
             # The implicit sweep always runs from the history in `prefix` to T
             # (a continuation repeats the converged sweep) and records no
             # source rows.
             n_r = spec.n_r
             hist_marks = {i: v for i, v in marks.items() if i <= n_r}
             values, marks = implicit_trapezoid_sweep(
-                spec, u_left, u_right, u_marks, prefix[: n_r + 1], hist_marks, n_r
+                spec, u, u, (), prefix[: n_r + 1], hist_marks, n_r
             )
             return values, marks, np.full((spec.n_steps + 1, spec.params.n_modes), np.nan)
 
@@ -514,16 +514,16 @@ class TestExplicitSweep:
             assert len(spec.history) - 1 == r_steps
             nominal = integrate_mild(spec, u)
             u_s = TestIntegrateTail._switched(spec, u, 121, rng)
-            tail = dynamics.integrate_tail(spec, nominal, u_s, 121)
-            for res, control in ((nominal, u), (tail, u_s)):
-                traj = res.trajectory
-                u_left = control.node_values()[0] if control is not None else np.zeros((201, 4))
-                assert np.array_equal(res.sources, one_node_sources(spec, traj, u_left))
+            tail = dynamics.integrate_tail(spec, nominal, u_s)
+            # The tail's row at the switch is the nominal's, at the left limit.
+            rows = np.zeros((201, 4)) if u is None else u.values
+            for res, u_rows in ((nominal, rows), (tail, left_limits(u_s))):
+                assert np.array_equal(res.sources, one_node_sources(spec, res.trajectory, u_rows))
 
             with monkeypatch.context() as m:
                 m.setattr(dynamics, "node_sources", per_node_sources)
                 one_by_one = integrate_mild(spec, u)
-                tail_one_by_one = dynamics.integrate_tail(spec, one_by_one, u_s, 121)
+                tail_one_by_one = dynamics.integrate_tail(spec, one_by_one, u_s)
             assert nominal.picard_iterations == one_by_one.picard_iterations
             for res, ref in ((nominal, one_by_one), (tail, tail_one_by_one)):
                 a, b = res.trajectory, ref.trajectory
@@ -557,11 +557,11 @@ class TestExplicitSweep:
 
     def test_only_restart_nodes_step_from_the_closed_node(self, grid129, rng, monkeypatch):
         # The step matrix F steps from a closed node and its reopened source
-        # only after the start, an impulse, a control mark and the largest
-        # lag; every other node takes K from the open row.  This case has
-        # lags (0.1, 0.2), impulses at nodes 40 and 130 and control marks at
-        # nodes 40 and 130, so each history sweep (to node 40) takes F once,
-        # and the continuation from node 40 takes it there and at node 130.
+        # only after the start, an impulse and the largest lag; every other
+        # node takes K from the open row.  This case has lags (0.1, 0.2) and
+        # impulses at nodes 40 and 130, so each history sweep (to node 40)
+        # takes F once, and the continuation from node 40 takes it there and
+        # at node 130.
         # The sweep binds `F.dot` and `K.dot`, so the step matrices are
         # handed to it as views whose `dot` records the call.
         spec, u = self._case("control_saturation+control_kick+marked_control", grid129, rng)
@@ -662,10 +662,10 @@ class TestExplicitSweep:
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_control_names_the_pass_it_reaches(self, grid129):
-        # A control of 1e300 from t = 0.6 on, past the only lag 0.1: the
+        # A control of 1e300 after t = 0.6, past the only lag 0.1: the
         # history sweeps stop at 0.1 and stay finite, so the continuation
         # after the last of them meets the overflow, as does a tail
-        # integrated from the switch.
+        # integrated from a switch at 0.6.
         p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
         spec = ProblemSpec(
             params=p,
@@ -676,15 +676,15 @@ class TestExplicitSweep:
             history=constant_history(p, 200, w=[0.4], y=[0.2]),
         )
         values = np.zeros((201, 4))
-        values[120:] = 1e300
-        u = ControlSignal(0.0, 1.0, values, {120: np.zeros(4)})
+        values[121:] = 1e300
         nominal = integrate_mild(spec)
         where = rf"continuation from t = 0\.1 after history sweep {nominal.picard_iterations}"
         with pytest.raises(NumericalError, match=rf"not finite at t = 0\.605 \({where}\)$"):
-            integrate_mild(spec, u)
+            integrate_mild(spec, ControlSignal(0.0, 1.0, values))
+        switched = ControlSignal(0.0, 1.0, values, {120: np.zeros(4)})
         where = r"tail from t = 0\.6"
         with pytest.raises(NumericalError, match=rf"not finite at t = 0\.605 \({where}\)$"):
-            dynamics.integrate_tail(spec, nominal, u, 120)
+            dynamics.integrate_tail(spec, nominal, switched)
 
     def test_diverging_history_stops_early(self, grid129, monkeypatch):
         # The chord's P leaves the kicks out, and with gamma = 1.5 its P^-1
@@ -707,9 +707,16 @@ class TestExplicitSweep:
     def test_control_on_other_grid_rejected(self, grid129, rng):
         p = tiny_cable()
         spec = ProblemSpec(params=p, grid=grid129, n_steps=200)
-        coarse = _marked_control(rng, 100, marks=(40,))
+        coarse = _control(rng, 100)
         with pytest.raises(ValueError, match="trajectory grid"):
             integrate_mild(spec, coarse)
+
+    def test_marked_control_rejected(self, grid129, rng):
+        # The sweep reads one value per node; a left limit would be dropped.
+        spec = ProblemSpec(params=tiny_cable(), grid=grid129, n_steps=200)
+        marked = ControlSignal(0.0, 1.0, rng.normal(size=(201, 4)), {120: np.zeros(4)})
+        with pytest.raises(ValueError, match=r"^integrate_mild \(.*integrate_tail\) reads no left"):
+            integrate_mild(spec, marked)
 
 
 class TestHistorySweepStop:
@@ -725,7 +732,7 @@ class TestHistorySweepStop:
     )
     def test_matches_full_history_sweeps_bitwise(self, case, lags, gammas, grid129, rng):
         # With lags (0.1, 0.2) the sweeps stop at t = 0.2, where the
-        # control_saturation case has an impulse and a control mark.
+        # control_saturation case has an impulse.
         spec, u = TestExplicitSweep._case(case, grid129, rng, lags, gammas)
         got = integrate_mild(spec, u)
         ref = full_history_integrate(spec, u)
@@ -907,40 +914,55 @@ class TestIntegrateTail:
         # Nominal control before `start`, its value as the left limit there,
         # a fresh control from `start` on.
         values = np.zeros((spec.n_steps + 1, 4)) if u is None else u.values.copy()
-        marks = {} if u is None else {i: v for i, v in u.left_values.items() if i < start}
-        marks[start] = values[start].copy()
+        marks = {start: values[start].copy()}
         values[start:] = rng.normal(size=values[start:].shape)
         return ControlSignal(0.0, 1.0, values, marks)
 
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_matches_integrate_mild_bitwise(self, case, grid129, rng):
         # Switch at t = 0.6: past both lags; one case has an impulse after it.
+        # `integrate_mild` takes no marked control, so the full run under the
+        # switched one is `switched_full_run`: its own history iteration, then
+        # the implicit sweep.  On the nominal's control it gives the nominal run.
         spec, u = TestExplicitSweep._case(case, grid129, rng)
         nominal = integrate_mild(spec, u)
+        u_none = ControlSignal(0.0, 1.0, np.zeros((spec.n_steps + 1, 4)))
+        full, _ = switched_full_run(spec, u_none if u is None else u)
+        assert np.array_equal(full.values, nominal.trajectory.values)
         u_s = self._switched(spec, u, 120, rng)
-        tail = dynamics.integrate_tail(spec, nominal, u_s, 120)
-        full = integrate_mild(spec, u_s)
-        a, b = tail.trajectory, full.trajectory
+        tail = dynamics.integrate_tail(spec, nominal, u_s)
+        a, (b, head) = tail.trajectory, switched_full_run(spec, u_s)
         assert np.array_equal(a.values, b.values)
+        assert not np.array_equal(a.values, nominal.trajectory.values)
         assert sorted(a.left_values) == sorted(b.left_values)
         for i in a.left_values:
             assert np.array_equal(a.left_values[i], b.left_values[i])
-        assert np.array_equal(tail.sources, full.sources)
-        assert tail.picard_iterations == full.picard_iterations
-        assert tail.history_residual == full.history_residual
+        assert np.array_equal(tail.sources[:121], nominal.sources[:121])
+        assert tail.picard_iterations == head.picard_iterations
+        assert tail.history_residual == head.history_residual
 
     def test_impulse_at_the_switch_rejected(self, grid129, rng):
         # The jump at t_start would read the nominal's control there.
         spec, u = TestExplicitSweep._case("bounded_wave+constant_kick", grid129, rng)
         nominal = integrate_mild(spec, u)
         with pytest.raises(ValueError, match=r"impulse sits at t_start = 0\.4$"):
-            dynamics.integrate_tail(spec, nominal, self._switched(spec, u, 80, rng), 80)
+            dynamics.integrate_tail(spec, nominal, self._switched(spec, u, 80, rng))
 
     def test_lag_past_the_switch_rejected(self, grid129, rng):
         spec, u = TestExplicitSweep._case("velocity_kick+marked_control", grid129, rng)
         nominal = integrate_mild(spec, u)
         with pytest.raises(ValueError, match="lag reaches past"):
-            dynamics.integrate_tail(spec, nominal, self._switched(spec, u, 30, rng), 30)
+            dynamics.integrate_tail(spec, nominal, self._switched(spec, u, 30, rng))
+
+    def test_control_without_one_mark_rejected(self, grid129, rng):
+        # The switch is the control's one mark: with none or two there is no
+        # node to start from.
+        spec, u = TestExplicitSweep._case("velocity_kick+marked_control", grid129, rng)
+        nominal = integrate_mild(spec, u)
+        u_s = self._switched(spec, u, 120, rng)
+        for marks in ({}, {**u_s.left_values, 150: np.zeros(4)}):
+            with pytest.raises(ValueError, match=r"needs one control mark, its switch; got \["):
+                dynamics.integrate_tail(spec, nominal, ControlSignal(0.0, 1.0, u_s.values, marks))
 
 
 def write_history_file(path, ts, data):

@@ -8,7 +8,13 @@ from beamctl import synthesis
 from beamctl.catalogs import ImpulseEvent, make_forcing, make_impulse_map, make_nonlinearity
 from beamctl.config import parse_config
 from beamctl.control import ControlSignal, build_gramian_set, minimum_energy_control
-from beamctl.dynamics import ProblemSpec, Trajectory, history_segment, integrate_mild
+from beamctl.dynamics import (
+    ProblemSpec,
+    Trajectory,
+    history_segment,
+    integrate_mild,
+    integrate_tail,
+)
 from beamctl.errors import ConfigError
 from beamctl.semigroup import ModelParams
 from beamctl.spectral import SpatialGrid, StateZ, norm_z, pair_norm, zero_state
@@ -235,10 +241,10 @@ class TestPullbackControl:
             history=constant_history(p, 2000, w=[0.3], y=[0.2]),
         )
         zstar = StateZ(rng.normal(size=4) * 0.2, rng.normal(size=4))
-        traj = integrate_mild(spec).trajectory
+        free = integrate_mild(spec)
         for sigma in (0.2, 0.05):
-            u_s = pullback_control(traj, sigma, zstar, spec)
-            final = integrate_mild(spec, u_s).trajectory.terminal_state()
+            u_s = pullback_control(free.trajectory, sigma, zstar, spec)
+            final = integrate_tail(spec, free, u_s).trajectory.terminal_state()
             assert norm_z(final - zstar) <= 1e-6
 
 
