@@ -2,7 +2,8 @@
 
 Commands: simulate, gramian, steer, approx, exact, check.  Every run
 echoes the fully resolved configuration next to its outputs.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure.
+0 success, 2 configuration error or an output location that cannot be
+written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -236,9 +237,12 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         _check_command(args.command, cfg)
         out = Path(args.out) if args.out else Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{cfg.prefix}_resolved_config.yaml").write_text(resolved_config_text(cfg))
-        _RUNNERS[args.command](cfg, out, cfg.prefix, say)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / f"{cfg.prefix}_resolved_config.yaml").write_text(resolved_config_text(cfg))
+            _RUNNERS[args.command](cfg, out, cfg.prefix, say)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {exc.filename or out}: {exc.strerror}") from exc
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

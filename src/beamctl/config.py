@@ -5,11 +5,14 @@ has it; a key repeated in one mapping is rejected by name, and a syntax
 error is one line with its line and column.  All blocks are read by one
 reader, `_Block`: its typed getters alone decide which keys exist, their
 defaults and checks, and the echo, for each getter records the value it
-read in read order.  Loading snaps impulse times, delay lags, the delay
-span, t0 and the pull-back windows to the nearest node of the trajectory
-grid and writes the snapped and derived values back into the echo; a key
-that no getter read, at any level, is rejected when the reader leaves its
-block, and an unknown top-level block before any block is read.  What
+read in read order.  One getter, `_Block.catalog`, reads every catalog
+block (each impulse, forcing, nonlinearity, history): the entry name, its
+`params`, then the builder, whose errors it keys under the block.
+Loading snaps impulse times, delay lags, the delay span, t0 and the
+pull-back windows to the nearest node of the trajectory grid and writes
+the snapped and derived values back into the echo; a key that no getter
+read, at any level, is rejected when the reader leaves its block, and an
+unknown top-level block before any block is read.  What
 `ProblemSpec` checks (the de-aliasing bound on G, the lags, their weights,
 the impulse times and the pull-back windows' steps, which `RunConfig`
 carries with steer's) is checked there alone, under the key it concerns.
@@ -141,10 +144,6 @@ class _Block:
         self.resolved[name] = value
         return value
 
-    def get(self, name: str, default=None):
-        """The raw value, unchecked (catalog names)."""
-        return self.set(name, self.raw.get(name, default))
-
     def text(self, name: str, default: str) -> str:
         value = self.raw.get(name, default)
         if not isinstance(value, str) or not value:
@@ -182,9 +181,21 @@ class _Block:
             raise ConfigError("expected a list of numbers", self.key(name))
         return self.set(name, [float(v) for v in value])
 
-    def params(self) -> dict:
-        """A catalog's `params` mapping; the catalog entry checks its keys."""
-        return self.set("params", dict(_Block(self.raw.get("params"), self.key("params")).raw))
+    def catalog(self, make, *args, default=None):
+        """`make(name, *args, params)` for this block's catalog entry.
+
+        Reads `catalog`, required without a default, then the `params`
+        mapping, whose keys the entry checks; an error of `make` is keyed
+        `path.catalog`, or `path.params.<key>` where it names a key.
+        """
+        name = self.set("catalog", self.raw.get("catalog", default))
+        if default is None and not name:
+            raise ConfigError("missing catalog entry name", self.key("catalog"))
+        params = self.set("params", dict(_Block(self.raw.get("params"), self.key("params")).raw))
+        try:
+            return make(name, *args, params)
+        except ConfigError as exc:
+            raise ConfigError(exc.message, self.key(exc.key or "catalog")) from exc
 
     def _open(self, children: list[_Block]) -> None:
         for child in self._children:
@@ -227,14 +238,6 @@ _BLOCKS = (
     "model", "grids", "impulses", "delays", "nonlocal", "forcing", "nonlinearity",
     "history", "targets", "experiment", "output",
 )
-
-
-def _catalog(path: str, make, *args):
-    """`make(*args)` with its errors keyed `path.catalog`, or `path.params.<key>`."""
-    try:
-        return make(*args)
-    except ConfigError as exc:
-        raise ConfigError(exc.message, f"{path}.{exc.key or 'catalog'}") from exc
 
 
 def _reject_non_finite(node, key: str) -> None:
@@ -343,11 +346,7 @@ def parse_config(path: str | Path) -> RunConfig:
     for entry in top.entries("impulses", "impulse entries"):
         t_k = _snap(entry.number("time"), h, "impulse time", entry.key("time")) * h
         entry.set("time", t_k)
-        kind = entry.get("catalog")
-        if not kind:
-            raise ConfigError("missing catalog entry name", entry.key("catalog"))
-        imap = _catalog(entry.path, make_impulse_map, kind, n_modes, entry.params())
-        events.append(ImpulseEvent(t_k, imap))
+        events.append(ImpulseEvent(t_k, entry.catalog(make_impulse_map, n_modes)))
 
     delays = top.block("delays")
     lags = [
@@ -359,29 +358,9 @@ def parse_config(path: str | Path) -> RunConfig:
     nonlocal_block = top.block("nonlocal")
     gammas = nonlocal_block.numbers("gammas")
 
-    forcing_block = top.block("forcing")
-    forcing = _catalog(
-        "forcing", make_forcing, forcing_block.get("catalog", "zero"), n_modes, forcing_block.params()
-    )
-
-    nl_block = top.block("nonlinearity")
-    nonlinearity = _catalog(
-        "nonlinearity",
-        make_nonlinearity,
-        nl_block.get("catalog", "zero"),
-        n_modes,
-        nl_block.params(),
-    )
-
-    history_block = top.block("history")
-    history = _catalog(
-        "history",
-        history_segment,
-        history_block.get("catalog", "zero"),
-        params,
-        n_r + 1,
-        history_block.params(),
-    )
+    forcing = top.block("forcing").catalog(make_forcing, n_modes, default="zero")
+    nonlinearity = top.block("nonlinearity").catalog(make_nonlinearity, n_modes, default="zero")
+    history = top.block("history").catalog(history_segment, params, n_r + 1, default="zero")
 
     targets = top.block("targets")
     zstar = _state(targets, "zstar", n_modes)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .semigroup import ModelParams, force_column, force_column_on_grid, propagator_matrix
+from .semigroup import ModelParams, force_column_on_grid, propagator_entries_for, propagator_matrix
 from .spectral import StateZ, eigenvalue
 
 __all__ = [
@@ -54,9 +54,9 @@ class ControlSignal:
 
     `values[i]` is the right limit at node i; a node listed in
     `left_values` carries a distinct left limit.  Only a pull-back switch
-    is marked (`pullback_control`), and only `integrate_tail` and
-    `control_rows` read marks: every other reader raises ValueError on a
-    marked control.  The L2-in-time norm is the trapezoid rule on the grid.
+    is marked (`pullback_control`), and only `integrate_tail` reads marks:
+    every other reader raises ValueError on a marked control.  The
+    L2-in-time norm is the trapezoid rule on the grid.
     """
 
     t0: float
@@ -143,9 +143,10 @@ def mode_gramian(n: int, t0: float, t1: float, p: ModelParams) -> np.ndarray:
 
     The kernel is E(tau) b b* E*(tau) with b = (0, 1) and the adjoint taken
     in the energy inner product, over tau in [0, L], L = t1 - t0.  Its force
-    column (e01, e11) solves e01' = e11, e11' = -d*lam*e01 - c*e11, so its
-    integrals follow from e01(L) and e11(L): int e01*e11 integrates e01*e01',
-    int e11^2 is the energy balance, int e01^2 follows from (e01*e11)'.
+    column (e01, e11), read from `propagator_entries_for`, solves
+    e01' = e11, e11' = -d*lam*e01 - c*e11, so its integrals follow from
+    e01(L) and e11(L): int e01*e11 integrates e01*e01', int e11^2 is the
+    energy balance, int e01^2 follows from (e01*e11)'.
     On short windows (omega_n*L and c*L at most 1) those identities cancel
     (int e01^2 ~ L^3/3 out of O(L) terms), and a fixed Gauss-Legendre rule
     on the kernel, exact to roundoff there, takes their place.
@@ -159,11 +160,11 @@ def mode_gramian(n: int, t0: float, t1: float, p: ModelParams) -> np.ndarray:
     dlam = p.d * lam
     if max(np.sqrt(dlam), p.c) * length <= 1.0:
         tau = 0.5 * length * (_GL_NODES + 1.0)
-        e01, e11 = force_column(tau, np.array([lam]), p.c, p.d)
+        _, e01, _, e11 = propagator_entries_for(tau, np.array([lam]), p.c, p.d)
         wts, a, b = 0.5 * length * _GL_WEIGHTS, e01[:, 0], e11[:, 0]
         i00, i01, i11 = wts @ (a * a), wts @ (a * b), wts @ (b * b)
     else:
-        e01, e11 = force_column(np.array([length]), np.array([lam]), p.c, p.d)
+        _, e01, _, e11 = propagator_entries_for(np.array([length]), np.array([lam]), p.c, p.d)
         a, b = float(e01[0, 0]), float(e11[0, 0])
         i01 = 0.5 * a * a
         i11 = (1.0 - b * b - dlam * a * a) / (2.0 * p.c)

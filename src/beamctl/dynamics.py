@@ -387,9 +387,10 @@ def node_sources(spec: ProblemSpec, values: np.ndarray):
     `values` is a trajectory buffer on the grid of `spec` (history nodes
     first, t = 0 at node n_r = r/h).  The returned `block(first, n, u_rows)`
     evaluates the load p(t) and the catalog term f, which reads the state
-    `values[node - n_r]` at t - r and the control row `u_rows[k]` (None if no
-    entry reads the control), for the n nodes first, ..., first + n - 1 at
-    once, as they are when it is called.  It returns the (n, N) rows, zeros
+    `values[node - n_r]` at t - r and the control row `u_rows[k]`, for the
+    n nodes first, ..., first + n - 1 at once, as they are when it is
+    called.  `_sweep` always passes the rows; None serves only an entry
+    that does not read the control.  It returns the (n, N) rows, zeros
     when both terms are zero (a zero term is never evaluated); a single node
     is a block of one with bitwise the same row.  The cable force reads the
     node itself (`_sweep_kernel`).

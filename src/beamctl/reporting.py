@@ -284,8 +284,9 @@ def snapshot_rows(traj: Trajectory, grid) -> np.ndarray:
 
 
 def control_rows(u: ControlSignal) -> np.ndarray:
-    """t, u per node; switch nodes have two rows, left then right."""
-    return np.column_stack(_with_marks(u.times, u.values, u.left_values))
+    """t, u per node of an unmarked control."""
+    u.require_unmarked("control_rows")
+    return np.column_stack((u.times, u.values))
 
 
 def write_report(path: Path, entries: list[tuple[str, object]]) -> None:

@@ -18,7 +18,6 @@ from .spectral import StateZ, eigenvalues
 
 __all__ = [
     "ModelParams",
-    "force_column",
     "force_column_on_grid",
     "propagator_entries_for",
     "propagator_matrix",
@@ -110,48 +109,18 @@ def _branch_coefficients(shift, det, t):
     return scale, c0, c1
 
 
-def _scaled_coefficients(ts, lam, c: float, d: float):
-    """(S, C0, C1) of exp(A_n * t) at times ts, the coefficients of shape (len(ts), len(lam)).
-
-    exp(A_n * t) = S * (C0*I + C1*(A_n + c/2*I)).  S = exp(-c*t/2), of
-    shape (len(ts), 1), unless a mode is overdamped: its entries carry the
-    exponential in C0 and C1 and S = 1 there (`_branch_coefficients`).
-    """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    return _branch_coefficients(-0.5 * c, (d * lam)[None, :], ts[:, None])
-
-
-def _force_entries(scale, c0, c1, c: float):
-    """(e01, e11) from the scaled coefficients; overwrites c0 and c1."""
-    e01 = scale * c1
-    c1 *= 0.5 * c
-    e11 = np.subtract(c0, c1, out=c0)
-    e11 *= scale
-    return e01, e11
-
-
-def force_column(ts: np.ndarray, lam: np.ndarray, c: float, d: float):
-    """The force column (e01, e11) of exp(A_n * t): the response to a unit velocity.
-
-    Returns two arrays of shape (len(ts), len(lam)), bitwise those of
-    `propagator_entries_for`, without tabulating e00 and e10.
-    """
-    return _force_entries(*_scaled_coefficients(ts, lam, c, d), c)
-
-
 def force_column_on_grid(n: int, h: float, lam: np.ndarray, c: float, d: float):
     """The force column (e01, e11) at t = (n - i)*h for i = 0..n, by the semigroup law.
 
     Row i is the time left from node i to the end of an n-step grid of
     step h, so the rows run in node order.  With the stride
     s = ceil(sqrt(n + 1)), the last (n + 1) mod s rows are closed-form
-    `force_column` rows, and every block of s rows above them is
-    E(q*h) (e01, e11)(j*h), j = s - 1 .. 0: one closed-form propagator at
-    the block's knot q*h, its last row's time, applied to the s closed-form
-    fine rows.  The knot rows and the rows below the blocks are
-    `force_column` at their times, bitwise but for the sign of an
-    underflowed zero; the others differ from it by rounding.
+    rows, e01 and e11 of `propagator_entries_for`, and every block of s
+    rows above them is E(q*h) (e01, e11)(j*h), j = s - 1 .. 0: one
+    closed-form propagator at the block's knot q*h, its last row's time,
+    applied to the s closed-form fine rows.  The knot rows and the rows
+    below the blocks are the closed form at their times, bitwise but for
+    the sign of an underflowed zero; the others differ from it by rounding.
     About 2 sqrt(n) rows take a transcendental call, instead of all n + 1,
     and the stride minimises that count.  Returns two C-contiguous arrays
     of shape (n + 1, len(lam)).
@@ -159,7 +128,7 @@ def force_column_on_grid(n: int, h: float, lam: np.ndarray, c: float, d: float):
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     stride = math.isqrt(n) + 1  # ceil(sqrt(n + 1))
     blocks, rest = divmod(n + 1, stride)
-    fine = np.stack(force_column(h * np.arange(stride - 1, -1, -1), lam, c, d))
+    fine = np.stack(propagator_entries_for(h * np.arange(stride - 1, -1, -1), lam, c, d)[1::2])
     knots = propagator_entries_for(h * (rest + stride * np.arange(blocks - 1, -1, -1)), lam, c, d)
     # Two arrays of their own, not views of one: a single (2, n + 1, N)
     # table raised wide-steer's peak RSS by 1.5 MB (2-vCPU Linux host).
@@ -182,16 +151,20 @@ def force_column_on_grid(n: int, h: float, lam: np.ndarray, c: float, d: float):
 def propagator_entries_for(ts: np.ndarray, lam: np.ndarray, c: float, d: float):
     """Entries of exp(A_n * t) for the given eigenvalues and times.
 
-    Returns four arrays of shape (len(ts), len(lam)): e00, e01, e10, e11.
-    The adjoint block in the energy inner product, D^-1 E^T D with
-    D = diag(lambda_n, 1), reuses them: same diagonal, off-diagonals
-    e10/lambda_n and e01*lambda_n.
+    Returns four arrays of shape (len(ts), len(lam)): e00, e01, e10, e11,
+    from exp(A_n * t) = S * (C0*I + C1*(A_n + c/2*I)) with the coefficients
+    of `_branch_coefficients`; (e01, e11) is the force column, the response
+    to a unit velocity.  The adjoint block in the energy inner product,
+    D^-1 E^T D with D = diag(lambda_n, 1), reuses them: same diagonal,
+    off-diagonals e10/lambda_n and e01*lambda_n.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    scale, c0, c1 = _scaled_coefficients(ts, lam, c, d)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    scale, c0, c1 = _branch_coefficients(-0.5 * c, (d * lam)[None, :], ts[:, None])
     e00 = scale * (c0 + 0.5 * c * c1)
+    e01 = scale * c1
     e10 = scale * (-d * lam[None, :] * c1)
-    e01, e11 = _force_entries(scale, c0, c1, c)
+    e11 = scale * (c0 - 0.5 * c * c1)
     return e00, e01, e10, e11
 
 
@@ -209,7 +182,7 @@ def propagator_matrix(h: float, lam: np.ndarray, c: float, d: float) -> np.ndarr
     steps at a time and steps with F's columns rearranged for that
     (`dynamics`); `control.integrate_linear`, which no command calls,
     closes each step at once.  A control alone needs no march: its
-    convolution is one sum against the `force_column` table.
+    convolution is one sum against the `force_column_on_grid` table.
     """
     e00, e01, e10, e11 = (e[0] for e in propagator_entries_for(np.array([h]), lam, c, d))
     return np.block([[np.diag(e) for e in (e00, e01, e01)], [np.diag(e) for e in (e10, e11, e11)]])

@@ -361,15 +361,13 @@ def controllability_map(u: ControlSignal, p) -> StateZ:
 def count_propagator_tables(monkeypatch) -> list[int]:
     """Sizes of the propagator tables the package tabulates from now on.
 
-    Wraps `force_column`, `propagator_entries_for` and
-    `force_column_on_grid` in every package module that holds them; the
-    returned list gets the number of times of each table as it is made.  A
-    grid table counts once, with its n + 1 rows; the knot and fine rows it
-    is composed from are not counted.
+    Wraps `propagator_entries_for` and `force_column_on_grid` in every
+    package module that holds them; the returned list gets the number of
+    times of each table as it is made.  A grid table counts once, with its
+    n + 1 rows; the knot and fine rows it is composed from are not counted.
     """
     sizes, inside = [], []
     tabulators = {
-        semigroup.force_column: np.size,
         semigroup.propagator_entries_for: np.size,
         semigroup.force_column_on_grid: lambda n: n + 1,
     }
@@ -1266,11 +1264,9 @@ def reference_snapshot_rows(traj: Trajectory, grid, n_snapshots: int = 11):
 
 
 def reference_control_rows(u: ControlSignal):
-    """One row per node; switch nodes are emitted twice, left then right."""
+    """One row per node of an unmarked control."""
     times = u.times
     for i in range(u.n_nodes):
-        if i in u.left_values:
-            yield [times[i], *u.left_values[i].tolist()]
         yield [times[i], *u.values[i].tolist()]
 
 

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import subprocess
@@ -16,7 +17,7 @@ from beamctl.control import ControlSignal, build_gramian_set
 from beamctl.dynamics import Trajectory, integrate_mild
 from beamctl.errors import ConfigError
 from beamctl.reporting import trajectory_rows
-from beamctl.semigroup import apply_semigroup, force_column, force_column_on_grid
+from beamctl.semigroup import apply_semigroup, force_column_on_grid, propagator_entries_for
 from beamctl.spectral import StateZ, eigenvalues, energy_norms, norm_z
 
 from oracles import count_propagator_tables, linear_states, steering_control
@@ -546,6 +547,22 @@ class TestCli:
         assert err == f"error: config: cannot read configuration file {tmp_path}: Is a directory\n"
         assert not out.exists()
 
+    def test_output_directory_under_a_file_exits_2_on_one_line(self, tmp_path, capsys):
+        out = tmp_path / "file" / "sub"
+        out.parent.write_text("")
+        assert main(["check", "--config", str(CONFIGS / "check_zero.yaml"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config: cannot write {out}: {os.strerror(errno.ENOTDIR)}\n"
+
+    def test_output_file_taken_by_a_directory_exits_2_on_one_line(self, tmp_path, capsys):
+        # The echo is written first; the report's path is a directory.
+        out = tmp_path / "o"
+        report = out / "check_zero_report.txt"
+        report.mkdir(parents=True)
+        assert main(["check", "--config", str(CONFIGS / "check_zero.yaml"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config: cannot write {report}: {os.strerror(errno.EISDIR)}\n"
+
     @pytest.mark.parametrize(
         "where, key",
         [
@@ -857,12 +874,12 @@ class TestCli:
     def test_gramian_not_finite_exits_3_naming_the_mode(self, tmp_path, capsys, monkeypatch):
         # A non-finite Gramian is a numerical failure, not a row of nan.
         def nan_in_mode_3(ts, lam, c, d):
-            e01, e11 = force_column(ts, lam, c, d)
+            e00, e01, e10, e11 = propagator_entries_for(ts, lam, c, d)
             if lam[0] == eigenvalues(3)[2]:
                 e01[:] = np.nan
-            return e01, e11
+            return e00, e01, e10, e11
 
-        monkeypatch.setattr(control, "force_column", nan_in_mode_3)
+        monkeypatch.setattr(control, "propagator_entries_for", nan_in_mode_3)
         out = tmp_path / "o"
         rc = main(["gramian", "--config", str(CONFIGS / "gramian_n8.yaml"), "--out", str(out)])
         assert rc == 3

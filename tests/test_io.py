@@ -219,10 +219,12 @@ def test_trajectory_and_snapshots_match_reference(tmp_path, rng, n_modes):
 def test_switched_control_matches_reference(tmp_path, rng, n_modes):
     header = ["t"] + [f"u_{i}" for i in range(1, n_modes + 1)]
     values = rng.normal(size=(2001, n_modes))
-    marks = {1, 1600, 1999}
-    for left in ({}, {i: rng.normal(size=n_modes) for i in marks}):
-        u = ControlSignal(0.0, 1.0, values, left)
-        assert_same_bytes(tmp_path, header, control_rows(u), reference_control_rows(u))
+    u = ControlSignal(0.0, 1.0, values)
+    assert_same_bytes(tmp_path, header, control_rows(u), reference_control_rows(u))
+    # No command writes a marked control, and the CSV has no row for a left limit.
+    marked = ControlSignal(0.0, 1.0, values, {i: rng.normal(size=n_modes) for i in (1, 1600, 1999)})
+    with pytest.raises(ValueError, match="control_rows reads no left limits"):
+        control_rows(marked)
 
 
 def test_loader_and_dumper_use_libyaml_when_built_with_it():

@@ -5,7 +5,6 @@ from beamctl.semigroup import (
     ModelParams,
     _branch_coefficients,
     apply_semigroup,
-    force_column,
     force_column_on_grid,
     operator_norm_bound,
     propagator_entries_for,
@@ -166,19 +165,6 @@ FORCE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", FORCE_CASES)
-@pytest.mark.parametrize("ts", [np.linspace(1.0, 0.0, 201), 0.3], ids=["array", "scalar"])
-def test_force_column_is_the_entries_bitwise(case, ts):
-    # The steering tables read only (e01, e11); they must be the bytes the
-    # full propagator gives, whichever branch each entry takes.
-    c, d = FORCE_CASES[case]
-    lam = eigenvalues(48)
-    got = force_column(ts, lam, c, d)
-    _, e01, _, e11 = propagator_entries_for(ts, lam, c, d)
-    assert got[0].shape == got[1].shape == (np.size(ts), 48)
-    assert np.array_equal(got[0], e01) and np.array_equal(got[1], e11)
-
-
 def test_force_column_cases_reach_their_branches():
     quarter = {case: (0.5 * c) ** 2 - d * eigenvalues(48) for case, (c, d) in FORCE_CASES.items()}
     assert (quarter["oscillatory"] < 0).all()
@@ -212,7 +198,7 @@ def test_grid_knot_rows_are_the_closed_form(case, n):
     assert (stride - 1) ** 2 < n + 1 <= stride**2
     rows = np.concatenate((np.arange(stride - 1, blocks * stride, stride), np.arange(blocks * stride, n + 1)))
     assert rows.size == blocks + rest
-    ref01, ref11 = force_column(h * (n - rows), lam, c, d)
+    _, ref01, _, ref11 = propagator_entries_for(h * (n - rows), lam, c, d)
     assert np.array_equal(e01[rows], ref01) and np.array_equal(e11[rows], ref11)
     assert np.isfinite(e01).all() and np.isfinite(e11).all()
     for e in (e01, e11):
@@ -231,7 +217,7 @@ def test_grid_rows_are_as_accurate_as_the_closed_form(case, n):
     rows = np.unique(np.concatenate((np.linspace(0, n, 25).round(), rng.integers(0, n + 1, 16)))).astype(int)
     ref = mp_force_column(h, n - rows, lam, c, d)
     composed = (e[rows] for e in force_column_on_grid(n, h, lam, c, d))
-    direct = force_column(h * (n - rows), lam, c, d)
+    direct = propagator_entries_for(h * (n - rows), lam, c, d)[1::2]
     weight = np.sqrt(lam), 1.0
 
     def error(table):

@@ -404,6 +404,21 @@ class TestSteeringTarget:
             with pytest.raises(ValueError, match="over \\[0, T\\]"):
                 steering_target(res.trajectory, zstar, spec, res.sources, gs)
 
+    def test_rejects_control_dependent_entries(self, grid129, rng):
+        # The target subtracts sources evaluated on one run; an entry that
+        # reads the control makes them move with the control it steers by.
+        p = ModelParams(c=1.0, d=1.0, k=1.0, n_modes=4, T=1.0, r=0.25)
+        spec = ProblemSpec(
+            params=p,
+            grid=grid129,
+            n_steps=500,
+            nonlinearity=make_nonlinearity("control_saturation", 4, {"amp": 0.1}),
+        )
+        res = integrate_mild(spec, ControlSignal(0.0, 1.0, rng.normal(size=(501, 4))))
+        zstar = StateZ(rng.normal(size=4), rng.normal(size=4))
+        with pytest.raises(ConfigError, match="control-independent"):
+            steering_target(res.trajectory, zstar, spec, res.sources, steering_set(spec))
+
     def test_lipschitz_against_certificate(self, exact_benchmark, rng):
         spec = exact_benchmark
         rep = certificate(spec)
